@@ -9,10 +9,10 @@ Sections shrink to polygons (tubes), segments (strips), or points; tubes go
 with periodic words, detected through the cumulative unfolding isometry
 becoming a pure translation along the beam direction.
 
-The complexity estimator samples orbits in bulk, collects every factor of
-each coded word into per-length distinct sets, and reports the counts as
-explicit lower bounds for the number of length-n words together with their
-normalized logarithms.
+The complexity estimator samples orbits in bulk, codes each reliable word as
+one integer, builds the per-length distinct factor sets by a recurrence from
+the longest length down, and reports their sizes as explicit lower bounds
+for the number of length-n words together with their normalized logarithms.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ class ComplexityTable:
     discarded: int              # near-singular orbits dropped entirely
     singular: int               # orbits cut short by an exact edge/vertex hit
     labels: list[str]
-    word_codes: dict[int, np.ndarray]
+    word_codes: dict[int, np.ndarray]       # sorted distinct codes per length
     tiles: tuple[int, int]
 
     @property
@@ -322,17 +322,18 @@ class ComplexityTable:
             shorter = self.word_codes.get(n)
             if longer is None or shorter is None or len(longer) == 0:
                 continue
-            prefixes = longer // base
-            suffixes = longer % (base ** n)
-            if not (np.isin(prefixes, shorter).all()
-                    and np.isin(suffixes, shorter).all()):
-                return False
+            for part in (longer // base, longer % (base ** n)):
+                i = np.minimum(np.searchsorted(shorter, part), len(shorter) - 1)
+                if len(shorter) == 0 or not np.array_equal(shorter[i], part):
+                    return False
         return True
 
 
 def _chunk_complexity(P: Polyhedron, seed: int, chunk_idx: int, start: int,
                       stop: int, n_max: int, tiles: tuple[int, int]
-                      ) -> tuple[dict[int, np.ndarray], int, int]:
+                      ) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Sample one chunk; return the code and length of each reliable word,
+    plus the chunk's discarded and singular-terminated counts."""
     rng = np.random.default_rng([seed, chunk_idx])
     F = P.n_faces
     tw, tp = tiles
@@ -352,16 +353,10 @@ def _chunk_complexity(P: Polyhedron, seed: int, chunk_idx: int, start: int,
         phi_lo=ip * 2.0 * np.pi / tp, phi_hi=(ip + 1) * 2.0 * np.pi / tp)
     words, lengths, flags = run_word_batch(P, m, theta, faces, n_max)
 
-    valid = ~flags
-    powers_full = (F ** np.arange(n_max - 1, -1, -1)).astype(np.int64)
-    uniq: dict[int, np.ndarray] = {}
-    for n in range(1, n_max + 1):
-        win = np.lib.stride_tricks.sliding_window_view(words, n, axis=1)
-        n_win = win.shape[1]
-        mask = (np.arange(n_win)[None, :] < (lengths - n + 1)[:, None]) & valid[:, None]
-        codes = win.astype(np.int64) @ powers_full[n_max - n:]
-        uniq[n] = np.unique(codes[mask])
-    return uniq, int(flags.sum()), int((lengths < n_max).sum())
+    powers = F ** np.arange(n_max - 1, -1, -1, dtype=np.int64)
+    # the full-width code over zeroed padding, cut down to each word's length
+    codes = (np.maximum(words, 0).astype(np.int64) @ powers) // powers[lengths - 1]
+    return codes[~flags], lengths[~flags], int(flags.sum()), int((lengths < n_max).sum())
 
 
 def estimate_complexity(P: Polyhedron, n_max: int, budget: int, seed: int = 0,
@@ -373,41 +368,45 @@ def estimate_complexity(P: Polyhedron, n_max: int, budget: int, seed: int = 0,
     into equal-area tiles of the inward hemisphere (``tiles`` = polar x
     azimuthal counts), with per-chunk jitter from a seeded generator.  Words
     flagged near-singular are discarded outright; words cut short by an exact
-    singular hit contribute the factors of their reliable prefix.  Results
-    are deterministic for a given seed and independent of chunking order or
-    worker count.
+    singular hit contribute the factors of their reliable prefix.  Chunks
+    return word codes only; the factor sets are built once, over all chunks'
+    codes, so results are deterministic for a given seed and independent of
+    chunking order or worker count.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     F = P.n_faces
     if F ** n_max >= 2 ** 62:
         raise ValueError("alphabet too large for integer word codes at this n_max")
     bounds = list(range(0, budget, chunk_size)) + [budget]
     jobs = [(i, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
-    per_chunk: list[tuple[dict[int, np.ndarray], int, int]] = []
+    def chunk(job):
+        return _chunk_complexity(P, seed, *job, n_max, tiles)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_chunk_complexity, P, seed, ci, a, b, n_max, tiles)
-                    for ci, a, b in jobs]
-            per_chunk = [f.result() for f in futs]
+            per_chunk = list(pool.map(chunk, jobs))
     else:
-        per_chunk = [_chunk_complexity(P, seed, ci, a, b, n_max, tiles)
-                     for ci, a, b in jobs]
+        per_chunk = [chunk(job) for job in jobs]
 
+    codes, lengths, discarded, singular = zip(*per_chunk)
+    codes, lengths = np.concatenate(codes), np.concatenate(lengths)
+    # an n-factor is the prefix of an (n+1)-factor or the n-suffix of its
+    # word; sorting then dropping repeats beats np.unique's hashing here
     word_codes: dict[int, np.ndarray] = {}
-    for n in range(1, n_max + 1):
-        parts = [u[n] for u, _, _ in per_chunk if len(u[n])]
-        word_codes[n] = (np.unique(np.concatenate(parts)) if parts
-                         else np.array([], dtype=np.int64))
-    discarded = sum(d for _, d, _ in per_chunk)
-    singular = sum(s for _, _, s in per_chunk)
+    longer = np.array([], dtype=np.int64)
+    for n in range(n_max, 0, -1):
+        s = np.sort(np.concatenate([longer // F, codes[lengths >= n] % F ** n]))
+        longer = word_codes[n] = s[np.diff(s, prepend=-1) != 0]    # codes are >= 0
 
     ns = np.arange(1, n_max + 1)
     p_hat = np.array([len(word_codes[n]) for n in ns], dtype=np.int64)
     with np.errstate(divide="ignore"):
         lpn = np.where(p_hat > 0, np.log(np.maximum(p_hat, 1)) / ns, -np.inf)
-    return ComplexityTable(ns, p_hat, lpn, budget, seed, n_max, discarded,
-                           singular, list(P.labels), word_codes, tiles)
+    return ComplexityTable(ns, p_hat, lpn, budget, seed, n_max, sum(discarded),
+                           sum(singular), list(P.labels), word_codes, tiles)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from polybilliard import billiard as bl
 from polybilliard import symbolic as sy
-from polybilliard.geometry import box, regular_tetrahedron, unit_cube
+from polybilliard.geometry import Tolerances, box, regular_tetrahedron, unit_cube
 
 SQRT2 = np.sqrt(2.0)
 
@@ -247,12 +249,76 @@ def test_complexity_preconditions(cube):
         sy.estimate_complexity(cube, 1, 100)
     with pytest.raises(ValueError):
         sy.estimate_complexity(cube, 4, 0)
+    for chunk_size in (0, -5):
+        with pytest.raises(ValueError, match="chunk_size"):
+            sy.estimate_complexity(cube, 4, 1000, chunk_size=chunk_size)
 
 
 def test_flagged_words_are_discarded(cube):
-    from polybilliard.geometry import Tolerances
     wide = cube.with_tolerances(Tolerances(sing=5e-2))
     tab = sy.estimate_complexity(wide, 4, 4000, seed=0)
     assert tab.discarded > 0
     narrow = sy.estimate_complexity(cube, 4, 4000, seed=0)
     assert tab.discarded > narrow.discarded
+
+
+@pytest.mark.parametrize("solid, n_max, budget, tol", [
+    ("cube", 8, 4000, None),
+    ("tetra", 16, 3000, None),
+    ("cube", 8, 4000, Tolerances(plane=1e-3, sing=1e-2)),
+])
+def test_factor_sets_match_window_oracle(monkeypatch, solid, n_max, budget, tol):
+    # independent oracle: every n-window of every unflagged word the stepper
+    # returned, collected as plain tuples of labels
+    P = unit_cube() if solid == "cube" else regular_tetrahedron()
+    if tol is not None:
+        P = P.with_tolerances(tol)
+    returned = []
+
+    def recording(*args, **kwargs):
+        out = bl.run_word_batch(*args, **kwargs)
+        returned.append(out)
+        return out
+
+    monkeypatch.setattr(sy, "run_word_batch", recording)
+    tab = sy.estimate_complexity(P, n_max, budget, seed=11, chunk_size=1000, workers=1)
+    assert len(returned) == -(-budget // 1000)
+    windows = {n: set() for n in range(1, n_max + 1)}
+    for words, lengths, flags in returned:
+        for row, L, flagged in zip(words, lengths, flags):
+            if flagged:
+                continue
+            w = tuple(P.labels[i] for i in row[:L])
+            for n in range(1, L + 1):
+                windows[n].update(w[i:i + n] for i in range(L - n + 1))
+    for n in range(1, n_max + 1):
+        assert set(tab.words(n)) == windows[n]
+        assert tab.p_hat[n - 1] == len(windows[n])
+    if tol is not None:
+        # short and dropped words both reach the recurrence
+        assert tab.singular > 0 and tab.discarded > 0
+
+
+def _without(tab, n, codes):
+    return dataclasses.replace(tab, word_codes={**tab.word_codes, n: codes})
+
+
+def test_factor_closure_detects_missing_factors(cube):
+    tab = sy.estimate_complexity(cube, 6, 20000, seed=5)
+    assert tab.factor_closure_holds()
+    F = len(tab.labels)
+    for n in range(tab.n_max - 1, 0, -1):
+        prefixes = set((tab.word_codes[n + 1] // F).tolist())
+        suffixes = set((tab.word_codes[n + 1] % F ** n).tolist())
+        if prefixes - suffixes and suffixes - prefixes:
+            break
+    else:
+        pytest.fail("no length with prefix-only and suffix-only factors")
+    shorter = tab.word_codes[n]
+    only_prefix = min(prefixes - suffixes)
+    only_suffix = min(suffixes - prefixes)
+    largest = int(shorter[-1])
+    assert largest in prefixes | suffixes
+    for code in (only_prefix, only_suffix, largest):
+        assert not _without(tab, n, shorter[shorter != code]).factor_closure_holds()
+    assert not _without(tab, n, shorter[:0]).factor_closure_holds()
