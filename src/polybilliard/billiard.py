@@ -52,6 +52,8 @@ def phase_point(P: Polyhedron, m, theta, face: int | str | None = None) -> Phase
         face = int(cands[0])
     elif isinstance(face, str):
         face = P.face_index(face)
+    elif not 0 <= face < P.n_faces:
+        raise ValueError(f"face id {face} out of range 0..{P.n_faces - 1}")
     if abs(float(P.faces[face].plane.signed(m))) > 10 * P.tol.plane:
         raise ValueError("point does not lie on the given face plane")
     if float(theta @ P.normals[face]) <= 0.0:
@@ -147,8 +149,12 @@ def _advance(x: PhasePoint, P: Polyhedron) -> tuple[Hit | None, SingularityEvent
                                  face=hit.face)
 
 
-def _finalize(event: SingularityEvent, step: int, iso: Isometry,
+def _finalize(event: SingularityEvent, points: list[PhasePoint],
               P: Polyhedron) -> SingularityEvent:
+    """Stamp ``event`` with the orbit's last step and unfold its edge or
+    vertex by the cumulative isometry of that step."""
+    step = len(points) - 1
+    iso = cumulative_isometries(P, [p.face for p in points])[-1]
     up = ud = None
     if event.kind is SingularityKind.EDGE_HIT and event.edge is not None:
         e = P.edges[event.edge]
@@ -169,7 +175,7 @@ def classify_phase_point(x: PhasePoint, P: Polyhedron) -> SingularityEvent | Non
         _, event = _advance(x, P)
     if event is None:
         return None
-    return _finalize(event, 0, Isometry.identity(), P)
+    return _finalize(event, [x], P)
 
 
 def billiard_step(x: PhasePoint, P: Polyhedron) -> PhasePoint:
@@ -192,25 +198,26 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     points = [x]
     word = [P.labels[x.face]]
     flagged: list[int] = []
-    iso = Isometry.identity()
-    reflections = [Isometry.reflection(f.plane) for f in P.faces]
+    normals = P.normals.tolist()
 
     event0 = _edge_start_event(x, P)
     if event0 is None:
         _, event0 = _advance(x, P)
     if event0 is not None:
-        return OrbitRecord(x, points, word, _finalize(event0, 0, iso, P), flagged)
+        return OrbitRecord(x, points, word, _finalize(event0, points, P), flagged)
 
     while len(points) < n_max:
         cur = points[-1]
         hit, event = _advance(cur, P)
         if event is not None:
-            return OrbitRecord(x, points, word,
-                               _finalize(event, len(points) - 1, iso, P), flagged)
-        theta2 = reflect_direction(cur.theta, P.faces[hit.face])
+            return OrbitRecord(x, points, word, _finalize(event, points, P), flagged)
+        # reflect_direction in floats: theta - 2 <theta, n> n
+        nx, ny, nz = normals[hit.face]
+        tx, ty, tz = cur.theta.tolist()
+        k = 2.0 * (tx * nx + ty * ny + tz * nz)
+        theta2 = np.array((tx - k * nx, ty - k * ny, tz - k * nz))
         points.append(PhasePoint(hit.face, hit.point, theta2))
         word.append(P.labels[hit.face])
-        iso = iso.compose(reflections[hit.face])
         if hit.edge_distance < P.tol.sing:
             flagged.append(len(points) - 1)
     return OrbitRecord(x, points, word, None, flagged)

@@ -9,6 +9,7 @@ an unreliable orbit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -37,23 +38,15 @@ class Tolerances:
     """Numerical thresholds used throughout the library.
 
     plane : point-on-plane and edge/vertex hit classification
-    norm  : unit-vector check
     step  : minimum ray advance before a boundary hit counts
     angle : tangency threshold on <theta, normal>
     sing  : near-singular flag radius around edges (non-terminal)
-    den   : smallest denominator accepted in rational constraints
-    surf  : surface-membership residual threshold
-    deg   : polygon degeneracy threshold (point/segment/area separation)
     """
 
     plane: float = 1e-9
-    norm: float = 1e-12
     step: float = 1e-9
     angle: float = 1e-9
     sing: float = 1e-7
-    den: float = 1e-10
-    surf: float = 1e-8
-    deg: float = 1e-8
 
 
 DEFAULT_TOL = Tolerances()
@@ -184,7 +177,9 @@ class Polyhedron:
 
     Construct through :func:`validate` (or the solid builders below), never
     directly; the constructor trusts its inputs.  All query methods are pure,
-    so instances are safe to share across threads.
+    so instances are safe to share across threads.  The stepping tables of
+    :func:`edge_arrays` are filled lazily without a lock; that race is benign,
+    since every thread builds the same table from the same immutable data.
     """
 
     def __init__(self, vertices: np.ndarray, faces: list[Face],
@@ -202,7 +197,7 @@ class Polyhedron:
             for f in e.faces:
                 self._face_edges[f].append(e_id)
         self._face_polys = [vertices[list(f.boundary)] for f in faces]
-        self._edge_cache: dict | None = None
+        self._tables: dict | None = None
 
     # -- queries ------------------------------------------------------------
 
@@ -276,26 +271,34 @@ def _min_segment_distance(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def edge_arrays(P: Polyhedron) -> dict:
-    """Per-face padded edge arrays for vectorized segment distances.
+    """Per-solid stepping tables, built on first use and cached on ``P``.
 
-    Keys: start points ``A`` (F, Emax, 3; pads far away), unit directions
-    ``U``, lengths ``L``, and edge ids ``ids`` (-1 pads).
+    Batch keys: per-face padded edge start points ``A`` (F, Emax, 3; pads far
+    away), unit directions ``U``, lengths ``L``, and edge ids ``ids`` (-1
+    pads).  Scalar key ``rows``: per face, as Python floats, the plane
+    ``(nx, ny, nz, c)`` followed by its boundary vertices ``(x, y, z, id)``
+    and its edges ``(ax, ay, az, ux, uy, uz, length, id)``.
     """
-    if P._edge_cache is None:
+    if P._tables is None:
         F = P.n_faces
         e_max = max(len(P.face_edge_ids(f)) for f in range(F))
         A = np.full((F, e_max, 3), 1e30)
         U = np.zeros((F, e_max, 3))
         L = np.zeros((F, e_max))
         ids = np.full((F, e_max), -1, dtype=np.int64)
+        rows = []
         for f in range(F):
+            edges = []
             for k, e_id in enumerate(P.face_edge_ids(f)):
                 i, j = P.edges[e_id].endpoints
                 seg = P.vertices[j] - P.vertices[i]
                 ln = float(np.linalg.norm(seg))
                 A[f, k], U[f, k], L[f, k], ids[f, k] = P.vertices[i], seg / ln, ln, e_id
-        P._edge_cache = {"A": A, "U": U, "L": L, "ids": ids}
-    return P._edge_cache
+                edges.append((*A[f, k].tolist(), *U[f, k].tolist(), ln, e_id))
+            verts = tuple((*P.vertices[v].tolist(), v) for v in P.faces[f].boundary)
+            rows.append((*P.normals[f].tolist(), float(P.offsets[f]), verts, tuple(edges)))
+        P._tables = {"A": A, "U": U, "L": L, "ids": ids, "rows": tuple(rows)}
+    return P._tables
 
 
 # ---------------------------------------------------------------------------
@@ -491,46 +494,55 @@ def cast_ray(m, theta, P: Polyhedron) -> Hit:
             raise NoAdvance(f"direction is tangent to face {P.labels[f]!r} at an interior start")
         return _tangent_hit(m, theta, f, P)
 
-    return first_hit(m, theta, P, s=s, d=d)
+    return first_hit(m, theta, P)
 
 
-def first_hit(m, theta, P: Polyhedron, s=None, d=None) -> Hit:
+def first_hit(m: np.ndarray, theta: np.ndarray, P: Polyhedron) -> Hit:
     """First boundary hit without start-point admissibility checks.
 
     Hot-path core of :func:`cast_ray`; callers must already know the ray
     advances into the interior (the orbit iterator checks this itself).
+    With F of about 6, a numpy call costs more than the arithmetic it does,
+    so this walks the per-solid float rows of :func:`edge_arrays` instead.
+    Among faces hit at the same distance the lowest face id wins.
     """
     tol = P.tol
-    if s is None:
-        s = P.signed_distances(m)
-    if d is None:
-        d = P.normals @ theta
-    t = np.full(len(d), np.inf)
-    np.divide(s, -d, out=t, where=d < -tol.angle)
-    t[t <= tol.step] = np.inf
-    f = int(np.argmin(t))
-    tf = float(t[f])
-    if not np.isfinite(tf):
+    rows = edge_arrays(P)["rows"]
+    mx, my, mz = m.tolist()
+    tx, ty, tz = theta.tolist()
+    tf, f = math.inf, -1
+    for k, (nx, ny, nz, c, _, _) in enumerate(rows):
+        d = nx * tx + ny * ty + nz * tz
+        if d < -tol.angle:
+            t = (nx * mx + ny * my + nz * mz + c) / -d
+            if tol.step < t < tf:
+                tf, f = t, k
+    if f < 0:
         raise NoAdvance("ray does not reach the boundary")
-    q = m + tf * theta
+    qx, qy, qz = mx + tf * tx, my + tf * ty, mz + tf * tz
+    q = np.array((qx, qy, qz))
+    _, _, _, _, verts, edges = rows[f]
 
-    verts = P.face_polygon(f)
-    diff = verts - q
-    vdist2 = np.einsum("ij,ij->i", diff, diff)
-    v_local = int(vdist2.argmin())
-    if vdist2[v_local] <= tol.plane * tol.plane:
-        return Hit(HitKind.VERTEX, q, tf, face=f,
-                   vertex=int(P.faces[f].boundary[v_local]), edge_distance=0.0)
-    ea = edge_arrays(P)
-    A, U, L, ids = ea["A"][f], ea["U"][f], ea["L"][f], ea["ids"][f]
-    w = q - A
-    tt = np.clip(np.einsum("ej,ej->e", w, U), 0.0, L)
-    dvec = w - tt[:, None] * U
-    ed2 = np.einsum("ej,ej->e", dvec, dvec)
-    k = int(ed2.argmin())
-    edist = float(np.sqrt(ed2[k]))
+    best, vertex = math.inf, -1
+    for x, y, z, v in verts:
+        dx, dy, dz = x - qx, y - qy, z - qz
+        r2 = dx * dx + dy * dy + dz * dz
+        if r2 < best:
+            best, vertex = r2, v
+    if best <= tol.plane * tol.plane:
+        return Hit(HitKind.VERTEX, q, tf, face=f, vertex=vertex, edge_distance=0.0)
+    best, edge = math.inf, -1
+    for ax, ay, az, ux, uy, uz, ln, e in edges:
+        wx, wy, wz = qx - ax, qy - ay, qz - az
+        s = wx * ux + wy * uy + wz * uz
+        s = 0.0 if s < 0.0 else ln if s > ln else s      # np.clip(s, 0, ln)
+        dx, dy, dz = wx - s * ux, wy - s * uy, wz - s * uz
+        r2 = dx * dx + dy * dy + dz * dz
+        if r2 < best:
+            best, edge = r2, e
+    edist = math.sqrt(best)
     if edist <= tol.plane:
-        return Hit(HitKind.EDGE, q, tf, face=f, edge=int(ids[k]), edge_distance=edist)
+        return Hit(HitKind.EDGE, q, tf, face=f, edge=edge, edge_distance=edist)
     return Hit(HitKind.FACE, q, tf, face=f, edge_distance=edist)
 
 

@@ -72,9 +72,10 @@ def cumulative_isometries(P: Polyhedron, faces: list[int]) -> list[Isometry]:
     picture; entry 0 is the identity (the itinerary's first face is where the
     orbit starts and contributes no reflection).
     """
+    reflections = [Isometry.reflection(face.plane) for face in P.faces]
     isos = [Isometry.identity()]
     for f in faces[1:]:
-        isos.append(isos[-1].compose(Isometry.reflection(P.faces[f].plane)))
+        isos.append(isos[-1].compose(reflections[f]))
     return isos
 
 
@@ -102,8 +103,12 @@ def unfold_orbit(record: "OrbitRecord", P: Polyhedron) -> UnfoldingTrack:
     faces = [pp.face for pp in record.points]
     isos = cumulative_isometries(P, faces)
     folded = np.array([pp.m for pp in record.points])
-    pts = np.array([iso.apply(p) for iso, p in zip(isos, folded)])
-    polys = [iso.apply(P.face_polygon(f)) for iso, f in zip(isos, faces)]
+    lin = np.array([iso.linear for iso in isos])              # (L, 3, 3)
+    trans = np.array([iso.translation for iso in isos])       # (L, 3)
+    pts = np.einsum("lij,lj->li", lin, folded) + trans
+    verts = np.einsum("lij,vj->lvi", lin, P.vertices) + trans[:, None, :]
+    bounds = [np.array(face.boundary) for face in P.faces]
+    polys = [verts[k, bounds[f]] for k, f in enumerate(faces)]
     p0 = pts[0]
     theta = record.points[0].theta
     rel = pts - p0

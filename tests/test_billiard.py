@@ -3,7 +3,8 @@ import pytest
 
 import polybilliard as pb
 from polybilliard import billiard as bl
-from polybilliard.geometry import unit_cube
+from polybilliard.geometry import Tolerances, box, regular_tetrahedron, unit, unit_cube
+from polybilliard.unfolding import cumulative_isometries
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -62,6 +63,9 @@ def test_phase_point_validation(cube):
         bl.phase_point(cube, [0.5, 0.5, 0.0], [0, 0, -1.0])  # points outward
     x = bl.phase_point(cube, [0.5, 0.5, 0.0], [0, 0, 1.0])
     assert cube.labels[x.face] == "z0"
+    for face in (-1, 7):                                     # no such face id
+        with pytest.raises(ValueError, match="out of range"):
+            bl.phase_point(cube, [0.5, 0.5, 1.0], [0, 0, -1.0], face=face)
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +222,74 @@ def test_report_unfolded_edge_after_bounces(cube):
     assert np.allclose(lines[0].point, [2.0, 2.0, 1.0])
 
 
+def _vertex_bound_orbits(rng, count):
+    """Tetrahedron starts whose orbits end at a vertex after 100-500 bounces.
+
+    Each is the time reversal of an orbit that leaves a point 1e-4 from a
+    vertex (run under the default tolerances, which accept that start)."""
+    T = regular_tetrahedron()
+    starts = []
+    while len(starts) < count:
+        f = int(rng.integers(0, T.n_faces))
+        poly = T.face_polygon(f)
+        m = poly[0] + 1e-4 * unit(poly.mean(axis=0) - poly[0])
+        t1, t2, n = T.face_frame(f)
+        w = rng.uniform(0.2, 1.0)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        theta = np.sqrt(1 - w * w) * (np.cos(phi) * t1 + np.sin(phi) * t2) + w * n
+        fwd = bl.orbit(bl.PhasePoint(f, m, theta), int(rng.integers(100, 500)), T)
+        if fwd.completed:
+            last = fwd.points[-1]
+            back = pb.reflect_direction(-last.theta, T.faces[last.face])
+            starts.append(bl.PhasePoint(last.face, last.m, back))
+    return starts
+
+
+def test_terminal_event_unfolds_by_its_step_isometry():
+    # a wide plane tolerance ends long tetrahedron orbits at edges; vertex
+    # hits are about 1000 times rarer, so those starts are engineered
+    P = regular_tetrahedron(Tolerances(plane=1e-3))
+    rng = np.random.default_rng(16)
+    m, th, f = bl.random_phase_points(P, 40, rng)
+    starts = [bl.PhasePoint(int(f[i]), m[i], th[i]) for i in range(40)]
+    steps = {bl.SingularityKind.EDGE_HIT: [], bl.SingularityKind.VERTEX_HIT: []}
+    for x in starts + _vertex_bound_orbits(rng, 20):
+        rec = bl.orbit(x, 1000, P)
+        ev = rec.singularity
+        if ev is None or ev.kind not in steps:
+            continue
+        steps[ev.kind].append(ev.step)
+        assert ev.step == rec.n_bounces - 1
+        iso = cumulative_isometries(P, [p.face for p in rec.points])[ev.step]
+        if ev.kind is bl.SingularityKind.EDGE_HIT:
+            e = P.edges[ev.edge]
+            assert np.array_equal(ev.unfolded_point, iso.apply(e.point))
+            assert np.array_equal(ev.unfolded_direction, iso.apply_direction(e.direction))
+        else:
+            assert np.array_equal(ev.unfolded_point, iso.apply(P.vertices[ev.vertex]))
+            assert ev.unfolded_direction is None
+    assert all(max(s, default=0) >= 100 for s in steps.values())
+
+
 # ---------------------------------------------------------------------------
 # batch stepping
 # ---------------------------------------------------------------------------
 
 def test_batch_matches_scalar(cube):
-    rng = np.random.default_rng(15)
-    m, th, f = bl.random_phase_points(cube, 300, rng)
-    words, lengths, flags = bl.run_word_batch(cube, m, th, f, 12)
-    for i in range(300):
-        rec = bl.orbit(bl.PhasePoint(int(f[i]), m[i], th[i]), 12, cube)
-        scalar_word = [cube.face_index(w) for w in rec.word]
-        assert lengths[i] == len(scalar_word)
-        assert list(words[i, :lengths[i]]) == scalar_word
-        assert bool(flags[i]) == bool(rec.near_singular_steps)
+    # skew normals too: the cube's axis-aligned ones round the same either way
+    for P in (cube, regular_tetrahedron(), box(2.0, 1.0, 0.5)):
+        rng = np.random.default_rng(15)
+        m, th, f = bl.random_phase_points(P, 300, rng)
+        words, lengths, flags = bl.run_word_batch(P, m, th, f, 12)
+        for i in range(300):
+            rec = bl.orbit(bl.PhasePoint(int(f[i]), m[i], th[i]), 12, P)
+            scalar_word = [P.face_index(w) for w in rec.word]
+            assert lengths[i] == len(scalar_word)
+            assert list(words[i, :lengths[i]]) == scalar_word
+            assert bool(flags[i]) == bool(rec.near_singular_steps)
 
 
 def test_near_singular_flag_tolerance(cube):
-    from polybilliard.geometry import Tolerances
     wide = cube.with_tolerances(Tolerances(sing=1e-2))
     x = bl.phase_point(wide, [0.5, 0.999, 0.0], [0, 0, 1.0])
     rec = bl.orbit(x, 2, wide)

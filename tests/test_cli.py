@@ -130,6 +130,12 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert cli.main(["group", str(tmp_path / "missing.json")]) == cli.EXIT_PARSE
 
 
+def test_exit_code_unknown_tolerance(cube_file, capsys):
+    # only the tolerances the package reads can be overridden
+    assert cli.main(["group", cube_file, "--tol", "deg=1e-3"]) == cli.EXIT_PARSE
+    assert "unknown tolerance" in capsys.readouterr().err
+
+
 def test_exit_code_nonconvex(tmp_path):
     cube = unit_cube()
     data = dump_polyhedron(cube)

@@ -201,3 +201,152 @@ def test_distance_helpers():
     assert abs(d - np.sqrt(2)) < 1e-12
     assert g.line_line_distance(np.zeros(3), np.array([1.0, 0, 0]),
                                 np.array([0, 1.0, 0]), np.array([0, 0, 1.0])) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# first_hit against a numpy reference
+# ---------------------------------------------------------------------------
+
+def _reference_first_hit(m, theta, P):
+    """The vectorized numpy formulation of :func:`geometry.first_hit`."""
+    tol = P.tol
+    s = P.signed_distances(m)
+    d = P.normals @ theta
+    t = np.full(len(d), np.inf)
+    np.divide(s, -d, out=t, where=d < -tol.angle)
+    t[t <= tol.step] = np.inf
+    f = int(np.argmin(t))
+    tf = float(t[f])
+    if not np.isfinite(tf):
+        raise g.NoAdvance("ray does not reach the boundary")
+    q = m + tf * theta
+
+    verts = P.face_polygon(f)
+    diff = verts - q
+    vdist2 = np.einsum("ij,ij->i", diff, diff)
+    v_local = int(vdist2.argmin())
+    if vdist2[v_local] <= tol.plane * tol.plane:
+        return g.Hit(g.HitKind.VERTEX, q, tf, face=f,
+                     vertex=int(P.faces[f].boundary[v_local]), edge_distance=0.0)
+    ea = g.edge_arrays(P)
+    A, U, L, ids = ea["A"][f], ea["U"][f], ea["L"][f], ea["ids"][f]
+    w = q - A
+    tt = np.clip(np.einsum("ej,ej->e", w, U), 0.0, L)
+    dvec = w - tt[:, None] * U
+    ed2 = np.einsum("ej,ej->e", dvec, dvec)
+    k = int(ed2.argmin())
+    edist = float(np.sqrt(ed2[k]))
+    if edist <= tol.plane:
+        return g.Hit(g.HitKind.EDGE, q, tf, face=f, edge=int(ids[k]), edge_distance=edist)
+    return g.Hit(g.HitKind.FACE, q, tf, face=f, edge_distance=edist)
+
+
+def _outcome(fn, m, theta, P):
+    try:
+        return fn(m, theta, P)
+    except g.NoAdvance:
+        return None
+
+
+def _assert_same_hit(m, theta, P, tie=False):
+    """Both kernels agree; returns the hit (None for NoAdvance).
+
+    With ``tie`` the ray is aimed at an edge or vertex, where several face
+    planes are reached at the same length up to rounding; the kernels sum in
+    different orders, so each may pick another of those faces.
+    """
+    m, theta = np.asarray(m, float), np.asarray(theta, float)
+    got = _outcome(g.first_hit, m, theta, P)
+    ref = _outcome(_reference_first_hit, m, theta, P)
+    assert (got is None) == (ref is None)
+    if got is None:
+        return None
+    assert (got.kind, got.edge, got.vertex) == (ref.kind, ref.edge, ref.vertex)
+    if not tie or got.kind is g.HitKind.FACE:
+        assert got.face == ref.face
+    elif got.kind is g.HitKind.EDGE:
+        assert {got.face, ref.face} <= set(P.edges[got.edge].faces)
+    else:
+        assert all(got.vertex in P.faces[h.face].boundary for h in (got, ref))
+    assert isinstance(got.point, np.ndarray) and got.point.shape == (3,)
+    # the kernels sum in different orders: allow 1e-12 per unit of ray length
+    # (rays inside these solids are at most 3 long; outward rays from the
+    # boundary cross far-away face planes outside the solid)
+    tol = 1e-12 * max(1.0, ref.length)
+    assert np.abs(got.point - ref.point).max() <= tol
+    assert abs(got.length - ref.length) <= tol
+    assert abs(got.edge_distance - ref.edge_distance) <= tol
+    return got
+
+
+def _rotated_box():
+    rng = np.random.default_rng(17)
+    Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
+    Q = Q * np.sign(np.diag(R))
+    B = g.box(2.0, 1.0, 0.5)
+    faces = [(f.label, list(f.boundary)) for f in B.faces]
+    return g.validate(B.vertices @ Q.T + [0.3, -1.0, 2.0], faces)
+
+
+SOLIDS = {
+    "cube": g.unit_cube,
+    "tetrahedron": g.regular_tetrahedron,
+    "box": lambda: g.box(2.0, 1.0, 0.5),
+    "rotated-box": _rotated_box,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLIDS))
+def test_first_hit_matches_reference(name):
+    P = SOLIDS[name]()
+    rng = np.random.default_rng(sorted(SOLIDS).index(name))
+    V = P.vertices
+    # interior starts: random convex combinations of the vertices
+    w = rng.random((10_000, len(V)))
+    starts = (w / w.sum(axis=1, keepdims=True)) @ V
+    dirs = rng.normal(size=(10_000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    kinds = set()
+    for m, theta in zip(starts, dirs):
+        kinds.add(_assert_same_hit(m, theta, P).kind)
+    assert kinds == {g.HitKind.FACE}
+    # rays aimed at every vertex and at random points of every edge
+    for m in starts[:20]:
+        for v in range(len(V)):
+            kinds.add(_assert_same_hit(m, g.unit(V[v] - m), P, tie=True).kind)
+        for e in P.edges:
+            a, b = V[list(e.endpoints)]
+            q = a + rng.random() * (b - a)
+            kinds.add(_assert_same_hit(m, g.unit(q - m), P, tie=True).kind)
+    assert {g.HitKind.EDGE, g.HitKind.VERTEX} <= kinds
+    # 1e-6 from a vertex, inside its face: a face hit, though near the vertex
+    for f in range(P.n_faces):
+        poly = P.face_polygon(f)
+        for v in poly:
+            q = v + 1e-6 * g.unit(poly.mean(axis=0) - v)
+            assert _assert_same_hit(starts[0], g.unit(q - starts[0]), P).kind is g.HitKind.FACE
+    # boundary starts at vertices and face centres, with directions into and
+    # out of the solid, so some rays never reach a face plane
+    no_advance = 0
+    for v in range(len(V)):
+        for theta in dirs[:200]:
+            no_advance += _assert_same_hit(V[v], theta, P, tie=True) is None
+    for f in range(P.n_faces):
+        m = P.face_polygon(f).mean(axis=0)
+        n = P.normals[f]
+        no_advance += _assert_same_hit(m, -n, P) is None
+        for theta in dirs[:50]:
+            _assert_same_hit(m, theta, P)
+    assert no_advance > 0
+    assert _assert_same_hit(starts[0], np.zeros(3), P) is None
+
+
+def test_first_hit_matches_reference_on_engineered_rays(cube):
+    rays = [([0.5, 0.5, 0.0], [0.0, 0.0, 1.0]),                       # axis
+            ([0.5, 0.5, 0.0], np.array([1.0, 1.0, 1.0]) / SQRT3),     # edge
+            ([0.25, 0.5, 0.0], np.array([1.0, 0.0, 1.0]) / SQRT2),    # slanted
+            ([0.25, 0.25, 0.0], np.array([1.0, 1.0, 4.0 / 3.0])),     # vertex
+            ([0.5, 0.5, 0.0], [0.0, 0.0, -1.0])]                      # no advance
+    hits = [_assert_same_hit(m, theta, cube) for m, theta in rays]
+    assert [h and h.kind for h in hits] == [g.HitKind.FACE, g.HitKind.EDGE, g.HitKind.FACE,
+                                             g.HitKind.VERTEX, None]

@@ -88,17 +88,23 @@ def test_unfold_single_bounce_mirror(cube):
 
 
 def test_unfolded_faces_contain_unfolded_points(cube):
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        m, th, f = bl.random_phase_points(cube, 1, rng)
-        rec = bl.orbit(bl.PhasePoint(int(f[0]), m[0], th[0]), 40, cube)
-        if not rec.completed:
-            continue
-        track = uf.unfold_orbit(rec, cube)
-        for k, (pt, poly) in enumerate(zip(track.points, track.face_polygons)):
-            n = np.cross(poly[1] - poly[0], poly[2] - poly[0])
-            n /= np.linalg.norm(n)
-            assert abs((pt - poly[0]) @ n) < 1e-9
+    for P in (cube, regular_tetrahedron()):
+        rng = np.random.default_rng(5)
+        done = 0
+        for _ in range(10):
+            m, th, f = bl.random_phase_points(P, 1, rng)
+            rec = bl.orbit(bl.PhasePoint(int(f[0]), m[0], th[0]), 40, P)
+            if not rec.completed:
+                continue
+            track = uf.unfold_orbit(rec, P)
+            for k, (pt, poly) in enumerate(zip(track.points, track.face_polygons)):
+                iso_poly = track.isometries[k].apply(P.face_polygon(rec.points[k].face))
+                assert np.abs(poly - iso_poly).max() <= 1e-12
+                n = np.cross(poly[1] - poly[0], poly[2] - poly[0])
+                n /= np.linalg.norm(n)
+                assert abs((pt - poly[0]) @ n) < 1e-9
+            done += 1
+        assert done >= 5
 
 
 def test_unfold_colinearity_long(cube):
