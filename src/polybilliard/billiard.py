@@ -330,58 +330,45 @@ def run_word_batch(P: Polyhedron, m: np.ndarray, theta: np.ndarray,
     within the ``sing`` tolerance of an edge).  Semantics match iterating
     :func:`billiard_step`, including conservative edge-hit termination.
     """
-    tol = P.tol
-    N = P.normals
-    off = P.offsets
+    tol, N = P.tol, P.normals
     ed = edge_arrays(P)
-    B = len(m)
-    words = np.full((B, n_labels), -1, dtype=np.int16)
-    lengths = np.zeros(B, dtype=np.int64)
-    flags = np.zeros(B, dtype=bool)
-
-    m = np.asarray(m, float).copy()
-    theta = np.asarray(theta, float).copy()
     face = np.asarray(face).astype(np.int64)
+    words = np.full((len(face), n_labels), -1, dtype=np.int16)
     words[:, 0] = face
-    lengths[:] = 1
+    lengths = np.ones(len(face), dtype=np.int64)
+    flags = np.zeros(len(face), dtype=bool)
 
     # tangent starts never advance
-    good = np.einsum("bj,bj->b", theta, N[face]) > tol.angle
-    rows = np.flatnonzero(good)
-    m, theta, face = m[rows], theta[rows], face[rows]
+    theta = np.asarray(theta, float)
+    rows = np.flatnonzero(np.einsum("bj,bj->b", theta, N[face]) > tol.angle)
+    m, theta = np.asarray(m, float)[rows], theta[rows]
+    s = m @ N.T + P.offsets
 
     for k in range(1, n_labels):
         if rows.size == 0:
             break
-        s = m @ N.T + off
         d = theta @ N.T
+        # a row with no forward hit (tstar = inf) gets inf/nan below
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(d < -tol.angle, s / -d, np.inf)
-        t[t <= tol.step] = np.inf
-        fstar = np.argmin(t, axis=1)
-        tstar = np.take_along_axis(t, fstar[:, None], axis=1)[:, 0]
-        ok = np.isfinite(tstar)
-        q = m + tstar[:, None] * theta
+            t = s / -d
+            t[(d >= -tol.angle) | (t <= tol.step)] = np.inf
+            fstar = np.argmin(t, axis=1)
+            tstar = np.take_along_axis(t, fstar[:, None], axis=1)[:, 0]
+            q = m + tstar[:, None] * theta
+            # s(q) serves this edge test (see edge_arrays) and the next face choice
+            s = q @ N.T + P.offsets
+            x = s * np.take(ed["inv_sin"], fstar, axis=0) + np.take(ed["mask"], fstar, axis=0)
+        edist = x.T.copy().min(axis=0)      # numpy reduces short rows slowly
 
-        a = ed["A"][fstar]
-        u = ed["U"][fstar]
-        ln = ed["L"][fstar]
-        w = q[:, None, :] - a
-        tt = np.clip(np.einsum("bej,bej->be", w, u), 0.0, ln)
-        edist = np.linalg.norm(w - tt[..., None] * u, axis=2).min(axis=1)
-
-        keep = ok & (edist > tol.plane)
+        keep = np.isfinite(tstar) & (edist > tol.plane)
         flags[rows[keep & (edist <= tol.sing)]] = True
-        sel = rows[keep]
-        words[sel, k] = fstar[keep].astype(np.int16)
-        lengths[sel] = k + 1
+        rows = rows[keep]
+        words[rows, k] = fstar[keep]
+        lengths[rows] = k + 1
 
         if not keep.all():
-            q, theta, fstar, rows = q[keep], theta[keep], fstar[keep], sel
-        else:
-            rows = sel
-        nvec = N[fstar]
+            q, s, theta, fstar = q[keep], s[keep], theta[keep], fstar[keep]
+        nvec = np.take(N, fstar, axis=0)
         theta = theta - 2.0 * np.einsum("bj,bj->b", theta, nvec)[:, None] * nvec
         m = q
-        face = fstar
     return words, lengths, flags

@@ -60,6 +60,16 @@ def _parse_direction(text: str) -> np.ndarray:
     return v / n
 
 
+def _parse_budget(text: str) -> int:
+    try:
+        x = float(text)
+    except ValueError:
+        raise _ParseFailure(f"--budget expects a number, got {text!r}")
+    if not np.isfinite(x):
+        raise _ParseFailure(f"--budget must be finite, got {text!r}")
+    return int(x)
+
+
 def _parse_tolerances(pairs: list[str]) -> geometry.Tolerances:
     fields = {f.name for f in dataclasses.fields(geometry.Tolerances)}
     overrides: dict[str, float] = {}
@@ -252,9 +262,8 @@ def _cmd_cell(args) -> int:
 
 def _cmd_complexity(args) -> int:
     P = _load_polyhedron(args.polyhedron, _parse_tolerances(args.tol))
-    budget = int(float(args.budget))
-    table = symbolic.estimate_complexity(P, args.nmax, budget, seed=args.seed,
-                                         workers=args.threads)
+    table = symbolic.estimate_complexity(P, args.nmax, _parse_budget(args.budget),
+                                         seed=args.seed, workers=args.threads)
     h = _config_hash(args)
     rows = [f"# config_hash={h}", "n,p_hat,log_p_over_n"]
     for n, p, l in zip(table.n, table.p_hat, table.log_p_over_n):

@@ -273,31 +273,33 @@ def _min_segment_distance(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 def edge_arrays(P: Polyhedron) -> dict:
     """Per-solid stepping tables, built on first use and cached on ``P``.
 
-    Batch keys: per-face padded edge start points ``A`` (F, Emax, 3; pads far
-    away), unit directions ``U``, lengths ``L``, and edge ids ``ids`` (-1
-    pads).  Scalar key ``rows``: per face, as Python floats, the plane
-    ``(nx, ny, nz, c)`` followed by its boundary vertices ``(x, y, z, id)``
-    and its edges ``(ax, ay, az, ux, uy, uz, length, id)``.
+    Batch keys, (F, F), for hit face f and face g: ``inv_sin`` is 1 / sin of
+    the angle between their normals where they share an edge, else 0, and
+    ``mask`` is 0 there and +inf elsewhere.  For q inside f, s_g(q) / sin is
+    the distance within f to the line of f∩g (s_g: signed distance to plane
+    g), so ``min_g(s_g(q) * inv_sin + mask)`` is q's distance to the boundary
+    of f.  Outside f it fails: q can be nearer an edge's line than the edge.
+    Scalar key ``rows``, per face in Python floats: plane ``(nx, ny, nz, c)``,
+    vertices ``(x, y, z, id)``, edges ``(ax, ay, az, ux, uy, uz, length, id)``.
     """
     if P._tables is None:
         F = P.n_faces
-        e_max = max(len(P.face_edge_ids(f)) for f in range(F))
-        A = np.full((F, e_max, 3), 1e30)
-        U = np.zeros((F, e_max, 3))
-        L = np.zeros((F, e_max))
-        ids = np.full((F, e_max), -1, dtype=np.int64)
+        fa, fb = np.array([e.faces for e in P.edges]).T
+        inv_sin = np.zeros((F, F))
+        inv_sin[fa, fb] = inv_sin[fb, fa] = 1.0 / np.linalg.norm(
+            np.cross(P.normals[fa], P.normals[fb]), axis=1)
+        mask = np.where(inv_sin > 0.0, 0.0, np.inf)
         rows = []
         for f in range(F):
             edges = []
-            for k, e_id in enumerate(P.face_edge_ids(f)):
+            for e_id in P.face_edge_ids(f):
                 i, j = P.edges[e_id].endpoints
                 seg = P.vertices[j] - P.vertices[i]
                 ln = float(np.linalg.norm(seg))
-                A[f, k], U[f, k], L[f, k], ids[f, k] = P.vertices[i], seg / ln, ln, e_id
-                edges.append((*A[f, k].tolist(), *U[f, k].tolist(), ln, e_id))
+                edges.append((*P.vertices[i].tolist(), *(seg / ln).tolist(), ln, e_id))
             verts = tuple((*P.vertices[v].tolist(), v) for v in P.faces[f].boundary)
             rows.append((*P.normals[f].tolist(), float(P.offsets[f]), verts, tuple(edges)))
-        P._tables = {"A": A, "U": U, "L": L, "ids": ids, "rows": tuple(rows)}
+        P._tables = {"inv_sin": inv_sin, "mask": mask, "rows": tuple(rows)}
     return P._tables
 
 

@@ -379,6 +379,8 @@ def estimate_complexity(P: Polyhedron, n_max: int, budget: int, seed: int = 0,
         raise ValueError("budget must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     F = P.n_faces
     if F ** n_max >= 2 ** 62:
         raise ValueError("alphabet too large for integer word codes at this n_max")

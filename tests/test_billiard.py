@@ -3,7 +3,8 @@ import pytest
 
 import polybilliard as pb
 from polybilliard import billiard as bl
-from polybilliard.geometry import Tolerances, box, regular_tetrahedron, unit, unit_cube
+from polybilliard.geometry import (Tolerances, box, regular_tetrahedron, unit, unit_cube,
+                                  validate)
 from polybilliard.unfolding import cumulative_isometries
 
 SQRT2 = np.sqrt(2.0)
@@ -305,3 +306,134 @@ def test_batch_padding(cube):
     words, lengths, flags = bl.run_word_batch(cube, m, th, f, 8)
     assert lengths[0] == 1
     assert np.all(words[0, 1:] == -1)
+
+
+def _padded_edges(P):
+    """Per-face edge start points, unit directions and lengths, padded to the
+    most edges per face (pads far away), built from ``P.edges``."""
+    per_face = [[k for k, e in enumerate(P.edges) if f in e.faces]
+                for f in range(P.n_faces)]
+    e_max = max(map(len, per_face))
+    A = np.full((P.n_faces, e_max, 3), 1e30)
+    U = np.zeros((P.n_faces, e_max, 3))
+    L = np.zeros((P.n_faces, e_max))
+    for f, ids in enumerate(per_face):
+        for k, e in enumerate(ids):
+            i, j = P.edges[e].endpoints
+            seg = P.vertices[j] - P.vertices[i]
+            L[f, k] = np.linalg.norm(seg)
+            A[f, k], U[f, k] = P.vertices[i], seg / L[f, k]
+    return A, U, L
+
+
+def _reference_run_word_batch(P, m, theta, face, n_labels):
+    """The clipped point-segment formulation of :func:`billiard.run_word_batch`."""
+    tol = P.tol
+    N = P.normals
+    off = P.offsets
+    A, U, L = _padded_edges(P)
+    B = len(m)
+    words = np.full((B, n_labels), -1, dtype=np.int16)
+    lengths = np.zeros(B, dtype=np.int64)
+    flags = np.zeros(B, dtype=bool)
+
+    m = np.asarray(m, float).copy()
+    theta = np.asarray(theta, float).copy()
+    face = np.asarray(face).astype(np.int64)
+    words[:, 0] = face
+    lengths[:] = 1
+
+    good = np.einsum("bj,bj->b", theta, N[face]) > tol.angle
+    rows = np.flatnonzero(good)
+    m, theta = m[rows], theta[rows]
+
+    for k in range(1, n_labels):
+        if rows.size == 0:
+            break
+        s = m @ N.T + off
+        d = theta @ N.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(d < -tol.angle, s / -d, np.inf)
+        t[t <= tol.step] = np.inf
+        fstar = np.argmin(t, axis=1)
+        tstar = np.take_along_axis(t, fstar[:, None], axis=1)[:, 0]
+        ok = np.isfinite(tstar)
+        q = m + tstar[:, None] * theta
+
+        w = q[:, None, :] - A[fstar]
+        u = U[fstar]
+        tt = np.clip(np.einsum("bej,bej->be", w, u), 0.0, L[fstar])
+        edist = np.linalg.norm(w - tt[..., None] * u, axis=2).min(axis=1)
+
+        keep = ok & (edist > tol.plane)
+        flags[rows[keep & (edist <= tol.sing)]] = True
+        rows = rows[keep]
+        words[rows, k] = fstar[keep].astype(np.int16)
+        lengths[rows] = k + 1
+
+        q, theta, fstar = q[keep], theta[keep], fstar[keep]
+        nvec = N[fstar]
+        theta = theta - 2.0 * np.einsum("bj,bj->b", theta, nvec)[:, None] * nvec
+        m = q
+    return words, lengths, flags
+
+
+def _octahedron(tol=None):
+    # faces meeting at a vertex only, and parallel opposite faces;
+    # validate orients each face
+    vs = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    faces = [(f"o{x}{y}{z}", [x, y, z]) for x in (0, 1) for y in (2, 3) for z in (4, 5)]
+    return validate(vs, faces, tol=tol)
+
+
+def _rotated_box(tol=None):
+    rng = np.random.default_rng(17)
+    Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
+    Q = Q * np.sign(np.diag(R))
+    B = box(2.0, 1.0, 0.5)
+    faces = [(f.label, list(f.boundary)) for f in B.faces]
+    return validate(B.vertices @ Q.T + [0.3, -1.0, 2.0], faces, tol=tol)
+
+
+def _assert_batch_matches_reference(P, m, th, f, n_labels):
+    got = bl.run_word_batch(P, m, th, f, n_labels)
+    ref = _reference_run_word_batch(P, m, th, f, n_labels)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return got
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["default-tol", "wide-tol"])
+def test_batch_matches_reference_kernel(wide):
+    tol = Tolerances(plane=1e-3, sing=1e-2) if wide else None
+    solids = {
+        "cube": unit_cube(tol), "tetrahedron": regular_tetrahedron(tol),
+        "box": box(2.0, 1.0, 0.5, tol), "rotated-box": _rotated_box(tol),
+        "octahedron": _octahedron(tol),
+    }
+    for name, P in solids.items():
+        rng = np.random.default_rng(sorted(solids).index(name))
+        m, th, f = bl.random_phase_points(P, 4000, rng)
+        words, lengths, flags = _assert_batch_matches_reference(P, m, th, f, 12)
+        if wide:
+            assert flags.any() and (lengths < 12).any(), name
+        else:
+            assert (lengths == 12).all(), name
+
+
+def test_batch_matches_reference_kernel_near_edges(cube):
+    # from z0 toward x1 at in-face distance delta from the x1/y1 edge; the
+    # reflected ray then meets y1 about delta from that edge again
+    x1, z0 = cube.face_index("x1"), cube.face_index("z0")
+    tol = cube.tol
+    cases = {0.5 * tol.plane: (1, False), 2.0 * tol.plane: (3, True),
+             0.5 * tol.sing: (3, True), 2.0 * tol.sing: (3, False)}
+    m = np.full((len(cases) + 1, 3), [0.5, 0.5, 0.0])
+    aims = [[1.0, 1.0 - delta, 0.5] for delta in cases] + [[1.0, 1.0, 1.0]]
+    th = np.array([unit(np.subtract(a, m[0])) for a in aims])
+    f = np.full(len(m), z0)
+    words, lengths, flags = _assert_batch_matches_reference(cube, m, th, f, 3)
+    for i, (length, flagged) in enumerate(cases.values()):
+        assert (lengths[i], flags[i]) == (length, flagged)
+        assert length == 1 or words[i, 1] == x1
+    assert lengths[-1] == 1                              # into a vertex

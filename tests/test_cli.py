@@ -136,6 +136,23 @@ def test_exit_code_unknown_tolerance(cube_file, capsys):
     assert "unknown tolerance" in capsys.readouterr().err
 
 
+def test_exit_code_budget(cube_file, capsys):
+    # a budget that is no finite number is a parse problem, not a precondition
+    for budget in ("inf", "nan", "abc", "1e400"):
+        rc = cli.main(["complexity", cube_file, "--nmax", "3", "--budget", budget])
+        assert rc == cli.EXIT_PARSE, budget
+        assert "--budget" in capsys.readouterr().err
+    for budget in ("0.5", "-3"):
+        rc = cli.main(["complexity", cube_file, "--nmax", "3", "--budget", budget])
+        assert rc == cli.EXIT_PRECONDITION, budget
+        assert "budget must be >= 1" in capsys.readouterr().err
+    for threads in ("0", "-1"):
+        rc = cli.main(["complexity", cube_file, "--nmax", "3", "--budget", "100",
+                       "--threads", threads])
+        assert rc == cli.EXIT_PRECONDITION, threads
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+
 def test_exit_code_nonconvex(tmp_path):
     cube = unit_cube()
     data = dump_polyhedron(cube)

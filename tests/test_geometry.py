@@ -228,8 +228,12 @@ def _reference_first_hit(m, theta, P):
     if vdist2[v_local] <= tol.plane * tol.plane:
         return g.Hit(g.HitKind.VERTEX, q, tf, face=f,
                      vertex=int(P.faces[f].boundary[v_local]), edge_distance=0.0)
-    ea = g.edge_arrays(P)
-    A, U, L, ids = ea["A"][f], ea["U"][f], ea["L"][f], ea["ids"][f]
+    # the face's edges from the edge list, not from the stepping tables
+    ids = [k for k, e in enumerate(P.edges) if f in e.faces]
+    A = P.vertices[[P.edges[k].endpoints[0] for k in ids]]
+    seg = P.vertices[[P.edges[k].endpoints[1] for k in ids]] - A
+    L = np.linalg.norm(seg, axis=1)
+    U = seg / L[:, None]
     w = q - A
     tt = np.clip(np.einsum("ej,ej->e", w, U), 0.0, L)
     dvec = w - tt[:, None] * U

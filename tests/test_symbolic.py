@@ -252,6 +252,9 @@ def test_complexity_preconditions(cube):
     for chunk_size in (0, -5):
         with pytest.raises(ValueError, match="chunk_size"):
             sy.estimate_complexity(cube, 4, 1000, chunk_size=chunk_size)
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers"):
+            sy.estimate_complexity(cube, 4, 1000, workers=workers)
 
 
 def test_flagged_words_are_discarded(cube):
