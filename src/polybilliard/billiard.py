@@ -16,8 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import (Hit, HitKind, NoAdvance, Polyhedron, edge_arrays,
-                       first_hit, point_segment_distance, reflect_direction,
-                       segment_segment_distance, unit, vec3)
+                       first_hit, segment_segment_distance, unit, vec3)
 from .transversal import EdgeLine
 from .unfolding import Isometry, cumulative_isometries
 
@@ -104,22 +103,20 @@ class OrbitRecord:
     def n_bounces(self) -> int:
         return len(self.points)
 
-    def positions(self) -> np.ndarray:
-        return np.array([p.m for p in self.points])
-
 
 def _edge_start_event(x: PhasePoint, P: Polyhedron) -> SingularityEvent | None:
     """Starts sitting on an edge of their own face are rejected as singular
     (the map has no continuation convention there)."""
-    if P.face_boundary_distance(x.face, x.m) > P.tol.plane:
+    dist, edge = P.nearest_edge(x.face, x.m)
+    if dist > P.tol.plane:
         return None
-    e_ids = P.face_edge_ids(x.face)
-    dists = [point_segment_distance(x.m, P.vertices[P.edges[e].endpoints[0]],
-                                    P.vertices[P.edges[e].endpoints[1]])
-             for e in e_ids]
-    k = int(np.argmin(dists))
     return SingularityEvent(SingularityKind.EDGE_HIT, 0, x.m.copy(),
-                            edge=e_ids[k], face=x.face)
+                            edge=edge, face=x.face)
+
+
+_EVENT_KIND = {HitKind.EDGE: SingularityKind.EDGE_HIT,
+               HitKind.VERTEX: SingularityKind.VERTEX_HIT,
+               HitKind.TANGENT: SingularityKind.TANGENT_IN_FACE}
 
 
 def _advance(x: PhasePoint, P: Polyhedron) -> tuple[Hit | None, SingularityEvent | None]:
@@ -139,14 +136,8 @@ def _advance(x: PhasePoint, P: Polyhedron) -> tuple[Hit | None, SingularityEvent
                                       x.m.copy(), face=x.face)
     if hit.kind is HitKind.FACE:
         return hit, None
-    if hit.kind is HitKind.EDGE:
-        return hit, SingularityEvent(SingularityKind.EDGE_HIT, 0, hit.point,
-                                     edge=hit.edge, face=hit.face)
-    if hit.kind is HitKind.VERTEX:
-        return hit, SingularityEvent(SingularityKind.VERTEX_HIT, 0, hit.point,
-                                     vertex=hit.vertex, face=hit.face)
-    return hit, SingularityEvent(SingularityKind.TANGENT_IN_FACE, 0, hit.point,
-                                 face=hit.face)
+    return hit, SingularityEvent(_EVENT_KIND[hit.kind], 0, hit.point, edge=hit.edge,
+                                 vertex=hit.vertex, face=hit.face)
 
 
 def _finalize(event: SingularityEvent, points: list[PhasePoint],
@@ -170,29 +161,27 @@ def _finalize(event: SingularityEvent, points: list[PhasePoint],
 def classify_phase_point(x: PhasePoint, P: Polyhedron) -> SingularityEvent | None:
     """``None`` when the forward ray lands transversally inside a face,
     otherwise the singularity event (edge, vertex, or in-face tangency)."""
-    event = _edge_start_event(x, P)
-    if event is None:
-        _, event = _advance(x, P)
-    if event is None:
-        return None
-    return _finalize(event, [x], P)
+    return orbit(x, 1, P).singularity
 
 
 def billiard_step(x: PhasePoint, P: Polyhedron) -> PhasePoint:
     """One application of the billiard map.  Raises :class:`SingularInput`
     instead of stepping through an edge, vertex, or tangency."""
-    event = _edge_start_event(x, P)
-    if event is None:
-        hit, event = _advance(x, P)
-    if event is not None:
-        raise SingularInput(f"singular phase point: {event.kind.value}")
-    theta2 = reflect_direction(x.theta, P.faces[hit.face])
-    return PhasePoint(hit.face, hit.point, theta2)
+    rec = orbit(x, 2, P)
+    if rec.singularity is not None:
+        raise SingularInput(f"singular phase point: {rec.singularity.kind.value}")
+    return rec.points[1]
 
 
 def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     """Iterate the map until ``n_max`` bounces are recorded or the orbit
-    turns singular; the word collects one face label per recorded bounce."""
+    turns singular; the word collects one face label per recorded bounce.
+
+    The start is checked for sitting on an edge, and the forward ray of every
+    recorded point but the last is cast and checked; so the start's ray is
+    checked even for ``n_max == 1``, and a completed orbit casts ``n_max - 1``
+    rays (one for ``n_max == 1``).
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     points = [x]
@@ -200,27 +189,24 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     flagged: list[int] = []
     normals = P.normals.tolist()
 
-    event0 = _edge_start_event(x, P)
-    if event0 is None:
-        _, event0 = _advance(x, P)
-    if event0 is not None:
-        return OrbitRecord(x, points, word, _finalize(event0, points, P), flagged)
-
-    while len(points) < n_max:
-        cur = points[-1]
-        hit, event = _advance(cur, P)
-        if event is not None:
-            return OrbitRecord(x, points, word, _finalize(event, points, P), flagged)
+    event = _edge_start_event(x, P)
+    if event is None:
+        hit, event = _advance(x, P)
+    while event is None and len(points) < n_max:
         # reflect_direction in floats: theta - 2 <theta, n> n
         nx, ny, nz = normals[hit.face]
-        tx, ty, tz = cur.theta.tolist()
+        tx, ty, tz = points[-1].theta.tolist()
         k = 2.0 * (tx * nx + ty * ny + tz * nz)
         theta2 = np.array((tx - k * nx, ty - k * ny, tz - k * nz))
         points.append(PhasePoint(hit.face, hit.point, theta2))
         word.append(P.labels[hit.face])
         if hit.edge_distance < P.tol.sing:
             flagged.append(len(points) - 1)
-    return OrbitRecord(x, points, word, None, flagged)
+        if len(points) < n_max:
+            hit, event = _advance(points[-1], P)
+    if event is not None:
+        event = _finalize(event, points, P)
+    return OrbitRecord(x, points, word, event, flagged)
 
 
 def discontinuity_report(record: OrbitRecord, P: Polyhedron,

@@ -60,14 +60,18 @@ def _parse_direction(text: str) -> np.ndarray:
     return v / n
 
 
-def _parse_budget(text: str) -> int:
+def _parse_finite(text: str, what: str) -> float:
     try:
         x = float(text)
     except ValueError:
-        raise _ParseFailure(f"--budget expects a number, got {text!r}")
+        raise _ParseFailure(f"{what} expects a number, got {text!r}")
     if not np.isfinite(x):
-        raise _ParseFailure(f"--budget must be finite, got {text!r}")
-    return int(x)
+        raise _ParseFailure(f"{what} must be finite, got {text!r}")
+    return x
+
+
+def _parse_budget(text: str) -> int:
+    return int(_parse_finite(text, "--budget"))
 
 
 def _parse_tolerances(pairs: list[str]) -> geometry.Tolerances:
@@ -79,7 +83,7 @@ def _parse_tolerances(pairs: list[str]) -> geometry.Tolerances:
         name, _, val = item.partition("=")
         if name not in fields:
             raise _ParseFailure(f"unknown tolerance {name!r} (have {sorted(fields)})")
-        x = float(val)
+        x = _parse_finite(val, f"--tol {name}")
         if not (1e-14 <= x <= 1e-3):
             raise ValueError(f"tolerance {name} out of sane bounds [1e-14, 1e-3]")
         overrides[name] = x

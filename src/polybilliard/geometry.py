@@ -82,15 +82,6 @@ def point_line_distance(q, p, x) -> float:
     return float(np.linalg.norm(w - (w @ x) * x))
 
 
-def point_segment_distance(q, a, b) -> float:
-    ab = b - a
-    L2 = float(ab @ ab)
-    if L2 == 0.0:
-        return float(np.linalg.norm(q - a))
-    t = np.clip(float((q - a) @ ab) / L2, 0.0, 1.0)
-    return float(np.linalg.norm(q - (a + t * ab)))
-
-
 def line_line_distance(p1, x1, p2, x2) -> float:
     """Distance between two (infinite) lines given by point + unit direction."""
     n = np.cross(x1, x2)
@@ -229,10 +220,6 @@ class Polyhedron:
         """Signed distances to all face planes; >= 0 everywhere iff inside."""
         return np.asarray(pts, float) @ self.normals.T + self.offsets
 
-    def contains(self, p, slack: float | None = None) -> bool:
-        slack = self.tol.plane if slack is None else slack
-        return bool(self.signed_distances(p).min() >= -slack)
-
     def point_in_face(self, f: int, q, slack: float | None = None) -> bool:
         """Is ``q`` (assumed on the face plane) inside the face polygon?"""
         slack = self.tol.plane if slack is None else slack
@@ -243,11 +230,12 @@ class Polyhedron:
         rel = np.asarray(q, float) - poly
         return bool(np.all(np.einsum("ij,ij->i", rel, side) >= -slack * np.linalg.norm(side, axis=1)))
 
-    def face_boundary_distance(self, f: int, q) -> float:
-        """Distance from ``q`` to the nearest boundary edge of face ``f``."""
-        poly = self.face_polygon(f)
-        nxt = np.roll(poly, -1, axis=0)
-        return _min_segment_distance(np.asarray(q, float), poly, nxt)
+    def nearest_edge(self, f: int, q) -> tuple[float, int]:
+        """Distance from ``q`` to the nearest boundary edge of face ``f``,
+        and that edge's id."""
+        qx, qy, qz = np.asarray(q, float).tolist()
+        r2, e = _nearest_edge(edge_arrays(self)["rows"][f][5], qx, qy, qz)
+        return math.sqrt(r2), e
 
     def face_frame(self, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Orthonormal (t1, t2, n) with n the inward face normal."""
@@ -261,15 +249,6 @@ class Polyhedron:
         return Polyhedron(self.vertices, self.faces, self.edges, tol)
 
 
-def _min_segment_distance(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Min distance from point(s) ``q`` to segments with endpoints rows of a, b."""
-    ab = b - a
-    L2 = np.einsum("ij,ij->i", ab, ab)
-    t = np.clip(np.einsum("ij,ij->i", q - a, ab) / np.maximum(L2, 1e-300), 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    return float(np.linalg.norm(q - closest, axis=1).min())
-
-
 def edge_arrays(P: Polyhedron) -> dict:
     """Per-solid stepping tables, built on first use and cached on ``P``.
 
@@ -280,7 +259,8 @@ def edge_arrays(P: Polyhedron) -> dict:
     g), so ``min_g(s_g(q) * inv_sin + mask)`` is q's distance to the boundary
     of f.  Outside f it fails: q can be nearer an edge's line than the edge.
     Scalar key ``rows``, per face in Python floats: plane ``(nx, ny, nz, c)``,
-    vertices ``(x, y, z, id)``, edges ``(ax, ay, az, ux, uy, uz, length, id)``.
+    vertices ``(x, y, z, id)``, edges ``(ax, ay, az, bx - ax, by - ay, bz - az,
+    squared length, id)`` from endpoint a to endpoint b.
     """
     if P._tables is None:
         F = P.n_faces
@@ -295,8 +275,7 @@ def edge_arrays(P: Polyhedron) -> dict:
             for e_id in P.face_edge_ids(f):
                 i, j = P.edges[e_id].endpoints
                 seg = P.vertices[j] - P.vertices[i]
-                ln = float(np.linalg.norm(seg))
-                edges.append((*P.vertices[i].tolist(), *(seg / ln).tolist(), ln, e_id))
+                edges.append((*P.vertices[i].tolist(), *seg.tolist(), float(seg @ seg), e_id))
             verts = tuple((*P.vertices[v].tolist(), v) for v in P.faces[f].boundary)
             rows.append((*P.normals[f].tolist(), float(P.offsets[f]), verts, tuple(edges)))
         P._tables = {"inv_sin": inv_sin, "mask": mask, "rows": tuple(rows)}
@@ -492,7 +471,7 @@ def cast_ray(m, theta, P: Polyhedron) -> Hit:
     tangent = [int(f) for f in containing if abs(d[f]) <= tol.angle]
     if tangent:
         f = tangent[0]
-        if P.face_boundary_distance(f, m) > tol.plane and P.point_in_face(f, m):
+        if P.nearest_edge(f, m)[0] > tol.plane and P.point_in_face(f, m):
             raise NoAdvance(f"direction is tangent to face {P.labels[f]!r} at an interior start")
         return _tangent_hit(m, theta, f, P)
 
@@ -533,19 +512,27 @@ def first_hit(m: np.ndarray, theta: np.ndarray, P: Polyhedron) -> Hit:
             best, vertex = r2, v
     if best <= tol.plane * tol.plane:
         return Hit(HitKind.VERTEX, q, tf, face=f, vertex=vertex, edge_distance=0.0)
-    best, edge = math.inf, -1
-    for ax, ay, az, ux, uy, uz, ln, e in edges:
-        wx, wy, wz = qx - ax, qy - ay, qz - az
-        s = wx * ux + wy * uy + wz * uz
-        s = 0.0 if s < 0.0 else ln if s > ln else s      # np.clip(s, 0, ln)
-        dx, dy, dz = wx - s * ux, wy - s * uy, wz - s * uz
-        r2 = dx * dx + dy * dy + dz * dz
-        if r2 < best:
-            best, edge = r2, e
+    best, edge = _nearest_edge(edges, qx, qy, qz)
     edist = math.sqrt(best)
     if edist <= tol.plane:
         return Hit(HitKind.EDGE, q, tf, face=f, edge=edge, edge_distance=edist)
     return Hit(HitKind.FACE, q, tf, face=f, edge_distance=edist)
+
+
+def _nearest_edge(edges, qx: float, qy: float, qz: float) -> tuple[float, int]:
+    """Squared distance from q to the nearest of a face's clipped edge
+    segments, given as its ``edge_arrays`` rows, and that edge's id; the
+    first edge wins a tie.  Both endpoints of an edge are at distance 0."""
+    best, edge = math.inf, -1
+    for ax, ay, az, ex, ey, ez, l2, e in edges:
+        wx, wy, wz = qx - ax, qy - ay, qz - az
+        s = (wx * ex + wy * ey + wz * ez) / l2
+        s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s    # np.clip(s, 0, 1)
+        dx, dy, dz = wx - s * ex, wy - s * ey, wz - s * ez
+        r2 = dx * dx + dy * dy + dz * dz
+        if r2 < best:
+            best, edge = r2, e
+    return best, edge
 
 
 def _tangent_hit(m, theta, f: int, P: Polyhedron) -> Hit:

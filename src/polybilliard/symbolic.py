@@ -239,22 +239,26 @@ class CellClass:
     area: float | None = None
 
 
-def classify_cell(b: Beam, deg_tol: float | None = None) -> CellClass:
+# degenerate cross-sections (classify_cell), periods' translations (detect_periodicity)
+_DEG_TOL = 1e-8
+_PERIOD_TOL = 1e-9
+
+
+def classify_cell(b: Beam) -> CellClass:
     """Classify the beam's cross-section by diameter and area thresholds."""
-    tol = 1e-8 if deg_tol is None else deg_tol
     pts = b.section
     if len(pts) == 0:
         return CellClass("empty")
     diam = _diameter(pts)
-    if diam <= tol:
+    if diam <= _DEG_TOL:
         return CellClass("point")
     area = abs(_polygon_area(pts))
-    if area <= tol * diam:
+    if area <= _DEG_TOL * diam:
         return CellClass("strip", width=diam)
     return CellClass("tube", area=area)
 
 
-def detect_periodicity(b: Beam, k_max: int, tol: float = 1e-9) -> int | None:
+def detect_periodicity(b: Beam, k_max: int) -> int | None:
     """Smallest period k <= k_max whose unfolding is a translation along the
     beam direction and whose word repeats with that period; None otherwise."""
     w = b.word
@@ -262,13 +266,13 @@ def detect_periodicity(b: Beam, k_max: int, tol: float = 1e-9) -> int | None:
         if any(w[i] != w[i + k] for i in range(len(w) - k)):
             continue
         iso = b.isometries[k]
-        if not iso.is_translation(tol):
+        if not iso.is_translation(_PERIOD_TOL):
             continue
         t = iso.translation
         tn = float(np.linalg.norm(t))
-        if tn <= tol:
+        if tn <= _PERIOD_TOL:
             continue
-        if float(np.linalg.norm(t - (t @ b.theta) * b.theta)) > tol * tn:
+        if float(np.linalg.norm(t - (t @ b.theta) * b.theta)) > _PERIOD_TOL * tn:
             continue
         if float(t @ b.theta) <= 0.0:
             continue
@@ -329,14 +333,18 @@ class ComplexityTable:
         return True
 
 
+# equal-area direction tiles of the inward hemisphere: polar x azimuthal
+_TILES = (4, 8)
+
+
 def _chunk_complexity(P: Polyhedron, seed: int, chunk_idx: int, start: int,
-                      stop: int, n_max: int, tiles: tuple[int, int]
+                      stop: int, n_max: int
                       ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Sample one chunk; return the code and length of each reliable word,
     plus the chunk's discarded and singular-terminated counts."""
     rng = np.random.default_rng([seed, chunk_idx])
     F = P.n_faces
-    tw, tp = tiles
+    tw, tp = _TILES
     g = np.arange(start, stop)
     faces = g % F
     tile = (g // F) % (tw * tp)
@@ -360,13 +368,12 @@ def _chunk_complexity(P: Polyhedron, seed: int, chunk_idx: int, start: int,
 
 
 def estimate_complexity(P: Polyhedron, n_max: int, budget: int, seed: int = 0,
-                        chunk_size: int = 65536, workers: int = 1,
-                        tiles: tuple[int, int] = (4, 8)) -> ComplexityTable:
+                        chunk_size: int = 65536, workers: int = 1) -> ComplexityTable:
     """Sample ``budget`` orbits and count distinct word factors per length.
 
     Initial conditions are stratified: faces round-robin, directions binned
-    into equal-area tiles of the inward hemisphere (``tiles`` = polar x
-    azimuthal counts), with per-chunk jitter from a seeded generator.  Words
+    into the equal-area tiles of the inward hemisphere (4 polar x 8
+    azimuthal), with per-chunk jitter from a seeded generator.  Words
     flagged near-singular are discarded outright; words cut short by an exact
     singular hit contribute the factors of their reliable prefix.  Chunks
     return word codes only; the factor sets are built once, over all chunks'
@@ -388,7 +395,7 @@ def estimate_complexity(P: Polyhedron, n_max: int, budget: int, seed: int = 0,
     jobs = [(i, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
     def chunk(job):
-        return _chunk_complexity(P, seed, *job, n_max, tiles)
+        return _chunk_complexity(P, seed, *job, n_max)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -411,4 +418,4 @@ def estimate_complexity(P: Polyhedron, n_max: int, budget: int, seed: int = 0,
     with np.errstate(divide="ignore"):
         lpn = np.where(p_hat > 0, np.log(np.maximum(p_hat, 1)) / ns, -np.inf)
     return ComplexityTable(ns, p_hat, lpn, budget, seed, n_max, sum(discarded),
-                           sum(singular), list(P.labels), word_codes, tiles)
+                           sum(singular), list(P.labels), word_codes, _TILES)

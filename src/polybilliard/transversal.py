@@ -67,11 +67,19 @@ class RationalConstraint:
 
 TransversalConstraint = CoplanarConstraint | RationalConstraint
 
+# coplanarity of two edges, a vanishing rational denominator, a line
+# meeting an edge (times the scene scale), surface membership of probe
+# points, and merging of nearby roots along a probe
 _COPLANAR_TOL = 1e-10
+_DEN_TOL = 1e-10
+_MEET_TOL = 1e-8
+_ON_TOL = 1e-7
+_MERGE_TOL = 1e-7
+# transversals are sampled through a2.at(s) for s in [-3, 3]
+_SAMPLE_SPAN = 3.0
 
 
-def pair_constraint(a0: EdgeLine, a1: EdgeLine,
-                    coplanar_tol: float = _COPLANAR_TOL) -> TransversalConstraint:
+def pair_constraint(a0: EdgeLine, a1: EdgeLine) -> TransversalConstraint:
     """Constraint for lines from base edge ``a0`` to meet edge ``a1``.
 
     Offsets ``m`` are measured along ``a0.direction`` from ``a0.point``; all
@@ -90,24 +98,23 @@ def pair_constraint(a0: EdgeLine, a1: EdgeLine,
             raise IdenticalLines("edges span the same line")
         return CoplanarConstraint(unit(np.cross(u, p)), u.copy())
     scale = max(1.0, float(np.linalg.norm(p)))
-    if abs(float(p @ b)) <= coplanar_tol * bn * scale:
+    if abs(float(p @ b)) <= _COPLANAR_TOL * bn * scale:
         return CoplanarConstraint(b / bn, u.copy())
     return RationalConstraint(np.cross(p, x1), b, u.copy())
 
 
-def eval_constraint(c: TransversalConstraint, theta,
-                    den_tol: float = 1e-10) -> float | None:
+def eval_constraint(c: TransversalConstraint, theta) -> float | None:
     """Evaluate a constraint at a direction.
 
     Rational: the forced offset, or ``None`` when the denominator is below
-    ``den_tol`` (direction parallel to the critical plane).  Coplanar: the
+    1e-10 (direction parallel to the critical plane).  Coplanar: the
     linear residual, zero exactly on the incidence plane.
     """
     theta = np.asarray(theta, float)
     if isinstance(c, CoplanarConstraint):
         return float(c.form @ theta)
     den = float(c.denominator @ theta)
-    if abs(den) < den_tol:
+    if abs(den) < _DEN_TOL:
         return None
     return float(c.numerator @ theta) / den
 
@@ -142,9 +149,6 @@ class TripleSurface:
 
     def to_adapted(self, pts) -> np.ndarray:
         return (np.asarray(pts, float) - self.origin) @ self.frame.T
-
-    def from_adapted(self, pts) -> np.ndarray:
-        return np.asarray(pts, float) @ self.frame + self.origin
 
     def _pieces(self, P2, P3):
         (a1, a2), (b1, b2) = self.coeff_num, self.coeff_den
@@ -235,13 +239,11 @@ def triple_surface(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine) -> TripleSurface:
 ON_SURFACE = "on-surface"
 
 
-def count_line_surface_intersections(line: EdgeLine, S: TripleSurface,
-                                     tol: float = 1e-8,
-                                     merge_tol: float = 1e-7) -> int | str:
+def count_line_surface_intersections(line: EdgeLine, S: TripleSurface) -> int | str:
     """Count parameter values where a probe line crosses the surface.
 
     Real roots of the degree <= 3 cleared residual are isolated, merged when
-    closer than ``merge_tol`` (tangencies), and each surviving root is
+    closer than 1e-7 (tangencies), and each surviving root is
     verified against surface membership so spurious zeros of the cleared
     denominators are not counted.  Returns :data:`ON_SURFACE` when the
     residual vanishes identically along the line and sampled points confirm
@@ -255,7 +257,7 @@ def count_line_surface_intersections(line: EdgeLine, S: TripleSurface,
             * (1.0 + float(np.linalg.norm(c_ad))) ** 3)
     if cmax <= 1e-10 * char:
         probes = line.point[None, :] + np.linspace(-3.0, 3.0, 9)[:, None] * line.direction
-        if bool(S.contains(probes, tol=max(tol, 1e-7)).all()):
+        if bool(S.contains(probes, tol=_ON_TOL).all()):
             return ON_SURFACE
         return 0
     trimmed = npoly.polytrim(coeffs, tol=1e-12 * cmax)
@@ -266,28 +268,27 @@ def count_line_surface_intersections(line: EdgeLine, S: TripleSurface,
                   if abs(r.imag) <= 1e-7 * (1.0 + abs(r.real)))
     merged: list[float] = []
     for r in real:
-        if not merged or r - merged[-1] > merge_tol:
+        if not merged or r - merged[-1] > _MERGE_TOL:
             merged.append(r)
     pts = [line.at(t) for t in merged]
     if not pts:
         return 0
-    on = S.contains(np.array(pts), tol=max(tol, 1e-7))
+    on = S.contains(np.array(pts), tol=_ON_TOL)
     return int(on.sum())
 
 
 def sample_transversals(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine,
-                        span: float = 3.0, count: int = 33,
-                        tol: float = 1e-8) -> list[EdgeLine]:
+                        count: int = 33) -> list[EdgeLine]:
     """Lines meeting all three pairwise-skew edges.
 
-    For each sampled point ``q`` on ``a2`` the unique line through ``q``
-    meeting ``a0`` and ``a1`` is the intersection of the planes spanned by
-    ``(q, a0)`` and ``(q, a1)``; samples where that construction degenerates
-    or fails verification are skipped.
+    For each of ``count`` sampled points ``q`` on ``a2`` the unique line
+    through ``q`` meeting ``a0`` and ``a1`` is the intersection of the planes
+    spanned by ``(q, a0)`` and ``(q, a1)``; samples where that construction
+    degenerates or fails verification are skipped.
     """
     scale = 1.0 + max(float(np.linalg.norm(a.point)) for a in (a0, a1, a2))
     lines: list[EdgeLine] = []
-    for s in np.linspace(-span, span, count):
+    for s in np.linspace(-_SAMPLE_SPAN, _SAMPLE_SPAN, count):
         q = a2.at(float(s))
         n0 = np.cross(a0.point - q, a0.direction)
         n1 = np.cross(a1.point - q, a1.direction)
@@ -299,15 +300,14 @@ def sample_transversals(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine,
             continue
         cand = EdgeLine(q, unit(d))
         if (line_line_distance(cand.point, cand.direction, a0.point, a0.direction)
-                <= tol * scale
+                <= _MEET_TOL * scale
                 and line_line_distance(cand.point, cand.direction, a1.point, a1.direction)
-                <= tol * scale):
+                <= _MEET_TOL * scale):
             lines.append(cand)
     return lines
 
 
-def independence_check(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine, a3: EdgeLine,
-                       tol: float = 1e-8, count: int = 41) -> str:
+def independence_check(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine, a3: EdgeLine) -> str:
     """Decide whether a fourth edge is forced by the first three.
 
     ``"dependent"`` when every sampled transversal of (a0, a1, a2) also meets
@@ -318,12 +318,12 @@ def independence_check(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine, a3: EdgeLine,
     for i in range(4):
         for j in range(i + 1, 4):
             _require_skew(edges[i], edges[j], f"a{i}/a{j}")
-    lines = sample_transversals(a0, a1, a2, count=count)
+    lines = sample_transversals(a0, a1, a2, count=41)
     if not lines:
         raise NotPairwiseSkew("transversal sampler produced no lines")
     scale = 1.0 + max(float(np.linalg.norm(a.point)) for a in edges)
     for line in lines:
         if (line_line_distance(line.point, line.direction, a3.point, a3.direction)
-                > tol * scale):
+                > _MEET_TOL * scale):
             return "independent"
     return "dependent"

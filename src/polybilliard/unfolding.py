@@ -150,8 +150,7 @@ def generate_group(P: Polyhedron, bound: int = 10000) -> GroupClosure:
         raise ValueError("bound must be >= 1")
     gens: list[np.ndarray] = []
     for f in P.faces:
-        n = f.plane.normal
-        R = np.eye(3) - 2.0 * np.outer(n, n)
+        R = Isometry.reflection(f.plane).linear
         if not any(np.abs(R - g).max() <= _DEDUP_TOL for g in gens):
             gens.append(R)
 

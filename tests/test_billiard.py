@@ -51,10 +51,20 @@ def test_start_on_edge_rejected_as_singular(cube):
                       np.array([0.0, 1.0, 1.0]) / SQRT2)
     ev = bl.classify_phase_point(x, cube)
     assert ev is not None and ev.kind is bl.SingularityKind.EDGE_HIT
+    # the edge the start lies on: z0 meets y0 along y = z = 0
+    assert set(cube.edges[ev.edge].faces) == {cube.face_index("z0"), cube.face_index("y0")}
     with pytest.raises(bl.SingularInput):
         bl.billiard_step(x, cube)
     rec = bl.orbit(x, 5, cube)
     assert not rec.completed and rec.singularity.step == 0
+    assert rec.singularity.edge == ev.edge
+    # a start on any edge of z0 reports that edge
+    z0 = cube.face_index("z0")
+    for e_id in cube.face_edge_ids(z0):
+        a, b = cube.vertices[list(cube.edges[e_id].endpoints)]
+        x = bl.PhasePoint(z0, 0.5 * (a + b), np.array([0.0, 0.0, 1.0]))
+        ev = bl.classify_phase_point(x, cube)
+        assert ev.kind is bl.SingularityKind.EDGE_HIT and ev.edge == e_id
 
 
 def test_phase_point_validation(cube):
@@ -136,6 +146,25 @@ def test_orbit_singular_at_start(cube):
         assert rec.singularity.kind is bl.SingularityKind.EDGE_HIT
         assert rec.singularity.step == 0
         assert rec.word == ["z0"]
+
+
+def test_orbit_casts_one_ray_per_recorded_bounce_but_the_last(cube, monkeypatch):
+    # the start's ray is reused for the first bounce; the last point's
+    # forward ray is never cast, except that n_max = 1 checks the start's
+    calls = []
+    first_hit = bl.first_hit
+
+    def counting_first_hit(m, theta, P):
+        calls.append(1)
+        return first_hit(m, theta, P)
+
+    monkeypatch.setattr(bl, "first_hit", counting_first_hit)
+    x = _pp(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0])
+    for n, expected in ((1, 1), (2, 1), (5, 4), (1000, 999)):
+        calls.clear()
+        rec = bl.orbit(x, n, cube)
+        assert rec.completed and rec.n_bounces == n
+        assert len(calls) == expected, n
 
 
 def test_orbit_consecutive_labels_differ(cube):

@@ -136,6 +136,16 @@ def test_exit_code_unknown_tolerance(cube_file, capsys):
     assert "unknown tolerance" in capsys.readouterr().err
 
 
+def test_exit_code_tolerance_value(cube_file, capsys):
+    # a value that is no finite number is a parse problem; a finite one
+    # outside the sane range is a precondition
+    for val in ("abc", "nan", "inf"):
+        assert cli.main(["group", cube_file, "--tol", f"plane={val}"]) == cli.EXIT_PARSE, val
+        assert "--tol plane" in capsys.readouterr().err
+    assert cli.main(["group", cube_file, "--tol", "plane=1"]) == cli.EXIT_PRECONDITION
+    assert "out of sane bounds" in capsys.readouterr().err
+
+
 def test_exit_code_budget(cube_file, capsys):
     # a budget that is no finite number is a parse problem, not a precondition
     for budget in ("inf", "nan", "abc", "1e400"):

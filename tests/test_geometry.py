@@ -192,10 +192,6 @@ def _random_in_face(P, f, rng):
 
 
 def test_distance_helpers():
-    assert g.point_segment_distance(np.array([0.0, 1.0, 0.0]),
-                                    np.array([-1.0, 0, 0]), np.array([1.0, 0, 0])) == 1.0
-    assert g.point_segment_distance(np.array([3.0, 0.0, 0.0]),
-                                    np.array([-1.0, 0, 0]), np.array([1.0, 0, 0])) == 2.0
     d = g.segment_segment_distance(np.array([0, 0, 0.0]), np.array([1, 0, 0.0]),
                                    np.array([0, 1, 1.0]), np.array([1, 1, 1.0]))
     assert abs(d - np.sqrt(2)) < 1e-12
@@ -354,3 +350,69 @@ def test_first_hit_matches_reference_on_engineered_rays(cube):
     hits = [_assert_same_hit(m, theta, cube) for m, theta in rays]
     assert [h and h.kind for h in hits] == [g.HitKind.FACE, g.HitKind.EDGE, g.HitKind.FACE,
                                              g.HitKind.VERTEX, None]
+
+
+# ---------------------------------------------------------------------------
+# nearest edge of a face against a numpy clipped-segment oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_edge_distances(P, f, q):
+    """Face ``f``'s edge ids and the distances from ``q`` to those segments."""
+    ids = [k for k, e in enumerate(P.edges) if f in e.faces]
+    a = P.vertices[[P.edges[k].endpoints[0] for k in ids]]
+    ab = P.vertices[[P.edges[k].endpoints[1] for k in ids]] - a
+    t = np.clip(np.einsum("ej,ej->e", q - a, ab) / np.einsum("ej,ej->e", ab, ab), 0.0, 1.0)
+    return ids, np.linalg.norm(q - (a + t[:, None] * ab), axis=1)
+
+
+def _assert_nearest_edge(P, f, q):
+    dist, edge = P.nearest_edge(f, q)
+    ids, ref = _oracle_edge_distances(P, f, np.asarray(q, float))
+    k = int(ref.argmin())
+    assert abs(dist - ref[k]) <= 1e-13
+    assert (dist <= P.tol.plane) == (ref[k] <= P.tol.plane)
+    # the edge is a nearest one, and the oracle's unless two are tied
+    assert edge in ids and ref[ids.index(edge)] <= ref[k] + 1e-13
+    if np.sort(ref)[1] > ref[k] + 1e-13:
+        assert edge == ids[k]
+    return dist, edge
+
+
+@pytest.mark.parametrize("name", ["cube", "tetrahedron", "rotated-box"])
+def test_nearest_edge_matches_oracle(name):
+    P = SOLIDS[name]()
+    rng = np.random.default_rng(5)
+    plane = P.tol.plane
+    for f in range(P.n_faces):
+        n = P.normals[f]
+        for e_id in P.face_edge_ids(f):
+            a, b = P.vertices[list(P.edges[e_id].endpoints)]
+            u = g.unit(b - a)
+            inward = np.cross(n, u)
+            if inward @ (P.face_polygon(f).mean(axis=0) - a) < 0.0:
+                inward = -inward
+            # on both vertices: distance 0, an edge through that vertex
+            for v in (a, b):
+                dist, edge = _assert_nearest_edge(P, f, v)
+                assert dist <= 1e-15 and v.tolist() in P.vertices[
+                    list(P.edges[edge].endpoints)].tolist()
+            # beyond either end of the edge, in the face plane; on the edge's
+            # line that end is nearest (no face angle here exceeds 90 degrees)
+            for end, out in ((a, -u), (b, u)):
+                for r in (1e-3, 0.5, 2.0):
+                    dist, _ = _assert_nearest_edge(P, f, end + r * out)
+                    assert abs(dist - r) <= 1e-14
+                    _assert_nearest_edge(P, f, end + r * out + rng.uniform(-1, 1) * inward)
+            # 0.5x and 2x plane inside the face from a random point of the edge
+            mid = a + rng.uniform(0.2, 0.8) * (b - a)
+            for k in (0.5, 2.0):
+                dist, edge = _assert_nearest_edge(P, f, mid + k * plane * inward)
+                assert edge == e_id and abs(dist - k * plane) <= 1e-14
+                assert (dist <= plane) == (k < 1.0)
+        # random points in and around the face
+        poly = P.face_polygon(f)
+        w = rng.random((50, len(poly)))
+        for q in (w / w.sum(axis=1, keepdims=True)) @ poly:
+            _assert_nearest_edge(P, f, q)
+            _assert_nearest_edge(P, f, q + 3.0 * (q - poly.mean(axis=0)))
+
