@@ -2,9 +2,8 @@
 
 from .geometry import (DegenerateFace, Edge, Face, Hit, HitKind, NoAdvance,
                        NonConvex, OpenSurface, Plane, Polyhedron, Tolerances,
-                       box, cast_ray, dump_polyhedron, load_polyhedron,
-                       reflect_direction, regular_tetrahedron, unit_cube,
-                       validate)
+                       box, dump_polyhedron, load_polyhedron, reflect_direction,
+                       regular_tetrahedron, unit_cube, validate)
 from .billiard import (EmptyReport, OrbitRecord, PhasePoint, SingularInput,
                        SingularityEvent, SingularityKind, billiard_step,
                        classify_phase_point, discontinuity_report, orbit,

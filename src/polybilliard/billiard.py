@@ -55,6 +55,8 @@ def phase_point(P: Polyhedron, m, theta, face: int | str | None = None) -> Phase
         raise ValueError(f"face id {face} out of range 0..{P.n_faces - 1}")
     if abs(float(P.faces[face].plane.signed(m))) > 10 * P.tol.plane:
         raise ValueError("point does not lie on the given face plane")
+    if not P.point_in_face(face, m):
+        raise ValueError("point lies outside the given face")
     if float(theta @ P.normals[face]) <= 0.0:
         raise ValueError("direction does not point into the interior")
     return PhasePoint(face, m, theta)
@@ -104,57 +106,39 @@ class OrbitRecord:
         return len(self.points)
 
 
-def _edge_start_event(x: PhasePoint, P: Polyhedron) -> SingularityEvent | None:
-    """Starts sitting on an edge of their own face are rejected as singular
-    (the map has no continuation convention there)."""
-    dist, edge = P.nearest_edge(x.face, x.m)
-    if dist > P.tol.plane:
-        return None
-    return SingularityEvent(SingularityKind.EDGE_HIT, 0, x.m.copy(),
-                            edge=edge, face=x.face)
+def _advance(x: PhasePoint, P: Polyhedron) -> Hit | None:
+    """The forward hit of ``x``, or ``None`` when its ray runs inside its face.
 
-
-_EVENT_KIND = {HitKind.EDGE: SingularityKind.EDGE_HIT,
-               HitKind.VERTEX: SingularityKind.VERTEX_HIT,
-               HitKind.TANGENT: SingularityKind.TANGENT_IN_FACE}
-
-
-def _advance(x: PhasePoint, P: Polyhedron) -> tuple[Hit | None, SingularityEvent | None]:
-    """Cast the forward ray of ``x``; singular outcomes come back as events.
-
-    Assumes ``x.m`` lies strictly inside its face polygon (entry points are
-    vetted by :func:`_edge_start_event`; points minted by the loop satisfy it
-    by construction).
+    Assumes ``x.m`` lies strictly inside its face polygon (``orbit`` checks
+    that of the start; points minted by its loop satisfy it by construction).
     """
     if float(x.theta @ P.normals[x.face]) <= P.tol.angle:
-        return None, SingularityEvent(SingularityKind.TANGENT_IN_FACE, 0,
-                                      x.m.copy(), face=x.face)
+        return None
     try:
-        hit = first_hit(x.m, x.theta, P)
+        return first_hit(x.m, x.theta, P)
     except NoAdvance:
-        return None, SingularityEvent(SingularityKind.TANGENT_IN_FACE, 0,
-                                      x.m.copy(), face=x.face)
-    if hit.kind is HitKind.FACE:
-        return hit, None
-    return hit, SingularityEvent(_EVENT_KIND[hit.kind], 0, hit.point, edge=hit.edge,
-                                 vertex=hit.vertex, face=hit.face)
+        return None
 
 
-def _finalize(event: SingularityEvent, points: list[PhasePoint],
-              P: Polyhedron) -> SingularityEvent:
-    """Stamp ``event`` with the orbit's last step and unfold its edge or
-    vertex by the cumulative isometry of that step."""
-    step = len(points) - 1
+def _event(hit: Hit | None, points: list[PhasePoint],
+           P: Polyhedron) -> SingularityEvent:
+    """The singularity that ends an orbit at its last point, whose forward
+    ``hit`` is an edge or vertex (``None``: a ray inside the face); the edge
+    or vertex is unfolded by the cumulative isometry of that step."""
+    step, last = len(points) - 1, points[-1]
+    if hit is None:
+        return SingularityEvent(SingularityKind.TANGENT_IN_FACE, step,
+                                last.m.copy(), face=last.face)
     iso = cumulative_isometries(P, [p.face for p in points])[-1]
-    up = ud = None
-    if event.kind is SingularityKind.EDGE_HIT and event.edge is not None:
-        e = P.edges[event.edge]
-        up = iso.apply(e.point)
-        ud = iso.apply_direction(e.direction)
-    elif event.kind is SingularityKind.VERTEX_HIT and event.vertex is not None:
-        up = iso.apply(P.vertices[event.vertex])
-    return SingularityEvent(event.kind, step, event.point, edge=event.edge,
-                            vertex=event.vertex, face=event.face,
+    if hit.kind is HitKind.EDGE:
+        e = P.edges[hit.edge]
+        kind = SingularityKind.EDGE_HIT
+        up, ud = iso.apply(e.point), iso.apply_direction(e.direction)
+    else:
+        kind = SingularityKind.VERTEX_HIT
+        up, ud = iso.apply(P.vertices[hit.vertex]), None
+    return SingularityEvent(kind, step, hit.point, edge=hit.edge,
+                            vertex=hit.vertex, face=hit.face,
                             unfolded_point=up, unfolded_direction=ud)
 
 
@@ -189,10 +173,14 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     flagged: list[int] = []
     normals = P.normals.tolist()
 
-    event = _edge_start_event(x, P)
-    if event is None:
-        hit, event = _advance(x, P)
-    while event is None and len(points) < n_max:
+    # a start on an edge of its face has no continuation convention
+    dist, edge = P.nearest_edge(x.face, x.m)
+    if dist <= P.tol.plane:
+        hit = Hit(HitKind.EDGE, x.m.copy(), 0.0, face=x.face, edge=edge,
+                  edge_distance=dist)
+    else:
+        hit = _advance(x, P)
+    while hit is not None and hit.kind is HitKind.FACE and len(points) < n_max:
         # reflect_direction in floats: theta - 2 <theta, n> n
         nx, ny, nz = normals[hit.face]
         tx, ty, tz = points[-1].theta.tolist()
@@ -203,10 +191,9 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
         if hit.edge_distance < P.tol.sing:
             flagged.append(len(points) - 1)
         if len(points) < n_max:
-            hit, event = _advance(points[-1], P)
-    if event is not None:
-        event = _finalize(event, points, P)
-    return OrbitRecord(x, points, word, event, flagged)
+            hit = _advance(points[-1], P)
+    ended = hit is None or hit.kind is not HitKind.FACE
+    return OrbitRecord(x, points, word, _event(hit, points, P) if ended else None, flagged)
 
 
 def discontinuity_report(record: OrbitRecord, P: Polyhedron,

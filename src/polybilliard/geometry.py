@@ -426,7 +426,6 @@ class HitKind(Enum):
     FACE = "face"
     EDGE = "edge"
     VERTEX = "vertex"
-    TANGENT = "tangent"
 
 
 @dataclass(frozen=True)
@@ -447,45 +446,15 @@ class Hit:
     edge_distance: float = float("inf")
 
 
-def cast_ray(m, theta, P: Polyhedron) -> Hit:
-    """First boundary hit of the ray ``m + t * theta`` (t > step tolerance).
-
-    ``m`` must be on the boundary or inside.  Raises :class:`NoAdvance` when
-    theta points out of the solid, or is tangent to a face whose interior
-    contains ``m`` (no forward motion into the interior is possible).  A ray
-    contained in a face plane but starting on that face's boundary is returned
-    as a TANGENT hit.
-    """
-    m = vec3(m)
-    theta = vec3(theta)
-    tol = P.tol
-    s = P.signed_distances(m)
-    if float(s.min()) < -10 * tol.plane:
-        raise ValueError("ray start point lies outside the polyhedron")
-    d = P.normals @ theta
-
-    containing = np.flatnonzero(np.abs(s) <= tol.plane)
-    for f in containing:
-        if d[f] < -tol.angle:
-            raise NoAdvance(f"direction points outside through face {P.labels[f]!r}")
-    tangent = [int(f) for f in containing if abs(d[f]) <= tol.angle]
-    if tangent:
-        f = tangent[0]
-        if P.nearest_edge(f, m)[0] > tol.plane and P.point_in_face(f, m):
-            raise NoAdvance(f"direction is tangent to face {P.labels[f]!r} at an interior start")
-        return _tangent_hit(m, theta, f, P)
-
-    return first_hit(m, theta, P)
-
-
 def first_hit(m: np.ndarray, theta: np.ndarray, P: Polyhedron) -> Hit:
-    """First boundary hit without start-point admissibility checks.
+    """First boundary hit of the ray ``m + t * theta``, without start checks.
 
-    Hot-path core of :func:`cast_ray`; callers must already know the ray
-    advances into the interior (the orbit iterator checks this itself).
-    With F of about 6, a numpy call costs more than the arithmetic it does,
-    so this walks the per-solid float rows of :func:`edge_arrays` instead.
-    Among faces hit at the same distance the lowest face id wins.
+    The scalar stepping kernel: callers must already know the ray advances
+    into the interior (``orbit`` checks this itself, so
+    ``classify_phase_point`` is the validated single ray).  With F of about
+    6, a numpy call costs more than the arithmetic it does, so this walks the
+    per-solid float rows of :func:`edge_arrays` instead.  Among faces hit at
+    the same distance the lowest face id wins.
     """
     tol = P.tol
     rows = edge_arrays(P)["rows"]
@@ -533,21 +502,6 @@ def _nearest_edge(edges, qx: float, qy: float, qz: float) -> tuple[float, int]:
         if r2 < best:
             best, edge = r2, e
     return best, edge
-
-
-def _tangent_hit(m, theta, f: int, P: Polyhedron) -> Hit:
-    # ray runs inside the face plane; exit through the polygon boundary
-    poly = P.face_polygon(f)
-    n = P.faces[f].plane.normal
-    nxt = np.roll(poly, -1, axis=0)
-    side = np.cross(n, nxt - poly)
-    adv = side @ theta
-    s = np.einsum("ij,ij->i", poly - m, side)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(adv < -1e-15, s / adv, np.inf)
-    t[t <= P.tol.step] = np.inf
-    tf = float(t.min()) if np.isfinite(t.min()) else 0.0
-    return Hit(HitKind.TANGENT, m + tf * theta, tf, face=f, edge_distance=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def cumulative_isometries(P: Polyhedron, faces: list[int]) -> list[Isometry]:
     picture; entry 0 is the identity (the itinerary's first face is where the
     orbit starts and contributes no reflection).
     """
-    reflections = [Isometry.reflection(face.plane) for face in P.faces]
+    reflections = {f: Isometry.reflection(P.faces[f].plane) for f in set(faces[1:])}
     isos = [Isometry.identity()]
     for f in faces[1:]:
         isos.append(isos[-1].compose(reflections[f]))

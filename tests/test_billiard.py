@@ -39,10 +39,13 @@ def test_classify_edge_hit(cube):
 
 
 def test_classify_tangent(cube):
-    x = bl.PhasePoint(cube.face_index("z0"), np.array([0.5, 0.5, 0.0]),
-                      np.array([1.0, 0.0, 0.0]))
-    ev = bl.classify_phase_point(x, cube)
-    assert ev is not None and ev.kind is bl.SingularityKind.TANGENT_IN_FACE
+    # exactly tangent, and tilted inward by theta . n = 1e-10 (below angle)
+    for theta in ([1.0, 0.0, 0.0], [1.0, 0.0, 1e-10]):
+        x = bl.PhasePoint(cube.face_index("z0"), np.array([0.5, 0.5, 0.0]),
+                          np.array(theta))
+        ev = bl.classify_phase_point(x, cube)
+        assert ev is not None and ev.kind is bl.SingularityKind.TANGENT_IN_FACE
+        assert ev.step == 0 and ev.face == x.face
 
 
 def test_start_on_edge_rejected_as_singular(cube):
@@ -65,6 +68,13 @@ def test_start_on_edge_rejected_as_singular(cube):
         x = bl.PhasePoint(z0, 0.5 * (a + b), np.array([0.0, 0.0, 1.0]))
         ev = bl.classify_phase_point(x, cube)
         assert ev.kind is bl.SingularityKind.EDGE_HIT and ev.edge == e_id
+    # on the x0/z0 edge, also moving along the floor or into the far face
+    x0 = cube.face_index("x0")
+    for theta in ([1.0, 0.0, 0.0], unit([0.3, 0.2, 1.0])):
+        x = bl.PhasePoint(z0, np.array([0.0, 0.5, 0.0]), np.array(theta))
+        ev = bl.classify_phase_point(x, cube)
+        assert ev.kind is bl.SingularityKind.EDGE_HIT and ev.step == 0
+        assert set(cube.edges[ev.edge].faces) == {z0, x0}
 
 
 def test_phase_point_validation(cube):
@@ -77,6 +87,8 @@ def test_phase_point_validation(cube):
     for face in (-1, 7):                                     # no such face id
         with pytest.raises(ValueError, match="out of range"):
             bl.phase_point(cube, [0.5, 0.5, 1.0], [0, 0, -1.0], face=face)
+    with pytest.raises(ValueError, match="outside the given face"):
+        bl.phase_point(cube, [1.5, 0.5, 0.0], [0.1, 0.2, 1.0], face="z0")
 
 
 # ---------------------------------------------------------------------------

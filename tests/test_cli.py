@@ -177,6 +177,10 @@ def test_exit_code_precondition(cube_file):
     # outward direction cannot seed an orbit
     rc = cli.main(["simulate", cube_file, "--m", "0.5,0.5,0", "--theta", "0,0,-1"])
     assert rc == cli.EXIT_PRECONDITION
+    # a start on the given face's plane but outside the face
+    rc = cli.main(["simulate", cube_file, "--m", "1.5,0.5,0", "--theta", "0.1,0.2,1",
+                   "--face", "z0", "--steps", "4"])
+    assert rc == cli.EXIT_PRECONDITION
     # repeated label in a cell word
     rc = cli.main(["cell", cube_file, "--theta", "0,0,1", "--word", "z0,z0"])
     assert rc == cli.EXIT_PRECONDITION

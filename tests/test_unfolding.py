@@ -120,6 +120,27 @@ def test_unfold_colinearity_long(cube):
         done += 1
 
 
+def test_face_reflections_built_only_for_crossed_faces(cube, monkeypatch):
+    calls = []
+    reflection = uf.Isometry.reflection
+
+    def counting_reflection(plane):
+        calls.append(1)
+        return reflection(plane)
+
+    monkeypatch.setattr(uf.Isometry, "reflection", staticmethod(counting_reflection))
+    # step-0 edge events unfold by the identity: a ray into an edge, a start on one
+    for m, theta in (([0.5, 0.5, 0.0], [1.0, 1.0, 1.0]), ([0.5, 0.0, 0.0], [0.0, 1.0, 1.0])):
+        theta = np.array(theta) / np.linalg.norm(theta)
+        x = bl.PhasePoint(cube.face_index("z0"), np.array(m), theta)
+        ev = bl.classify_phase_point(x, cube)
+        assert ev.kind is bl.SingularityKind.EDGE_HIT and ev.step == 0
+    assert len(calls) == 0
+    rec = _orbit(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0], 1000)
+    uf.unfold_orbit(rec, cube)
+    assert 0 < len(calls) <= cube.n_faces
+
+
 # ---------------------------------------------------------------------------
 # reflection group closure
 # ---------------------------------------------------------------------------
