@@ -249,8 +249,14 @@ def _cmd_cell(args) -> int:
     word = [w.strip() for w in args.word.split(",") if w.strip()]
     if not word:
         raise ValueError("word must contain at least one label")
+    for label in word:
+        P.face_index(label)     # an unknown label raises, even past an empty prefix
+    if any(a == b for a, b in zip(word, word[1:])):
+        raise symbolic.LabelNotReachable("consecutive labels cannot repeat on a convex solid")
     beam = symbolic.make_beam(P, word[0], theta)
     for label in word[1:]:
+        if beam.is_empty:       # no line realizes the prefix, so none the word
+            break
         beam = symbolic.propagate_beam(beam, label, P)
     cell = symbolic.classify_cell(beam)
     out = {"config_hash": _config_hash(args), "word": word, "kind": cell.kind}
@@ -258,8 +264,7 @@ def _cmd_cell(args) -> int:
         out["width"] = cell.width
     if cell.area is not None:
         out["area"] = cell.area
-    period = symbolic.detect_periodicity(beam, args.kmax)
-    out["period"] = period
+    out["period"] = None if beam.is_empty else symbolic.detect_periodicity(beam, args.kmax)
     _emit(args.out, json.dumps(out, indent=2) + "\n")
     return EXIT_OK
 

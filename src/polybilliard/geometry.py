@@ -169,8 +169,9 @@ class Polyhedron:
     Construct through :func:`validate` (or the solid builders below), never
     directly; the constructor trusts its inputs.  All query methods are pure,
     so instances are safe to share across threads.  The stepping tables of
-    :func:`edge_arrays` are filled lazily without a lock; that race is benign,
-    since every thread builds the same table from the same immutable data.
+    :func:`edge_arrays` and the face reflections of beams are filled lazily
+    without a lock; that race is benign, since every thread builds the same
+    table from the same immutable data.
     """
 
     def __init__(self, vertices: np.ndarray, faces: list[Face],
@@ -189,6 +190,7 @@ class Polyhedron:
                 self._face_edges[f].append(e_id)
         self._face_polys = [vertices[list(f.boundary)] for f in faces]
         self._tables: dict | None = None
+        self._reflections: list | None = None     # symbolic._face_reflections
 
     # -- queries ------------------------------------------------------------
 

@@ -52,35 +52,46 @@ def _diameter(pts: np.ndarray) -> float:
     return float(np.sqrt((d * d).sum(axis=2)).max())
 
 
-def _dedupe(pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+# absolute, in section coordinates: merges clip points that are one vertex
+# computed twice; sections of solids built by ``validate`` are of size ~1
+_DEDUPE_TOL = 1e-12
+
+
+def _dedupe(pts: list) -> list:
     if len(pts) < 2:
         return pts
-    keep = [0]
-    for i in range(1, len(pts)):
-        if np.abs(pts[i] - pts[keep[-1]]).max() > tol:
-            keep.append(i)
-    if len(keep) > 1 and np.abs(pts[keep[0]] - pts[keep[-1]]).max() <= tol:
+    keep = [pts[0]]
+    qx, qy = pts[0]
+    for p in pts[1:]:
+        if abs(p[0] - qx) > _DEDUPE_TOL or abs(p[1] - qy) > _DEDUPE_TOL:
+            keep.append(p)
+            qx, qy = p
+    px, py = keep[0]
+    if len(keep) > 1 and abs(px - qx) <= _DEDUPE_TOL and abs(py - qy) <= _DEDUPE_TOL:
         keep.pop()
-    return pts[keep]
+    return keep
 
 
-def _clip_half(pts: np.ndarray, n2: np.ndarray, c: float) -> np.ndarray:
-    """Clip a convex section (point/segment/polygon) to {p : <n2, p> <= c}."""
-    if len(pts) == 0:
-        return _EMPTY2
-    d = pts @ n2 - c
+def _clip_half(pts: list, nx: float, ny: float, c: float) -> list:
+    """Clip a convex section (point/segment/polygon), given as a list of
+    ``(x, y)`` float pairs, to {p : <(nx, ny), p> <= c}.  Sections have 3-6
+    points, so Python floats beat numpy here, as in ``first_hit``."""
+    if not pts:
+        return []
+    d = [x * nx + y * ny - c for x, y in pts]
     if len(pts) == 1:
-        return pts if d[0] <= 0.0 else _EMPTY2
+        return pts if d[0] <= 0.0 else []
     if len(pts) == 2:
         ina, inb = d[0] <= 0.0, d[1] <= 0.0
         if ina and inb:
             return pts
         if not ina and not inb:
-            return _EMPTY2
+            return []
+        (ax, ay), (bx, by) = pts
         t = d[0] / (d[0] - d[1])
-        x = pts[0] + t * (pts[1] - pts[0])
-        return np.array([pts[0], x]) if ina else np.array([x, pts[1]])
-    out: list[np.ndarray] = []
+        x = (ax + t * (bx - ax), ay + t * (by - ay))
+        return [pts[0], x] if ina else [x, pts[1]]
+    out = []
     K = len(pts)
     for i in range(K):
         j = (i + 1) % K
@@ -88,27 +99,32 @@ def _clip_half(pts: np.ndarray, n2: np.ndarray, c: float) -> np.ndarray:
         if ina:
             out.append(pts[i])
         if ina != inb:
+            (ax, ay), (bx, by) = pts[i], pts[j]
             t = d[i] / (d[i] - d[j])
-            out.append(pts[i] + t * (pts[j] - pts[i]))
-    return _dedupe(np.array(out)) if out else _EMPTY2
+            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
+    return _dedupe(out)
 
 
-def _clip_convex(subject: np.ndarray, clip_ccw: np.ndarray) -> np.ndarray:
+def _clip_convex(subject: list, clip_ccw: list) -> list:
     out = subject
     K = len(clip_ccw)
     for i in range(K):
-        a = clip_ccw[i]
-        b = clip_ccw[(i + 1) % K]
-        e = b - a
-        n2 = np.array([e[1], -e[0]])       # interior of a CCW polygon: <n2, p-a> <= 0
-        out = _clip_half(out, n2, float(n2 @ a))
-        if len(out) == 0:
-            return _EMPTY2
+        ax, ay = clip_ccw[i]
+        bx, by = clip_ccw[(i + 1) % K]
+        ex, ey = bx - ax, by - ay
+        # interior of a CCW polygon: <(ey, -ex), p - a> <= 0
+        out = _clip_half(out, ey, -ex, ey * ax + -ex * ay)
+        if not out:
+            return []
     return out
 
 
-def _ensure_ccw(pts: np.ndarray) -> np.ndarray:
-    return pts[::-1] if _polygon_area(pts) < 0.0 else pts
+def _ensure_ccw(pts: list) -> list:
+    """Reverse a polygon of ``(x, y)`` pairs whose shoelace area is negative."""
+    K = len(pts)
+    area2 = sum(pts[i][0] * pts[(i + 1) % K][1] - pts[(i + 1) % K][0] * pts[i][1]
+                for i in range(K))
+    return pts[::-1] if area2 < 0.0 else pts
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +192,21 @@ def make_beam(P: Polyhedron, label: str, theta) -> Beam:
     axes = np.vstack([e1, e2])
     origin = P.face_polygon(f).mean(axis=0)
     beam = Beam(theta, origin, axes, _EMPTY2, [label])
-    beam.section = _ensure_ccw(beam.project(P.face_polygon(f)))
+    beam.section = np.array(_ensure_ccw(beam.project(P.face_polygon(f)).tolist()))
     return beam
+
+
+# absolute: a zero-length guard before dividing by the length of a face
+# copy's projection, so any positive floor is sound
+_SEGMENT_TOL = 1e-15
+
+
+def _face_reflections(P: Polyhedron) -> list[Isometry]:
+    """The reflection across each face, built on first use and cached on
+    ``P`` (the lock-free fill is benign, as for ``edge_arrays``)."""
+    if P._reflections is None:
+        P._reflections = [Isometry.reflection(face.plane) for face in P.faces]
+    return P._reflections
 
 
 def propagate_beam(b: Beam, label: str, P: Polyhedron, strict: bool = False) -> Beam:
@@ -200,6 +229,7 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron, strict: bool = False) -> 
     poly3 = iso.apply(P.face_polygon(f))
     n3 = iso.apply_direction(P.faces[f].plane.normal)
     verts2 = b.project(poly3)
+    section = b.section.tolist()
 
     if abs(float(n3 @ b.theta)) <= P.tol.angle:
         # face copy is parallel to the beam: its projection is a segment
@@ -208,21 +238,22 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron, strict: bool = False) -> 
         a = verts2[i]
         dir2 = verts2[j] - a
         L = float(np.linalg.norm(dir2))
-        if L < 1e-15:
-            section = _EMPTY2
+        if L < _SEGMENT_TOL:
+            section = []
         else:
             dir2 = dir2 / L
-            perp = np.array([-dir2[1], dir2[0]])
-            s = (verts2 - a) @ dir2
-            section = b.section
-            section = _clip_half(section, perp, float(perp @ a))
-            section = _clip_half(section, -perp, float(-perp @ a))
-            section = _clip_half(section, -dir2, -float(dir2 @ a) - float(s.min()))
-            section = _clip_half(section, dir2, float(dir2 @ a) + float(s.max()))
+            s = ((verts2 - a) @ dir2).tolist()
+            (ux, uy), (ax, ay) = dir2.tolist(), a.tolist()
+            for nx, ny, c in ((-uy, ux, -uy * ax + ux * ay),
+                              (uy, -ux, uy * ax + -ux * ay),
+                              (-ux, -uy, -(ux * ax + uy * ay) - min(s)),
+                              (ux, uy, (ux * ax + uy * ay) + max(s))):
+                section = _clip_half(section, nx, ny, c)
     else:
-        section = _clip_convex(b.section, _ensure_ccw(verts2))
+        section = _clip_convex(section, _ensure_ccw(verts2.tolist()))
 
-    new_iso = iso.compose(Isometry.reflection(P.faces[f].plane))
+    new_iso = iso.compose(_face_reflections(P)[f])
+    section = np.array(section).reshape(-1, 2)
     out = Beam(b.theta, b.origin, b.axes, section, b.word + [label],
                b.isometries + [new_iso])
     if strict and out.is_empty:

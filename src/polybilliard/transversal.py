@@ -77,6 +77,16 @@ _ON_TOL = 1e-7
 _MERGE_TOL = 1e-7
 # transversals are sampled through a2.at(s) for s in [-3, 3]
 _SAMPLE_SPAN = 3.0
+# probe residuals: relative to the coefficient scale ``char`` of a cubic in
+# the surface's coefficients and the probe's offset, below which the residual
+# vanishes identically along the probe
+_ZERO_TOL = 1e-10
+# relative to the largest coefficient: leading terms below it are
+# cancellation noise, not degree
+_TRIM_TOL = 1e-12
+# relative to 1 + |Re r|: a double root splits into a conjugate pair of size
+# about sqrt(machine epsilon) ~ 1e-8, which is still one real crossing
+_IMAG_TOL = 1e-7
 
 
 def pair_constraint(a0: EdgeLine, a1: EdgeLine) -> TransversalConstraint:
@@ -201,20 +211,33 @@ class TripleSurface:
         return out
 
     def residual_poly_along(self, line: EdgeLine) -> np.ndarray:
-        """Ascending coefficients of the residual along ``line`` (degree <= 3)."""
-        c = self.to_adapted(line.point)
-        d = self.frame @ line.direction
-        (a1, a2), (b1, b2) = self.coeff_num, self.coeff_den
-        lin = lambda v: np.array([v[1] * c[1] + v[2] * c[2], v[1] * d[1] + v[2] * d[2]])
-        P1 = np.array([c[0], d[0]])
-        B1, B2 = lin(b1), lin(b2)
-        A1, A2 = lin(a1), lin(a2)
-        alpha = a1[0] * B2 - a2[0] * B1
-        beta = npoly.polysub(npoly.polymul(A1, B2), npoly.polymul(A2, B1))
-        res = npoly.polymul(npoly.polymul(P1, B1), alpha)
-        res = npoly.polyadd(res, npoly.polymul(beta, npoly.polyadd(B1, [a1[0]])))
-        res = npoly.polysub(res, npoly.polymul(A1, alpha))
-        return res
+        """Ascending coefficients of the residual along ``line`` (degree <= 3).
+
+        Each factor of :meth:`residual` is linear in the line parameter, so
+        the products are spelled out on ``(constant, slope)`` float pairs;
+        trailing exact zeros are trimmed, as ``numpy.polynomial`` does.
+        """
+        c0, c1, c2 = self.to_adapted(line.point).tolist()
+        d0, d1, d2 = (self.frame @ line.direction).tolist()
+        (a1, a2), (b1, b2) = self.coeff_num.tolist(), self.coeff_den.tolist()
+        B10, B11 = b1[1] * c1 + b1[2] * c2, b1[1] * d1 + b1[2] * d2
+        B20, B21 = b2[1] * c1 + b2[2] * c2, b2[1] * d1 + b2[2] * d2
+        A10, A11 = a1[1] * c1 + a1[2] * c2, a1[1] * d1 + a1[2] * d2
+        A20, A21 = a2[1] * c1 + a2[2] * c2, a2[1] * d1 + a2[2] * d2
+        al0, al1 = a1[0] * B20 - a2[0] * B10, a1[0] * B21 - a2[0] * B11
+        # beta = A1 B2 - A2 B1 and q = P1 B1, both quadratic
+        be0 = A10 * B20 - A20 * B10
+        be1 = (A10 * B21 + A11 * B20) - (A20 * B11 + A21 * B10)
+        be2 = A11 * B21 - A21 * B11
+        q0, q1, q2 = c0 * B10, c0 * B11 + d0 * B10, d0 * B11
+        e0 = B10 + a1[0]
+        res = [(q0 * al0 + be0 * e0) - A10 * al0,
+               (q0 * al1 + q1 * al0 + (be0 * B11 + be1 * e0)) - (A10 * al1 + A11 * al0),
+               (q1 * al1 + q2 * al0 + (be1 * B11 + be2 * e0)) - A11 * al1,
+               q2 * al1 + be2 * B11]
+        while len(res) > 1 and res[-1] == 0.0:
+            res.pop()
+        return np.array(res)
 
 
 def triple_surface(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine) -> TripleSurface:
@@ -255,17 +278,17 @@ def count_line_surface_intersections(line: EdgeLine, S: TripleSurface) -> int | 
     char = ((1.0 + float(np.abs(S.coeff_num).max()))
             * (1.0 + float(np.abs(S.coeff_den).max())) ** 2
             * (1.0 + float(np.linalg.norm(c_ad))) ** 3)
-    if cmax <= 1e-10 * char:
+    if cmax <= _ZERO_TOL * char:
         probes = line.point[None, :] + np.linspace(-3.0, 3.0, 9)[:, None] * line.direction
         if bool(S.contains(probes, tol=_ON_TOL).all()):
             return ON_SURFACE
         return 0
-    trimmed = npoly.polytrim(coeffs, tol=1e-12 * cmax)
+    trimmed = npoly.polytrim(coeffs, tol=_TRIM_TOL * cmax)
     if len(trimmed) <= 1:
         return 0
     roots = npoly.polyroots(trimmed)
     real = sorted(float(r.real) for r in roots
-                  if abs(r.imag) <= 1e-7 * (1.0 + abs(r.real)))
+                  if abs(r.imag) <= _IMAG_TOL * (1.0 + abs(r.real)))
     merged: list[float] = []
     for r in real:
         if not merged or r - merged[-1] > _MERGE_TOL:

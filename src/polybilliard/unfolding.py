@@ -9,7 +9,10 @@ closure is finite within a bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -118,6 +121,57 @@ def unfold_orbit(record: "OrbitRecord", P: Polyhedron) -> UnfoldingTrack:
                           float(dist.max()), path)
 
 
+# re-orthogonalize every few multiplications; orthogonal products drift slowly
+_RENORM_EVERY = 64
+# absolute: entries of orthogonal matrices lie in [-1, 1]
+_DEDUP_TOL = 1e-8
+# side of the dedup buckets, absolute like _DEDUP_TOL and about 12 000 times
+# wider, so a lookup probes one bucket unless an entry lies within
+# _DEDUP_TOL of a bucket boundary; a power of two, so entry / _BUCKET is exact
+_BUCKET = 2.0 ** -13
+
+
+class _MatrixBuckets:
+    """3x3 matrices hashed on ``floor(entry / _BUCKET)`` per entry.
+
+    A stored matrix within ``_DEDUP_TOL`` of a query in max-abs has each
+    entry within ``_DEDUP_TOL`` of the query's, so its key is among the
+    probed keys: per entry, the buckets of ``x - _DEDUP_TOL`` and
+    ``x + _DEDUP_TOL``.  Lookups thus agree with a linear scan.
+    """
+
+    def __init__(self, mats=()):
+        self._buckets: dict[int, list[np.ndarray]] = {}
+        for M in mats:
+            self.add(M)
+
+    def find(self, M: np.ndarray) -> bool:
+        """Is a stored matrix within ``_DEDUP_TOL`` of ``M`` in every entry?"""
+        x = M.ravel().tolist()
+        lo = [math.floor((v - _DEDUP_TOL) / _BUCKET) for v in x]
+        hi = [math.floor((v + _DEDUP_TOL) / _BUCKET) for v in x]
+        cells = [lo] if lo == hi else product(*({a, b} for a, b in zip(lo, hi)))
+        for cell in cells:
+            for y in self._buckets.get(_bucket_key(cell), ()):
+                if max(abs(a - b) for a, b in zip(x, y.ravel().tolist())) <= _DEDUP_TOL:
+                    return True
+        return False
+
+    def add(self, M: np.ndarray) -> None:
+        cell = [math.floor(v / _BUCKET) for v in M.ravel().tolist()]
+        self._buckets.setdefault(_bucket_key(cell), []).append(M)
+
+
+def _bucket_key(cell) -> int:
+    """Pack nine bucket indices into one int, 16 bits apiece: smaller than a
+    tuple of ints, and distinct for entries below 4 in magnitude.  Larger
+    entries may share a key, which adds bucket members but hides no match."""
+    key = 0
+    for k in cell:
+        key = (key << 16) + k
+    return key
+
+
 @dataclass
 class GroupClosure:
     """Result of closing the linear face reflections under multiplication."""
@@ -130,13 +184,13 @@ class GroupClosure:
     def order(self) -> int | None:
         return len(self.elements) if self.closed else None
 
-    def contains(self, M: np.ndarray, tol: float = 1e-8) -> bool:
-        return bool(np.abs(self.elements - M).max(axis=(1, 2)).min() <= tol)
+    @cached_property
+    def _buckets(self) -> _MatrixBuckets:
+        return _MatrixBuckets(self.elements)
 
-
-# re-orthogonalize every few multiplications; orthogonal products drift slowly
-_RENORM_EVERY = 64
-_DEDUP_TOL = 1e-8
+    def contains(self, M: np.ndarray) -> bool:
+        """Is ``M`` an element, up to the closure's own 1e-8 max-abs tolerance?"""
+        return self._buckets.find(np.asarray(M, float))
 
 
 def generate_group(P: Polyhedron, bound: int = 10000) -> GroupClosure:
@@ -149,13 +203,15 @@ def generate_group(P: Polyhedron, bound: int = 10000) -> GroupClosure:
     if bound < 1:
         raise ValueError("bound must be >= 1")
     gens: list[np.ndarray] = []
+    seen = _MatrixBuckets()
     for f in P.faces:
         R = Isometry.reflection(f.plane).linear
-        if not any(np.abs(R - g).max() <= _DEDUP_TOL for g in gens):
+        if not seen.find(R):
+            seen.add(R)
             gens.append(R)
 
     elements = [np.eye(3)]
-    stack = np.array(elements)
+    found = _MatrixBuckets(elements)
     depth = [0]
     frontier = list(range(len(elements)))
     while frontier:
@@ -166,13 +222,13 @@ def generate_group(P: Polyhedron, bound: int = 10000) -> GroupClosure:
                 d = depth[i] + 1
                 if d % _RENORM_EVERY == 0:
                     cand = reorthogonalize(cand)
-                if np.abs(stack - cand).max(axis=(1, 2)).min() <= _DEDUP_TOL:
+                if found.find(cand):
                     continue
+                found.add(cand)
                 elements.append(cand)
                 depth.append(d)
                 new_frontier.append(len(elements) - 1)
-                stack = np.concatenate([stack, cand[None]], axis=0)
                 if len(elements) > bound:
-                    return GroupClosure(stack, False, bound)
+                    return GroupClosure(np.array(elements), False, bound)
         frontier = new_frontier
-    return GroupClosure(stack, True, bound)
+    return GroupClosure(np.array(elements), True, bound)

@@ -70,6 +70,24 @@ def test_cell_subcommand(cube_file, capsys):
     assert out["period"] == 4
 
 
+@pytest.mark.parametrize("word", ["z0,x1,x0", "z0,x1,x0,z1"])
+def test_cell_empty_prefix(cube_file, capsys, word):
+    # at this direction the section is already empty after z0,x1,x0; a longer
+    # word stops propagating there instead of failing on the empty beam
+    rc = cli.main(["cell", cube_file, "--theta", "0.1,0.2,1", "--word", word])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["word"] == word.split(",")
+    assert out["kind"] == "empty"
+    assert out["period"] is None
+
+
+def test_cell_word_checked_past_empty_prefix(cube_file):
+    for word in ("z0,x1,x0,z1,z1", "z0,x1,x0,q9"):
+        rc = cli.main(["cell", cube_file, "--theta", "0.1,0.2,1", "--word", word])
+        assert rc == cli.EXIT_PRECONDITION
+
+
 def test_complexity_csv_and_meta(cube_file, tmp_path, capsys):
     out = tmp_path / "table.csv"
     rc = cli.main(["complexity", cube_file, "--nmax", "4", "--budget", "2e4",

@@ -5,6 +5,7 @@ import pytest
 
 from polybilliard import billiard as bl
 from polybilliard import symbolic as sy
+from polybilliard import unfolding as uf
 from polybilliard.geometry import Tolerances, box, regular_tetrahedron, unit_cube
 
 SQRT2 = np.sqrt(2.0)
@@ -325,3 +326,174 @@ def test_factor_closure_detects_missing_factors(cube):
     for code in (only_prefix, only_suffix, largest):
         assert not _without(tab, n, shorter[shorter != code]).factor_closure_holds()
     assert not _without(tab, n, shorter[:0]).factor_closure_holds()
+
+
+# ---------------------------------------------------------------------------
+# float clipping against the numpy reference
+# ---------------------------------------------------------------------------
+
+def _ref_polygon_area(pts):
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _ref_dedupe(pts, tol=1e-12):
+    if len(pts) < 2:
+        return pts
+    keep = [0]
+    for i in range(1, len(pts)):
+        if np.abs(pts[i] - pts[keep[-1]]).max() > tol:
+            keep.append(i)
+    if len(keep) > 1 and np.abs(pts[keep[0]] - pts[keep[-1]]).max() <= tol:
+        keep.pop()
+    return pts[keep]
+
+
+def _ref_clip_half(pts, n2, c):
+    empty = np.zeros((0, 2))
+    if len(pts) == 0:
+        return empty
+    d = pts @ n2 - c
+    if len(pts) == 1:
+        return pts if d[0] <= 0.0 else empty
+    if len(pts) == 2:
+        ina, inb = d[0] <= 0.0, d[1] <= 0.0
+        if ina and inb:
+            return pts
+        if not ina and not inb:
+            return empty
+        t = d[0] / (d[0] - d[1])
+        x = pts[0] + t * (pts[1] - pts[0])
+        return np.array([pts[0], x]) if ina else np.array([x, pts[1]])
+    out = []
+    K = len(pts)
+    for i in range(K):
+        j = (i + 1) % K
+        ina, inb = d[i] <= 0.0, d[j] <= 0.0
+        if ina:
+            out.append(pts[i])
+        if ina != inb:
+            t = d[i] / (d[i] - d[j])
+            out.append(pts[i] + t * (pts[j] - pts[i]))
+    return _ref_dedupe(np.array(out)) if out else empty
+
+
+def _ref_clip_convex(subject, clip_ccw):
+    out = subject
+    K = len(clip_ccw)
+    for i in range(K):
+        a = clip_ccw[i]
+        e = clip_ccw[(i + 1) % K] - a
+        n2 = np.array([e[1], -e[0]])
+        out = _ref_clip_half(out, n2, float(n2 @ a))
+        if len(out) == 0:
+            return np.zeros((0, 2))
+    return out
+
+
+def _ref_propagate(b, label, P):
+    """The numpy propagation: a new reflection per call, numpy clipping."""
+    f = P.face_index(label)
+    iso = b.isometry
+    verts2 = b.project(iso.apply(P.face_polygon(f)))
+    n3 = iso.apply_direction(P.faces[f].plane.normal)
+    if abs(float(n3 @ b.theta)) <= P.tol.angle:
+        d = verts2[:, None, :] - verts2[None, :, :]
+        i, j = np.unravel_index(np.argmax((d * d).sum(axis=2)), d.shape[:2])
+        a = verts2[i]
+        dir2 = verts2[j] - a
+        L = float(np.linalg.norm(dir2))
+        if L < 1e-15:
+            section = np.zeros((0, 2))
+        else:
+            dir2 = dir2 / L
+            perp = np.array([-dir2[1], dir2[0]])
+            s = (verts2 - a) @ dir2
+            section = _ref_clip_half(b.section, perp, float(perp @ a))
+            section = _ref_clip_half(section, -perp, float(-perp @ a))
+            section = _ref_clip_half(section, -dir2, -float(dir2 @ a) - float(s.min()))
+            section = _ref_clip_half(section, dir2, float(dir2 @ a) + float(s.max()))
+    else:
+        clip = verts2[::-1] if _ref_polygon_area(verts2) < 0.0 else verts2
+        section = _ref_clip_convex(b.section, clip)
+    new_iso = iso.compose(uf.Isometry.reflection(P.faces[f].plane))
+    return sy.Beam(b.theta, b.origin, b.axes, section, b.word + [label],
+                   b.isometries + [new_iso])
+
+
+def _distance_to_section(q, pts):
+    """Euclidean distance from q to the convex hull of a CCW section."""
+    if len(pts) == 1:
+        return float(np.linalg.norm(q - pts[0]))
+    edges = [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts) if len(pts) > 2 else 1)]
+    if len(pts) > 2 and all((b - a)[0] * (q - a)[1] - (b - a)[1] * (q - a)[0] >= 0.0
+                            for a, b in edges):
+        return 0.0
+    dist = []
+    for a, b in edges:
+        e = b - a
+        t = np.clip((q - a) @ e / max(e @ e, 1e-300), 0.0, 1.0)
+        dist.append(float(np.linalg.norm(q - a - t * e)))
+    return min(dist)
+
+
+def _section_distance(A, B):
+    """Hausdorff distance between two convex sections, as sets: a collinear
+    vertex that one clip keeps and the other drops does not count."""
+    return max(max(_distance_to_section(q, B) for q in A),
+               max(_distance_to_section(q, A) for q in B))
+
+
+def _box_words(rng, count):
+    """Orbit words on random boxes, at generic and at integer directions."""
+    out = []
+    while len(out) < count:
+        dims = rng.uniform(0.5, 2.0, size=3)
+        if len(out) % 2:
+            dims = rng.integers(1, 3, size=3).astype(float)
+            theta = rng.integers(-2, 3, size=3).astype(float)
+        else:
+            theta = rng.normal(size=3)
+        if not theta.any():
+            continue
+        P = box(*dims)
+        theta /= np.linalg.norm(theta)
+        f = int(rng.choice([k for k in range(6) if theta @ P.normals[k] > 1e-3]))
+        m = bl.sample_points_in_face(P, f, 1, rng)[0]
+        rec = bl.orbit(bl.PhasePoint(f, m, theta), 25, P)
+        if rec.completed and not rec.near_singular_steps:
+            out.append((P, theta, rec.word))
+    return out
+
+
+def test_float_clipping_matches_numpy_reference():
+    rng = np.random.default_rng(31)
+    for P, theta, word in _box_words(rng, 80):
+        b = ref = sy.make_beam(P, word[0], theta)
+        for label in word[1:]:
+            b, ref = sy.propagate_beam(b, label, P), _ref_propagate(ref, label, P)
+            assert b.is_empty == ref.is_empty
+            if not b.is_empty:
+                assert _section_distance(b.section, ref.section) <= 1e-12
+            assert sy.classify_cell(b).kind == sy.classify_cell(ref).kind
+            assert b.isometry.linear.tobytes() == ref.isometry.linear.tobytes()
+            assert b.isometry.translation.tobytes() == ref.isometry.translation.tobytes()
+        assert sy.detect_periodicity(b, 12) == sy.detect_periodicity(ref, 12)
+
+
+def test_float_clipping_matches_numpy_reference_edge_on(cube):
+    # a face copy parallel to the beam projects to a segment: strips
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        theta = np.array([0.0, *rng.uniform(0.2, 1.0, 2)])
+        theta /= np.linalg.norm(theta)
+        b = ref = sy.make_beam(cube, "z0", theta)
+        for label in ("x1", "y1", "z1"):
+            b, ref = sy.propagate_beam(b, label, cube), _ref_propagate(ref, label, cube)
+            assert b.is_empty == ref.is_empty
+            if not b.is_empty:
+                assert _section_distance(b.section, ref.section) <= 1e-12
+            cell, ref_cell = sy.classify_cell(b), sy.classify_cell(ref)
+            assert cell.kind == ref_cell.kind
+            if cell.kind == "strip":
+                assert abs(cell.width - ref_cell.width) <= 1e-12

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from polybilliard import transversal as tv
 
@@ -256,3 +257,44 @@ def test_independence_generic_line():
             continue
         hits += verdict == "independent"
     assert hits >= 18
+
+
+# ---------------------------------------------------------------------------
+# closed-form probe polynomial against the numpy.polynomial reference
+# ---------------------------------------------------------------------------
+
+def _reference_residual_poly(S, line):
+    c = S.to_adapted(line.point)
+    d = S.frame @ line.direction
+    (a1, a2), (b1, b2) = S.coeff_num, S.coeff_den
+    lin = lambda v: np.array([v[1] * c[1] + v[2] * c[2], v[1] * d[1] + v[2] * d[2]])
+    P1 = np.array([c[0], d[0]])
+    B1, B2 = lin(b1), lin(b2)
+    A1, A2 = lin(a1), lin(a2)
+    alpha = a1[0] * B2 - a2[0] * B1
+    beta = npoly.polysub(npoly.polymul(A1, B2), npoly.polymul(A2, B1))
+    res = npoly.polymul(npoly.polymul(P1, B1), alpha)
+    res = npoly.polyadd(res, npoly.polymul(beta, npoly.polyadd(B1, [a1[0]])))
+    return npoly.polysub(res, npoly.polymul(A1, alpha))
+
+
+def test_probe_polynomial_matches_reference():
+    rng = np.random.default_rng(41)
+    Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
+    Q = Q * np.sign(np.diag(R))
+    shift = rng.normal(size=3)
+    edges = [tv.EdgeLine.of(Q @ e.point + shift, Q @ e.direction) for e in (X_AXIS, A1, A2)]
+    S = tv.triple_surface(*edges)
+    lines = [tv.EdgeLine.of(Q @ (2.0 * rng.normal(size=3)) + shift, Q @ rng.normal(size=3))
+             for _ in range(2000)]
+    # probes along the base edge: the top coefficients vanish and are trimmed
+    lines += [tv.EdgeLine(edges[0].point + s * v, edges[0].direction)
+              for s in (0.5, 1.5) for v in (Q[:, 1], Q[:, 2])]
+    lines.append(tv.EdgeLine(np.zeros(3), np.array([1.0, 0.0, 0.0])))
+    S_axis = tv.triple_surface(X_AXIS, A1, A2)
+    for k, line in enumerate(lines):
+        surface = S_axis if k == len(lines) - 1 else S
+        got, ref = surface.residual_poly_along(line), _reference_residual_poly(surface, line)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    assert len(S_axis.residual_poly_along(lines[-1])) < 4

@@ -3,7 +3,7 @@ import pytest
 
 from polybilliard import billiard as bl
 from polybilliard import unfolding as uf
-from polybilliard.geometry import Plane, box, regular_tetrahedron, unit_cube
+from polybilliard.geometry import Plane, box, regular_tetrahedron, unit_cube, validate
 
 SQRT2 = np.sqrt(2.0)
 
@@ -184,3 +184,95 @@ def test_closure_closed_under_generators(cube):
         for gt in gens:
             G = np.array(gt).reshape(3, 3)
             assert closure.contains(G @ M)
+
+
+# ---------------------------------------------------------------------------
+# hashed closure against the quadratic reference
+# ---------------------------------------------------------------------------
+
+def _reference_generate_group(P, bound):
+    """The quadratic closure: each candidate is compared with every stored
+    element, and the stack is re-concatenated per element added."""
+    gens = []
+    for f in P.faces:
+        R = uf.Isometry.reflection(f.plane).linear
+        if not any(np.abs(R - g).max() <= 1e-8 for g in gens):
+            gens.append(R)
+    elements = [np.eye(3)]
+    stack = np.array(elements)
+    depth = [0]
+    frontier = [0]
+    while frontier:
+        new_frontier = []
+        for i in frontier:
+            for g in gens:
+                cand = g @ elements[i]
+                d = depth[i] + 1
+                if d % 64 == 0:
+                    cand = uf.reorthogonalize(cand)
+                if np.abs(stack - cand).max(axis=(1, 2)).min() <= 1e-8:
+                    continue
+                elements.append(cand)
+                depth.append(d)
+                new_frontier.append(len(elements) - 1)
+                stack = np.concatenate([stack, cand[None]], axis=0)
+                if len(elements) > bound:
+                    return stack, False
+        frontier = new_frontier
+    return stack, True
+
+
+def _moved(P, seed):
+    rng = np.random.default_rng(seed)
+    Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
+    Q = Q * np.sign(np.diag(R))
+    faces = [(f.label, list(f.boundary)) for f in P.faces]
+    return validate(P.vertices @ Q.T + rng.normal(size=3), faces)
+
+
+def _prism(triangle):
+    base = np.c_[np.asarray(triangle, float), np.zeros(3)]
+    faces = [("b", [0, 1, 2]), ("t", [3, 4, 5]),
+             ("s0", [0, 1, 4, 3]), ("s1", [1, 2, 5, 4]), ("s2", [2, 0, 3, 5])]
+    return validate(np.vstack([base, base + [0.0, 0.0, 1.0]]), faces)
+
+
+_REFERENCE_SOLIDS = {
+    "cube": (unit_cube, None),
+    "box": (lambda: box(2.0, 1.0, 0.5), None),
+    "tetra": (regular_tetrahedron, None),
+    # right prisms: entries 0, +-1/2 and +-1 sit on bucket boundaries, and
+    # rounded products land a hair to either side of them
+    "equilateral-prism": (lambda: _prism([[0, 0], [1, 0], [0.5, np.sqrt(3.0) / 2]]), 12),
+    "isosceles-prism": (lambda: _prism([[0, 0], [1, 0], [0, 1]]), 16),
+}
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["plain", "rotated"])
+@pytest.mark.parametrize("name", list(_REFERENCE_SOLIDS))
+def test_closure_matches_quadratic_reference(name, moved):
+    build, order = _REFERENCE_SOLIDS[name]
+    P = _moved(build(), 3) if moved else build()
+    closure = uf.generate_group(P, bound=3000)
+    ref, closed = _reference_generate_group(P, 3000)
+    assert closure.closed == closed
+    assert closure.elements.shape == ref.shape
+    assert closure.elements.tobytes() == ref.tobytes()     # same values, same order
+    if order is not None:
+        assert closure.order == order
+
+
+def test_contains_across_bucket_boundary(cube):
+    h = uf._BUCKET
+    # 0 and 1 are bucket boundaries: the stored entries sit just below them,
+    # the query 8e-9 away just above, so all nine entries change bucket
+    stored = np.eye(3) - 4e-9
+    closure = uf.GroupClosure(stored[None], True, 1)
+    query = np.eye(3) + 4e-9
+    assert np.all(np.floor(query / h) != np.floor(stored / h))
+    assert closure.contains(query)
+    assert not closure.contains(np.eye(3) + 7e-9)
+    closure = uf.generate_group(cube, bound=100)
+    for M in closure.elements:
+        assert closure.contains(M - 5e-9)
+        assert not closure.contains(M - 2e-8)
