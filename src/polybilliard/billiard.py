@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import (Hit, HitKind, NoAdvance, Polyhedron, edge_arrays,
                        first_hit, segment_segment_distance, unit, vec3)
 from .transversal import EdgeLine
-from .unfolding import Isometry, cumulative_isometries
+from .unfolding import Isometry, _prefix_isometries
 
 
 class SingularInput(Exception):
@@ -29,8 +30,7 @@ class EmptyReport(Exception):
     """No discontinuities were found along the orbit."""
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(NamedTuple):
     """Boundary point ``m`` on face ``face`` with inward unit direction ``theta``."""
 
     face: int
@@ -106,20 +106,6 @@ class OrbitRecord:
         return len(self.points)
 
 
-def _advance(x: PhasePoint, P: Polyhedron) -> Hit | None:
-    """The forward hit of ``x``, or ``None`` when its ray runs inside its face.
-
-    Assumes ``x.m`` lies strictly inside its face polygon (``orbit`` checks
-    that of the start; points minted by its loop satisfy it by construction).
-    """
-    if float(x.theta @ P.normals[x.face]) <= P.tol.angle:
-        return None
-    try:
-        return first_hit(x.m, x.theta, P)
-    except NoAdvance:
-        return None
-
-
 def _event(hit: Hit | None, points: list[PhasePoint],
            P: Polyhedron) -> SingularityEvent:
     """The singularity that ends an orbit at its last point, whose forward
@@ -129,7 +115,8 @@ def _event(hit: Hit | None, points: list[PhasePoint],
     if hit is None:
         return SingularityEvent(SingularityKind.TANGENT_IN_FACE, step,
                                 last.m.copy(), face=last.face)
-    iso = cumulative_isometries(P, [p.face for p in points])[-1]
+    lin, trans = _prefix_isometries(P, [p.face for p in points])
+    iso = Isometry(lin[-1], trans[-1])
     if hit.kind is HitKind.EDGE:
         e = P.edges[hit.edge]
         kind = SingularityKind.EDGE_HIT
@@ -169,7 +156,6 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     points = [x]
-    word = [P.labels[x.face]]
     flagged: list[int] = []
     normals = P.normals.tolist()
 
@@ -178,22 +164,34 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     if dist <= P.tol.plane:
         hit = Hit(HitKind.EDGE, x.m.copy(), 0.0, face=x.face, edge=edge,
                   edge_distance=dist)
-    else:
-        hit = _advance(x, P)
-    while hit is not None and hit.kind is HitKind.FACE and len(points) < n_max:
+    m, theta = x.m, x.theta
+    tx, ty, tz = theta.tolist()
+    # theta . n of the last point; the start's by numpy, whose dot can round
+    # otherwise than the float sum, which flips rays at the `angle` threshold
+    cos_n = float(theta @ P.normals[x.face])
+    while not dist <= P.tol.plane:       # the start is off its face's edges
+        # the last point's forward hit, None when its ray runs inside its face
+        try:
+            hit = first_hit(m, theta, P) if cos_n > P.tol.angle else None
+        except NoAdvance:
+            hit = None
+        # n_max == 1: the start's ray is checked, not followed
+        if hit is None or hit.kind is not HitKind.FACE or len(points) == n_max:
+            break
         # reflect_direction in floats: theta - 2 <theta, n> n
         nx, ny, nz = normals[hit.face]
-        tx, ty, tz = points[-1].theta.tolist()
         k = 2.0 * (tx * nx + ty * ny + tz * nz)
-        theta2 = np.array((tx - k * nx, ty - k * ny, tz - k * nz))
-        points.append(PhasePoint(hit.face, hit.point, theta2))
-        word.append(P.labels[hit.face])
+        tx, ty, tz = tx - k * nx, ty - k * ny, tz - k * nz
+        cos_n = tx * nx + ty * ny + tz * nz
+        m, theta = hit.point, np.array((tx, ty, tz))
+        points.append(PhasePoint(hit.face, m, theta))
         if hit.edge_distance < P.tol.sing:
             flagged.append(len(points) - 1)
-        if len(points) < n_max:
-            hit = _advance(points[-1], P)
+        if len(points) == n_max:
+            break
     ended = hit is None or hit.kind is not HitKind.FACE
-    return OrbitRecord(x, points, word, _event(hit, points, P) if ended else None, flagged)
+    return OrbitRecord(x, points, [P.labels[p.face] for p in points],
+                       _event(hit, points, P) if ended else None, flagged)
 
 
 def discontinuity_report(record: OrbitRecord, P: Polyhedron,
@@ -204,40 +202,35 @@ def discontinuity_report(record: OrbitRecord, P: Polyhedron,
     a positive radius also collects near-misses along every segment.  Raises
     :class:`EmptyReport` when nothing is found.
     """
-    faces = [p.face for p in record.points]
-    isos = cumulative_isometries(P, faces)
-    segs: list[tuple[np.ndarray, np.ndarray, Isometry]] = []
-    for k in range(len(record.points) - 1):
-        segs.append((record.points[k].m, record.points[k + 1].m, isos[k]))
-    ev = record.singularity
-    if ev is not None and ev.kind is not SingularityKind.TANGENT_IN_FACE \
-            and len(record.points) >= 1:
-        segs.append((record.points[-1].m, ev.point, isos[-1]))
-
-    found: list[EdgeLine] = []
-    keys: set[tuple] = set()
+    found: dict[tuple, EdgeLine] = {}       # insertion-ordered, one line per key
 
     def _emit(point: np.ndarray, direction: np.ndarray) -> None:
         d = direction if direction[int(np.argmax(np.abs(direction)))] >= 0.0 else -direction
         base = point - (point @ d) * d
         key = tuple(np.round(np.concatenate([base, d]), 9))
-        if key not in keys:
-            keys.add(key)
-            found.append(EdgeLine(point.copy(), direction.copy()))
+        if key not in found:
+            found[key] = EdgeLine(point.copy(), direction.copy())
 
+    pts, ev = record.points, record.singularity
     if radius > 0.0:
-        for a, b, iso in segs:
+        # segment k ends at point k + 1 or at the terminal edge/vertex hit
+        lin, trans = _prefix_isometries(P, [p.face for p in pts])
+        ends = [p.m for p in pts[1:]]
+        if ev is not None and ev.kind is not SingularityKind.TANGENT_IN_FACE:
+            ends.append(ev.point)
+        for k, b in enumerate(ends):
             for e in P.edges:
                 v0 = P.vertices[e.endpoints[0]]
                 v1 = P.vertices[e.endpoints[1]]
-                if segment_segment_distance(a, b, v0, v1) <= radius:
+                if segment_segment_distance(pts[k].m, b, v0, v1) <= radius:
+                    iso = Isometry(lin[k], trans[k])
                     _emit(iso.apply(e.point), iso.apply_direction(e.direction))
     if ev is not None and ev.unfolded_point is not None \
             and ev.unfolded_direction is not None:
         _emit(ev.unfolded_point, ev.unfolded_direction)
     if not found:
         raise EmptyReport("no discontinuities within the requested radius")
-    return found
+    return list(found.values())
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -430,13 +431,12 @@ class HitKind(Enum):
     VERTEX = "vertex"
 
 
-@dataclass(frozen=True)
-class Hit:
+class Hit(NamedTuple):
     """First boundary intersection of a ray with the polyhedron surface.
 
     ``edge_distance`` is the distance from the hit point to the nearest
     boundary edge of the hit face (finite for FACE hits), used by callers to
-    flag unreliable near-edge passages.
+    flag unreliable near-edge passages.  A named tuple, cheap to build per bounce.
     """
 
     kind: HitKind

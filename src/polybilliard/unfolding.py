@@ -2,9 +2,9 @@
 
 Unfolding replaces each bounce by a straight-line continuation while the
 polyhedron is reflected across the crossed face; composing those reflections
-gives one cumulative isometry per bounce.  The group machinery closes the set
-of *linear* reflection parts under multiplication and reports whether the
-closure is finite within a bound.
+gives one cumulative isometry per bounce, by a prefix product over arrays.
+The group machinery closes the set of *linear* reflection parts under
+multiplication and reports whether the closure is finite within a bound.
 """
 
 from __future__ import annotations
@@ -68,35 +68,67 @@ def reorthogonalize(M: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
+def _prefix_isometries(P: Polyhedron, faces: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Linear parts (L, 3, 3) and translations (L, 3) of
+    :func:`cumulative_isometries` by a Hillis-Steele scan: entry k starts as
+    the reflection across ``faces[k]`` (entry 0 as the identity), and the
+    pass with stride s composes entry k - s with entry k."""
+    crossed, which = np.unique(np.asarray(faces[1:], dtype=int), return_inverse=True)
+    table = [Isometry.identity()] + [Isometry.reflection(P.faces[f].plane)
+                                     for f in crossed.tolist()]
+    pick = np.concatenate(([0], which + 1))
+    lin = np.array([g.linear for g in table])[pick]
+    trans = np.array([g.translation for g in table])[pick]
+    s, L = 1, len(faces)
+    while s < L:
+        # both right-hand sides read entries from before this pass
+        trans[s:] = np.einsum("lij,lj->li", lin[:-s], trans[s:]) + trans[:-s]
+        lin[s:] = lin[:-s] @ lin[s:]
+        s *= 2
+    lin.setflags(write=False)        # the Isometry objects built on them share them
+    trans.setflags(write=False)
+    return lin, trans
+
+
 def cumulative_isometries(P: Polyhedron, faces: list[int]) -> list[Isometry]:
     """Cumulative unfolding isometry per bounce for a face-id itinerary.
 
     Entry k maps folded coordinates of the k-th bounce into the unfolded
     picture; entry 0 is the identity (the itinerary's first face is where the
-    orbit starts and contributes no reflection).
+    orbit starts and contributes no reflection).  The entries are views into
+    one read-only (L, 3, 3) and one read-only (L, 3) array.
     """
-    reflections = {f: Isometry.reflection(P.faces[f].plane) for f in set(faces[1:])}
-    isos = [Isometry.identity()]
-    for f in faces[1:]:
-        isos.append(isos[-1].compose(reflections[f]))
-    return isos
+    return [Isometry(a, t) for a, t in zip(*_prefix_isometries(P, faces))]
 
 
 @dataclass
 class UnfoldingTrack:
-    """Straight-line realization of an orbit: isometries, points, face copies."""
+    """Straight-line realization of an orbit: cumulative isometries as arrays,
+    points, and the per-bounce ``isometries`` and ``face_polygons`` on demand."""
 
-    isometries: list[Isometry]
+    linear: np.ndarray                 # (L, 3, 3) cumulative isometries
+    translation: np.ndarray            # (L, 3)
     points: np.ndarray                 # (L, 3) unfolded bounce points
-    face_polygons: list[np.ndarray]    # unfolded copy of each hit face
     line_point: np.ndarray
     line_direction: np.ndarray
     residual: float                    # max point-to-line distance
     path_length: float
+    faces: list[int]                   # hit face per bounce
+    polyhedron: Polyhedron
 
     @property
     def relative_residual(self) -> float:
         return self.residual / max(self.path_length, 1e-300)
+
+    @cached_property
+    def isometries(self) -> list[Isometry]:
+        return [Isometry(a, t) for a, t in zip(self.linear, self.translation)]
+
+    @cached_property
+    def face_polygons(self) -> list[np.ndarray]:     # unfolded copy of each hit face
+        P = self.polyhedron
+        verts = np.einsum("lij,vj->lvi", self.linear, P.vertices) + self.translation[:, None, :]
+        return [verts[k, list(P.faces[f].boundary)] for k, f in enumerate(self.faces)]
 
 
 def unfold_orbit(record: "OrbitRecord", P: Polyhedron) -> UnfoldingTrack:
@@ -104,21 +136,16 @@ def unfold_orbit(record: "OrbitRecord", P: Polyhedron) -> UnfoldingTrack:
     if len(record.points) < 1:
         raise ValueError("record has no bounces to unfold")
     faces = [pp.face for pp in record.points]
-    isos = cumulative_isometries(P, faces)
+    lin, trans = _prefix_isometries(P, faces)
     folded = np.array([pp.m for pp in record.points])
-    lin = np.array([iso.linear for iso in isos])              # (L, 3, 3)
-    trans = np.array([iso.translation for iso in isos])       # (L, 3)
     pts = np.einsum("lij,lj->li", lin, folded) + trans
-    verts = np.einsum("lij,vj->lvi", lin, P.vertices) + trans[:, None, :]
-    bounds = [np.array(face.boundary) for face in P.faces]
-    polys = [verts[k, bounds[f]] for k, f in enumerate(faces)]
     p0 = pts[0]
     theta = record.points[0].theta
     rel = pts - p0
     dist = np.linalg.norm(rel - np.outer(rel @ theta, theta), axis=1)
-    path = float(np.linalg.norm(pts[-1] - p0)) if len(pts) > 1 else 0.0
-    return UnfoldingTrack(isos, pts, polys, p0.copy(), theta.copy(),
-                          float(dist.max()), path)
+    path = float(np.linalg.norm(pts[-1] - p0))
+    return UnfoldingTrack(lin, trans, pts, p0.copy(), theta.copy(),
+                          float(dist.max()), path, faces, P)
 
 
 # re-orthogonalize every few multiplications; orthogonal products drift slowly

@@ -48,6 +48,21 @@ def test_classify_tangent(cube):
         assert ev.step == 0 and ev.face == x.face
 
 
+def test_start_tangency_decided_by_numpy_dot():
+    # starts tilted inward by exactly `angle`: numpy's dot decides which are
+    # tangent; the plain float sum rounds otherwise for about a tenth of them
+    for P in (_rotated_box(), regular_tetrahedron()):
+        for f in range(P.n_faces):
+            t1, t2, n = P.face_frame(f)
+            m = P.face_polygon(f).mean(axis=0)
+            for phi in np.linspace(0.0, 2.0 * np.pi, 50):
+                w = P.tol.angle
+                theta = np.sqrt(1 - w * w) * (np.cos(phi) * t1 + np.sin(phi) * t2) + w * n
+                ev = bl.classify_phase_point(bl.PhasePoint(f, m, theta), P)
+                tangent = ev is not None and ev.kind is bl.SingularityKind.TANGENT_IN_FACE
+                assert tangent == (float(theta @ P.normals[f]) <= P.tol.angle)
+
+
 def test_start_on_edge_rejected_as_singular(cube):
     # no continuation convention exists for edge starts, even inward ones
     x = bl.PhasePoint(cube.face_index("z0"), np.array([0.5, 0.0, 0.0]),
@@ -177,6 +192,16 @@ def test_orbit_casts_one_ray_per_recorded_bounce_but_the_last(cube, monkeypatch)
         rec = bl.orbit(x, n, cube)
         assert rec.completed and rec.n_bounces == n
         assert len(calls) == expected, n
+
+
+def test_hit_and_phase_point_are_immutable(cube):
+    x = _pp(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0])
+    hit = bl.first_hit(x.m, x.theta, cube)
+    for obj, name, value in ((x, "face", 1), (x, "theta", x.theta), (hit, "face", 0),
+                             (hit, "edge_distance", 0.0)):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+    assert hit.kind is pb.HitKind.FACE and hit.edge is None and hit.vertex is None
 
 
 def test_orbit_consecutive_labels_differ(cube):

@@ -3,7 +3,8 @@ import pytest
 
 from polybilliard import billiard as bl
 from polybilliard import unfolding as uf
-from polybilliard.geometry import Plane, box, regular_tetrahedron, unit_cube, validate
+from polybilliard.geometry import (Plane, Tolerances, box, regular_tetrahedron, unit_cube,
+                                  validate)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -276,3 +277,135 @@ def test_contains_across_bucket_boundary(cube):
     for M in closure.elements:
         assert closure.contains(M - 5e-9)
         assert not closure.contains(M - 2e-8)
+
+
+# ---------------------------------------------------------------------------
+# prefix-product unfolding against the sequential reference
+# ---------------------------------------------------------------------------
+
+def _reference_cumulative_isometries(P, faces):
+    """The sequential kernel: one ``compose`` per bounce, the crossed faces'
+    reflections built once."""
+    reflections = {f: uf.Isometry.reflection(P.faces[f].plane) for f in set(faces[1:])}
+    isos = [uf.Isometry.identity()]
+    for f in faces[1:]:
+        isos.append(isos[-1].compose(reflections[f]))
+    return isos
+
+
+def _long_orbits(P, seed, count=4, n=1000):
+    rng = np.random.default_rng(seed)
+    recs = []
+    while len(recs) < count:
+        m, th, f = bl.random_phase_points(P, 1, rng)
+        rec = bl.orbit(bl.PhasePoint(int(f[0]), m[0], th[0]), n, P)
+        if rec.completed:
+            recs.append(rec)
+    return recs
+
+
+_SCAN_SOLIDS = {
+    "cube": unit_cube,
+    "box": lambda: box(2.0, 1.0, 0.5),
+    "tetra": regular_tetrahedron,
+    "rotated-box": lambda: _moved(box(2.0, 1.0, 0.5), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCAN_SOLIDS))
+def test_prefix_scan_matches_sequential_reference(name):
+    P = _SCAN_SOLIDS[name]()
+    for rec in _long_orbits(P, 31):
+        faces = [p.face for p in rec.points]
+        lin, trans = uf._prefix_isometries(P, faces)
+        ref = _reference_cumulative_isometries(P, faces)
+        ref_lin = np.array([iso.linear for iso in ref])
+        ref_trans = np.array([iso.translation for iso in ref])
+        assert lin.shape == (1000, 3, 3) and trans.shape == (1000, 3)
+        if name in ("cube", "box"):
+            # entries 0, +-1 and sums of doubled offsets: every product is exact
+            assert lin.tobytes() == ref_lin.tobytes()
+            assert trans.tobytes() == ref_trans.tobytes()
+        else:
+            assert np.all(np.abs(lin - ref_lin) <= 1e-13 * (1.0 + np.abs(ref_lin)))
+            # a translation component near 0 beside others of size ~700 keeps
+            # an absolute rounding error of the others' size in either kernel,
+            # so translations are compared on the scale of their largest entry
+            scale = 1.0 + np.abs(ref_trans).max(axis=1, keepdims=True)
+            assert np.all(np.abs(trans - ref_trans) <= 1e-13 * scale)
+        track = uf.unfold_orbit(rec, P)
+        assert track.relative_residual < 1e-9
+        ref_pts = np.array([iso.apply(p.m) for iso, p in zip(ref, rec.points)])
+        assert np.all(np.abs(track.points - ref_pts)
+                      <= 1e-13 * (1.0 + np.abs(ref_pts).max(axis=1, keepdims=True)))
+
+
+def test_terminal_event_within_rounding_of_sequential_reference():
+    # events take their isometry from the scan, so on solids whose products
+    # round they differ from the sequential product in the last bits only
+    P = regular_tetrahedron(Tolerances(plane=1e-3))
+    rng = np.random.default_rng(16)
+    m, th, f = bl.random_phase_points(P, 40, rng)
+    late = 0
+    for i in range(40):
+        rec = bl.orbit(bl.PhasePoint(int(f[i]), m[i], th[i]), 1000, P)
+        ev = rec.singularity
+        if ev is None or ev.kind is not bl.SingularityKind.EDGE_HIT:
+            continue
+        late += ev.step >= 100
+        iso = _reference_cumulative_isometries(P, [p.face for p in rec.points])[ev.step]
+        e = P.edges[ev.edge]
+        for got, ref in ((ev.unfolded_point, iso.apply(e.point)),
+                         (ev.unfolded_direction, iso.apply_direction(e.direction))):
+            assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+    assert late > 0
+
+
+def test_cumulative_isometries_short_itineraries(cube):
+    assert len(uf.cumulative_isometries(cube, [4])) == 1
+    (iso,) = uf.cumulative_isometries(cube, [4])
+    assert np.array_equal(iso.linear, np.eye(3)) and np.array_equal(iso.translation, np.zeros(3))
+    for faces in ([4, 5], [4, 1, 0], [0, 1, 0, 1, 2, 3, 4, 5, 4]):
+        got = uf.cumulative_isometries(cube, faces)
+        ref = _reference_cumulative_isometries(cube, faces)
+        for a, b in zip(got, ref):
+            assert a.linear.tobytes() == b.linear.tobytes()
+            assert a.translation.tobytes() == b.translation.tobytes()
+
+
+def test_track_properties_are_lazy_and_consistent(cube):
+    rec = _orbit(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0], 50)
+    track = uf.unfold_orbit(rec, cube)
+    assert "isometries" not in vars(track) and "face_polygons" not in vars(track)
+    for k, iso in enumerate(track.isometries):
+        assert np.array_equal(iso.linear, track.linear[k])
+        assert np.array_equal(iso.translation, track.translation[k])
+    assert track.isometries is track.isometries
+    assert len(track.face_polygons) == rec.n_bounces
+    # the isometries are views into the track's arrays, which reject writes
+    for a in (track.linear, track.isometries[3].translation,
+              uf.cumulative_isometries(cube, [4, 1, 0])[2].linear):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_orbit_and_unfold_compose_no_isometry(monkeypatch):
+    calls = []
+    compose = uf.Isometry.compose
+
+    def counting_compose(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(uf.Isometry, "compose", counting_compose)
+    for P in (unit_cube(), regular_tetrahedron()):
+        (rec,) = _long_orbits(P, 32, count=1)
+        track = uf.unfold_orbit(rec, P)
+        assert rec.n_bounces == 1000 and track.relative_residual < 1e-9
+    # an orbit that ends on an edge after some bounces unfolds its event too
+    theta = np.array([1.0, 1.0, 0.5]) / 1.5
+    cube = unit_cube()
+    rec = bl.orbit(bl.phase_point(cube, [0.5, 0.0, 0.25], theta, face="y0"), 10, cube)
+    assert rec.singularity.kind is bl.SingularityKind.EDGE_HIT and rec.singularity.step == 2
+    bl.discontinuity_report(rec, cube, radius=0.1)
+    assert calls == []
