@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (Hit, HitKind, NoAdvance, Polyhedron, edge_arrays,
-                       first_hit, segment_segment_distance, unit, vec3)
+from .geometry import (Hit, HitKind, NoAdvance, Polyhedron, first_hit,
+                       segment_segment_distance, unit, vec3)
 from .transversal import EdgeLine
 from .unfolding import Isometry, _prefix_isometries
 
@@ -266,8 +266,7 @@ def sample_inward_directions(P: Polyhedron, faces: np.ndarray,
     w = rng.uniform(0.0, 1.0, count) * (np.asarray(w_hi) - np.asarray(w_lo)) + w_lo
     phi = rng.uniform(0.0, 1.0, count) * (np.asarray(phi_hi) - np.asarray(phi_lo)) + phi_lo
     r = np.sqrt(np.maximum(0.0, 1.0 - w * w))
-    frames = np.array([np.vstack(P.face_frame(f)) for f in range(P.n_faces)])
-    fr = frames[faces]                                 # (B, 3, 3) rows t1,t2,n
+    fr = P.frames[faces]                               # (B, 3, 3) rows t1,t2,n
     local = np.stack([r * np.cos(phi), r * np.sin(phi), w], axis=1)
     return np.einsum("bi,bij->bj", local, fr)
 
@@ -297,7 +296,6 @@ def run_word_batch(P: Polyhedron, m: np.ndarray, theta: np.ndarray,
     :func:`billiard_step`, including conservative edge-hit termination.
     """
     tol, N = P.tol, P.normals
-    ed = edge_arrays(P)
     face = np.asarray(face).astype(np.int64)
     words = np.full((len(face), n_labels), -1, dtype=np.int16)
     words[:, 0] = face
@@ -321,9 +319,9 @@ def run_word_batch(P: Polyhedron, m: np.ndarray, theta: np.ndarray,
             fstar = np.argmin(t, axis=1)
             tstar = np.take_along_axis(t, fstar[:, None], axis=1)[:, 0]
             q = m + tstar[:, None] * theta
-            # s(q) serves this edge test (see edge_arrays) and the next face choice
+            # s(q) serves this edge test (see Polyhedron) and the next face choice
             s = q @ N.T + P.offsets
-            x = s * np.take(ed["inv_sin"], fstar, axis=0) + np.take(ed["mask"], fstar, axis=0)
+            x = s * np.take(P.inv_sin, fstar, axis=0) + np.take(P.edge_mask, fstar, axis=0)
         edist = x.T.copy().min(axis=0)      # numpy reduces short rows slowly
 
         keep = np.isfinite(tstar) & (edist > tol.plane)

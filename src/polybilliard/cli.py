@@ -90,7 +90,9 @@ def _parse_tolerances(pairs: list[str]) -> geometry.Tolerances:
     return dataclasses.replace(geometry.Tolerances(), **overrides)
 
 
-def _load_polyhedron(path: str, tol: geometry.Tolerances) -> geometry.Polyhedron:
+def _load_polyhedron(args) -> geometry.Polyhedron:
+    """The ``polyhedron`` argument of a subcommand, under its ``--tol`` overrides."""
+    tol, path = _parse_tolerances(args.tol), args.polyhedron
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -128,10 +130,12 @@ def _json_line(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=True)
 
 
-def _start_point(P: geometry.Polyhedron, args) -> billiard.PhasePoint:
+def _orbit(args) -> tuple[geometry.Polyhedron, billiard.OrbitRecord]:
+    """The solid and the ``--steps`` orbit from ``--m``/``--theta``/``--face``."""
+    P = _load_polyhedron(args)
     theta = _parse_direction(args.theta)
-    m = _parse_vec(args.m)
-    return billiard.phase_point(P, m, theta, face=args.face)
+    x = billiard.phase_point(P, _parse_vec(args.m), theta, face=args.face)
+    return P, billiard.orbit(x, args.steps, P)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +143,7 @@ def _start_point(P: geometry.Polyhedron, args) -> billiard.PhasePoint:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    P = _load_polyhedron(args.polyhedron, _parse_tolerances(args.tol))
-    x = _start_point(P, args)
-    rec = billiard.orbit(x, args.steps, P)
+    P, rec = _orbit(args)
     lines = [_json_line({"config_hash": _config_hash(args), "command": "simulate",
                          "status": "completed" if rec.completed else "singular"})]
     for k, pp in enumerate(rec.points):
@@ -153,9 +155,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_code(args) -> int:
-    P = _load_polyhedron(args.polyhedron, _parse_tolerances(args.tol))
-    x = _start_point(P, args)
-    rec = billiard.orbit(x, args.steps, P)
+    P, rec = _orbit(args)
     out = {
         "config_hash": _config_hash(args),
         "word": rec.word,
@@ -170,9 +170,7 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_unfold(args) -> int:
-    P = _load_polyhedron(args.polyhedron, _parse_tolerances(args.tol))
-    x = _start_point(P, args)
-    rec = billiard.orbit(x, args.steps, P)
+    P, rec = _orbit(args)
     track = unfolding.unfold_orbit(rec, P)
     lines = [_json_line({"config_hash": _config_hash(args), "command": "unfold",
                          "residual": track.residual,
@@ -184,7 +182,7 @@ def _cmd_unfold(args) -> int:
 
 
 def _cmd_group(args) -> int:
-    P = _load_polyhedron(args.polyhedron, _parse_tolerances(args.tol))
+    P = _load_polyhedron(args)
     closure = unfolding.generate_group(P, bound=args.bound)
     if closure.closed:
         print(closure.order)
@@ -244,7 +242,7 @@ def _cmd_transversal(args) -> int:
 
 
 def _cmd_cell(args) -> int:
-    P = _load_polyhedron(args.polyhedron, _parse_tolerances(args.tol))
+    P = _load_polyhedron(args)
     theta = _parse_direction(args.theta)
     word = [w.strip() for w in args.word.split(",") if w.strip()]
     if not word:
@@ -270,7 +268,7 @@ def _cmd_cell(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    P = _load_polyhedron(args.polyhedron, _parse_tolerances(args.tol))
+    P = _load_polyhedron(args)
     table = symbolic.estimate_complexity(P, args.nmax, _parse_budget(args.budget),
                                          seed=args.seed, workers=args.threads)
     h = _config_hash(args)

@@ -132,6 +132,15 @@ def _newell_normal(pts: np.ndarray) -> np.ndarray:
     return n
 
 
+def tangent_frame(v: np.ndarray) -> np.ndarray:
+    """Rows (t1, t2) completing the unit vector ``v`` to the orthonormal
+    frame (t1, t2, v): t1 = unit(v x a) with a = e_x, or e_y when
+    |v_0| >= 0.9, and t2 = v x t1."""
+    a = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    t1 = unit(np.cross(v, a))
+    return np.vstack([t1, np.cross(v, t1)])
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -168,11 +177,21 @@ class Polyhedron:
     """Immutable convex polyhedron with labeled faces and derived edges.
 
     Construct through :func:`validate` (or the solid builders below), never
-    directly; the constructor trusts its inputs.  All query methods are pure,
-    so instances are safe to share across threads.  The stepping tables of
-    :func:`edge_arrays` and the face reflections of beams are filled lazily
-    without a lock; that race is benign, since every thread builds the same
-    table from the same immutable data.
+    directly; the constructor trusts its inputs and builds every per-solid
+    table once, read-only, so instances are safe to share across threads.
+
+    Batch stepping tables, (F, F), for hit face f and face g: ``inv_sin`` is
+    1 / sin of the angle between their normals where they share an edge,
+    else 0, and ``edge_mask`` is 0 there and +inf elsewhere.  For q inside
+    f, s_g(q) / sin is the distance within f to the line of f∩g (s_g: signed
+    distance to plane g), so ``min_g(s_g(q) * inv_sin + edge_mask)`` is q's
+    distance to the boundary of f.  Outside f it fails: q can be nearer an
+    edge's line than the edge.  Scalar ``rows``, per face in Python floats:
+    plane ``(nx, ny, nz, c)``, vertices ``(x, y, z, id)``, edges ``(ax, ay,
+    az, bx - ax, by - ay, bz - az, squared length, id)`` from endpoint a to
+    endpoint b.  The reflection across face f is x -> ``reflection_linear[f]
+    @ x + reflection_translation[f]``, and ``frames[f]`` has the rows (t1,
+    t2, n) of :meth:`face_frame`.
     """
 
     def __init__(self, vertices: np.ndarray, faces: list[Face],
@@ -181,8 +200,8 @@ class Polyhedron:
         self.faces = faces
         self.edges = edges
         self.tol = tol
-        self.normals = np.array([f.plane.normal for f in faces])
-        self.offsets = np.array([f.plane.offset for f in faces])
+        N = self.normals = np.array([f.plane.normal for f in faces])
+        c = self.offsets = np.array([f.plane.offset for f in faces])
         self.labels = [f.label for f in faces]
         self._label_index = {f.label: i for i, f in enumerate(faces)}
         self._face_edges: list[list[int]] = [[] for _ in faces]
@@ -190,8 +209,29 @@ class Polyhedron:
             for f in e.faces:
                 self._face_edges[f].append(e_id)
         self._face_polys = [vertices[list(f.boundary)] for f in faces]
-        self._tables: dict | None = None
-        self._reflections: list | None = None     # symbolic._face_reflections
+
+        fa, fb = np.array([e.faces for e in edges]).T
+        self.inv_sin = np.zeros((len(faces), len(faces)))
+        self.inv_sin[fa, fb] = self.inv_sin[fb, fa] = 1.0 / np.linalg.norm(
+            np.cross(N[fa], N[fb]), axis=1)
+        self.edge_mask = np.where(self.inv_sin > 0.0, 0.0, np.inf)
+        rows = []
+        for f, face in enumerate(faces):
+            segs = []
+            for e_id in self._face_edges[f]:
+                i, j = edges[e_id].endpoints
+                seg = vertices[j] - vertices[i]
+                segs.append((*vertices[i].tolist(), *seg.tolist(), float(seg @ seg), e_id))
+            verts = tuple((*vertices[v].tolist(), v) for v in face.boundary)
+            rows.append((*N[f].tolist(), float(c[f]), verts, tuple(segs)))
+        self.rows = tuple(rows)
+        # Isometry.reflection of each face plane: x - 2 (<n, x> + c) n
+        self.reflection_linear = np.eye(3) - 2.0 * N[:, :, None] * N[:, None, :]
+        self.reflection_translation = -2.0 * c[:, None] * N
+        self.frames = np.array([np.vstack([tangent_frame(n), n]) for n in N])
+        for a in (N, c, self.inv_sin, self.edge_mask, self.reflection_linear,
+                  self.reflection_translation, self.frames, *self._face_polys):
+            a.setflags(write=False)
 
     # -- queries ------------------------------------------------------------
 
@@ -237,52 +277,15 @@ class Polyhedron:
         """Distance from ``q`` to the nearest boundary edge of face ``f``,
         and that edge's id."""
         qx, qy, qz = np.asarray(q, float).tolist()
-        r2, e = _nearest_edge(edge_arrays(self)["rows"][f][5], qx, qy, qz)
+        r2, e = _nearest_edge(self.rows[f][5], qx, qy, qz)
         return math.sqrt(r2), e
 
     def face_frame(self, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Orthonormal (t1, t2, n) with n the inward face normal."""
-        n = self.faces[f].plane.normal
-        a = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        t1 = unit(np.cross(n, a))
-        t2 = np.cross(n, t1)
-        return t1, t2, n
+        return tuple(self.frames[f])
 
     def with_tolerances(self, tol: Tolerances) -> "Polyhedron":
         return Polyhedron(self.vertices, self.faces, self.edges, tol)
-
-
-def edge_arrays(P: Polyhedron) -> dict:
-    """Per-solid stepping tables, built on first use and cached on ``P``.
-
-    Batch keys, (F, F), for hit face f and face g: ``inv_sin`` is 1 / sin of
-    the angle between their normals where they share an edge, else 0, and
-    ``mask`` is 0 there and +inf elsewhere.  For q inside f, s_g(q) / sin is
-    the distance within f to the line of f∩g (s_g: signed distance to plane
-    g), so ``min_g(s_g(q) * inv_sin + mask)`` is q's distance to the boundary
-    of f.  Outside f it fails: q can be nearer an edge's line than the edge.
-    Scalar key ``rows``, per face in Python floats: plane ``(nx, ny, nz, c)``,
-    vertices ``(x, y, z, id)``, edges ``(ax, ay, az, bx - ax, by - ay, bz - az,
-    squared length, id)`` from endpoint a to endpoint b.
-    """
-    if P._tables is None:
-        F = P.n_faces
-        fa, fb = np.array([e.faces for e in P.edges]).T
-        inv_sin = np.zeros((F, F))
-        inv_sin[fa, fb] = inv_sin[fb, fa] = 1.0 / np.linalg.norm(
-            np.cross(P.normals[fa], P.normals[fb]), axis=1)
-        mask = np.where(inv_sin > 0.0, 0.0, np.inf)
-        rows = []
-        for f in range(F):
-            edges = []
-            for e_id in P.face_edge_ids(f):
-                i, j = P.edges[e_id].endpoints
-                seg = P.vertices[j] - P.vertices[i]
-                edges.append((*P.vertices[i].tolist(), *seg.tolist(), float(seg @ seg), e_id))
-            verts = tuple((*P.vertices[v].tolist(), v) for v in P.faces[f].boundary)
-            rows.append((*P.normals[f].tolist(), float(P.offsets[f]), verts, tuple(edges)))
-        P._tables = {"inv_sin": inv_sin, "mask": mask, "rows": tuple(rows)}
-    return P._tables
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +458,11 @@ def first_hit(m: np.ndarray, theta: np.ndarray, P: Polyhedron) -> Hit:
     into the interior (``orbit`` checks this itself, so
     ``classify_phase_point`` is the validated single ray).  With F of about
     6, a numpy call costs more than the arithmetic it does, so this walks the
-    per-solid float rows of :func:`edge_arrays` instead.  Among faces hit at
+    per-solid float ``rows`` of :class:`Polyhedron` instead.  Among faces hit at
     the same distance the lowest face id wins.
     """
     tol = P.tol
-    rows = edge_arrays(P)["rows"]
+    rows = P.rows
     mx, my, mz = m.tolist()
     tx, ty, tz = theta.tolist()
     tf, f = math.inf, -1
@@ -492,7 +495,7 @@ def first_hit(m: np.ndarray, theta: np.ndarray, P: Polyhedron) -> Hit:
 
 def _nearest_edge(edges, qx: float, qy: float, qz: float) -> tuple[float, int]:
     """Squared distance from q to the nearest of a face's clipped edge
-    segments, given as its ``edge_arrays`` rows, and that edge's id; the
+    segments, given as its rows in ``Polyhedron.rows``, and that edge's id; the
     first edge wins a tie.  Both endpoints of an edge are at distance 0."""
     best, edge = math.inf, -1
     for ax, ay, az, ex, ey, ez, l2, e in edges:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .billiard import run_word_batch, sample_inward_directions, sample_points_in_face
-from .geometry import Polyhedron, unit
+from .geometry import Polyhedron, tangent_frame, unit
 from .unfolding import Isometry
 
 
@@ -186,12 +186,8 @@ def make_beam(P: Polyhedron, label: str, theta) -> Beam:
     theta = unit(theta)
     if float(theta @ P.normals[f]) <= P.tol.angle:
         raise ValueError(f"direction is tangent to face {label!r}")
-    helper = np.array([1.0, 0.0, 0.0]) if abs(theta[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = unit(np.cross(theta, helper))
-    e2 = np.cross(theta, e1)
-    axes = np.vstack([e1, e2])
     origin = P.face_polygon(f).mean(axis=0)
-    beam = Beam(theta, origin, axes, _EMPTY2, [label])
+    beam = Beam(theta, origin, tangent_frame(theta), _EMPTY2, [label])
     beam.section = np.array(_ensure_ccw(beam.project(P.face_polygon(f)).tolist()))
     return beam
 
@@ -199,14 +195,6 @@ def make_beam(P: Polyhedron, label: str, theta) -> Beam:
 # absolute: a zero-length guard before dividing by the length of a face
 # copy's projection, so any positive floor is sound
 _SEGMENT_TOL = 1e-15
-
-
-def _face_reflections(P: Polyhedron) -> list[Isometry]:
-    """The reflection across each face, built on first use and cached on
-    ``P`` (the lock-free fill is benign, as for ``edge_arrays``)."""
-    if P._reflections is None:
-        P._reflections = [Isometry.reflection(face.plane) for face in P.faces]
-    return P._reflections
 
 
 def propagate_beam(b: Beam, label: str, P: Polyhedron, strict: bool = False) -> Beam:
@@ -252,7 +240,7 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron, strict: bool = False) -> 
     else:
         section = _clip_convex(section, _ensure_ccw(verts2.tolist()))
 
-    new_iso = iso.compose(_face_reflections(P)[f])
+    new_iso = iso.compose(Isometry(P.reflection_linear[f], P.reflection_translation[f]))
     section = np.array(section).reshape(-1, 2)
     out = Beam(b.theta, b.origin, b.axes, section, b.word + [label],
                b.isometries + [new_iso])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .geometry import line_line_distance, unit, vec3
+from .geometry import line_line_distance, tangent_frame, unit, vec3
 
 
 class IdenticalLines(Exception):
@@ -147,8 +147,9 @@ class TripleSurface:
     direction to the first axis; ``coeff_num[i]``/``coeff_den[i]`` are the
     rational-constraint vectors of the other two edges in that frame.  The
     surface is the locus where the two forced offsets agree, expressed as a
-    height field ``P1 = f(P2, P3)`` away from its denominator locus and as a
-    cleared-denominator polynomial residual everywhere.
+    height field ``P1 = f(P2, P3)`` away from its denominator locus and as
+    the zero set of the cleared-denominator residual ``P1 B1 alpha + beta
+    (B1 + a1_0) - A1 alpha`` (terms of :meth:`_pieces`) everywhere.
     """
 
     edges: tuple[EdgeLine, EdgeLine, EdgeLine]
@@ -186,14 +187,6 @@ class TripleSurface:
             return None
         return (a2[0] * q + A2) / B2 + q
 
-    def residual(self, pts_adapted) -> np.ndarray:
-        """Cleared-denominator implicit residual; zero on the surface."""
-        pts = np.atleast_2d(np.asarray(pts_adapted, float))
-        P1, P2, P3 = pts[:, 0], pts[:, 1], pts[:, 2]
-        (a1, _), _ = self.coeff_num, self.coeff_den
-        B1, B2, alpha, A1, A2, beta = self._pieces(P2, P3)
-        return P1 * B1 * alpha + beta * (B1 + a1[0]) - A1 * alpha
-
     def contains(self, pts, tol: float = 1e-8) -> np.ndarray:
         """Surface membership for world points (boolean array)."""
         ad = np.atleast_2d(self.to_adapted(pts))
@@ -213,7 +206,7 @@ class TripleSurface:
     def residual_poly_along(self, line: EdgeLine) -> np.ndarray:
         """Ascending coefficients of the residual along ``line`` (degree <= 3).
 
-        Each factor of :meth:`residual` is linear in the line parameter, so
+        Each factor of the class's residual is linear in the line parameter, so
         the products are spelled out on ``(constant, slope)`` float pairs;
         trailing exact zeros are trimmed, as ``numpy.polynomial`` does.
         """
@@ -246,10 +239,7 @@ def triple_surface(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine) -> TripleSurface:
     _require_skew(a0, a2, "a0/a2")
     _require_skew(a1, a2, "a1/a2")
     e1 = a0.direction
-    helper = np.array([1.0, 0.0, 0.0]) if abs(e1[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e2 = unit(np.cross(e1, helper))
-    e3 = np.cross(e1, e2)
-    frame = np.vstack([e1, e2, e3])
+    frame = np.vstack([e1, tangent_frame(e1)])
     origin = a0.point.copy()
     num = np.empty((2, 3))
     den = np.empty((2, 3))

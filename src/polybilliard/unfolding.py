@@ -73,12 +73,9 @@ def _prefix_isometries(P: Polyhedron, faces: list[int]) -> tuple[np.ndarray, np.
     :func:`cumulative_isometries` by a Hillis-Steele scan: entry k starts as
     the reflection across ``faces[k]`` (entry 0 as the identity), and the
     pass with stride s composes entry k - s with entry k."""
-    crossed, which = np.unique(np.asarray(faces[1:], dtype=int), return_inverse=True)
-    table = [Isometry.identity()] + [Isometry.reflection(P.faces[f].plane)
-                                     for f in crossed.tolist()]
-    pick = np.concatenate(([0], which + 1))
-    lin = np.array([g.linear for g in table])[pick]
-    trans = np.array([g.translation for g in table])[pick]
+    idx = np.asarray(faces, dtype=np.intp)
+    lin, trans = P.reflection_linear[idx], P.reflection_translation[idx]
+    lin[0], trans[0] = np.eye(3), 0.0
     s, L = 1, len(faces)
     while s < L:
         # both right-hand sides read entries from before this pass
@@ -231,8 +228,7 @@ def generate_group(P: Polyhedron, bound: int = 10000) -> GroupClosure:
         raise ValueError("bound must be >= 1")
     gens: list[np.ndarray] = []
     seen = _MatrixBuckets()
-    for f in P.faces:
-        R = Isometry.reflection(f.plane).linear
+    for R in P.reflection_linear:
         if not seen.find(R):
             seen.add(R)
             gens.append(R)

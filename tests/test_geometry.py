@@ -71,6 +71,16 @@ def test_duplicate_labels_rejected(cube):
         g.validate(cube.vertices, faces)
 
 
+def test_polyhedron_arrays_are_read_only():
+    P = g.unit_cube()
+    arrays = [P.vertices, P.normals, P.offsets, P.inv_sin, P.edge_mask, P.reflection_linear,
+              P.reflection_translation, P.frames, *P.face_frame(0),
+              *(P.face_polygon(f) for f in range(P.n_faces))]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 7.0
+
+
 def test_json_round_trip(cube):
     data = g.dump_polyhedron(cube)
     again = g.load_polyhedron(json.loads(json.dumps(data)))

@@ -23,6 +23,20 @@ def _beam_along(cube, label, theta, word):
     return b
 
 
+def test_polyhedron_attributes_unchanged_by_use():
+    P = unit_cube()
+    before = dict(vars(P))
+    x = bl.phase_point(P, [0.3141, 0.2718, 0.0], np.array([0.5772, 0.6931, 1.0]) / 1.3)
+    rec = bl.orbit(x, 50, P)
+    bl.run_word_batch(P, *bl.random_phase_points(P, 64, np.random.default_rng(0)), 8)
+    sy.estimate_complexity(P, 4, 256, chunk_size=64, workers=2)
+    _beam_along(P, "z0", rec.points[0].theta, rec.word[1:10])
+    uf.generate_group(P, bound=100)
+    after = vars(P)
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+
+
 # ---------------------------------------------------------------------------
 # beams and cells
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from polybilliard import billiard as bl
+from polybilliard import symbolic as sy
 from polybilliard import unfolding as uf
-from polybilliard.geometry import (Plane, Tolerances, box, regular_tetrahedron, unit_cube,
-                                  validate)
+from polybilliard.geometry import (Plane, Tolerances, box, regular_tetrahedron, unit,
+                                  unit_cube, validate)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -121,7 +122,7 @@ def test_unfold_colinearity_long(cube):
         done += 1
 
 
-def test_face_reflections_built_only_for_crossed_faces(cube, monkeypatch):
+def test_no_reflection_built_after_construction(cube, monkeypatch):
     calls = []
     reflection = uf.Isometry.reflection
 
@@ -136,10 +137,37 @@ def test_face_reflections_built_only_for_crossed_faces(cube, monkeypatch):
         x = bl.PhasePoint(cube.face_index("z0"), np.array(m), theta)
         ev = bl.classify_phase_point(x, cube)
         assert ev.kind is bl.SingularityKind.EDGE_HIT and ev.step == 0
-    assert len(calls) == 0
+        e = cube.edges[ev.edge]
+        assert np.array_equal(ev.unfolded_point, e.point)
+        assert np.array_equal(ev.unfolded_direction, e.direction)
     rec = _orbit(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0], 1000)
     uf.unfold_orbit(rec, cube)
-    assert 0 < len(calls) <= cube.n_faces
+    uf.generate_group(cube, bound=100)
+    beam = sy.make_beam(cube, "z0", rec.points[0].theta)
+    for label in rec.word[1:20]:
+        beam = sy.propagate_beam(beam, label, cube)
+    assert len(beam.isometries) == 20 and not beam.is_empty
+    assert len(calls) == 0
+
+
+def _reference_frame(n):
+    """The face frame as built per call before the tables: e_x as the
+    helper unless |n_0| >= 0.9, cross, normalise, cross."""
+    a = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    t1 = unit(np.cross(n, a))
+    return np.vstack([t1, np.cross(n, t1), n])
+
+
+@pytest.mark.parametrize("name", ["cube", "tetra", "rotated-box"])
+def test_face_tables_match_per_face_builds(name):
+    P = _moved(box(2.0, 1.0, 0.5), 5) if name == "rotated-box" else (
+        unit_cube() if name == "cube" else regular_tetrahedron())
+    for f, face in enumerate(P.faces):
+        R = uf.Isometry.reflection(face.plane)
+        assert P.reflection_linear[f].tobytes() == R.linear.tobytes()
+        assert P.reflection_translation[f].tobytes() == R.translation.tobytes()
+        assert P.frames[f].tobytes() == _reference_frame(face.plane.normal).tobytes()
+        assert np.vstack(P.face_frame(f)).tobytes() == P.frames[f].tobytes()
 
 
 # ---------------------------------------------------------------------------
