@@ -255,9 +255,9 @@ class Polyhedron:
         return self.vertices.mean(axis=0)
 
     def diameter(self) -> float:
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
+        """Largest distance between two vertices."""
+        V = self.vertices
+        return float(np.sqrt((((V[:, None] - V[None]) ** 2).sum(axis=2)).max()))
 
     def signed_distances(self, pts) -> np.ndarray:
         """Signed distances to all face planes; >= 0 everywhere iff inside."""
@@ -267,7 +267,7 @@ class Polyhedron:
         """Is ``q`` (assumed on the face plane) inside the face polygon?"""
         slack = self.tol.plane if slack is None else slack
         poly = self.face_polygon(f)
-        n = self.faces[f].plane.normal
+        n = self.normals[f]
         nxt = np.roll(poly, -1, axis=0)
         side = np.cross(n, nxt - poly)          # points into the polygon
         rel = np.asarray(q, float) - poly
@@ -379,7 +379,8 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
             raise OpenSurface(f"edge ({i},{j}) belongs to {len(fs)} faces, expected 2")
         edges.append(Edge((i, j), V[i].copy(), unit(V[j] - V[i]), (fs[0], fs[1])))
 
-    V.setflags(write=False)
+    for a in (V, *(pl.normal for pl in planes), *(a for e in edges for a in (e.point, e.direction))):
+        a.setflags(write=False)
     return Polyhedron(V, face_objs, edges, tol)
 
 

@@ -17,10 +17,10 @@ crosses it at most four times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .geometry import line_line_distance, tangent_frame, unit, vec3
 
@@ -149,7 +149,11 @@ class TripleSurface:
     surface is the locus where the two forced offsets agree, expressed as a
     height field ``P1 = f(P2, P3)`` away from its denominator locus and as
     the zero set of the cleared-denominator residual ``P1 B1 alpha + beta
-    (B1 + a1_0) - A1 alpha`` (terms of :meth:`_pieces`) everywhere.
+    (B1 + a1_0) - A1 alpha`` (terms of :meth:`_height`) everywhere.
+
+    The arrays are read-only: the coefficient rows are also kept as float
+    tuples, with the surface's factor ``(1 + max|num|)(1 + max|den|)^2`` of
+    the probe scale ``char``, so a probe does no per-surface work.
     """
 
     edges: tuple[EdgeLine, EdgeLine, EdgeLine]
@@ -158,79 +162,94 @@ class TripleSurface:
     coeff_num: np.ndarray        # (2,3)
     coeff_den: np.ndarray        # (2,3), first components ~0
 
+    def __post_init__(self):
+        for a in (self.origin, self.frame, self.coeff_num, self.coeff_den):
+            a.setflags(write=False)
+        num, den = self.coeff_num.tolist(), self.coeff_den.tolist()
+        self._num = tuple(map(tuple, num))
+        self._den = tuple(map(tuple, den))
+        self._char = ((1.0 + max(abs(x) for row in num for x in row))
+                      * (1.0 + max(abs(x) for row in den for x in row)) ** 2)
+
     def to_adapted(self, pts) -> np.ndarray:
         return (np.asarray(pts, float) - self.origin) @ self.frame.T
 
-    def _pieces(self, P2, P3):
-        (a1, a2), (b1, b2) = self.coeff_num, self.coeff_den
-        B1 = b1[1] * P2 + b1[2] * P3
-        B2 = b2[1] * P2 + b2[2] * P3
-        alpha = a1[0] * B2 - a2[0] * B1
-        A1 = a1[1] * P2 + a1[2] * P3
-        A2 = a2[1] * P2 + a2[2] * P3
+    def _height(self, P2: float, P3: float):
+        """``(height or None, B1, alpha, A1, beta)`` over (P2, P3), in floats."""
+        (a10, a11, a12), (a20, a21, a22) = self._num
+        (_, b11, b12), (_, b21, b22) = self._den
+        B1 = b11 * P2 + b12 * P3
+        B2 = b21 * P2 + b22 * P3
+        alpha = a10 * B2 - a20 * B1
+        A1 = a11 * P2 + a12 * P3
+        A2 = a21 * P2 + a22 * P3
         beta = A1 * B2 - A2 * B1
-        return B1, B2, alpha, A1, A2, beta
+        tiny = 1e-12 * (1.0 + abs(P2) + abs(P3))
+        h = None
+        if not abs(alpha) < tiny * (1.0 + abs(a10) + abs(a20)):
+            q = -beta / alpha
+            if abs(B1) >= abs(B2):
+                if not abs(B1) < tiny:
+                    h = (a10 * q + A1) / B1 + q
+            elif not abs(B2) < tiny:
+                h = (a20 * q + A2) / B2 + q
+        return h, B1, alpha, A1, beta
 
     def height(self, P2: float, P3: float) -> float | None:
         """First adapted coordinate of the surface over (P2, P3), if defined."""
-        (a1, a2), _ = self.coeff_num, self.coeff_den
-        B1, B2, alpha, A1, A2, beta = self._pieces(P2, P3)
-        tiny = 1e-12 * (1.0 + abs(P2) + abs(P3))
-        if abs(alpha) < tiny * (1.0 + abs(a1[0]) + abs(a2[0])):
-            return None
-        q = -beta / alpha
-        if abs(B1) >= abs(B2):
-            if abs(B1) < tiny:
-                return None
-            return (a1[0] * q + A1) / B1 + q
-        if abs(B2) < tiny:
-            return None
-        return (a2[0] * q + A2) / B2 + q
+        return self._height(P2, P3)[0]
+
+    def _member(self, P1: float, P2: float, P3: float, tol: float) -> bool:
+        """Membership of an adapted point: the height test where the height
+        is defined, else the cleared residual against its term sizes."""
+        h, B1, alpha, A1, beta = self._height(P2, P3)
+        if h is not None:
+            return abs(P1 - h) <= tol * (1.0 + abs(P1) + abs(h))
+        e = beta * (B1 + self._num[0][0])
+        res = P1 * B1 * alpha + e - A1 * alpha
+        mag = abs(P1 * B1 * alpha) + abs(e) + abs(A1 * alpha)
+        return abs(res) <= tol * (1.0 + mag)
 
     def contains(self, pts, tol: float = 1e-8) -> np.ndarray:
         """Surface membership for world points (boolean array)."""
-        ad = np.atleast_2d(self.to_adapted(pts))
-        out = np.zeros(len(ad), dtype=bool)
-        for i, (P1, P2, P3) in enumerate(ad):
-            h = self.height(P2, P3)
-            if h is not None:
-                out[i] = abs(P1 - h) <= tol * (1.0 + abs(P1) + abs(h))
-                continue
-            (a1, _), _ = self.coeff_num, self.coeff_den
-            B1, B2, alpha, A1, A2, beta = self._pieces(P2, P3)
-            res = P1 * B1 * alpha + beta * (B1 + a1[0]) - A1 * alpha
-            mag = abs(P1 * B1 * alpha) + abs(beta * (B1 + a1[0])) + abs(A1 * alpha)
-            out[i] = abs(res) <= tol * (1.0 + mag)
-        return out
+        ad = np.atleast_2d(self.to_adapted(pts)).tolist()
+        return np.array([self._member(P1, P2, P3, tol) for P1, P2, P3 in ad], dtype=bool)
 
-    def residual_poly_along(self, line: EdgeLine) -> np.ndarray:
-        """Ascending coefficients of the residual along ``line`` (degree <= 3).
+    def _residual(self, c, d) -> list[float]:
+        """Ascending coefficients of the residual along the adapted line
+        ``c + t d``, with trailing exact zeros trimmed (degree <= 3).
 
-        Each factor of the class's residual is linear in the line parameter, so
-        the products are spelled out on ``(constant, slope)`` float pairs;
-        trailing exact zeros are trimmed, as ``numpy.polynomial`` does.
+        Each factor of the residual is linear in t, so the products are
+        spelled out on ``(constant, slope)`` float pairs.
         """
-        c0, c1, c2 = self.to_adapted(line.point).tolist()
-        d0, d1, d2 = (self.frame @ line.direction).tolist()
-        (a1, a2), (b1, b2) = self.coeff_num.tolist(), self.coeff_den.tolist()
-        B10, B11 = b1[1] * c1 + b1[2] * c2, b1[1] * d1 + b1[2] * d2
-        B20, B21 = b2[1] * c1 + b2[2] * c2, b2[1] * d1 + b2[2] * d2
-        A10, A11 = a1[1] * c1 + a1[2] * c2, a1[1] * d1 + a1[2] * d2
-        A20, A21 = a2[1] * c1 + a2[2] * c2, a2[1] * d1 + a2[2] * d2
-        al0, al1 = a1[0] * B20 - a2[0] * B10, a1[0] * B21 - a2[0] * B11
+        c0, c1, c2 = c
+        d0, d1, d2 = d
+        (a10, a11, a12), (a20, a21, a22) = self._num
+        (_, b11, b12), (_, b21, b22) = self._den
+        B10, B11 = b11 * c1 + b12 * c2, b11 * d1 + b12 * d2
+        B20, B21 = b21 * c1 + b22 * c2, b21 * d1 + b22 * d2
+        A10, A11 = a11 * c1 + a12 * c2, a11 * d1 + a12 * d2
+        A20, A21 = a21 * c1 + a22 * c2, a21 * d1 + a22 * d2
+        al0, al1 = a10 * B20 - a20 * B10, a10 * B21 - a20 * B11
         # beta = A1 B2 - A2 B1 and q = P1 B1, both quadratic
         be0 = A10 * B20 - A20 * B10
         be1 = (A10 * B21 + A11 * B20) - (A20 * B11 + A21 * B10)
         be2 = A11 * B21 - A21 * B11
         q0, q1, q2 = c0 * B10, c0 * B11 + d0 * B10, d0 * B11
-        e0 = B10 + a1[0]
+        e0 = B10 + a10
         res = [(q0 * al0 + be0 * e0) - A10 * al0,
                (q0 * al1 + q1 * al0 + (be0 * B11 + be1 * e0)) - (A10 * al1 + A11 * al0),
                (q1 * al1 + q2 * al0 + (be1 * B11 + be2 * e0)) - A11 * al1,
                q2 * al1 + be2 * B11]
         while len(res) > 1 and res[-1] == 0.0:
             res.pop()
-        return np.array(res)
+        return res
+
+    def residual_poly_along(self, line: EdgeLine) -> np.ndarray:
+        """Ascending coefficients of the residual along ``line`` (degree <= 3),
+        trailing exact zeros trimmed, as ``numpy.polynomial`` does."""
+        return np.array(self._residual(self.to_adapted(line.point).tolist(),
+                                       (self.frame @ line.direction).tolist()))
 
 
 def triple_surface(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine) -> TripleSurface:
@@ -252,6 +271,28 @@ def triple_surface(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine) -> TripleSurface:
 ON_SURFACE = "on-surface"
 
 
+def _companion(c: list[float]) -> np.ndarray:
+    """Companion matrix of ``sum c[i] t^i`` (degree >= 2), built as numpy
+    2.x's ``polycompanion`` builds it: ones on the subdiagonal and last
+    column ``-c[:-1] / c[-1]``, so its eigenvalues are ``polyroots``'s."""
+    n = len(c) - 1
+    top = c[-1]
+    mat = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        if i:
+            mat[i][i - 1] = 1.0
+        mat[i][-1] = 0.0 - c[i] / top
+    return np.array(mat)
+
+
+def _roots(c: list[float]) -> list:
+    """Complex (or real) roots of ``sum c[i] t^i``, degree 1 to 3, with a
+    nonzero leading coefficient."""
+    if len(c) == 2:
+        return [-c[0] / c[1]]
+    return np.linalg.eigvals(_companion(c)).tolist()
+
+
 def count_line_surface_intersections(line: EdgeLine, S: TripleSurface) -> int | str:
     """Count parameter values where a probe line crosses the surface.
 
@@ -261,33 +302,39 @@ def count_line_surface_intersections(line: EdgeLine, S: TripleSurface) -> int | 
     denominators are not counted.  Returns :data:`ON_SURFACE` when the
     residual vanishes identically along the line and sampled points confirm
     membership.
+
+    The residual, its trim and the membership tests run on Python floats;
+    the adapted transforms of the line and of the root points and the
+    companion eigenvalues stay numpy calls, which round as the
+    ``numpy.polynomial`` path did.
     """
-    coeffs = S.residual_poly_along(line)
-    cmax = float(np.abs(coeffs).max())
     c_ad = S.to_adapted(line.point)
-    char = ((1.0 + float(np.abs(S.coeff_num).max()))
-            * (1.0 + float(np.abs(S.coeff_den).max())) ** 2
-            * (1.0 + float(np.linalg.norm(c_ad))) ** 3)
+    coeffs = S._residual(c_ad.tolist(), (S.frame @ line.direction).tolist())
+    cmax = max(map(abs, coeffs))
+    # np.linalg.norm computes sqrt(x.dot(x)); the same dot rounds the same
+    char = S._char * (1.0 + math.sqrt(float(c_ad.dot(c_ad)))) ** 3
     if cmax <= _ZERO_TOL * char:
         probes = line.point[None, :] + np.linspace(-3.0, 3.0, 9)[:, None] * line.direction
         if bool(S.contains(probes, tol=_ON_TOL).all()):
             return ON_SURFACE
         return 0
-    trimmed = npoly.polytrim(coeffs, tol=_TRIM_TOL * cmax)
-    if len(trimmed) <= 1:
+    # drop trailing coefficients at or below the trim tolerance
+    tol = _TRIM_TOL * cmax
+    n = len(coeffs)
+    while n and not abs(coeffs[n - 1]) > tol:
+        n -= 1
+    if n <= 1:
         return 0
-    roots = npoly.polyroots(trimmed)
-    real = sorted(float(r.real) for r in roots
+    real = sorted(r.real for r in _roots(coeffs[:n])
                   if abs(r.imag) <= _IMAG_TOL * (1.0 + abs(r.real)))
     merged: list[float] = []
     for r in real:
         if not merged or r - merged[-1] > _MERGE_TOL:
             merged.append(r)
-    pts = [line.at(t) for t in merged]
-    if not pts:
+    if not merged:
         return 0
-    on = S.contains(np.array(pts), tol=_ON_TOL)
-    return int(on.sum())
+    pts = line.point + np.array(merged)[:, None] * line.direction
+    return sum(S._member(P1, P2, P3, _ON_TOL) for P1, P2, P3 in S.to_adapted(pts).tolist())
 
 
 def sample_transversals(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine,

@@ -139,6 +139,11 @@ def test_transversal_triple(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["max_probe_count"] <= 4
     assert out["transversals_on_surface"] == len(out["transversals"])
+    # frozen probe output: a count change on the CLI path fails here
+    assert out["probe_counts"] == [
+        0, 2, 0, 2, 0, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+        0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2, 2, 2, 2, 0, 2, 2, 2, 2]
+    assert out["max_probe_count"] == 2
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

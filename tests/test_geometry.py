@@ -81,6 +81,26 @@ def test_polyhedron_arrays_are_read_only():
             a.flat[0] = 7.0
 
 
+def test_face_planes_and_edges_are_read_only():
+    P = g.unit_cube()
+    z0 = P.face_index("z0")
+    centre = (0.5, 0.5, 0.0)
+    assert P.point_in_face(z0, centre)
+    arrays = [*(f.plane.normal for f in P.faces),
+              *(a for e in P.edges for a in (e.point, e.direction))]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[:] *= -1
+    assert P.point_in_face(z0, centre)
+    assert np.array_equal(P.normals[z0], [0.0, 0.0, 1.0])
+
+
+def test_diameter_is_largest_vertex_distance():
+    assert g.regular_tetrahedron().diameter() == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-15)
+    assert g.unit_cube().diameter() == pytest.approx(np.sqrt(3.0), rel=1e-15)
+    assert g.box(2, 1, 0.5).diameter() == pytest.approx(np.sqrt(5.25), rel=1e-15)
+
+
 def test_json_round_trip(cube):
     data = g.dump_polyhedron(cube)
     again = g.load_polyhedron(json.loads(json.dumps(data)))
