@@ -284,6 +284,11 @@ def random_phase_points(P: Polyhedron, count: int,
     return m, theta, faces
 
 
+# rows stepped together by run_word_batch: each (F, _BLOCK) temporary of a
+# small solid (393 KB at F = 6) then stays in L2 across the bounce loop
+_BLOCK = 8192
+
+
 def run_word_batch(P: Polyhedron, m: np.ndarray, theta: np.ndarray,
                    face: np.ndarray, n_labels: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,7 +300,6 @@ def run_word_batch(P: Polyhedron, m: np.ndarray, theta: np.ndarray,
     within the ``sing`` tolerance of an edge).  Semantics match iterating
     :func:`billiard_step`, including conservative edge-hit termination.
     """
-    tol, N = P.tol, P.normals
     face = np.asarray(face).astype(np.int64)
     words = np.full((len(face), n_labels), -1, dtype=np.int16)
     words[:, 0] = face
@@ -304,35 +308,57 @@ def run_word_batch(P: Polyhedron, m: np.ndarray, theta: np.ndarray,
 
     # tangent starts never advance
     theta = np.asarray(theta, float)
-    rows = np.flatnonzero(np.einsum("bj,bj->b", theta, N[face]) > tol.angle)
-    m, theta = np.asarray(m, float)[rows], theta[rows]
-    s = m @ N.T + P.offsets
+    rows = np.flatnonzero(np.einsum("bj,bj->b", theta, P.normals[face]) > P.tol.angle)
+    m = np.asarray(m, float)
+    for lo in range(0, rows.size, _BLOCK):
+        block = rows[lo:lo + _BLOCK]
+        _step_block(P, m[block].T.copy(), theta[block].T.copy(), block, words, lengths, flags)
+    return words, lengths, flags
 
-    for k in range(1, n_labels):
+
+def _step_block(P: Polyhedron, m: np.ndarray, theta: np.ndarray, rows: np.ndarray,
+                words: np.ndarray, lengths: np.ndarray, flags: np.ndarray) -> None:
+    """Step the rays ``rows`` of :func:`run_word_batch`, face-major: ``m`` and
+    ``theta`` are (3, b), every per-face quantity is (F, b), so each reduction
+    over faces runs along axis 0.  Writes into ``words``, ``lengths`` and
+    ``flags`` in place."""
+    tol, N = P.tol, P.normals
+    offsets = P.offsets[:, None]
+    s = N @ m + offsets
+    for k in range(1, words.shape[1]):
         if rows.size == 0:
             break
-        d = theta @ N.T
+        d = N @ theta
         # a row with no forward hit (tstar = inf) gets inf/nan below
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = s / -d
-            t[(d >= -tol.angle) | (t <= tol.step)] = np.inf
-            fstar = np.argmin(t, axis=1)
-            tstar = np.take_along_axis(t, fstar[:, None], axis=1)[:, 0]
-            q = m + tstar[:, None] * theta
-            # s(q) serves this edge test (see Polyhedron) and the next face choice
-            s = q @ N.T + P.offsets
-            x = s * np.take(P.inv_sin, fstar, axis=0) + np.take(P.edge_mask, fstar, axis=0)
-        edist = x.T.copy().min(axis=0)      # numpy reduces short rows slowly
+            t = np.divide(s, d, out=s)              # t = s / -d, in s's storage
+            np.negative(t, out=t)
+            np.putmask(t, (d >= -tol.angle) | (t <= tol.step), np.inf)
+            tstar = t.min(axis=0)
+            # argmin's tie rule: the lowest face attaining the minimum, and
+            # face 0 for a row of inf
+            fstar = np.zeros(rows.size, dtype=np.intp)
+            for f in range(P.n_faces - 1, -1, -1):
+                np.putmask(fstar, t[f] == tstar, f)
+            q = theta * tstar
+            q += m
+            # s(q) serves this edge test (see Polyhedron) and the next face choice;
+            # inv_sin and edge_mask are symmetric, so column f is row f
+            s = N @ q
+            s += offsets
+            x = s * np.take(P.inv_sin, fstar, axis=1)
+            x += np.take(P.edge_mask, fstar, axis=1)
+        edist = x.min(axis=0)
 
         keep = np.isfinite(tstar) & (edist > tol.plane)
         flags[rows[keep & (edist <= tol.sing)]] = True
-        rows = rows[keep]
-        words[rows, k] = fstar[keep]
+        if not keep.all():
+            # compress: boolean column indexing of an (F, b) array is slower
+            q, s, theta = (a.compress(keep, axis=1) for a in (q, s, theta))
+            rows, fstar = rows[keep], fstar[keep]
+        words[rows, k] = fstar
         lengths[rows] = k + 1
 
-        if not keep.all():
-            q, s, theta, fstar = q[keep], s[keep], theta[keep], fstar[keep]
-        nvec = np.take(N, fstar, axis=0)
-        theta = theta - 2.0 * np.einsum("bj,bj->b", theta, nvec)[:, None] * nvec
+        nvec = np.take(N.T, fstar, axis=1)
+        theta = theta - 2.0 * np.einsum("jb,jb->b", theta, nvec) * nvec
         m = q
-    return words, lengths, flags

@@ -297,6 +297,14 @@ def _cmd_complexity(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="polybilliard",
                                  description=__doc__.splitlines()[0])
@@ -349,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=12)
     p.add_argument("--budget", default="100000", help="orbit count (accepts 1e6)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=_usable_cpus())
     p.set_defaults(func=_cmd_complexity)
     return ap
 

@@ -186,12 +186,13 @@ class Polyhedron:
     f, s_g(q) / sin is the distance within f to the line of f∩g (s_g: signed
     distance to plane g), so ``min_g(s_g(q) * inv_sin + edge_mask)`` is q's
     distance to the boundary of f.  Outside f it fails: q can be nearer an
-    edge's line than the edge.  Scalar ``rows``, per face in Python floats:
-    plane ``(nx, ny, nz, c)``, vertices ``(x, y, z, id)``, edges ``(ax, ay,
-    az, bx - ax, by - ay, bz - az, squared length, id)`` from endpoint a to
-    endpoint b.  The reflection across face f is x -> ``reflection_linear[f]
-    @ x + reflection_translation[f]``, and ``frames[f]`` has the rows (t1,
-    t2, n) of :meth:`face_frame`.
+    edge's line than the edge.  Both tables are symmetric, and the batch
+    kernel relies on it: it reads column f as row f.  Scalar ``rows``, per
+    face in Python floats: plane ``(nx, ny, nz, c)``, vertices ``(x, y, z,
+    id)``, edges ``(ax, ay, az, bx - ax, by - ay, bz - az, squared length,
+    id)`` from endpoint a to endpoint b.  The reflection across face f is
+    x -> ``reflection_linear[f] @ x + reflection_translation[f]``, and
+    ``frames[f]`` has the rows (t1, t2, n) of :meth:`face_frame`.
     """
 
     def __init__(self, vertices: np.ndarray, faces: list[Face],
@@ -301,7 +302,7 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
     edge table requires every edge to be shared by exactly two faces.
     """
     tol = tol or DEFAULT_TOL
-    V = np.asarray(vertices, dtype=float)
+    V = np.array(vertices, dtype=float)        # a copy: it is frozen below
     if V.ndim != 2 or V.shape[1] != 3:
         raise ValueError("vertices must be an (N, 3) array")
     if not np.all(np.isfinite(V)):

@@ -503,3 +503,41 @@ def test_batch_matches_reference_kernel_near_edges(cube):
         assert (lengths[i], flags[i]) == (length, flagged)
         assert length == 1 or words[i, 1] == x1
     assert lengths[-1] == 1                              # into a vertex
+
+
+def test_batch_tables_are_symmetric():
+    # run_word_batch reads column f of these tables as row f
+    for P in (unit_cube(), regular_tetrahedron(), _rotated_box(), _octahedron()):
+        for a in (P.inv_sin, P.edge_mask):
+            assert np.array_equal(a, a.T)
+
+
+def _edge_aim(P, face):
+    """A point 0.5 * plane inside face g from the midpoint of an edge g∩h
+    that face ``face`` does not bound: a ray from ``face`` meets it at once."""
+    e = next(e for e in P.edges if face not in e.faces)
+    i, j = e.endpoints
+    mid = 0.5 * (P.vertices[i] + P.vertices[j])
+    w = P.face_polygon(e.faces[0]).mean(axis=0) - mid
+    return mid + 0.5 * P.tol.plane * unit(w - (w @ e.direction) * e.direction)
+
+
+def test_batch_matches_reference_across_blocks():
+    # rows end and are flagged in every block; a tangent start and an
+    # immediate edge hit sit on either side of the first block boundary
+    tol = Tolerances(plane=1e-3, sing=1e-2)
+    block = bl._BLOCK
+    B = 2 * block + 37
+    for seed, P in enumerate((unit_cube(tol), regular_tetrahedron(tol), _rotated_box(tol))):
+        m, th, f = bl.random_phase_points(P, B, np.random.default_rng(seed))
+        th[block - 1] = P.frames[f[block - 1], 0]
+        th[block] = unit(_edge_aim(P, f[block]) - m[block])
+        words, lengths, flags = _assert_batch_matches_reference(P, m, th, f, 30)
+        assert lengths[block - 1] == 1 and lengths[block] == 1
+        for lo, hi in ((0, block), (block, 2 * block), (2 * block, B)):
+            assert flags[lo:hi].any() and (lengths[lo:hi] < 30).any()
+        cuts = [0, 5000, block, block + 1, B]
+        parts = [bl.run_word_batch(P, m[a:b], th[a:b], f[a:b], 30)
+                 for a, b in zip(cuts, cuts[1:])]
+        for got, part in zip((words, lengths, flags), zip(*parts)):
+            assert np.array_equal(got, np.concatenate(part))

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -184,6 +185,19 @@ def test_exit_code_budget(cube_file, capsys):
                        "--threads", threads])
         assert rc == cli.EXIT_PRECONDITION, threads
         assert "workers must be >= 1" in capsys.readouterr().err
+
+
+def test_threads_default_counts_usable_cpus(monkeypatch):
+    def default_threads():
+        return cli._build_parser().parse_args(["complexity", "cube.json"]).threads
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert default_threads() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_threads() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_threads() == 1
 
 
 def test_exit_code_nonconvex(tmp_path):

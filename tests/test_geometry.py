@@ -81,6 +81,17 @@ def test_polyhedron_arrays_are_read_only():
             a.flat[0] = 7.0
 
 
+def test_validate_leaves_callers_vertices_alone():
+    cube = g.unit_cube()
+    V = np.array(cube.vertices)                  # float64 and writable
+    P = g.validate(V, [(f.label, list(f.boundary)) for f in cube.faces])
+    assert V.flags.writeable and P.vertices is not V
+    assert not P.vertices.flags.writeable
+    before = P.vertices.copy()
+    V[0, 0] = 0.1
+    assert np.array_equal(P.vertices, before)
+
+
 def test_face_planes_and_edges_are_read_only():
     P = g.unit_cube()
     z0 = P.face_index("z0")
