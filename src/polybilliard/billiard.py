@@ -89,9 +89,8 @@ class SingularityEvent:
 
 @dataclass
 class OrbitRecord:
-    """A coded orbit: visited phase points, their face-label word, terminal state."""
+    """A coded orbit: phase points from the start on, their face-label word, terminal state."""
 
-    initial: PhasePoint
     points: list[PhasePoint]
     word: list[str]
     singularity: SingularityEvent | None = None
@@ -190,7 +189,7 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
         if len(points) == n_max:
             break
     ended = hit is None or hit.kind is not HitKind.FACE
-    return OrbitRecord(x, points, [P.labels[p.face] for p in points],
+    return OrbitRecord(points, [P.labels[p.face] for p in points],
                        _event(hit, points, P) if ended else None, flagged)
 
 

@@ -203,7 +203,7 @@ def _cmd_transversal(args) -> int:
         data = json.loads(Path(args.edges).read_text())
         raw = data["edges"]
         edges = [transversal.EdgeLine.of(e["p"], e["x"]) for e in raw]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise _ParseFailure(f"bad edges file: {e}")
     if not 2 <= len(edges) <= 4:
         raise _ParseFailure("edges file must contain 2, 3, or 4 edges")

@@ -122,6 +122,15 @@ def segment_segment_distance(p1, q1, p2, q2) -> float:
     return float(np.linalg.norm(p1 + s * d1 - (p2 + t * d2)))
 
 
+def farthest_pair(pts: np.ndarray) -> tuple[float, int, int]:
+    """Largest distance between two rows of ``pts`` and the first pair
+    (i, j) in row-major order that attains it, by ``argmax``'s tie rule."""
+    d = pts[:, None, :] - pts[None, :, :]
+    d2 = (d * d).sum(axis=2)
+    i, j = np.unravel_index(np.argmax(d2), d2.shape)
+    return float(np.sqrt(d2[i, j])), int(i), int(j)
+
+
 def _newell_normal(pts: np.ndarray) -> np.ndarray:
     nxt = np.roll(pts, -1, axis=0)
     n = np.array([
@@ -192,7 +201,7 @@ class Polyhedron:
     id)``, edges ``(ax, ay, az, bx - ax, by - ay, bz - az, squared length,
     id)`` from endpoint a to endpoint b.  The reflection across face f is
     x -> ``reflection_linear[f] @ x + reflection_translation[f]``, and
-    ``frames[f]`` has the rows (t1, t2, n) of :meth:`face_frame`.
+    ``frames[f]`` has the orthonormal rows (t1, t2, n), n the inward normal.
     """
 
     def __init__(self, vertices: np.ndarray, faces: list[Face],
@@ -205,10 +214,10 @@ class Polyhedron:
         c = self.offsets = np.array([f.plane.offset for f in faces])
         self.labels = [f.label for f in faces]
         self._label_index = {f.label: i for i, f in enumerate(faces)}
-        self._face_edges: list[list[int]] = [[] for _ in faces]
+        face_edges: list[list[int]] = [[] for _ in faces]
         for e_id, e in enumerate(edges):
             for f in e.faces:
-                self._face_edges[f].append(e_id)
+                face_edges[f].append(e_id)
         self._face_polys = [vertices[list(f.boundary)] for f in faces]
 
         fa, fb = np.array([e.faces for e in edges]).T
@@ -219,7 +228,7 @@ class Polyhedron:
         rows = []
         for f, face in enumerate(faces):
             segs = []
-            for e_id in self._face_edges[f]:
+            for e_id in face_edges[f]:
                 i, j = edges[e_id].endpoints
                 seg = vertices[j] - vertices[i]
                 segs.append((*vertices[i].tolist(), *seg.tolist(), float(seg @ seg), e_id))
@@ -249,16 +258,9 @@ class Polyhedron:
     def face_polygon(self, f: int) -> np.ndarray:
         return self._face_polys[f]
 
-    def face_edge_ids(self, f: int) -> list[int]:
-        return self._face_edges[f]
-
-    def interior_point(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
     def diameter(self) -> float:
         """Largest distance between two vertices."""
-        V = self.vertices
-        return float(np.sqrt((((V[:, None] - V[None]) ** 2).sum(axis=2)).max()))
+        return farthest_pair(self.vertices)[0]
 
     def signed_distances(self, pts) -> np.ndarray:
         """Signed distances to all face planes; >= 0 everywhere iff inside."""
@@ -280,10 +282,6 @@ class Polyhedron:
         qx, qy, qz = np.asarray(q, float).tolist()
         r2, e = _nearest_edge(self.rows[f][5], qx, qy, qz)
         return math.sqrt(r2), e
-
-    def face_frame(self, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Orthonormal (t1, t2, n) with n the inward face normal."""
-        return tuple(self.frames[f])
 
     def with_tolerances(self, tol: Tolerances) -> "Polyhedron":
         return Polyhedron(self.vertices, self.faces, self.edges, tol)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .billiard import run_word_batch, sample_inward_directions, sample_points_in_face
-from .geometry import Polyhedron, tangent_frame, unit
+from .geometry import Polyhedron, farthest_pair, tangent_frame, unit
 from .unfolding import Isometry
 
 
@@ -43,13 +43,6 @@ def _polygon_area(pts: np.ndarray) -> float:
         return 0.0
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def _diameter(pts: np.ndarray) -> float:
-    if len(pts) < 2:
-        return 0.0
-    d = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((d * d).sum(axis=2)).max())
 
 
 # absolute, in section coordinates: merges clip points that are one vertex
@@ -160,25 +153,6 @@ class Beam:
     def project(self, pts3) -> np.ndarray:
         return (np.atleast_2d(np.asarray(pts3, float)) - self.origin) @ self.axes.T
 
-    def contains_base_point(self, m, slack: float = 1e-8) -> bool:
-        """Is the projection of a base point inside the cross-section?"""
-        q = self.project(m)[0]
-        pts = self.section
-        if len(pts) == 0:
-            return False
-        if len(pts) == 1:
-            return bool(np.linalg.norm(q - pts[0]) <= slack)
-        if len(pts) == 2:
-            e = pts[1] - pts[0]
-            L = float(np.linalg.norm(e))
-            t = np.clip(float((q - pts[0]) @ e) / max(L * L, 1e-300), 0.0, 1.0)
-            return bool(np.linalg.norm(q - (pts[0] + t * e)) <= slack)
-        nxt = np.roll(pts, -1, axis=0)
-        e = nxt - pts
-        n2 = np.stack([e[:, 1], -e[:, 0]], axis=1)
-        return bool(np.all(np.einsum("ij,ij->i", q - pts, n2)
-                           <= slack * np.linalg.norm(n2, axis=1)))
-
 
 def make_beam(P: Polyhedron, label: str, theta) -> Beam:
     """Beam of all lines entering through one full face at a fixed direction."""
@@ -221,8 +195,7 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron, strict: bool = False) -> 
 
     if abs(float(n3 @ b.theta)) <= P.tol.angle:
         # face copy is parallel to the beam: its projection is a segment
-        d = verts2[:, None, :] - verts2[None, :, :]
-        i, j = np.unravel_index(np.argmax((d * d).sum(axis=2)), d.shape[:2])
+        _, i, j = farthest_pair(verts2)
         a = verts2[i]
         dir2 = verts2[j] - a
         L = float(np.linalg.norm(dir2))
@@ -268,7 +241,7 @@ def classify_cell(b: Beam) -> CellClass:
     pts = b.section
     if len(pts) == 0:
         return CellClass("empty")
-    diam = _diameter(pts)
+    diam = farthest_pair(pts)[0]
     if diam <= _DEG_TOL:
         return CellClass("point")
     area = abs(_polygon_area(pts))

@@ -53,7 +53,6 @@ class CoplanarConstraint:
     """Incidence reduces to a linear form on directions: form @ theta == 0."""
 
     form: np.ndarray
-    base_direction: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class RationalConstraint:
 
     numerator: np.ndarray
     denominator: np.ndarray
-    base_direction: np.ndarray
 
 
 TransversalConstraint = CoplanarConstraint | RationalConstraint
@@ -106,11 +104,11 @@ def pair_constraint(a0: EdgeLine, a1: EdgeLine) -> TransversalConstraint:
         perp = p - (p @ u) * u
         if float(np.linalg.norm(perp)) < 1e-12:
             raise IdenticalLines("edges span the same line")
-        return CoplanarConstraint(unit(np.cross(u, p)), u.copy())
+        return CoplanarConstraint(unit(np.cross(u, p)))
     scale = max(1.0, float(np.linalg.norm(p)))
     if abs(float(p @ b)) <= _COPLANAR_TOL * bn * scale:
-        return CoplanarConstraint(b / bn, u.copy())
-    return RationalConstraint(np.cross(p, x1), b, u.copy())
+        return CoplanarConstraint(b / bn)
+    return RationalConstraint(np.cross(p, x1), b)
 
 
 def eval_constraint(c: TransversalConstraint, theta) -> float | None:
@@ -156,7 +154,6 @@ class TripleSurface:
     the probe scale ``char``, so a probe does no per-surface work.
     """
 
-    edges: tuple[EdgeLine, EdgeLine, EdgeLine]
     origin: np.ndarray
     frame: np.ndarray            # (3,3) rotation; rows are adapted axes
     coeff_num: np.ndarray        # (2,3)
@@ -265,7 +262,7 @@ def triple_surface(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine) -> TripleSurface:
     for i, a in enumerate((a1, a2)):
         num[i] = frame @ np.cross(a.point - origin, a.direction)
         den[i] = frame @ np.cross(e1, a.direction)
-    return TripleSurface((a0, a1, a2), origin, frame, num, den)
+    return TripleSurface(origin, frame, num, den)
 
 
 ON_SURFACE = "on-surface"

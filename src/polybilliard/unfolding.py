@@ -51,13 +51,6 @@ class Isometry:
         return Isometry(self.linear @ other.linear,
                         self.linear @ other.translation + self.translation)
 
-    def inverse(self) -> "Isometry":
-        lt = self.linear.T
-        return Isometry(lt, -(lt @ self.translation))
-
-    def orthogonality_error(self) -> float:
-        return float(np.abs(self.linear @ self.linear.T - np.eye(3)).max())
-
     def is_translation(self, tol: float = 1e-9) -> bool:
         return bool(np.abs(self.linear - np.eye(3)).max() <= tol)
 
@@ -106,8 +99,6 @@ class UnfoldingTrack:
     linear: np.ndarray                 # (L, 3, 3) cumulative isometries
     translation: np.ndarray            # (L, 3)
     points: np.ndarray                 # (L, 3) unfolded bounce points
-    line_point: np.ndarray
-    line_direction: np.ndarray
     residual: float                    # max point-to-line distance
     path_length: float
     faces: list[int]                   # hit face per bounce
@@ -141,8 +132,7 @@ def unfold_orbit(record: "OrbitRecord", P: Polyhedron) -> UnfoldingTrack:
     rel = pts - p0
     dist = np.linalg.norm(rel - np.outer(rel @ theta, theta), axis=1)
     path = float(np.linalg.norm(pts[-1] - p0))
-    return UnfoldingTrack(lin, trans, pts, p0.copy(), theta.copy(),
-                          float(dist.max()), path, faces, P)
+    return UnfoldingTrack(lin, trans, pts, float(dist.max()), path, faces, P)
 
 
 # re-orthogonalize every few multiplications; orthogonal products drift slowly
@@ -202,7 +192,6 @@ class GroupClosure:
 
     elements: np.ndarray    # (K, 3, 3) orthogonal matrices, identity first
     closed: bool
-    bound: int
 
     @property
     def order(self) -> int | None:
@@ -252,6 +241,6 @@ def generate_group(P: Polyhedron, bound: int = 10000) -> GroupClosure:
                 depth.append(d)
                 new_frontier.append(len(elements) - 1)
                 if len(elements) > bound:
-                    return GroupClosure(np.array(elements), False, bound)
+                    return GroupClosure(np.array(elements), False)
         frontier = new_frontier
-    return GroupClosure(np.array(elements), True, bound)
+    return GroupClosure(np.array(elements), True)

@@ -53,7 +53,7 @@ def test_start_tangency_decided_by_numpy_dot():
     # tangent; the plain float sum rounds otherwise for about a tenth of them
     for P in (_rotated_box(), regular_tetrahedron()):
         for f in range(P.n_faces):
-            t1, t2, n = P.face_frame(f)
+            t1, t2, n = P.frames[f]
             m = P.face_polygon(f).mean(axis=0)
             for phi in np.linspace(0.0, 2.0 * np.pi, 50):
                 w = P.tol.angle
@@ -78,7 +78,7 @@ def test_start_on_edge_rejected_as_singular(cube):
     assert rec.singularity.edge == ev.edge
     # a start on any edge of z0 reports that edge
     z0 = cube.face_index("z0")
-    for e_id in cube.face_edge_ids(z0):
+    for e_id in (e_id for e_id, e in enumerate(cube.edges) if z0 in e.faces):
         a, b = cube.vertices[list(cube.edges[e_id].endpoints)]
         x = bl.PhasePoint(z0, 0.5 * (a + b), np.array([0.0, 0.0, 1.0]))
         ev = bl.classify_phase_point(x, cube)
@@ -300,7 +300,7 @@ def _vertex_bound_orbits(rng, count):
         f = int(rng.integers(0, T.n_faces))
         poly = T.face_polygon(f)
         m = poly[0] + 1e-4 * unit(poly.mean(axis=0) - poly[0])
-        t1, t2, n = T.face_frame(f)
+        t1, t2, n = T.frames[f]
         w = rng.uniform(0.2, 1.0)
         phi = rng.uniform(0.0, 2.0 * np.pi)
         theta = np.sqrt(1 - w * w) * (np.cos(phi) * t1 + np.sin(phi) * t2) + w * n

@@ -154,6 +154,19 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert cli.main(["group", str(tmp_path / "missing.json")]) == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("bad", [
+    {"p": [0, 0], "x": [1, 0, 0]},              # two components
+    {"p": [0, "a", 0], "x": [1, 0, 0]},         # a non-numeric coordinate
+    {"p": [0, 0, 0], "x": [0, 0, 0]},           # a zero direction
+])
+def test_exit_code_malformed_edges(tmp_path, capsys, bad):
+    # a malformed edges file is a parse problem, as a malformed polyhedron is
+    edges = tmp_path / "edges.json"
+    edges.write_text(json.dumps({"edges": [{"p": [0, 1, 0], "x": [0, 0, 1]}, bad]}))
+    assert cli.main(["transversal", str(edges)]) == cli.EXIT_PARSE
+    assert "bad edges file" in capsys.readouterr().err
+
+
 def test_exit_code_unknown_tolerance(cube_file, capsys):
     # only the tolerances the package reads can be overridden
     assert cli.main(["group", cube_file, "--tol", "deg=1e-3"]) == cli.EXIT_PARSE

@@ -32,7 +32,7 @@ def test_tetrahedron_counts():
 
 
 def test_normals_point_inward(cube):
-    c = cube.interior_point()
+    c = cube.vertices.mean(axis=0)
     assert np.all(cube.signed_distances(c) > 0)
     # every vertex on at least three face planes
     s = np.abs(cube.signed_distances(cube.vertices))
@@ -74,7 +74,7 @@ def test_duplicate_labels_rejected(cube):
 def test_polyhedron_arrays_are_read_only():
     P = g.unit_cube()
     arrays = [P.vertices, P.normals, P.offsets, P.inv_sin, P.edge_mask, P.reflection_linear,
-              P.reflection_translation, P.frames, *P.face_frame(0),
+              P.reflection_translation, P.frames, *P.frames[0],
               *(P.face_polygon(f) for f in range(P.n_faces))]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -110,6 +110,37 @@ def test_diameter_is_largest_vertex_distance():
     assert g.regular_tetrahedron().diameter() == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-15)
     assert g.unit_cube().diameter() == pytest.approx(np.sqrt(3.0), rel=1e-15)
     assert g.box(2, 1, 0.5).diameter() == pytest.approx(np.sqrt(5.25), rel=1e-15)
+
+
+def _old_farthest_scans(pts):
+    """The three scans ``farthest_pair`` replaced: ``Polyhedron.diameter``,
+    the cell diameter of ``classify_cell`` and the strip endpoints of the
+    edge-on branch of ``propagate_beam``."""
+    diameter = float(np.sqrt((((pts[:, None] - pts[None]) ** 2).sum(axis=2)).max()))
+    d = pts[:, None, :] - pts[None, :, :]
+    cell = 0.0 if len(pts) < 2 else float(np.sqrt((d * d).sum(axis=2)).max())
+    i, j = np.unravel_index(np.argmax((d * d).sum(axis=2)), d.shape[:2])
+    return diameter, cell, int(i), int(j)
+
+
+def test_farthest_pair_matches_old_scans():
+    rng = np.random.default_rng(17)
+    for k in range(4000):
+        dim, count = 2 + k % 2, int(rng.integers(1, 12))
+        # every other set on a small integer grid, where ties are common
+        pts = rng.normal(size=(count, dim)) if k % 4 < 2 else \
+            rng.integers(-2, 3, size=(count, dim)).astype(float)
+        dist, i, j = g.farthest_pair(pts)
+        diameter, cell, oi, oj = _old_farthest_scans(pts)
+        assert dist == diameter == cell and (i, j) == (oi, oj)
+
+
+def test_farthest_pair_tie_rule():
+    # both diagonals of the unit square tie: the first pair in row-major order wins
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert g.farthest_pair(square) == (np.sqrt(2.0), 0, 2)
+    assert g.farthest_pair(square[[1, 2, 3, 0]]) == (np.sqrt(2.0), 0, 2)
+    assert g.farthest_pair(square[:1]) == (0.0, 0, 0)
 
 
 def test_json_round_trip(cube):
@@ -419,7 +450,7 @@ def test_nearest_edge_matches_oracle(name):
     plane = P.tol.plane
     for f in range(P.n_faces):
         n = P.normals[f]
-        for e_id in P.face_edge_ids(f):
+        for e_id in (e_id for e_id, e in enumerate(P.edges) if f in e.faces):
             a, b = P.vertices[list(P.edges[e_id].endpoints)]
             u = g.unit(b - a)
             inward = np.cross(n, u)

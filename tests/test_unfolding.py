@@ -33,7 +33,7 @@ def test_reflection_isometry():
     assert np.allclose(R.apply([0.3, 0.4, 0.0]), [0.3, 0.4, 2.0])
     assert np.allclose(R.compose(R).linear, np.eye(3))
     assert np.allclose(R.compose(R).translation, 0.0)
-    assert R.orthogonality_error() < 1e-15
+    assert np.abs(R.linear @ R.linear.T - np.eye(3)).max() < 1e-15
 
 
 def test_compose_order():
@@ -43,16 +43,6 @@ def test_compose_order():
     G = Rz1.compose(Rz0)
     assert G.is_translation(1e-12)
     assert np.allclose(G.translation, [0, 0, 2.0])
-
-
-def test_inverse():
-    rng = np.random.default_rng(0)
-    n = rng.normal(size=3)
-    n /= np.linalg.norm(n)
-    R = uf.Isometry.reflection(Plane(n, 0.7))
-    RI = R.compose(R.inverse())
-    assert np.allclose(RI.linear, np.eye(3))
-    assert np.abs(RI.translation).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +157,6 @@ def test_face_tables_match_per_face_builds(name):
         assert P.reflection_linear[f].tobytes() == R.linear.tobytes()
         assert P.reflection_translation[f].tobytes() == R.translation.tobytes()
         assert P.frames[f].tobytes() == _reference_frame(face.plane.normal).tobytes()
-        assert np.vstack(P.face_frame(f)).tobytes() == P.frames[f].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +285,7 @@ def test_contains_across_bucket_boundary(cube):
     # 0 and 1 are bucket boundaries: the stored entries sit just below them,
     # the query 8e-9 away just above, so all nine entries change bucket
     stored = np.eye(3) - 4e-9
-    closure = uf.GroupClosure(stored[None], True, 1)
+    closure = uf.GroupClosure(stored[None], True)
     query = np.eye(3) + 4e-9
     assert np.all(np.floor(query / h) != np.floor(stored / h))
     assert closure.contains(query)
