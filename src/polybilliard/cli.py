@@ -105,8 +105,9 @@ def _load_polyhedron(args) -> geometry.Polyhedron:
         return geometry.load_polyhedron(data, tol=tol)
     except _GEOMETRY_ERRORS:
         raise
-    except ValueError as e:
-        raise _ParseFailure(str(e))
+    except (ValueError, KeyError, TypeError) as e:
+        # a missing key or a wrongly typed entry is as malformed as a bad value
+        raise _ParseFailure(f"bad polyhedron in {path}: {type(e).__name__}: {e}")
 
 
 _NON_SEMANTIC_KEYS = {"func", "out", "threads"}
@@ -285,7 +286,7 @@ def _cmd_complexity(args) -> int:
         "singular_terminated": table.singular,
         "stratification_tiles": list(table.tiles),
         "labels": table.labels,
-        "factor_closure": table.factor_closure_holds(),
+        "factor_closure": table.factor_closure_holds(workers=args.threads),
         "extendability_ok": table.extendability_ok,
     }
     if args.out:

@@ -310,19 +310,47 @@ class ComplexityTable:
             out.append(tuple(reversed(rev)))
         return out
 
-    def factor_closure_holds(self) -> bool:
-        """Every counted (n+1)-word must have both its n-prefix and n-suffix counted."""
+    def factor_closure_holds(self, workers: int = 1) -> bool:
+        """Every counted (n+1)-word must have both its n-prefix and n-suffix
+        among the counted n-words, whose codes must be strictly increasing.
+        Each length is checked on its own, on ``workers`` threads."""
         base = len(self.labels)
-        for n in range(1, self.n_max):
+
+        def level_holds(n: int) -> bool:
             longer = self.word_codes.get(n + 1)
             shorter = self.word_codes.get(n)
             if longer is None or shorter is None or len(longer) == 0:
-                continue
-            for part in (longer // base, longer % (base ** n)):
-                i = np.minimum(np.searchsorted(shorter, part), len(shorter) - 1)
-                if len(shorter) == 0 or not np.array_equal(shorter[i], part):
-                    return False
-        return True
+                return True
+            if not np.all(shorter[1:] > shorter[:-1]):
+                return False
+            # with ``shorter`` distinct, adding the factors adds no new value
+            # exactly when all of them are in it
+            s = np.concatenate([shorter, longer // base, longer % base ** n])
+            s.sort()
+            return np.count_nonzero(s[1:] != s[:-1]) + 1 == len(shorter)
+
+        return all(_map(level_holds, range(1, self.n_max), workers))
+
+
+def _sorted_distinct(s: np.ndarray) -> np.ndarray:
+    """Sort ``s`` in place and return its distinct values."""
+    s.sort()
+    keep = np.empty(len(s), dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return np.compress(keep, s)         # a boolean index is several times slower
+
+
+def _map(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, on a pool of ``workers`` threads when
+    there is more than one worker and more than one item."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    items = list(items)
+    if workers == 1 or len(items) < 2:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 # equal-area direction tiles of the inward hemisphere: polar x azimuthal
@@ -378,8 +406,6 @@ def estimate_complexity(P: Polyhedron, n_max: int, budget: int, seed: int = 0,
         raise ValueError("budget must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     F = P.n_faces
     if F ** n_max >= 2 ** 62:
         raise ValueError("alphabet too large for integer word codes at this n_max")
@@ -389,21 +415,23 @@ def estimate_complexity(P: Polyhedron, n_max: int, budget: int, seed: int = 0,
     def chunk(job):
         return _chunk_complexity(P, seed, *job, n_max)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(chunk, jobs))
-    else:
-        per_chunk = [chunk(job) for job in jobs]
-
-    codes, lengths, discarded, singular = zip(*per_chunk)
+    codes, lengths, discarded, singular = zip(*_map(chunk, jobs, workers))
     codes, lengths = np.concatenate(codes), np.concatenate(lengths)
-    # an n-factor is the prefix of an (n+1)-factor or the n-suffix of its
-    # word; sorting then dropping repeats beats np.unique's hashing here
-    word_codes: dict[int, np.ndarray] = {}
-    longer = np.array([], dtype=np.int64)
-    for n in range(n_max, 0, -1):
-        s = np.sort(np.concatenate([longer // F, codes[lengths >= n] % F ** n]))
-        longer = word_codes[n] = s[np.diff(s, prepend=-1) != 0]    # codes are >= 0
+    full = lengths == n_max
+    short, short_len = codes[~full], lengths[~full]
+    # equal words have equal factors, so only distinct full-length words
+    # take part; sorting then dropping repeats beats np.unique's hashing here
+    top = longer = _sorted_distinct(codes[full])
+    word_codes: dict[int, np.ndarray] = {n_max: top}
+    for n in range(n_max - 1, 0, -1):
+        # an n-factor is the prefix of an (n+1)-factor or the n-suffix of its
+        # word; the n-suffixes of the (n+1)-factors, with the words exactly n
+        # long, may stand in for the latter, so sort whichever list is shorter
+        if len(longer) <= len(top) + np.count_nonzero(short_len > n):
+            tails = [longer % F ** n, short[short_len == n]]
+        else:
+            tails = [top % F ** n, short[short_len >= n] % F ** n]
+        longer = word_codes[n] = _sorted_distinct(np.concatenate([longer // F, *tails]))
 
     ns = np.arange(1, n_max + 1)
     p_hat = np.array([len(word_codes[n]) for n in ns], dtype=np.int64)

@@ -154,6 +154,31 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert cli.main(["group", str(tmp_path / "missing.json")]) == cli.EXIT_PARSE
 
 
+def _cube_without_face_vertices(data):
+    del data["faces"][0]["vertices"]
+
+
+def _cube_with_int_face(data):
+    data["faces"][0] = 5
+
+
+def _cube_with_int_faces(data):
+    data["faces"] = 5
+
+
+@pytest.mark.parametrize("damage", [_cube_without_face_vertices, _cube_with_int_face,
+                                    _cube_with_int_faces])
+def test_exit_code_malformed_polyhedron(tmp_path, capsys, damage):
+    # a missing key (KeyError) or a wrongly typed entry (TypeError) in the
+    # polyhedron file is a parse problem, as a bad value is
+    data = dump_polyhedron(unit_cube())
+    damage(data)
+    f = tmp_path / "damaged.json"
+    f.write_text(json.dumps(data))
+    assert cli.main(["group", str(f)]) == cli.EXIT_PARSE
+    assert "bad polyhedron" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [
     {"p": [0, 0], "x": [1, 0, 0]},              # two components
     {"p": [0, "a", 0], "x": [1, 0, 0]},         # a non-numeric coordinate

@@ -298,6 +298,7 @@ def test_flagged_words_are_discarded(cube):
     ("cube", 8, 4000, None),
     ("tetra", 16, 3000, None),
     ("cube", 8, 4000, Tolerances(plane=1e-3, sing=1e-2)),
+    ("cube", 5, 20000, None),           # most full-length words repeat
 ])
 def test_factor_sets_match_window_oracle(monkeypatch, solid, n_max, budget, tol):
     # independent oracle: every n-window of every unflagged word the stepper
@@ -337,7 +338,14 @@ def _without(tab, n, codes):
 
 def test_factor_closure_detects_missing_factors(cube):
     tab = sy.estimate_complexity(cube, 6, 20000, seed=5)
-    assert tab.factor_closure_holds()
+
+    def holds(t):
+        # the lengths are checked independently, so the pool cannot change a verdict
+        verdict = t.factor_closure_holds(workers=1)
+        assert t.factor_closure_holds(workers=2) is verdict
+        return verdict
+
+    assert holds(tab)
     F = len(tab.labels)
     for n in range(tab.n_max - 1, 0, -1):
         prefixes = set((tab.word_codes[n + 1] // F).tolist())
@@ -352,8 +360,61 @@ def test_factor_closure_detects_missing_factors(cube):
     largest = int(shorter[-1])
     assert largest in prefixes | suffixes
     for code in (only_prefix, only_suffix, largest):
-        assert not _without(tab, n, shorter[shorter != code]).factor_closure_holds()
-    assert not _without(tab, n, shorter[:0]).factor_closure_holds()
+        assert not holds(_without(tab, n, shorter[shorter != code]))
+        # the same loss hidden by a repeated neighbour, so the length is unchanged
+        i = int(np.searchsorted(shorter, code))
+        padded = shorter.copy()
+        padded[i] = shorter[i - 1] if i > 0 else shorter[i + 1]
+        assert not holds(_without(tab, n, padded))
+    assert not holds(_without(tab, n, shorter[:0]))
+    # every factor present, but two codes out of order
+    swapped = shorter.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    assert not holds(_without(tab, n, swapped))
+
+
+def _reference_word_codes(codes, lengths, F, n_max):
+    """The per-length recurrence over every word, one np.sort per length."""
+    word_codes = {}
+    longer = np.array([], dtype=np.int64)
+    for n in range(n_max, 0, -1):
+        s = np.sort(np.concatenate([longer // F, codes[lengths >= n] % F ** n]))
+        longer = word_codes[n] = s[np.diff(s, prepend=-1) != 0]
+    return word_codes
+
+
+@pytest.mark.parametrize("solid, n_max, budget, tol", [
+    ("cube", 5, 20000, None),                               # most full-length words repeat
+    ("tetra", 30, 2000, None),                              # wide sets at middle lengths
+    ("cube", 12, 3000, Tolerances(plane=1e-3, sing=1e-2)),  # short words exist
+])
+def test_word_codes_match_reference_recurrence(monkeypatch, solid, n_max, budget, tol):
+    P = unit_cube() if solid == "cube" else regular_tetrahedron()
+    if tol is not None:
+        P = P.with_tolerances(tol)
+    chunks = []
+    chunk_complexity = sy._chunk_complexity
+
+    def recording(*args):
+        out = chunk_complexity(*args)
+        chunks.append(out)
+        return out
+
+    monkeypatch.setattr(sy, "_chunk_complexity", recording)
+    tab = sy.estimate_complexity(P, n_max, budget, seed=11, chunk_size=1000, workers=1)
+    codes = np.concatenate([c[0] for c in chunks])
+    lengths = np.concatenate([c[1] for c in chunks])
+    ref = _reference_word_codes(codes, lengths, P.n_faces, n_max)
+    monkeypatch.undo()
+    two = sy.estimate_complexity(P, n_max, budget, seed=11, chunk_size=1000, workers=2)
+    for n in range(1, n_max + 1):
+        for got in (tab.word_codes[n], two.word_codes[n]):
+            assert got.dtype == ref[n].dtype
+            assert np.array_equal(got, ref[n]), n
+    if tol is not None:
+        assert (lengths < n_max).any()
+    else:
+        assert len(np.unique(codes[lengths == n_max])) < len(codes)
 
 
 # ---------------------------------------------------------------------------
