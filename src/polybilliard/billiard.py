@@ -197,36 +197,35 @@ def discontinuity_report(record: OrbitRecord, P: Polyhedron,
                          radius: float = 0.0) -> list[EdgeLine]:
     """Unfolded edge lines met (or approached within ``radius``) by an orbit.
 
-    With ``radius == 0`` only an exact terminal edge/vertex hit contributes;
-    a positive radius also collects near-misses along every segment.  Raises
+    Each line is an edge at a step k, moved by the unfolding isometry of k.
+    A terminal edge hit gives its edge, a vertex hit every edge through the
+    vertex; a positive radius first adds, in (k, edge) order, every edge
+    within ``radius`` of segment k.  Equal lines are reported once.  Raises
     :class:`EmptyReport` when nothing is found.
     """
-    found: dict[tuple, EdgeLine] = {}       # insertion-ordered, one line per key
-
-    def _emit(point: np.ndarray, direction: np.ndarray) -> None:
-        d = direction if direction[int(np.argmax(np.abs(direction)))] >= 0.0 else -direction
-        base = point - (point @ d) * d
-        key = tuple(np.round(np.concatenate([base, d]), 9))
-        if key not in found:
-            found[key] = EdgeLine(point.copy(), direction.copy())
-
     pts, ev = record.points, record.singularity
+    pairs = []
     if radius > 0.0:
         # segment k ends at point k + 1 or at the terminal edge/vertex hit
-        lin, trans = _prefix_isometries(P, [p.face for p in pts])
         ends = [p.m for p in pts[1:]]
         if ev is not None and ev.kind is not SingularityKind.TANGENT_IN_FACE:
             ends.append(ev.point)
-        for k, b in enumerate(ends):
-            for e in P.edges:
-                v0 = P.vertices[e.endpoints[0]]
-                v1 = P.vertices[e.endpoints[1]]
-                if segment_segment_distance(pts[k].m, b, v0, v1) <= radius:
-                    iso = Isometry(lin[k], trans[k])
-                    _emit(iso.apply(e.point), iso.apply_direction(e.direction))
-    if ev is not None and ev.unfolded_point is not None \
-            and ev.unfolded_direction is not None:
-        _emit(ev.unfolded_point, ev.unfolded_direction)
+        ends = np.reshape(ends, (-1, 1, 3))
+        starts = np.reshape([p.m for p in pts[:len(ends)]], (-1, 1, 3))
+        ij = P.vertices[[e.endpoints for e in P.edges]]        # (E, 2, 3)
+        dist = segment_segment_distance(starts, ends, ij[:, 0], ij[:, 1])
+        pairs = np.argwhere(dist <= radius).tolist()            # row-major (k, edge)
+    if ev is not None:          # the edge hit, or every edge through the vertex hit
+        pairs += [(ev.step, i) for i, e in enumerate(P.edges)
+                  if i == ev.edge or ev.vertex in e.endpoints]
+    lin, trans = _prefix_isometries(P, [p.face for p in pts])
+    found: dict[tuple, EdgeLine] = {}       # insertion-ordered, one line per key
+    for k, i in pairs:
+        iso, e = Isometry(lin[k], trans[k]), P.edges[i]
+        point, direction = iso.apply(e.point), iso.apply_direction(e.direction)
+        d = direction if direction[int(np.argmax(np.abs(direction)))] >= 0.0 else -direction
+        key = tuple(np.round(np.concatenate([point - (point @ d) * d, d]), 9))
+        found.setdefault(key, EdgeLine(point, direction))
     if not found:
         raise EmptyReport("no discontinuities within the requested radius")
     return list(found.values())
@@ -324,6 +323,14 @@ def _step_block(P: Polyhedron, m: np.ndarray, theta: np.ndarray, rows: np.ndarra
     tol, N = P.tol, P.normals
     offsets = P.offsets[:, None]
     s = N @ m + offsets
+    # a start on an edge of its face ends at once, as in orbit; the start
+    # lies in its face, so its edge-line distance is its edge distance
+    f0 = words[rows, 0].astype(np.intp)
+    start = s * np.take(P.inv_sin, f0, axis=1) + np.take(P.edge_mask, f0, axis=1)
+    keep = start.min(axis=0) > tol.plane
+    if not keep.all():
+        m, theta, s = (a.compress(keep, axis=1) for a in (m, theta, s))
+        rows = rows[keep]
     for k in range(1, words.shape[1]):
         if rows.size == 0:
             break

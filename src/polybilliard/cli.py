@@ -41,10 +41,7 @@ class _ParseFailure(Exception):
 
 
 def _parse_vec(text: str) -> np.ndarray:
-    try:
-        parts = [float(x) for x in text.split(",")]
-    except ValueError:
-        raise _ParseFailure(f"expected comma-separated numbers, got {text!r}")
+    parts = [_parse_finite(x, "vector component") for x in text.split(",")]
     if len(parts) != 3:
         raise _ParseFailure(f"expected 3 components, got {len(parts)}")
     return np.array(parts)
@@ -311,9 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, poly=True):
-        if poly:
-            p.add_argument("polyhedron", help="polyhedron JSON file")
+    def common(p):
+        p.add_argument("polyhedron", help="polyhedron JSON file")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--tol", action="append", default=[],
                        help="tolerance override name=value (repeatable)")

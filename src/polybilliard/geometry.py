@@ -8,11 +8,9 @@ an unreliable orbit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +56,6 @@ DEFAULT_TOL = Tolerances()
 # ---------------------------------------------------------------------------
 
 def vec3(x) -> np.ndarray:
-    if isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (3,):
-        return x
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
@@ -92,34 +88,24 @@ def line_line_distance(p1, x1, p2, x2) -> float:
     return abs(float((p2 - p1) @ n)) / nn
 
 
-def segment_segment_distance(p1, q1, p2, q2) -> float:
-    """Distance between segments [p1,q1] and [p2,q2] (clamped closest points)."""
-    d1 = q1 - p1
-    d2 = q2 - p2
-    r = p1 - p2
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
-    if a <= 1e-30 and e <= 1e-30:
-        return float(np.linalg.norm(r))
-    if a <= 1e-30:
-        t = np.clip(f / e, 0.0, 1.0)
-        return float(np.linalg.norm(p1 - (p2 + t * d2)))
-    c = float(d1 @ r)
-    if e <= 1e-30:
-        s = np.clip(-c / a, 0.0, 1.0)
-        return float(np.linalg.norm(p1 + s * d1 - p2))
-    b = float(d1 @ d2)
+def segment_segment_distance(p1, q1, p2, q2):
+    """Distance between segments [p1,q1] and [p2,q2] (clamped closest points).
+
+    The arguments broadcast over their leading axes, the last one holding
+    x, y, z.  A segment shorter than 1e-15 counts as its first point.
+    """
+    d1, d2, r = np.subtract(q1, p1), np.subtract(q2, p2), np.subtract(p1, p2)
+    a, b, e = (d1 * d1).sum(-1), (d1 * d2).sum(-1), (d2 * d2).sum(-1)
+    c, f = (d1 * r).sum(-1), (d2 * r).sum(-1)
     denom = a * e - b * b
-    s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > 1e-30 else 0.0
-    t = (b * s + f) / e
-    if t < 0.0:
-        t = 0.0
-        s = np.clip(-c / a, 0.0, 1.0)
-    elif t > 1.0:
-        t = 1.0
-        s = np.clip((b - c) / a, 0.0, 1.0)
-    return float(np.linalg.norm(p1 + s * d1 - (p2 + t * d2)))
+    # every branch is computed everywhere, then selected; t = -inf clamps to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(denom > 1e-30, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
+        t = np.where(e > 1e-30, (b * s + f) / e, -np.inf)
+        s = np.where(t < 0.0, np.clip(-c / a, 0.0, 1.0),
+                     np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
+    s, t = np.where(a > 1e-30, s, 0.0)[..., None], np.clip(t, 0.0, 1.0)[..., None]
+    return np.linalg.norm(p1 + s * d1 - (p2 + t * d2), axis=-1)
 
 
 def farthest_pair(pts: np.ndarray) -> tuple[float, int, int]:
@@ -383,24 +369,12 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
     return Polyhedron(V, face_objs, edges, tol)
 
 
-def load_polyhedron(source, tol: Tolerances | None = None) -> Polyhedron:
-    """Load the JSON polyhedron format.
+def load_polyhedron(data: dict, tol: Tolerances | None = None) -> Polyhedron:
+    """Build a polyhedron from the JSON format, parsed into a dict:
 
     ``{"vertices": [[x,y,z],...], "faces": [{"label": "a", "vertices": [...]}]}``
-    with 0-based indices.  ``source`` may be a path, a JSON string, or an
-    already-parsed dict.
+    with 0-based indices.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = str(source)
-        try:
-            path = Path(text)
-            if path.exists():
-                text = path.read_text()
-        except OSError:
-            pass  # not a usable path; treat as raw JSON
-        data = json.loads(text)
     if not isinstance(data, dict) or "vertices" not in data or "faces" not in data:
         raise ValueError("polyhedron JSON needs 'vertices' and 'faces' keys")
     return validate(data["vertices"], data["faces"], tol=tol)

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import polybilliard as pb
 from polybilliard import billiard as bl
-from polybilliard.geometry import (Tolerances, box, regular_tetrahedron, unit, unit_cube,
-                                  validate)
+from polybilliard.geometry import (Tolerances, box, point_line_distance, regular_tetrahedron,
+                                  unit, unit_cube, validate)
 from polybilliard.unfolding import cumulative_isometries
 
 SQRT2 = np.sqrt(2.0)
@@ -104,6 +106,15 @@ def test_phase_point_validation(cube):
             bl.phase_point(cube, [0.5, 0.5, 1.0], [0, 0, -1.0], face=face)
     with pytest.raises(ValueError, match="outside the given face"):
         bl.phase_point(cube, [1.5, 0.5, 0.0], [0.1, 0.2, 1.0], face="z0")
+
+
+def test_phase_point_rejects_non_finite_input(cube):
+    # float64 arrays included: they take vec3's one checked path
+    for theta in ([np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [0.0, 0.0, np.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            bl.phase_point(cube, np.array([0.5, 0.5, 0.0]), np.array(theta))
+    with pytest.raises(ValueError, match="non-finite"):
+        bl.phase_point(cube, np.array([np.nan, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +300,40 @@ def test_report_unfolded_edge_after_bounces(cube):
     assert np.allclose(lines[0].point, [2.0, 2.0, 1.0])
 
 
+def test_report_vertex_hit_gives_its_edges(cube):
+    # aimed at (2,1,1), the image of the vertex (0,1,1) across x=1: the ray
+    # bounces on x1 at (1,1/3,2/3) and then ends in that vertex
+    m = np.array([0.5, 0.0, 0.5])
+    rec = bl.orbit(_pp(cube, m, np.subtract([2.0, 1.0, 1.0], m)), 10, cube)
+    ev = rec.singularity
+    assert ev.kind is bl.SingularityKind.VERTEX_HIT and ev.step == 1
+    assert rec.word == ["y0", "x1"]
+    lines = bl.discontinuity_report(rec, cube)
+    # the three edges through the vertex, unfolded through (2,1,1)
+    assert len(lines) == 3
+    assert sorted(np.argmax(np.abs(line.direction)) for line in lines) == [0, 1, 2]
+    for line in lines:
+        assert np.allclose(np.sort(np.abs(line.direction)), [0, 0, 1.0])
+        assert point_line_distance([2.0, 1.0, 1.0], line.point, line.direction) < 1e-12
+
+
+def test_report_of_start_on_an_edge_with_radius(cube):
+    # the orbit ends at step 0, so its one segment has no length; it gives
+    # the start's distance to each edge, without a floating-point warning
+    x = bl.phase_point(cube, [0.5, 0.0, 0.0], [0.0, 0.6, 0.8], face="z0")
+    rec = bl.orbit(x, 5, cube)
+    assert rec.singularity.kind is bl.SingularityKind.EDGE_HIT and len(rec.points) == 1
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        near = bl.discontinuity_report(rec, cube, radius=0.55)
+        far = bl.discontinuity_report(rec, cube, radius=1.05)
+    # the edge under the start; the four edges 0.5 away that end at (0,0,0)
+    # or (1,0,0) join it, and at 1.05 also (0,1,0)-(1,1,0) and (0,0,1)-(1,0,1)
+    assert np.allclose(np.abs(near[0].direction), [1.0, 0, 0])
+    assert np.allclose(near[0].point[1:], 0.0)
+    assert len(near) == 5 and len(far) == 7
+
+
 def _vertex_bound_orbits(rng, count):
     """Tetrahedron starts whose orbits end at a vertex after 100-500 bounces.
 
@@ -356,6 +401,40 @@ def test_batch_matches_scalar(cube):
             assert bool(flags[i]) == bool(rec.near_singular_steps)
 
 
+def test_batch_matches_orbit_for_starts_near_edges():
+    # starts on an edge of their face, or within `plane` of one, end at once
+    # in orbit (an EDGE_HIT at step 0), and so in the batch; starts just
+    # beyond `plane` are stepped
+    tol = Tolerances(plane=1e-3, sing=1e-2)
+    offsets = np.array([0.0, 0.5, 0.99, 1.01, 2.0, 20.0]) * tol.plane
+    for P in (unit_cube(tol), regular_tetrahedron(tol), _rotated_box(tol)):
+        rng = np.random.default_rng(8)
+        m, f = [], []
+        for e in P.edges:
+            a, b = P.vertices[list(e.endpoints)]
+            for g in e.faces:
+                w = P.face_polygon(g).mean(axis=0) - a
+                inward = unit(w - (w @ e.direction) * e.direction)
+                for delta in offsets:
+                    m.append(a + rng.uniform(0.2, 0.8) * (b - a) + delta * inward)
+                    f.append(g)
+        m, f = np.array(m), np.array(f)
+        th = bl.sample_inward_directions(P, f, rng, w_lo=0.2)
+        words, lengths, flags = bl.run_word_batch(P, m, th, f, 8)
+        on_edge = offsets[np.arange(len(f)) % len(offsets)] <= tol.plane
+        for i in range(len(f)):
+            rec = bl.orbit(bl.PhasePoint(int(f[i]), m[i], th[i]), 8, P)
+            ev = rec.singularity
+            # the start's own edge event is placed at the start itself
+            assert (ev is not None and np.array_equal(ev.point, m[i])) == on_edge[i]
+            scalar_word = [P.face_index(w) for w in rec.word]
+            assert lengths[i] == len(scalar_word)
+            assert list(words[i, :lengths[i]]) == scalar_word
+            assert bool(flags[i]) == bool(rec.near_singular_steps)
+        assert (lengths[on_edge] == 1).all() and not flags[on_edge].any()
+        assert (lengths[~on_edge] > 1).mean() > 0.5
+
+
 def test_near_singular_flag_tolerance(cube):
     wide = cube.with_tolerances(Tolerances(sing=1e-2))
     x = bl.phase_point(wide, [0.5, 0.999, 0.0], [0, 0, 1.0])
@@ -398,6 +477,13 @@ def _reference_run_word_batch(P, m, theta, face, n_labels):
     N = P.normals
     off = P.offsets
     A, U, L = _padded_edges(P)
+
+    def edge_distance(q, f):
+        # clipped distance to the nearest edge of face f, as orbit measures it
+        w = q[:, None, :] - A[f]
+        tt = np.clip(np.einsum("bej,bej->be", w, U[f]), 0.0, L[f])
+        return np.linalg.norm(w - tt[..., None] * U[f], axis=2).min(axis=1)
+
     B = len(m)
     words = np.full((B, n_labels), -1, dtype=np.int16)
     lengths = np.zeros(B, dtype=np.int64)
@@ -409,7 +495,9 @@ def _reference_run_word_batch(P, m, theta, face, n_labels):
     words[:, 0] = face
     lengths[:] = 1
 
+    # tangent starts and starts on an edge of their face never advance
     good = np.einsum("bj,bj->b", theta, N[face]) > tol.angle
+    good &= edge_distance(m, face) > tol.plane
     rows = np.flatnonzero(good)
     m, theta = m[rows], theta[rows]
 
@@ -426,10 +514,7 @@ def _reference_run_word_batch(P, m, theta, face, n_labels):
         ok = np.isfinite(tstar)
         q = m + tstar[:, None] * theta
 
-        w = q[:, None, :] - A[fstar]
-        u = U[fstar]
-        tt = np.clip(np.einsum("bej,bej->be", w, u), 0.0, L[fstar])
-        edist = np.linalg.norm(w - tt[..., None] * u, axis=2).min(axis=1)
+        edist = edge_distance(q, fstar)
 
         keep = ok & (edist > tol.plane)
         flags[rows[keep & (edist <= tol.sing)]] = True

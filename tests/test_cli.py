@@ -208,6 +208,18 @@ def test_exit_code_tolerance_value(cube_file, capsys):
     assert "out of sane bounds" in capsys.readouterr().err
 
 
+def test_exit_code_non_finite_vector(cube_file, capsys):
+    # a component that is no finite number is a parse problem, not a start
+    # whose orbit is reported as singular
+    for m, theta in (("0.5,0.5,0", "nan,0,1"), ("0.5,0.5,0", "inf,0,1"),
+                     ("0.5,0.5,0", "0,-inf,1"), ("nan,0.5,0", "0,0,1"),
+                     ("0.5,inf,0", "0,0,1"), ("0.5,0.5,0", "abc,0,1")):
+        rc = cli.main(["code", cube_file, "--m", m, "--theta", theta])
+        assert rc == cli.EXIT_PARSE, (m, theta)
+        assert "vector component" in capsys.readouterr().err
+    assert cli.main(["code", cube_file, "--m", "0.5,0.5,0", "--theta", "0,0,1"]) == cli.EXIT_OK
+
+
 def test_exit_code_budget(cube_file, capsys):
     # a budget that is no finite number is a parse problem, not a precondition
     for budget in ("inf", "nan", "abc", "1e400"):

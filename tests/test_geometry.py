@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from polybilliard import billiard as bl
 from polybilliard import geometry as g
+from polybilliard.unfolding import Isometry, _prefix_isometries
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -262,6 +264,168 @@ def test_distance_helpers():
     assert abs(d - np.sqrt(2)) < 1e-12
     assert g.line_line_distance(np.zeros(3), np.array([1.0, 0, 0]),
                                 np.array([0, 1.0, 0]), np.array([0, 0, 1.0])) == 1.0
+
+
+def test_vec3_rejects_non_finite_arrays():
+    # a float64 3-vector takes the same checked path as any other input
+    for bad in ([np.nan, 0, 1], [np.inf, 0, 1], [0, -np.inf, 1]):
+        with pytest.raises(ValueError, match="non-finite"):
+            g.vec3(np.array(bad, dtype=float))
+        with pytest.raises(ValueError, match="non-finite"):
+            g.unit(np.array(bad, dtype=float))
+
+
+def _reference_segment_distance(p1, q1, p2, q2) -> float:
+    """The scalar clamped-closest-points routine that
+    :func:`geometry.segment_segment_distance` replaced."""
+    d1 = q1 - p1
+    d2 = q2 - p2
+    r = p1 - p2
+    a = float(d1 @ d1)
+    e = float(d2 @ d2)
+    f = float(d2 @ r)
+    if a <= 1e-30 and e <= 1e-30:
+        return float(np.linalg.norm(r))
+    if a <= 1e-30:
+        t = np.clip(f / e, 0.0, 1.0)
+        return float(np.linalg.norm(p1 - (p2 + t * d2)))
+    c = float(d1 @ r)
+    if e <= 1e-30:
+        s = np.clip(-c / a, 0.0, 1.0)
+        return float(np.linalg.norm(p1 + s * d1 - p2))
+    b = float(d1 @ d2)
+    denom = a * e - b * b
+    s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > 1e-30 else 0.0
+    t = (b * s + f) / e
+    if t < 0.0:
+        t = 0.0
+        s = np.clip(-c / a, 0.0, 1.0)
+    elif t > 1.0:
+        t = 1.0
+        s = np.clip((b - c) / a, 0.0, 1.0)
+    return float(np.linalg.norm(p1 + s * d1 - (p2 + t * d2)))
+
+
+def _segment_pairs(rng, count):
+    """(4, count, 3) endpoints p1, q1, p2, q2: random pairs, then parallel,
+    crossing, touching, zero-length first, zero-length second and both
+    zero-length ones, a seventh of the rows each."""
+    p1, q1, p2, q2 = rng.normal(size=(4, count, 3))
+    k = np.array_split(np.arange(count), 7)
+    shift = rng.normal(size=(len(k[1]), 3))
+    p2[k[1]], q2[k[1]] = p1[k[1]] + shift, p1[k[1]] + shift + 2.5 * (q1[k[1]] - p1[k[1]])
+    # crossing: both segments pass through a point at a random parameter
+    x = p1[k[2]] + rng.random((len(k[2]), 1)) * (q1[k[2]] - p1[k[2]])
+    p2[k[2]], q2[k[2]] = x - (q2[k[2]] - p2[k[2]]), x + (q2[k[2]] - p2[k[2]])
+    p2[k[3]] = q1[k[3]]                                   # touching at an end
+    q1[k[4]] = p1[k[4]]
+    q2[k[5]] = p2[k[5]]
+    q1[k[6]], q2[k[6]] = p1[k[6]], p2[k[6]]
+    return p1, q1, p2, q2
+
+
+def test_segment_distance_matches_scalar_reference():
+    rng = np.random.default_rng(21)
+    pairs = _segment_pairs(rng, 7000)
+    got = g.segment_segment_distance(*pairs)
+    assert got.shape == (7000,)
+    ref = np.array([_reference_segment_distance(*row) for row in zip(*pairs)])
+    assert np.abs(got - ref).max() <= 1e-12 * max(1.0, ref.max())
+    # crossing and touching segments meet
+    k = np.array_split(np.arange(7000), 7)
+    assert got[k[2]].max() <= 1e-12 and got[k[3]].max() <= 1e-12
+    # single 3-vectors give a scalar, and broadcasting gives the outer table
+    one = g.segment_segment_distance(*(a[0] for a in pairs))
+    assert np.ndim(one) == 0 and abs(one - ref[0]) <= 1e-12
+    p1, q1, p2, q2 = (a[:40] for a in pairs)
+    table = g.segment_segment_distance(p1[:, None], q1[:, None], p2, q2)
+    assert table.shape == (40, 40)
+    assert abs(table[3, 5] - _reference_segment_distance(p1[3], q1[3], p2[5], q2[5])) <= 1e-12
+
+
+def test_segment_distance_zero_length_first_segment(cube):
+    # a point-like first segment gives its point's distance to the second
+    e = cube.edges[0]
+    v0, v1 = cube.vertices[list(e.endpoints)]
+    p = 0.5 * (v0 + v1)
+    assert g.segment_segment_distance(p, p, v0, v1) == 0.0
+    q = p + 0.25 * np.cross(e.direction, [1.0, 2.0, 3.0]) / np.linalg.norm(
+        np.cross(e.direction, [1.0, 2.0, 3.0]))
+    assert abs(g.segment_segment_distance(q, q, v0, v1) - 0.25) <= 1e-15
+    beyond = v1 + 0.5 * e.direction * np.sign((v1 - v0) @ e.direction)
+    assert abs(g.segment_segment_distance(beyond, beyond, v0, v1) - 0.5) <= 1e-15
+
+
+def _reference_report(rec, P, radius):
+    """The report as the double loop over segments and edges built it: one
+    reference distance call per pair, then the terminal edge hit's line."""
+    lin, trans = _prefix_isometries(P, [p.face for p in rec.points])
+    ev = rec.singularity
+    ends = [p.m for p in rec.points[1:]]
+    if ev is not None and ev.kind is not bl.SingularityKind.TANGENT_IN_FACE:
+        ends.append(ev.point)
+    lines = []
+    for k, b in enumerate(ends):
+        iso = Isometry(lin[k], trans[k])
+        for e in P.edges:
+            v0, v1 = P.vertices[list(e.endpoints)]
+            if _reference_segment_distance(rec.points[k].m, b, v0, v1) <= radius:
+                lines.append((iso.apply(e.point), iso.apply_direction(e.direction)))
+    if ev is not None and ev.unfolded_direction is not None:
+        lines.append((ev.unfolded_point, ev.unfolded_direction))
+    found = {}
+    for point, direction in lines:
+        d = direction if direction[int(np.argmax(np.abs(direction)))] >= 0.0 else -direction
+        key = tuple(np.round(np.concatenate([point - (point @ d) * d, d]), 9))
+        found.setdefault(key, (point, direction))
+    return list(found.values())
+
+
+def _aimed_starts(P, rng, count):
+    """Starts aimed at a vertex or an edge midpoint, straight or through its
+    mirror image in a face plane: orbits that end on an edge or a vertex."""
+    targets = [*P.vertices, *(P.vertices[list(e.endpoints)].mean(axis=0) for e in P.edges)]
+    starts = []
+    while len(starts) < count:
+        f, h = (int(i) for i in rng.integers(P.n_faces, size=2))
+        (m,) = bl.sample_points_in_face(P, f, 1, rng)
+        x = targets[rng.integers(len(targets))]
+        if len(starts) % 2:
+            x = x - 2.0 * (P.normals[h] @ x + P.offsets[h]) * P.normals[h]
+        d = x - m
+        if d @ P.normals[f] > 1e-3 * np.linalg.norm(d):
+            starts.append(bl.PhasePoint(f, m, g.unit(d)))
+    return starts
+
+
+@pytest.mark.parametrize("name", ["cube", "tetrahedron", "rotated-box"])
+def test_report_near_misses_match_pairwise_loop(name):
+    # random starts give completed orbits (or, under wide tolerances, some
+    # that end singular); aimed ones end on an edge or a vertex
+    P0 = SOLIDS[name]()
+    rng = np.random.default_rng(5)
+    checked, kinds = 0, set()
+    for P in (P0, P0.with_tolerances(g.Tolerances(plane=1e-3, sing=1e-2))):
+        m, th, f = bl.random_phase_points(P, 4, rng)
+        starts = [bl.PhasePoint(int(f[i]), m[i], th[i]) for i in range(4)]
+        for x in starts + _aimed_starts(P, rng, 8):
+            rec = bl.orbit(x, 60, P)
+            kinds.add(None if rec.completed else rec.singularity.kind)
+            for radius in (1e-3, 0.05, 0.3):
+                ref = _reference_report(rec, P, radius)
+                try:
+                    got = bl.discontinuity_report(rec, P, radius)
+                except bl.EmptyReport:
+                    got = []
+                if rec.singularity is not None and rec.singularity.vertex is not None:
+                    got = got[:len(ref)]          # the vertex's edges come last
+                assert len(got) == len(ref)
+                for line, (point, direction) in zip(got, ref):
+                    assert np.array_equal(line.point, point)
+                    assert np.array_equal(line.direction, direction)
+                checked += len(ref)
+    assert checked > 50
+    assert {None, bl.SingularityKind.EDGE_HIT, bl.SingularityKind.VERTEX_HIT} <= kinds
 
 
 # ---------------------------------------------------------------------------
