@@ -70,12 +70,8 @@ class SingularityKind(Enum):
 
 @dataclass(frozen=True)
 class SingularityEvent:
-    """Where and how an orbit left the phase space.
-
-    For edge hits the offending edge is also given in unfolded coordinates
-    (point and unit direction after applying the cumulative unfolding
-    isometry of the step), ready for transversal analysis.
-    """
+    """Where and how an orbit left the phase space; :func:`discontinuity_report`
+    gives its edge, or the edges through its vertex, in unfolded coordinates."""
 
     kind: SingularityKind
     step: int
@@ -83,8 +79,6 @@ class SingularityEvent:
     edge: int | None = None
     vertex: int | None = None
     face: int | None = None
-    unfolded_point: np.ndarray | None = None
-    unfolded_direction: np.ndarray | None = None
 
 
 @dataclass
@@ -105,27 +99,16 @@ class OrbitRecord:
         return len(self.points)
 
 
-def _event(hit: Hit | None, points: list[PhasePoint],
-           P: Polyhedron) -> SingularityEvent:
+def _event(hit: Hit | None, points: list[PhasePoint]) -> SingularityEvent:
     """The singularity that ends an orbit at its last point, whose forward
-    ``hit`` is an edge or vertex (``None``: a ray inside the face); the edge
-    or vertex is unfolded by the cumulative isometry of that step."""
+    ``hit`` is an edge or vertex (``None``: a ray inside the face)."""
     step, last = len(points) - 1, points[-1]
     if hit is None:
         return SingularityEvent(SingularityKind.TANGENT_IN_FACE, step,
                                 last.m.copy(), face=last.face)
-    lin, trans = _prefix_isometries(P, [p.face for p in points])
-    iso = Isometry(lin[-1], trans[-1])
-    if hit.kind is HitKind.EDGE:
-        e = P.edges[hit.edge]
-        kind = SingularityKind.EDGE_HIT
-        up, ud = iso.apply(e.point), iso.apply_direction(e.direction)
-    else:
-        kind = SingularityKind.VERTEX_HIT
-        up, ud = iso.apply(P.vertices[hit.vertex]), None
+    kind = SingularityKind.EDGE_HIT if hit.kind is HitKind.EDGE else SingularityKind.VERTEX_HIT
     return SingularityEvent(kind, step, hit.point, edge=hit.edge,
-                            vertex=hit.vertex, face=hit.face,
-                            unfolded_point=up, unfolded_direction=ud)
+                            vertex=hit.vertex, face=hit.face)
 
 
 def classify_phase_point(x: PhasePoint, P: Polyhedron) -> SingularityEvent | None:
@@ -184,13 +167,13 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
         cos_n = tx * nx + ty * ny + tz * nz
         m, theta = hit.point, np.array((tx, ty, tz))
         points.append(PhasePoint(hit.face, m, theta))
-        if hit.edge_distance < P.tol.sing:
+        if hit.edge_distance <= P.tol.sing:
             flagged.append(len(points) - 1)
         if len(points) == n_max:
             break
     ended = hit is None or hit.kind is not HitKind.FACE
     return OrbitRecord(points, [P.labels[p.face] for p in points],
-                       _event(hit, points, P) if ended else None, flagged)
+                       _event(hit, points) if ended else None, flagged)
 
 
 def discontinuity_report(record: OrbitRecord, P: Polyhedron,
@@ -235,18 +218,25 @@ def discontinuity_report(record: OrbitRecord, P: Polyhedron,
 # sampling and batched word generation
 # ---------------------------------------------------------------------------
 
-def sample_points_in_face(P: Polyhedron, f: int, count: int,
+def sample_points_in_face(P: Polyhedron, faces: np.ndarray,
                           rng: np.random.Generator) -> np.ndarray:
-    """Uniform points in the face polygon via its triangle fan."""
-    poly = P.face_polygon(f)
-    v0 = poly[0]
-    tri_a = poly[1:-1] - v0
-    tri_b = poly[2:] - v0
-    areas = 0.5 * np.linalg.norm(np.cross(tri_a, tri_b), axis=1)
-    idx = rng.choice(len(areas), size=count, p=areas / areas.sum())
-    r1 = np.sqrt(rng.random(count))
-    r2 = rng.random(count)
-    return v0 + (r1 * (1 - r2))[:, None] * tri_a[idx] + (r1 * r2)[:, None] * tri_b[idx]
+    """A uniform point in the polygon of each face in ``faces``, via its
+    triangle fan; the faces draw from ``rng`` in face-id order."""
+    m = np.empty((len(faces), 3))
+    for f in range(P.n_faces):
+        rows = np.flatnonzero(faces == f)
+        if rows.size == 0:
+            continue
+        poly = P.face_polygon(f)
+        v0 = poly[0]
+        tri_a = poly[1:-1] - v0
+        tri_b = poly[2:] - v0
+        areas = 0.5 * np.linalg.norm(np.cross(tri_a, tri_b), axis=1)
+        idx = rng.choice(len(areas), size=rows.size, p=areas / areas.sum())
+        r1 = np.sqrt(rng.random(rows.size))
+        r2 = rng.random(rows.size)
+        m[rows] = v0 + (r1 * (1 - r2))[:, None] * tri_a[idx] + (r1 * r2)[:, None] * tri_b[idx]
+    return m
 
 
 def sample_inward_directions(P: Polyhedron, faces: np.ndarray,
@@ -273,11 +263,7 @@ def random_phase_points(P: Polyhedron, count: int,
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(m, theta, face) arrays sampled uniformly over faces x inward hemisphere."""
     faces = rng.integers(0, P.n_faces, count)
-    m = np.empty((count, 3))
-    for f in range(P.n_faces):
-        rows = np.flatnonzero(faces == f)
-        if rows.size:
-            m[rows] = sample_points_in_face(P, f, rows.size, rng)
+    m = sample_points_in_face(P, faces, rng)
     theta = sample_inward_directions(P, faces, rng)
     return m, theta, faces
 

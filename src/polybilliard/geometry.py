@@ -9,6 +9,7 @@ an unreliable orbit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -64,11 +65,11 @@ def vec3(x) -> np.ndarray:
     return v
 
 
-def unit(v, tol: float = 1e-12) -> np.ndarray:
-    """Normalize ``v``; raise if it is numerically zero."""
+def unit(v) -> np.ndarray:
+    """Normalize ``v``; raise if its norm is at most 1e-12."""
     v = vec3(v)
     n = float(np.linalg.norm(v))
-    if n <= tol:
+    if n <= 1e-12:
         raise ValueError("cannot normalize a zero vector")
     return v / n
 
@@ -252,15 +253,14 @@ class Polyhedron:
         """Signed distances to all face planes; >= 0 everywhere iff inside."""
         return np.asarray(pts, float) @ self.normals.T + self.offsets
 
-    def point_in_face(self, f: int, q, slack: float | None = None) -> bool:
+    def point_in_face(self, f: int, q) -> bool:
         """Is ``q`` (assumed on the face plane) inside the face polygon?"""
-        slack = self.tol.plane if slack is None else slack
         poly = self.face_polygon(f)
         n = self.normals[f]
         nxt = np.roll(poly, -1, axis=0)
         side = np.cross(n, nxt - poly)          # points into the polygon
         rel = np.asarray(q, float) - poly
-        return bool(np.all(np.einsum("ij,ij->i", rel, side) >= -slack * np.linalg.norm(side, axis=1)))
+        return bool(np.all(np.einsum("ij,ij->i", rel, side) >= -self.tol.plane * np.linalg.norm(side, axis=1)))
 
     def nearest_edge(self, f: int, q) -> tuple[float, int]:
         """Distance from ``q`` to the nearest boundary edge of face ``f``,
@@ -300,7 +300,10 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
             label, idx = fs["label"], fs["vertices"]
         else:
             label, idx = fs
-        idx = [int(i) for i in idx]
+        try:
+            idx = [operator.index(i) for i in idx]
+        except TypeError:
+            raise ValueError(f"face {label!r} has a non-integer vertex index") from None
         if len(idx) < 3:
             raise ValueError(f"face {label!r} has fewer than 3 vertices")
         if len(set(idx)) != len(idx):

@@ -171,14 +171,13 @@ def make_beam(P: Polyhedron, label: str, theta) -> Beam:
 _SEGMENT_TOL = 1e-15
 
 
-def propagate_beam(b: Beam, label: str, P: Polyhedron, strict: bool = False) -> Beam:
+def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
     """Extend the beam's word by one label.
 
     The new cross-section is the old one intersected with the projection of
     the label's unfolded face copy (exact convex clipping; a face copy seen
-    edge-on clips to a segment).  A geometric miss yields an empty beam, or
-    :class:`LabelNotReachable` when ``strict``; a label equal to the previous
-    one, or unknown, always raises.
+    edge-on clips to a segment).  A geometric miss yields an empty beam; a
+    label equal to the previous one, or unknown, raises.
     """
     if b.is_empty:
         raise ValueError("cannot propagate an empty beam")
@@ -215,11 +214,8 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron, strict: bool = False) -> 
 
     new_iso = iso.compose(Isometry(P.reflection_linear[f], P.reflection_translation[f]))
     section = np.array(section).reshape(-1, 2)
-    out = Beam(b.theta, b.origin, b.axes, section, b.word + [label],
-               b.isometries + [new_iso])
-    if strict and out.is_empty:
-        raise LabelNotReachable(f"face {label!r} projection misses the beam")
-    return out
+    return Beam(b.theta, b.origin, b.axes, section, b.word + [label],
+                b.isometries + [new_iso])
 
 
 @dataclass(frozen=True)
@@ -370,11 +366,7 @@ def _chunk_complexity(P: Polyhedron, seed: int, chunk_idx: int, start: int,
     tile = (g // F) % (tw * tp)
     iw = tile % tw
     ip = tile // tw
-    m = np.empty((len(g), 3))
-    for f in range(F):
-        rows = np.flatnonzero(faces == f)
-        if rows.size:
-            m[rows] = sample_points_in_face(P, f, rows.size, rng)
+    m = sample_points_in_face(P, faces, rng)
     theta = sample_inward_directions(
         P, faces, rng,
         w_lo=iw / tw, w_hi=(iw + 1) / tw,

@@ -251,18 +251,13 @@ class TripleSurface:
 
 def triple_surface(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine) -> TripleSurface:
     """Build the transversal surface of three pairwise-skew edges."""
-    _require_skew(a0, a1, "a0/a1")
-    _require_skew(a0, a2, "a0/a2")
+    c1 = _require_skew(a0, a1, "a0/a1")
+    c2 = _require_skew(a0, a2, "a0/a2")
     _require_skew(a1, a2, "a1/a2")
-    e1 = a0.direction
-    frame = np.vstack([e1, tangent_frame(e1)])
-    origin = a0.point.copy()
-    num = np.empty((2, 3))
-    den = np.empty((2, 3))
-    for i, a in enumerate((a1, a2)):
-        num[i] = frame @ np.cross(a.point - origin, a.direction)
-        den[i] = frame @ np.cross(e1, a.direction)
-    return TripleSurface(origin, frame, num, den)
+    frame = np.vstack([a0.direction, tangent_frame(a0.direction)])
+    num = np.array([frame @ c1.numerator, frame @ c2.numerator])
+    den = np.array([frame @ c1.denominator, frame @ c2.denominator])
+    return TripleSurface(a0.point.copy(), frame, num, den)
 
 
 ON_SURFACE = "on-surface"

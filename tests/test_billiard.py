@@ -31,13 +31,15 @@ def test_classify_regular(cube):
 
 
 def test_classify_edge_hit(cube):
-    ev = bl.classify_phase_point(_pp(cube, [0.5, 0.5, 0.0], [1.0, 1.0, 1.0]), cube)
+    x = _pp(cube, [0.5, 0.5, 0.0], [1.0, 1.0, 1.0])
+    ev = bl.classify_phase_point(x, cube)
     assert ev is not None and ev.kind is bl.SingularityKind.EDGE_HIT
     assert np.allclose(ev.point, [1.0, 1.0, 0.5])
     assert ev.step == 0
     # single-step unfolding is the identity: unfolded edge equals the folded one
-    assert np.allclose(np.abs(ev.unfolded_direction), [0, 0, 1.0])
-    assert np.allclose(ev.unfolded_point[:2], [1.0, 1.0])
+    (line,) = bl.discontinuity_report(bl.orbit(x, 1, cube), cube)
+    assert np.allclose(np.abs(line.direction), [0, 0, 1.0])
+    assert np.allclose(line.point[:2], [1.0, 1.0])
 
 
 def test_classify_tangent(cube):
@@ -373,14 +375,38 @@ def test_terminal_event_unfolds_by_its_step_isometry():
         steps[ev.kind].append(ev.step)
         assert ev.step == rec.n_bounces - 1
         iso = cumulative_isometries(P, [p.face for p in rec.points])[ev.step]
-        if ev.kind is bl.SingularityKind.EDGE_HIT:
-            e = P.edges[ev.edge]
-            assert np.array_equal(ev.unfolded_point, iso.apply(e.point))
-            assert np.array_equal(ev.unfolded_direction, iso.apply_direction(e.direction))
-        else:
-            assert np.array_equal(ev.unfolded_point, iso.apply(P.vertices[ev.vertex]))
-            assert ev.unfolded_direction is None
+        lines = bl.discontinuity_report(rec, P)
+        # the edge hit, or every edge through the vertex hit, in edge order
+        edges = [e for i, e in enumerate(P.edges) if i == ev.edge or ev.vertex in e.endpoints]
+        assert len(lines) == len(edges) == (1 if ev.edge is not None else 3)
+        for line, e in zip(lines, edges):
+            assert np.array_equal(line.point, iso.apply(e.point))
+            assert np.array_equal(line.direction, iso.apply_direction(e.direction))
+            if ev.vertex is not None:
+                v = iso.apply(P.vertices[ev.vertex])
+                assert point_line_distance(v, line.point, line.direction) <= 1e-12 * (
+                    1.0 + np.abs(v).max())
     assert all(max(s, default=0) >= 100 for s in steps.values())
+
+
+def test_singular_event_needs_no_unfolding(cube, monkeypatch):
+    # an edge- or vertex-ending orbit records its hit; only the report unfolds
+    calls = []
+    prefix = bl._prefix_isometries
+
+    def counting_prefix(P, faces):
+        calls.append(1)
+        return prefix(P, faces)
+
+    monkeypatch.setattr(bl, "_prefix_isometries", counting_prefix)
+    m = np.array([0.5, 0.0, 0.5])
+    edge = bl.orbit(_pp(cube, [0.5, 0.5, 0.0], [1.0, 1.0, 1.0]), 10, cube)
+    vertex = bl.orbit(_pp(cube, m, np.subtract([2.0, 1.0, 1.0], m)), 10, cube)
+    assert edge.singularity.kind is bl.SingularityKind.EDGE_HIT
+    assert vertex.singularity.kind is bl.SingularityKind.VERTEX_HIT
+    assert calls == []
+    bl.discontinuity_report(vertex, cube)
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +468,41 @@ def test_near_singular_flag_tolerance(cube):
     assert rec.completed and rec.near_singular_steps == [1]
     x = bl.phase_point(cube, [0.5, 0.999, 0.0], [0, 0, 1.0])
     assert bl.orbit(x, 2, cube).near_singular_steps == []
+    # a bounce exactly `sing` from an edge: both stepping paths flag it
+    x = bl.phase_point(cube, [1e-7, 0.5, 1.0], [0, 0, -1.0])
+    _, _, flags = bl.run_word_batch(cube, x.m[None], x.theta[None], np.array([x.face]), 2)
+    assert bool(flags[0]) and bl.orbit(x, 2, cube).near_singular_steps == [1]
+
+
+def _reference_sample_one_face(P, f, count, rng):
+    """The sampler as it was when it drew for one face at a time."""
+    poly = P.face_polygon(f)
+    v0 = poly[0]
+    tri_a = poly[1:-1] - v0
+    tri_b = poly[2:] - v0
+    areas = 0.5 * np.linalg.norm(np.cross(tri_a, tri_b), axis=1)
+    idx = rng.choice(len(areas), size=count, p=areas / areas.sum())
+    r1 = np.sqrt(rng.random(count))
+    r2 = rng.random(count)
+    return v0 + (r1 * (1 - r2))[:, None] * tri_a[idx] + (r1 * r2)[:, None] * tri_b[idx]
+
+
+def test_sampler_matches_one_face_loop(cube):
+    rng = np.random.default_rng(24)
+    for P in (cube, regular_tetrahedron(), _octahedron()):
+        for seed in range(5):
+            # shuffled rows, with some faces drawing no point at all
+            present = rng.permutation(P.n_faces)[:P.n_faces - 1 - seed % 3]
+            faces = rng.permutation(np.repeat(present, rng.integers(1, 30, present.size)))
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = bl.sample_points_in_face(P, faces, got_rng)
+            ref = np.empty((len(faces), 3))
+            for f in range(P.n_faces):
+                rows = np.flatnonzero(faces == f)
+                if rows.size:
+                    ref[rows] = _reference_sample_one_face(P, f, rows.size, ref_rng)
+            assert got.tobytes() == ref.tobytes()
+            assert got_rng.random() == ref_rng.random()     # the same draws were made
 
 
 def test_batch_padding(cube):

@@ -166,8 +166,12 @@ def _cube_with_int_faces(data):
     data["faces"] = 5
 
 
+def _cube_with_fractional_index(data):
+    data["faces"][0]["vertices"][0] += 0.9       # truncates back to the cube
+
+
 @pytest.mark.parametrize("damage", [_cube_without_face_vertices, _cube_with_int_face,
-                                    _cube_with_int_faces])
+                                    _cube_with_int_faces, _cube_with_fractional_index])
 def test_exit_code_malformed_polyhedron(tmp_path, capsys, damage):
     # a missing key (KeyError) or a wrongly typed entry (TypeError) in the
     # polyhedron file is a parse problem, as a bad value is

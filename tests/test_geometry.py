@@ -67,6 +67,16 @@ def test_collinear_face_rejected():
         g.validate(vs, faces)
 
 
+def test_non_integer_vertex_index_rejected(cube):
+    # truncating i + 0.9, or parsing str(i), would give the cube back
+    faces = [(f.label, list(f.boundary)) for f in cube.faces]
+    i = faces[0][1][0]
+    for bad in (i + 0.9, str(i)):
+        faces[0][1][0] = bad
+        with pytest.raises(ValueError, match="non-integer vertex index"):
+            g.validate(cube.vertices, faces)
+
+
 def test_duplicate_labels_rejected(cube):
     faces = [("same", list(f.boundary)) for f in cube.faces]
     with pytest.raises(ValueError):
@@ -235,7 +245,7 @@ def test_hit_point_on_face(cube):
         hit = g.first_hit(m, theta, cube)
         pl = cube.faces[hit.face].plane
         assert abs(pl.signed(hit.point)) < 1e-9
-        assert cube.point_in_face(hit.face, hit.point, slack=1e-9)
+        assert cube.point_in_face(hit.face, hit.point)
 
 
 def test_segments_between_boundary_points_stay_inside(cube):
@@ -358,7 +368,8 @@ def test_segment_distance_zero_length_first_segment(cube):
 
 def _reference_report(rec, P, radius):
     """The report as the double loop over segments and edges built it: one
-    reference distance call per pair, then the terminal edge hit's line."""
+    reference distance call per pair, then the line of the terminal edge
+    hit, or of each edge through the terminal vertex hit."""
     lin, trans = _prefix_isometries(P, [p.face for p in rec.points])
     ev = rec.singularity
     ends = [p.m for p in rec.points[1:]]
@@ -371,8 +382,11 @@ def _reference_report(rec, P, radius):
             v0, v1 = P.vertices[list(e.endpoints)]
             if _reference_segment_distance(rec.points[k].m, b, v0, v1) <= radius:
                 lines.append((iso.apply(e.point), iso.apply_direction(e.direction)))
-    if ev is not None and ev.unfolded_direction is not None:
-        lines.append((ev.unfolded_point, ev.unfolded_direction))
+    if ev is not None and ev.kind is not bl.SingularityKind.TANGENT_IN_FACE:
+        iso = Isometry(lin[ev.step], trans[ev.step])
+        for i, e in enumerate(P.edges):
+            if i == ev.edge or ev.vertex in e.endpoints:
+                lines.append((iso.apply(e.point), iso.apply_direction(e.direction)))
     found = {}
     for point, direction in lines:
         d = direction if direction[int(np.argmax(np.abs(direction)))] >= 0.0 else -direction
@@ -388,7 +402,7 @@ def _aimed_starts(P, rng, count):
     starts = []
     while len(starts) < count:
         f, h = (int(i) for i in rng.integers(P.n_faces, size=2))
-        (m,) = bl.sample_points_in_face(P, f, 1, rng)
+        (m,) = bl.sample_points_in_face(P, np.array([f]), rng)
         x = targets[rng.integers(len(targets))]
         if len(starts) % 2:
             x = x - 2.0 * (P.normals[h] @ x + P.offsets[h]) * P.normals[h]
@@ -417,8 +431,6 @@ def test_report_near_misses_match_pairwise_loop(name):
                     got = bl.discontinuity_report(rec, P, radius)
                 except bl.EmptyReport:
                     got = []
-                if rec.singularity is not None and rec.singularity.vertex is not None:
-                    got = got[:len(ref)]          # the vertex's edges come last
                 assert len(got) == len(ref)
                 for line, (point, direction) in zip(got, ref):
                     assert np.array_equal(line.point, point)

@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from polybilliard import transversal as tv
+from polybilliard.geometry import tangent_frame
 
 SQRT3 = np.sqrt(3.0)
 SQRT30 = np.sqrt(30.0)
@@ -194,6 +195,29 @@ def test_brute_force_sampler_agrees():
     for line in lines:
         pts = np.array([line.at(t) for t in (-1.0, 0.0, 0.5, 2.0)])
         assert bool(S.contains(pts, tol=1e-6).all())
+
+
+def test_surface_rows_match_per_edge_loop():
+    # the rows as built per edge before they were read off the pair constraints
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 100:
+        a0, a1, a2 = (tv.EdgeLine.of(10.0 * rng.normal(size=3), rng.normal(size=3))
+                      for _ in range(3))
+        try:
+            S = tv.triple_surface(a0, a1, a2)
+        except tv.NotPairwiseSkew:
+            continue
+        frame = np.vstack([a0.direction, tangent_frame(a0.direction)])
+        num, den = np.empty((2, 3)), np.empty((2, 3))
+        for i, a in enumerate((a1, a2)):
+            num[i] = frame @ np.cross(a.point - a0.point, a.direction)
+            den[i] = frame @ np.cross(a0.direction, a.direction)
+        assert S.origin.tobytes() == a0.point.tobytes()
+        assert S.frame.tobytes() == frame.tobytes()
+        assert S.coeff_num.tobytes() == num.tobytes()
+        assert S.coeff_den.tobytes() == den.tobytes()
+        checked += 1
 
 
 def test_regulus_surface():

@@ -124,12 +124,13 @@ def test_no_reflection_built_after_construction(cube, monkeypatch):
     # step-0 edge events unfold by the identity: a ray into an edge, a start on one
     for m, theta in (([0.5, 0.5, 0.0], [1.0, 1.0, 1.0]), ([0.5, 0.0, 0.0], [0.0, 1.0, 1.0])):
         theta = np.array(theta) / np.linalg.norm(theta)
-        x = bl.PhasePoint(cube.face_index("z0"), np.array(m), theta)
-        ev = bl.classify_phase_point(x, cube)
+        rec = bl.orbit(bl.PhasePoint(cube.face_index("z0"), np.array(m), theta), 1, cube)
+        ev = rec.singularity
         assert ev.kind is bl.SingularityKind.EDGE_HIT and ev.step == 0
         e = cube.edges[ev.edge]
-        assert np.array_equal(ev.unfolded_point, e.point)
-        assert np.array_equal(ev.unfolded_direction, e.direction)
+        (line,) = bl.discontinuity_report(rec, cube)
+        assert np.array_equal(line.point, e.point)
+        assert np.array_equal(line.direction, e.direction)
     rec = _orbit(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0], 1000)
     uf.unfold_orbit(rec, cube)
     uf.generate_group(cube, bound=100)
@@ -358,7 +359,7 @@ def test_prefix_scan_matches_sequential_reference(name):
 
 
 def test_terminal_event_within_rounding_of_sequential_reference():
-    # events take their isometry from the scan, so on solids whose products
+    # reports take their isometry from the scan, so on solids whose products
     # round they differ from the sequential product in the last bits only
     P = regular_tetrahedron(Tolerances(plane=1e-3))
     rng = np.random.default_rng(16)
@@ -371,9 +372,9 @@ def test_terminal_event_within_rounding_of_sequential_reference():
             continue
         late += ev.step >= 100
         iso = _reference_cumulative_isometries(P, [p.face for p in rec.points])[ev.step]
-        e = P.edges[ev.edge]
-        for got, ref in ((ev.unfolded_point, iso.apply(e.point)),
-                         (ev.unfolded_direction, iso.apply_direction(e.direction))):
+        e, line = P.edges[ev.edge], bl.discontinuity_report(rec, P)[0]
+        for got, ref in ((line.point, iso.apply(e.point)),
+                         (line.direction, iso.apply_direction(e.direction))):
             assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
     assert late > 0
 
