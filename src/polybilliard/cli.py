@@ -197,6 +197,10 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_transversal(args) -> int:
+    if args.samples < 0:
+        raise ValueError("--samples must be >= 0")
+    if args.probes < 0:
+        raise ValueError("--probes must be >= 0")
     try:
         data = json.loads(Path(args.edges).read_text())
         raw = data["edges"]
@@ -240,6 +244,8 @@ def _cmd_transversal(args) -> int:
 
 
 def _cmd_cell(args) -> int:
+    if args.kmax < 1:
+        raise ValueError("--kmax must be >= 1")
     P = _load_polyhedron(args)
     theta = _parse_direction(args.theta)
     word = [w.strip() for w in args.word.split(",") if w.strip()]

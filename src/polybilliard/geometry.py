@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -297,9 +298,11 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
     face_specs: list[tuple[str, list[int]]] = []
     for fs in faces:
         if isinstance(fs, dict):
-            label, idx = fs["label"], fs["vertices"]
+            label, idx = fs["label"], fs.get("vertices")
         else:
             label, idx = fs
+        if isinstance(idx, (str, bytes)) or not isinstance(idx, Iterable):
+            raise ValueError(f"face {label!r}: vertex index list is missing or not a list")
         try:
             idx = [operator.index(i) for i in idx]
         except TypeError:

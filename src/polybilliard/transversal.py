@@ -9,10 +9,8 @@ form vanishes), or the edges are skew and the offset is forced:
 
 with ``u`` the base direction, ``p1, x1`` point and direction of the other
 edge, and ``^`` the cross product.  Lines meeting three pairwise-skew edges
-sweep a surface; in an adapted frame with the base direction as first axis
-the surface is the zero set of a cleared-denominator polynomial of degree at
-most three along any straight probe, so a probe not contained in the surface
-crosses it at most four times.
+sweep the one quadric through the three edges, so a probe line not
+contained in it crosses it at most twice, a tangency counted once.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import line_line_distance, tangent_frame, unit, vec3
+from .geometry import line_line_distance, unit, vec3
 
 
 class IdenticalLines(Exception):
@@ -65,26 +63,16 @@ class RationalConstraint:
 
 TransversalConstraint = CoplanarConstraint | RationalConstraint
 
-# coplanarity of two edges, a vanishing rational denominator, a line
-# meeting an edge (times the scene scale), surface membership of probe
-# points, and merging of nearby roots along a probe
+# coplanarity of two edges, a vanishing rational denominator, and a line
+# meeting an edge (times the scene scale)
 _COPLANAR_TOL = 1e-10
 _DEN_TOL = 1e-10
 _MEET_TOL = 1e-8
-_ON_TOL = 1e-7
-_MERGE_TOL = 1e-7
 # transversals are sampled through a2.at(s) for s in [-3, 3]
 _SAMPLE_SPAN = 3.0
-# probe residuals: relative to the coefficient scale ``char`` of a cubic in
-# the surface's coefficients and the probe's offset, below which the residual
-# vanishes identically along the probe
-_ZERO_TOL = 1e-10
-# relative to the largest coefficient: leading terms below it are
-# cancellation noise, not degree
-_TRIM_TOL = 1e-12
-# relative to 1 + |Re r|: a double root splits into a conjugate pair of size
-# about sqrt(machine epsilon) ~ 1e-8, which is still one real crossing
-_IMAG_TOL = 1e-7
+# probe coefficients: relative to the probe's scale, the rounding below
+# which a coefficient (or the discriminant, times 4|c2|) counts as zero
+_ROUND_TOL = 1e-12
 
 
 def pair_constraint(a0: EdgeLine, a1: EdgeLine) -> TransversalConstraint:
@@ -127,206 +115,124 @@ def eval_constraint(c: TransversalConstraint, theta) -> float | None:
     return float(c.numerator @ theta) / den
 
 
-def _require_skew(a: EdgeLine, b: EdgeLine, what: str) -> RationalConstraint:
-    try:
-        con = pair_constraint(a, b)
-    except IdenticalLines:
-        raise NotPairwiseSkew(f"{what}: edges are identical")
-    if not isinstance(con, RationalConstraint):
-        raise NotPairwiseSkew(f"{what}: edges are coplanar")
-    return con
+def _require_skew(edges: tuple[EdgeLine, ...]) -> None:
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            try:
+                con = pair_constraint(edges[i], edges[j])
+            except IdenticalLines:
+                raise NotPairwiseSkew(f"a{i}/a{j}: edges are identical")
+            if not isinstance(con, RationalConstraint):
+                raise NotPairwiseSkew(f"a{i}/a{j}: edges are coplanar")
+
+
+def _cross(a, b) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 @dataclass
 class TripleSurface:
-    """Surface swept by lines meeting three pairwise-skew edges.
+    """The quadric swept by lines meeting three pairwise-skew edges.
 
-    The adapted frame maps the base edge point to the origin and its
-    direction to the first axis; ``coeff_num[i]``/``coeff_den[i]`` are the
-    rational-constraint vectors of the other two edges in that frame.  The
-    surface is the locus where the two forced offsets agree, expressed as a
-    height field ``P1 = f(P2, P3)`` away from its denominator locus and as
-    the zero set of the cleared-denominator residual ``P1 B1 alpha + beta
-    (B1 + a1_0) - A1 alpha`` (terms of :meth:`_height`) everywhere.
+    Three pairwise-skew lines lie on exactly one quadric, and the lines of
+    its other ruling are their transversals.  It is the zero set of
 
-    The arrays are read-only: the coefficient rows are also kept as float
-    tuples, with the surface's factor ``(1 + max|num|)(1 + max|den|)^2`` of
-    the probe scale ``char``, so a probe does no per-surface work.
+        f(X) = det[(X - p0) ^ d0, (X - p1) ^ d1, (X - p2) ^ d2],
+
+    which vanishes exactly when the planes through X and each edge share a
+    line.  The cubic terms cancel because (X ^ a) ^ (X ^ b) = <X, a ^ b> X.
+    Measure lengths from p0 in units of ``L``, the largest distance between
+    two of the edge lines: Y = (X - p0) / L, q_i = (p_i - p0) / L and
+    moments m_i = q_i ^ d_i, so m0 = 0 and
+
+        f / L^3 = <Y, d0 ^ (m1 ^ m2)> - <Y, d2 ^ d0><Y, m1> - <Y, d0 ^ d1><Y, m2>.
+
+    In these units neither the terms nor the probe tolerances depend on
+    where the edges sit or how large they are.  ``points`` and
+    ``directions`` are read-only (3, 3) arrays whose rows are the edges'
+    points and unit directions; the terms are kept as float tuples, so a
+    probe does no per-surface work.
     """
 
-    origin: np.ndarray
-    frame: np.ndarray            # (3,3) rotation; rows are adapted axes
-    coeff_num: np.ndarray        # (2,3)
-    coeff_den: np.ndarray        # (2,3), first components ~0
+    points: np.ndarray
+    directions: np.ndarray
 
     def __post_init__(self):
-        for a in (self.origin, self.frame, self.coeff_num, self.coeff_den):
+        P, D = self.points, self.directions
+        for a in (P, D):
             a.setflags(write=False)
-        num, den = self.coeff_num.tolist(), self.coeff_den.tolist()
-        self._num = tuple(map(tuple, num))
-        self._den = tuple(map(tuple, den))
-        self._char = ((1.0 + max(abs(x) for row in num for x in row))
-                      * (1.0 + max(abs(x) for row in den for x in row)) ** 2)
-
-    def to_adapted(self, pts) -> np.ndarray:
-        return (np.asarray(pts, float) - self.origin) @ self.frame.T
-
-    def _height(self, P2: float, P3: float):
-        """``(height or None, B1, alpha, A1, beta)`` over (P2, P3), in floats."""
-        (a10, a11, a12), (a20, a21, a22) = self._num
-        (_, b11, b12), (_, b21, b22) = self._den
-        B1 = b11 * P2 + b12 * P3
-        B2 = b21 * P2 + b22 * P3
-        alpha = a10 * B2 - a20 * B1
-        A1 = a11 * P2 + a12 * P3
-        A2 = a21 * P2 + a22 * P3
-        beta = A1 * B2 - A2 * B1
-        tiny = 1e-12 * (1.0 + abs(P2) + abs(P3))
-        h = None
-        if not abs(alpha) < tiny * (1.0 + abs(a10) + abs(a20)):
-            q = -beta / alpha
-            if abs(B1) >= abs(B2):
-                if not abs(B1) < tiny:
-                    h = (a10 * q + A1) / B1 + q
-            elif not abs(B2) < tiny:
-                h = (a20 * q + A2) / B2 + q
-        return h, B1, alpha, A1, beta
-
-    def height(self, P2: float, P3: float) -> float | None:
-        """First adapted coordinate of the surface over (P2, P3), if defined."""
-        return self._height(P2, P3)[0]
-
-    def _member(self, P1: float, P2: float, P3: float, tol: float) -> bool:
-        """Membership of an adapted point: the height test where the height
-        is defined, else the cleared residual against its term sizes."""
-        h, B1, alpha, A1, beta = self._height(P2, P3)
-        if h is not None:
-            return abs(P1 - h) <= tol * (1.0 + abs(P1) + abs(h))
-        e = beta * (B1 + self._num[0][0])
-        res = P1 * B1 * alpha + e - A1 * alpha
-        mag = abs(P1 * B1 * alpha) + abs(e) + abs(A1 * alpha)
-        return abs(res) <= tol * (1.0 + mag)
+        self._length = L = max(line_line_distance(P[i], D[i], P[j], D[j])
+                               for i, j in ((0, 1), (0, 2), (1, 2)))
+        p, d = P.tolist(), D.tolist()
+        q = [tuple((x - y) / L for x, y in zip(pi, p[0])) for pi in p]
+        self._edges = tuple(zip(q, map(tuple, d)))
+        m1, m2 = _cross(q[1], d[1]), _cross(q[2], d[2])
+        self._linear = _cross(d[0], _cross(m1, m2))
+        self._quadratic = ((_cross(d[2], d[0]), m1), (_cross(d[0], d[1]), m2))
 
     def contains(self, pts, tol: float = 1e-8) -> np.ndarray:
-        """Surface membership for world points (boolean array)."""
-        ad = np.atleast_2d(self.to_adapted(pts)).tolist()
-        return np.array([self._member(P1, P2, P3, tol) for P1, P2, P3 in ad], dtype=bool)
+        """Surface membership for world points (boolean array).
 
-    def _residual(self, c, d) -> list[float]:
-        """Ascending coefficients of the residual along the adapted line
-        ``c + t d``, with trailing exact zeros trimmed (degree <= 3).
-
-        Each factor of the residual is linear in t, so the products are
-        spelled out on ``(constant, slope)`` float pairs.
+        ``|f(X)|`` is compared with ``tol * L`` times ``|u1||u2| + |u0||u2|
+        + |u0||u1|``, ``u_i = (X - p_i) ^ d_i``, which bounds the slope of f
+        at X: a point within about ``tol * L`` of the surface passes, and so
+        does every point of the three edges.
         """
-        c0, c1, c2 = c
-        d0, d1, d2 = d
-        (a10, a11, a12), (a20, a21, a22) = self._num
-        (_, b11, b12), (_, b21, b22) = self._den
-        B10, B11 = b11 * c1 + b12 * c2, b11 * d1 + b12 * d2
-        B20, B21 = b21 * c1 + b22 * c2, b21 * d1 + b22 * d2
-        A10, A11 = a11 * c1 + a12 * c2, a11 * d1 + a12 * d2
-        A20, A21 = a21 * c1 + a22 * c2, a21 * d1 + a22 * d2
-        al0, al1 = a10 * B20 - a20 * B10, a10 * B21 - a20 * B11
-        # beta = A1 B2 - A2 B1 and q = P1 B1, both quadratic
-        be0 = A10 * B20 - A20 * B10
-        be1 = (A10 * B21 + A11 * B20) - (A20 * B11 + A21 * B10)
-        be2 = A11 * B21 - A21 * B11
-        q0, q1, q2 = c0 * B10, c0 * B11 + d0 * B10, d0 * B11
-        e0 = B10 + a10
-        res = [(q0 * al0 + be0 * e0) - A10 * al0,
-               (q0 * al1 + q1 * al0 + (be0 * B11 + be1 * e0)) - (A10 * al1 + A11 * al0),
-               (q1 * al1 + q2 * al0 + (be1 * B11 + be2 * e0)) - A11 * al1,
-               q2 * al1 + be2 * B11]
-        while len(res) > 1 and res[-1] == 0.0:
-            res.pop()
-        return res
-
-    def residual_poly_along(self, line: EdgeLine) -> np.ndarray:
-        """Ascending coefficients of the residual along ``line`` (degree <= 3),
-        trailing exact zeros trimmed, as ``numpy.polynomial`` does."""
-        return np.array(self._residual(self.to_adapted(line.point).tolist(),
-                                       (self.frame @ line.direction).tolist()))
+        X = np.atleast_2d(np.asarray(pts, float))
+        u = np.cross(X[:, None, :] - self.points, self.directions)
+        n = np.linalg.norm(u, axis=2)
+        slope = n[:, 1] * n[:, 2] + n[:, 0] * n[:, 2] + n[:, 0] * n[:, 1]
+        return np.abs(np.linalg.det(u)) <= tol * self._length * slope
 
 
 def triple_surface(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine) -> TripleSurface:
     """Build the transversal surface of three pairwise-skew edges."""
-    c1 = _require_skew(a0, a1, "a0/a1")
-    c2 = _require_skew(a0, a2, "a0/a2")
-    _require_skew(a1, a2, "a1/a2")
-    frame = np.vstack([a0.direction, tangent_frame(a0.direction)])
-    num = np.array([frame @ c1.numerator, frame @ c2.numerator])
-    den = np.array([frame @ c1.denominator, frame @ c2.denominator])
-    return TripleSurface(a0.point.copy(), frame, num, den)
+    edges = (a0, a1, a2)
+    _require_skew(edges)
+    return TripleSurface(np.array([a.point for a in edges]),
+                         np.array([a.direction for a in edges]))
 
 
 ON_SURFACE = "on-surface"
 
 
-def _companion(c: list[float]) -> np.ndarray:
-    """Companion matrix of ``sum c[i] t^i`` (degree >= 2), built as numpy
-    2.x's ``polycompanion`` builds it: ones on the subdiagonal and last
-    column ``-c[:-1] / c[-1]``, so its eigenvalues are ``polyroots``'s."""
-    n = len(c) - 1
-    top = c[-1]
-    mat = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        if i:
-            mat[i][i - 1] = 1.0
-        mat[i][-1] = 0.0 - c[i] / top
-    return np.array(mat)
-
-
-def _roots(c: list[float]) -> list:
-    """Complex (or real) roots of ``sum c[i] t^i``, degree 1 to 3, with a
-    nonzero leading coefficient."""
-    if len(c) == 2:
-        return [-c[0] / c[1]]
-    return np.linalg.eigvals(_companion(c)).tolist()
-
-
 def count_line_surface_intersections(line: EdgeLine, S: TripleSurface) -> int | str:
-    """Count parameter values where a probe line crosses the surface.
+    """Count the points where a probe line crosses the surface.
 
-    Real roots of the degree <= 3 cleared residual are isolated, merged when
-    closer than 1e-7 (tangencies), and each surviving root is
-    verified against surface membership so spurious zeros of the cleared
-    denominators are not counted.  Returns :data:`ON_SURFACE` when the
-    residual vanishes identically along the line and sampled points confirm
-    membership.
-
-    The residual, its trim and the membership tests run on Python floats;
-    the adapted transforms of the line and of the root points and the
-    companion eigenvalues stay numpy calls, which round as the
-    ``numpy.polynomial`` path did.
+    Along ``c + t e``, in the surface's units, the quadric is ``c2 t^2 +
+    c1 t + c0``, counted against the scale ``prod(1 + |u_i| + |v_i|)`` with
+    ``u_i = (Y - q_i) ^ d_i`` at ``Y = (c - p0) / L`` and ``v_i = e ^ d_i``,
+    which bounds every coefficient.  The probe lies on the surface
+    (:data:`ON_SURFACE`) when all three vanish against it.  A vanishing
+    ``c2`` leaves at most one crossing; a discriminant within rounding of
+    zero is a tangency, counted once; otherwise its sign gives two crossings
+    or none.  So a probe not on the surface crosses it at most twice.  The
+    kernel runs on Python floats.
     """
-    c_ad = S.to_adapted(line.point)
-    coeffs = S._residual(c_ad.tolist(), (S.frame @ line.direction).tolist())
-    cmax = max(map(abs, coeffs))
-    # np.linalg.norm computes sqrt(x.dot(x)); the same dot rounds the same
-    char = S._char * (1.0 + math.sqrt(float(c_ad.dot(c_ad)))) ** 3
-    if cmax <= _ZERO_TOL * char:
-        probes = line.point[None, :] + np.linspace(-3.0, 3.0, 9)[:, None] * line.direction
-        if bool(S.contains(probes, tol=_ON_TOL).all()):
-            return ON_SURFACE
-        return 0
-    # drop trailing coefficients at or below the trim tolerance
-    tol = _TRIM_TOL * cmax
-    n = len(coeffs)
-    while n and not abs(coeffs[n - 1]) > tol:
-        n -= 1
-    if n <= 1:
-        return 0
-    real = sorted(r.real for r in _roots(coeffs[:n])
-                  if abs(r.imag) <= _IMAG_TOL * (1.0 + abs(r.real)))
-    merged: list[float] = []
-    for r in real:
-        if not merged or r - merged[-1] > _MERGE_TOL:
-            merged.append(r)
-    if not merged:
-        return 0
-    pts = line.point + np.array(merged)[:, None] * line.direction
-    return sum(S._member(P1, P2, P3, _ON_TOL) for P1, P2, P3 in S.to_adapted(pts).tolist())
+    y, e = ((line.point - S.points[0]) / S._length).tolist(), line.direction.tolist()
+    scale = 1.0
+    for q, d in S._edges:
+        u = _cross((y[0] - q[0], y[1] - q[1], y[2] - q[2]), d)
+        scale *= 1.0 + math.hypot(*u) + math.hypot(*_cross(e, d))
+    c2, c1, c0 = 0.0, _dot(e, S._linear), _dot(y, S._linear)
+    for a, m in S._quadratic:
+        ya, ea, ym, em = _dot(y, a), _dot(e, a), _dot(y, m), _dot(e, m)
+        c2 -= ea * em
+        c1 -= ya * em + ea * ym
+        c0 -= ya * ym
+    tol = _ROUND_TOL * scale
+    if abs(c2) <= tol:
+        if abs(c1) > tol:
+            return 1
+        return ON_SURFACE if abs(c0) <= tol else 0
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if abs(disc) <= 4.0 * abs(c2) * tol:
+        return 1
+    return 2 if disc > 0.0 else 0
 
 
 def sample_transversals(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine,
@@ -362,20 +268,12 @@ def sample_transversals(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine,
 def independence_check(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine, a3: EdgeLine) -> str:
     """Decide whether a fourth edge is forced by the first three.
 
-    ``"dependent"`` when every sampled transversal of (a0, a1, a2) also meets
-    ``a3`` within tolerance (numerically: a3 lies on their surface),
-    ``"independent"`` otherwise.  All four edges must be pairwise skew.
+    A fourth edge skew to the three meets every transversal of (a0, a1, a2)
+    exactly when it lies on their quadric: ``"dependent"`` when the probe
+    count of ``a3`` is :data:`ON_SURFACE`, ``"independent"`` otherwise.  All
+    four edges must be pairwise skew.
     """
-    edges = (a0, a1, a2, a3)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            _require_skew(edges[i], edges[j], f"a{i}/a{j}")
-    lines = sample_transversals(a0, a1, a2, count=41)
-    if not lines:
-        raise NotPairwiseSkew("transversal sampler produced no lines")
-    scale = 1.0 + max(float(np.linalg.norm(a.point)) for a in edges)
-    for line in lines:
-        if (line_line_distance(line.point, line.direction, a3.point, a3.direction)
-                > _MEET_TOL * scale):
-            return "independent"
-    return "dependent"
+    _require_skew((a0, a1, a2, a3))
+    if count_line_surface_intersections(a3, triple_surface(a0, a1, a2)) == ON_SURFACE:
+        return "dependent"
+    return "independent"

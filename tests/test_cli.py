@@ -241,6 +241,29 @@ def test_exit_code_budget(cube_file, capsys):
         assert "workers must be >= 1" in capsys.readouterr().err
 
 
+def test_exit_code_count_flags(tmp_path, cube_file, capsys):
+    # a count flag out of range is a precondition with its own message, as
+    # group --bound 0 is; none is left to numpy or to an empty loop
+    edges = tmp_path / "edges.json"
+    edges.write_text(json.dumps({"edges": [
+        {"p": [0, 0, 0], "x": [1, 0, 0]},
+        {"p": [0, 1, 0], "x": [0, 0, 1]},
+        {"p": [2, 0, 1], "x": [0, 1, 0]},
+    ]}))
+    for flag, value in (("--probes", "-3"), ("--probes", "-1"), ("--samples", "-1")):
+        assert cli.main(["transversal", str(edges), flag, value]) == cli.EXIT_PRECONDITION
+        assert f"{flag} must be >= 0" in capsys.readouterr().err
+    for kmax in ("0", "-1"):
+        rc = cli.main(["cell", cube_file, "--theta", "0,0,1", "--word", "z0,z1", "--kmax", kmax])
+        assert rc == cli.EXIT_PRECONDITION, kmax
+        assert "--kmax must be >= 1" in capsys.readouterr().err
+    assert cli.main(["group", cube_file, "--bound", "0"]) == cli.EXIT_PRECONDITION
+    assert "bound must be >= 1" in capsys.readouterr().err
+    assert cli.main(["transversal", str(edges), "--probes", "0", "--samples", "0"]) == cli.EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["probe_counts"] == [] and out["transversals"] == []
+
+
 def test_threads_default_counts_usable_cpus(monkeypatch):
     def default_threads():
         return cli._build_parser().parse_args(["complexity", "cube.json"]).threads

@@ -75,6 +75,10 @@ def test_non_integer_vertex_index_rejected(cube):
         faces[0][1][0] = bad
         with pytest.raises(ValueError, match="non-integer vertex index"):
             g.validate(cube.vertices, faces)
+    # an index list that is no list at all is not a bad index
+    faces[0] = ("x0", 5)
+    with pytest.raises(ValueError, match="vertex index list is missing or not a list"):
+        g.validate(cube.vertices, faces)
 
 
 def test_duplicate_labels_rejected(cube):
