@@ -305,52 +305,85 @@ def _step_block(P: Polyhedron, m: np.ndarray, theta: np.ndarray, rows: np.ndarra
     """Step the rays ``rows`` of :func:`run_word_batch`, face-major: ``m`` and
     ``theta`` are (3, b), every per-face quantity is (F, b), so each reduction
     over faces runs along axis 0.  Writes into ``words``, ``lengths`` and
-    ``flags`` in place."""
+    ``flags`` in place, and overwrites ``theta``.
+
+    The bounce loop takes no data-dependent branch per element: masked ray
+    lengths become inf by an ``fmax``, :func:`_first_min` counts the hit
+    face, and the edge distance is an ``fmin`` that skips, as nan, the faces
+    sharing no edge with the hit face."""
     tol, N = P.tol, P.normals
+    N_out = -N
     offsets = P.offsets[:, None]
+    # inv_sin with nan off the edges: an fmin over faces skips those faces
+    inv_sin = np.where(P.edge_mask == 0.0, P.inv_sin, np.nan)
     s = N @ m + offsets
     # a start on an edge of its face ends at once, as in orbit; the start
     # lies in its face, so its edge-line distance is its edge distance
-    f0 = words[rows, 0].astype(np.intp)
-    start = s * np.take(P.inv_sin, f0, axis=1) + np.take(P.edge_mask, f0, axis=1)
-    keep = start.min(axis=0) > tol.plane
+    keep = _edge_distance(inv_sin, s, words[rows, 0]) > tol.plane
     if not keep.all():
         m, theta, s = (a.compress(keep, axis=1) for a in (m, theta, s))
         rows = rows[keep]
     for k in range(1, words.shape[1]):
         if rows.size == 0:
             break
-        d = N @ theta
+        d = N_out @ theta               # outward normals: t = s / d, no negation
         # a row with no forward hit (tstar = inf) gets inf/nan below
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.divide(s, d, out=s)              # t = s / -d, in s's storage
-            np.negative(t, out=t)
-            np.putmask(t, (d >= -tol.angle) | (t <= tol.step), np.inf)
+            bad = d <= tol.angle
+            t = np.divide(s, d, out=s)              # in s's storage
+            bad |= t <= tol.step
+            # bad * inf is nan (0 * inf) where fmax keeps t and inf where it
+            # masks t, a nan t (0/0 at d = 0) too
+            np.fmax(t, np.multiply(bad, np.inf), out=t)
             tstar = t.min(axis=0)
-            # argmin's tie rule: the lowest face attaining the minimum, and
-            # face 0 for a row of inf
-            fstar = np.zeros(rows.size, dtype=np.intp)
-            for f in range(P.n_faces - 1, -1, -1):
-                np.putmask(fstar, t[f] == tstar, f)
+            fstar = _first_min(t, tstar)
             q = theta * tstar
             q += m
-            # s(q) serves this edge test (see Polyhedron) and the next face choice;
-            # inv_sin and edge_mask are symmetric, so column f is row f
+            # s(q) serves this edge test (see Polyhedron) and the next face choice
             s = N @ q
             s += offsets
-            x = s * np.take(P.inv_sin, fstar, axis=1)
-            x += np.take(P.edge_mask, fstar, axis=1)
-        edist = x.min(axis=0)
+            edist = _edge_distance(inv_sin, s, fstar)
 
         keep = np.isfinite(tstar) & (edist > tol.plane)
         flags[rows[keep & (edist <= tol.sing)]] = True
         if not keep.all():
+            lengths[rows[~keep]] = k                # the labels before this step
             # compress: boolean column indexing of an (F, b) array is slower
             q, s, theta = (a.compress(keep, axis=1) for a in (q, s, theta))
             rows, fstar = rows[keep], fstar[keep]
         words[rows, k] = fstar
-        lengths[rows] = k + 1
 
+        # theta - 2 <theta, n> n
         nvec = np.take(N.T, fstar, axis=1)
-        theta = theta - 2.0 * np.einsum("jb,jb->b", theta, nvec) * nvec
+        c = np.einsum("jb,jb->b", theta, nvec)
+        c *= 2.0
+        nvec *= c
+        theta -= nvec
         m = q
+    lengths[rows] = words.shape[1]                  # the rows still running
+
+
+def _first_min(t: np.ndarray, tstar: np.ndarray) -> np.ndarray:
+    """The first row attaining each column's minimum ``tstar`` of the (F, b)
+    array ``t``, which holds no nan: ``np.argmin(t, axis=0)`` by counting
+    the leading rows that miss it, one running pass per row.  A column of inf
+    gives row 0.  The count's dtype is the smallest that holds F."""
+    miss = (t != tstar).view(np.uint8)
+    run = miss[0].copy()
+    count = run.astype(np.min_scalar_type(len(t)))
+    for row in miss[1:]:
+        run &= row
+        count += run
+    return count.astype(np.intp)
+
+
+def _edge_distance(inv_sin: np.ndarray, s: np.ndarray, face: np.ndarray) -> np.ndarray:
+    """Distance of each point q to the boundary of its face ``face``, for q
+    inside that face: the fmin over faces g of ``s[g] * inv_sin[face, g]``,
+    ``s`` holding q's (F, b) signed distances to the face planes and
+    ``inv_sin`` being ``Polyhedron.inv_sin`` with nan where two faces share
+    no edge (see :class:`Polyhedron`).  ``inv_sin`` is symmetric, so its
+    column gather is the row gather."""
+    x = np.take(inv_sin, face, axis=1)
+    x *= s
+    return np.fmin.reduce(x, axis=0)

@@ -458,19 +458,23 @@ def first_hit(m: np.ndarray, theta: np.ndarray, P: Polyhedron) -> Hit:
     q = np.array((qx, qy, qz))
     _, _, _, _, verts, edges = rows[f]
 
-    best, vertex = math.inf, -1
-    for x, y, z, v in verts:
-        dx, dy, dz = x - qx, y - qy, z - qz
-        r2 = dx * dx + dy * dy + dz * dz
-        if r2 < best:
-            best, vertex = r2, v
-    if best <= tol.plane * tol.plane:
-        return Hit(HitKind.VERTEX, q, tf, face=f, vertex=vertex, edge_distance=0.0)
     best, edge = _nearest_edge(edges, qx, qy, qz)
+    # a vertex within plane is an endpoint of an edge within plane, up to
+    # rounding, so only a hit near an edge can be a vertex hit
+    if best <= 4.0 * tol.plane * tol.plane:
+        r2v, vertex = math.inf, -1
+        for x, y, z, v in verts:
+            dx, dy, dz = x - qx, y - qy, z - qz
+            r2 = dx * dx + dy * dy + dz * dz
+            if r2 < r2v:
+                r2v, vertex = r2, v
+        if r2v <= tol.plane * tol.plane:
+            return Hit(HitKind.VERTEX, q, tf, face=f, vertex=vertex, edge_distance=0.0)
     edist = math.sqrt(best)
     if edist <= tol.plane:
         return Hit(HitKind.EDGE, q, tf, face=f, edge=edge, edge_distance=edist)
-    return Hit(HitKind.FACE, q, tf, face=f, edge_distance=edist)
+    # positional: keyword arguments make a NamedTuple's constructor slower
+    return Hit(HitKind.FACE, q, tf, f, None, None, edist)
 
 
 def _nearest_edge(edges, qx: float, qy: float, qz: float) -> tuple[float, int]:

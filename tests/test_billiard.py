@@ -651,6 +651,39 @@ def test_batch_matches_reference_kernel_near_edges(cube):
     assert lengths[-1] == 1                              # into a vertex
 
 
+@pytest.mark.parametrize("F", [4, 6, 14, 300])
+def test_first_min_is_argmin(F):
+    # exact ties, all-inf columns, and first minima at the last row, whose
+    # index overflows a uint8 count for F = 300
+    rng = np.random.default_rng(F)
+    t = rng.integers(0, 3, size=(F, 3000)).astype(float)
+    t[rng.random(t.shape) < 0.5] = np.inf
+    t[:, :100] = np.inf
+    t[:, 100:200] = np.inf
+    t[-1, 100:200] = 1.0
+    got = bl._first_min(t, t.min(axis=0))
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argmin(t, axis=0))
+
+
+def _prism(n, tol=None):
+    """Right prism over a regular n-gon: n + 2 faces."""
+    a = 2.0 * np.pi * np.arange(n) / n
+    ring = np.stack([np.cos(a), np.sin(a)], axis=1)
+    vs = np.vstack([np.column_stack([ring, np.zeros(n)]), np.column_stack([ring, np.ones(n)])])
+    faces = [("bottom", list(range(n))), ("top", list(range(n, 2 * n)))]
+    faces += [(f"s{i}", [i, (i + 1) % n, n + (i + 1) % n, n + i]) for i in range(n)]
+    return validate(vs, faces, tol=tol)
+
+
+def test_batch_matches_reference_kernel_with_300_faces():
+    # hit-face ids above 255 need a wider count in the face choice
+    P = _prism(298)
+    m, th, f = bl.random_phase_points(P, 1500, np.random.default_rng(3))
+    words, lengths, flags = _assert_batch_matches_reference(P, m, th, f, 8)
+    assert words.max() > 255 and (lengths > 1).all()
+
+
 def test_batch_tables_are_symmetric():
     # run_word_batch reads column f of these tables as row f
     for P in (unit_cube(), regular_tetrahedron(), _rotated_box(), _octahedron()):

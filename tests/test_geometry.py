@@ -597,6 +597,27 @@ def test_first_hit_matches_reference_on_engineered_rays(cube):
                                              g.HitKind.VERTEX, None]
 
 
+@pytest.mark.parametrize("name", sorted(SOLIDS))
+def test_first_hit_matches_reference_near_vertices(name):
+    # first_hit scans a face's vertices only for a hit within 2 * plane of an
+    # edge; aim 0.5, 1.5 and 2.5 * plane from each vertex, into its face and
+    # along one of its edges, on both sides of either threshold
+    P = SOLIDS[name]()
+    start = P.vertices.mean(axis=0)
+    found = {}
+    for f in range(P.n_faces):
+        poly = P.face_polygon(f)
+        for i, v in enumerate(poly):
+            for w in (poly.mean(axis=0) - v, poly[i - 1] - v):
+                for mult in (0.5, 1.5, 2.5):
+                    q = v + mult * P.tol.plane * g.unit(w)
+                    hit = _assert_same_hit(start, g.unit(q - start), P, tie=True)
+                    found.setdefault(mult, set()).add(hit.kind)
+    assert found[0.5] == {g.HitKind.VERTEX}
+    assert g.HitKind.VERTEX not in found[1.5] | found[2.5]
+    assert found[1.5] | found[2.5] >= {g.HitKind.EDGE, g.HitKind.FACE}
+
+
 # ---------------------------------------------------------------------------
 # nearest edge of a face against a numpy clipped-segment oracle
 # ---------------------------------------------------------------------------
