@@ -313,9 +313,7 @@ def _step_block(P: Polyhedron, m: np.ndarray, theta: np.ndarray, rows: np.ndarra
     sharing no edge with the hit face."""
     tol, N = P.tol, P.normals
     N_out = -N
-    offsets = P.offsets[:, None]
-    # inv_sin with nan off the edges: an fmin over faces skips those faces
-    inv_sin = np.where(P.edge_mask == 0.0, P.inv_sin, np.nan)
+    offsets, inv_sin = P.offsets[:, None], P.inv_sin
     s = N @ m + offsets
     # a start on an edge of its face ends at once, as in orbit; the start
     # lies in its face, so its edge-line distance is its edge distance
@@ -381,9 +379,8 @@ def _edge_distance(inv_sin: np.ndarray, s: np.ndarray, face: np.ndarray) -> np.n
     """Distance of each point q to the boundary of its face ``face``, for q
     inside that face: the fmin over faces g of ``s[g] * inv_sin[face, g]``,
     ``s`` holding q's (F, b) signed distances to the face planes and
-    ``inv_sin`` being ``Polyhedron.inv_sin`` with nan where two faces share
-    no edge (see :class:`Polyhedron`).  ``inv_sin`` is symmetric, so its
-    column gather is the row gather."""
+    ``inv_sin`` being ``Polyhedron.inv_sin``, nan where two faces share no
+    edge.  ``inv_sin`` is symmetric, so its column gather is the row gather."""
     x = np.take(inv_sin, face, axis=1)
     x *= s
     return np.fmin.reduce(x, axis=0)

@@ -118,10 +118,13 @@ def _config_hash(ns: argparse.Namespace) -> str:
 
 
 def _emit(out: str | None, text: str) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as e:
+        raise _ParseFailure(f"cannot write {out}: {e}")
 
 
 def _json_line(obj) -> str:
@@ -182,25 +185,24 @@ def _cmd_unfold(args) -> int:
 def _cmd_group(args) -> int:
     P = _load_polyhedron(args)
     closure = unfolding.generate_group(P, bound=args.bound)
-    if closure.closed:
-        print(closure.order)
-    else:
-        print(f"NOT_CLOSED({args.bound})")
     if args.out:
-        Path(args.out).write_text(json.dumps({
+        _emit(args.out, json.dumps({
             "config_hash": _config_hash(args),
             "closed": closure.closed,
             "order": closure.order,
             "bound": args.bound,
         }, indent=2) + "\n")
+    if closure.closed:
+        print(closure.order)
+    else:
+        print(f"NOT_CLOSED({args.bound})")
     return EXIT_OK
 
 
 def _cmd_transversal(args) -> int:
-    if args.samples < 0:
-        raise ValueError("--samples must be >= 0")
-    if args.probes < 0:
-        raise ValueError("--probes must be >= 0")
+    for flag in ("samples", "probes", "seed"):
+        if getattr(args, flag) < 0:
+            raise ValueError(f"--{flag} must be >= 0")
     try:
         data = json.loads(Path(args.edges).read_text())
         raw = data["edges"]
@@ -251,14 +253,8 @@ def _cmd_cell(args) -> int:
     word = [w.strip() for w in args.word.split(",") if w.strip()]
     if not word:
         raise ValueError("word must contain at least one label")
-    for label in word:
-        P.face_index(label)     # an unknown label raises, even past an empty prefix
-    if any(a == b for a, b in zip(word, word[1:])):
-        raise symbolic.LabelNotReachable("consecutive labels cannot repeat on a convex solid")
     beam = symbolic.make_beam(P, word[0], theta)
     for label in word[1:]:
-        if beam.is_empty:       # no line realizes the prefix, so none the word
-            break
         beam = symbolic.propagate_beam(beam, label, P)
     cell = symbolic.classify_cell(beam)
     out = {"config_hash": _config_hash(args), "word": word, "kind": cell.kind}
@@ -272,6 +268,8 @@ def _cmd_cell(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
+    if args.seed < 0:       # else numpy's generator rejects it, naming no flag
+        raise ValueError("--seed must be >= 0")
     P = _load_polyhedron(args)
     table = symbolic.estimate_complexity(P, args.nmax, _parse_budget(args.budget),
                                          seed=args.seed, workers=args.threads)
@@ -293,7 +291,7 @@ def _cmd_complexity(args) -> int:
         "extendability_ok": table.extendability_ok,
     }
     if args.out:
-        Path(args.out + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+        _emit(args.out + ".meta.json", json.dumps(meta, indent=2) + "\n")
     else:
         print(json.dumps(meta, indent=2), file=sys.stderr)
     return EXIT_OK

@@ -177,17 +177,17 @@ class Polyhedron:
     directly; the constructor trusts its inputs and builds every per-solid
     table once, read-only, so instances are safe to share across threads.
 
-    Batch stepping tables, (F, F), for hit face f and face g: ``inv_sin`` is
+    Batch stepping table, (F, F), for hit face f and face g: ``inv_sin`` is
     1 / sin of the angle between their normals where they share an edge,
-    else 0, and ``edge_mask`` is 0 there and +inf elsewhere.  For q inside
-    f, s_g(q) / sin is the distance within f to the line of f∩g (s_g: signed
-    distance to plane g), so ``min_g(s_g(q) * inv_sin + edge_mask)`` is q's
-    distance to the boundary of f.  Outside f it fails: q can be nearer an
-    edge's line than the edge.  Both tables are symmetric, and the batch
-    kernel relies on it: it reads column f as row f.  Scalar ``rows``, per
-    face in Python floats: plane ``(nx, ny, nz, c)``, vertices ``(x, y, z,
-    id)``, edges ``(ax, ay, az, bx - ax, by - ay, bz - az, squared length,
-    id)`` from endpoint a to endpoint b.  The reflection across face f is
+    else nan.  For q inside f, s_g(q) / sin is the distance within f to the
+    line of f∩g (s_g: signed distance to plane g), so the nan-skipping
+    ``fmin`` over g of ``s_g(q) * inv_sin`` is q's distance to the boundary
+    of f.  Outside f it fails: q can be nearer an edge's line than the edge.
+    The table is symmetric, and the batch kernel relies on it: it reads
+    column f as row f.  Scalar ``rows``, per face in Python floats: plane
+    ``(nx, ny, nz, c)``, vertices ``(x, y, z, id)``, edges ``(ax, ay, az,
+    bx - ax, by - ay, bz - az, squared length, id)`` from endpoint a to
+    endpoint b.  The reflection across face f is
     x -> ``reflection_linear[f] @ x + reflection_translation[f]``, and
     ``frames[f]`` has the orthonormal rows (t1, t2, n), n the inward normal.
     """
@@ -209,10 +209,9 @@ class Polyhedron:
         self._face_polys = [vertices[list(f.boundary)] for f in faces]
 
         fa, fb = np.array([e.faces for e in edges]).T
-        self.inv_sin = np.zeros((len(faces), len(faces)))
+        self.inv_sin = np.full((len(faces), len(faces)), np.nan)
         self.inv_sin[fa, fb] = self.inv_sin[fb, fa] = 1.0 / np.linalg.norm(
             np.cross(N[fa], N[fb]), axis=1)
-        self.edge_mask = np.where(self.inv_sin > 0.0, 0.0, np.inf)
         rows = []
         for f, face in enumerate(faces):
             segs = []
@@ -227,7 +226,7 @@ class Polyhedron:
         self.reflection_linear = np.eye(3) - 2.0 * N[:, :, None] * N[:, None, :]
         self.reflection_translation = -2.0 * c[:, None] * N
         self.frames = np.array([np.vstack([tangent_frame(n), n]) for n in N])
-        for a in (N, c, self.inv_sin, self.edge_mask, self.reflection_linear,
+        for a in (N, c, self.inv_sin, self.reflection_linear,
                   self.reflection_translation, self.frames, *self._face_polys):
             a.setflags(write=False)
 

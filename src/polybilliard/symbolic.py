@@ -35,9 +35,6 @@ class LabelNotReachable(Exception):
 # 2D convex sections
 # ---------------------------------------------------------------------------
 
-_EMPTY2 = np.zeros((0, 2))
-
-
 def _polygon_area(pts: np.ndarray) -> float:
     if len(pts) < 3:
         return 0.0
@@ -69,11 +66,7 @@ def _clip_half(pts: list, nx: float, ny: float, c: float) -> list:
     """Clip a convex section (point/segment/polygon), given as a list of
     ``(x, y)`` float pairs, to {p : <(nx, ny), p> <= c}.  Sections have 3-6
     points, so Python floats beat numpy here, as in ``first_hit``."""
-    if not pts:
-        return []
     d = [x * nx + y * ny - c for x, y in pts]
-    if len(pts) == 1:
-        return pts if d[0] <= 0.0 else []
     if len(pts) == 2:
         ina, inb = d[0] <= 0.0, d[1] <= 0.0
         if ina and inb:
@@ -160,10 +153,10 @@ def make_beam(P: Polyhedron, label: str, theta) -> Beam:
     theta = unit(theta)
     if float(theta @ P.normals[f]) <= P.tol.angle:
         raise ValueError(f"direction is tangent to face {label!r}")
-    origin = P.face_polygon(f).mean(axis=0)
-    beam = Beam(theta, origin, tangent_frame(theta), _EMPTY2, [label])
-    beam.section = np.array(_ensure_ccw(beam.project(P.face_polygon(f)).tolist()))
-    return beam
+    poly, axes = P.face_polygon(f), tangent_frame(theta)
+    origin = poly.mean(axis=0)
+    section = np.array(_ensure_ccw(((poly - origin) @ axes.T).tolist()))
+    return Beam(theta, origin, axes, section, [label])
 
 
 # absolute: a zero-length guard before dividing by the length of a face
@@ -176,11 +169,10 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
 
     The new cross-section is the old one intersected with the projection of
     the label's unfolded face copy (exact convex clipping; a face copy seen
-    edge-on clips to a segment).  A geometric miss yields an empty beam; a
-    label equal to the previous one, or unknown, raises.
+    edge-on clips to a segment).  A geometric miss yields an empty beam,
+    and an empty beam extends to an empty beam; a label equal to the
+    previous one, or unknown, raises.
     """
-    if b.is_empty:
-        raise ValueError("cannot propagate an empty beam")
     if label not in P.labels:
         raise LabelNotReachable(f"unknown face label {label!r}")
     if b.word and label == b.word[-1]:

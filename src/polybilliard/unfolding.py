@@ -224,22 +224,20 @@ def generate_group(P: Polyhedron, bound: int = 10000) -> GroupClosure:
 
     elements = [np.eye(3)]
     found = _MatrixBuckets(elements)
-    depth = [0]
-    frontier = list(range(len(elements)))
+    frontier, depth = list(elements), 0
     while frontier:
-        new_frontier: list[int] = []
-        for i in frontier:
+        depth += 1                  # of every candidate this round
+        new_frontier: list[np.ndarray] = []
+        for E in frontier:
             for g in gens:
-                cand = g @ elements[i]
-                d = depth[i] + 1
-                if d % _RENORM_EVERY == 0:
+                cand = g @ E
+                if depth % _RENORM_EVERY == 0:
                     cand = reorthogonalize(cand)
                 if found.find(cand):
                     continue
                 found.add(cand)
                 elements.append(cand)
-                depth.append(d)
-                new_frontier.append(len(elements) - 1)
+                new_frontier.append(cand)
                 if len(elements) > bound:
                     return GroupClosure(np.array(elements), False)
         frontier = new_frontier

@@ -685,10 +685,19 @@ def test_batch_matches_reference_kernel_with_300_faces():
 
 
 def test_batch_tables_are_symmetric():
-    # run_word_batch reads column f of these tables as row f
+    # run_word_batch reads column f of inv_sin as row f, and its fmin skips
+    # the nan entries: exactly the face pairs that share no edge, the
+    # diagonal and, on the octahedron, faces meeting only at a vertex
     for P in (unit_cube(), regular_tetrahedron(), _rotated_box(), _octahedron()):
-        for a in (P.inv_sin, P.edge_mask):
-            assert np.array_equal(a, a.T)
+        assert np.array_equal(P.inv_sin, P.inv_sin.T, equal_nan=True)
+        shared = np.zeros((P.n_faces, P.n_faces), dtype=bool)
+        for f, g in (e.faces for e in P.edges):
+            shared[f, g] = shared[g, f] = True
+        assert np.array_equal(np.isnan(P.inv_sin), ~shared)
+        assert (P.inv_sin[shared] >= 1.0 - 1e-12).all()    # 1 / sin
+    # an octahedron face shares an edge with 3 faces, only a vertex with 3
+    # more, and nothing with the opposite face
+    assert (np.isnan(_octahedron().inv_sin).sum(axis=1) == 5).all()
 
 
 def _edge_aim(P, face):

@@ -74,7 +74,7 @@ def test_cell_subcommand(cube_file, capsys):
 @pytest.mark.parametrize("word", ["z0,x1,x0", "z0,x1,x0,z1"])
 def test_cell_empty_prefix(cube_file, capsys, word):
     # at this direction the section is already empty after z0,x1,x0; a longer
-    # word stops propagating there instead of failing on the empty beam
+    # word extends the empty beam to an empty beam
     rc = cli.main(["cell", cube_file, "--theta", "0.1,0.2,1", "--word", word])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
@@ -83,10 +83,12 @@ def test_cell_empty_prefix(cube_file, capsys, word):
     assert out["period"] is None
 
 
-def test_cell_word_checked_past_empty_prefix(cube_file):
-    for word in ("z0,x1,x0,z1,z1", "z0,x1,x0,q9"):
+def test_cell_word_checked_past_empty_prefix(cube_file, capsys):
+    for word, err in (("z0,x1,x0,z1,z1", "LabelNotReachable: consecutive labels"),
+                      ("z0,x1,x0,q9", "LabelNotReachable: unknown face label 'q9'")):
         rc = cli.main(["cell", cube_file, "--theta", "0.1,0.2,1", "--word", word])
         assert rc == cli.EXIT_PRECONDITION
+        assert err in capsys.readouterr().err
 
 
 def test_complexity_csv_and_meta(cube_file, tmp_path, capsys):
@@ -262,6 +264,50 @@ def test_exit_code_count_flags(tmp_path, cube_file, capsys):
     assert cli.main(["transversal", str(edges), "--probes", "0", "--samples", "0"]) == cli.EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["probe_counts"] == [] and out["transversals"] == []
+
+
+def test_exit_code_unwritable_out(tmp_path, cube_file, capsys):
+    # a missing directory is reported as a failed write, for every output
+    # file, not as an internal error; no result is printed either
+    out = str(tmp_path / "missing" / "out")
+    for argv in (["group", cube_file], ["cell", cube_file, "--theta", "1,0,1", "--word", "z0,x1"],
+                 ["complexity", cube_file, "--nmax", "3", "--budget", "100"],
+                 ["simulate", cube_file, "--m", "0.5,0.5,0", "--theta", "0,0,1"]):
+        assert cli.main(argv + ["--out", out]) == cli.EXIT_PARSE, argv[0]
+        captured = capsys.readouterr()
+        assert f"cannot write {out}: " in captured.err and captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
+def test_exit_code_unwritable_sidecar(tmp_path, cube_file, capsys, monkeypatch):
+    # the table is written; its .meta.json sidecar is not
+    real_write = cli.Path.write_text
+
+    def write_text(self, text):
+        if self.name.endswith(".meta.json"):
+            raise PermissionError(13, "Permission denied", str(self))
+        return real_write(self, text)
+
+    monkeypatch.setattr(cli.Path, "write_text", write_text)
+    out = tmp_path / "table.csv"
+    rc = cli.main(["complexity", cube_file, "--nmax", "3", "--budget", "100", "--out", str(out)])
+    assert rc == cli.EXIT_PARSE
+    assert f"cannot write {out}.meta.json: " in capsys.readouterr().err
+
+
+def test_exit_code_negative_seed(tmp_path, cube_file, capsys):
+    # checked by the CLI itself, before numpy's generator sees it
+    edges = tmp_path / "edges.json"
+    edges.write_text(json.dumps({"edges": [
+        {"p": [0, 0, 0], "x": [1, 0, 0]},
+        {"p": [0, 1, 0], "x": [0, 0, 1]},
+        {"p": [2, 0, 1], "x": [0, 1, 0]},
+    ]}))
+    for argv in (["complexity", cube_file, "--nmax", "3", "--budget", "100"],
+                 ["transversal", str(edges)], ["transversal", str(edges), "--probes", "0"]):
+        assert cli.main(argv + ["--seed", "-1"]) == cli.EXIT_PRECONDITION, argv
+        err = capsys.readouterr().err
+        assert "--seed must be >= 0" in err and "non-negative" not in err
 
 
 def test_threads_default_counts_usable_cpus(monkeypatch):

@@ -89,7 +89,7 @@ def test_duplicate_labels_rejected(cube):
 
 def test_polyhedron_arrays_are_read_only():
     P = g.unit_cube()
-    arrays = [P.vertices, P.normals, P.offsets, P.inv_sin, P.edge_mask, P.reflection_linear,
+    arrays = [P.vertices, P.normals, P.offsets, P.inv_sin, P.reflection_linear,
               P.reflection_translation, P.frames, *P.frames[0],
               *(P.face_polygon(f) for f in range(P.n_faces))]
     for a in arrays:

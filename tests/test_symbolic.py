@@ -110,6 +110,23 @@ def test_label_errors(cube):
         sy.make_beam(cube, "z0", [1.0, 0, 0])  # tangent direction
 
 
+def test_propagate_empty_beam(cube):
+    # no line realizes an empty beam's word, so none realizes a longer one;
+    # its labels are still checked
+    theta = np.array([1.0, 0, 2.0]) / np.sqrt(5.0)
+    b = _beam_along(cube, "z0", theta, ["z1", "z0", "z1"])
+    assert b.is_empty
+    for label in ("x0", "z0", "y1", "z1"):
+        b = sy.propagate_beam(b, label, cube)
+        assert b.is_empty and b.section.shape == (0, 2)
+        assert sy.classify_cell(b).kind == "empty"
+    assert b.word == ["z0", "z1", "z0", "z1", "x0", "z0", "y1", "z1"]
+    assert len(b.isometries) == len(b.word)
+    for label in ("z1", "nope"):                # a repeat, an unknown label
+        with pytest.raises(sy.LabelNotReachable):
+            sy.propagate_beam(b, label, cube)
+
+
 def test_section_area_never_increases(cube):
     rng = np.random.default_rng(20)
     for _ in range(20):
