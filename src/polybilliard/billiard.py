@@ -16,17 +16,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (Hit, HitKind, NoAdvance, Polyhedron, first_hit,
-                       segment_segment_distance, unit, vec3)
+from .geometry import (Hit, HitKind, NoAdvance, Polyhedron, PreconditionFailed,
+                       first_hit, segment_segment_distance, unit, vec3)
 from .transversal import EdgeLine
 from .unfolding import Isometry, _prefix_isometries
 
 
-class SingularInput(Exception):
+class SingularInput(PreconditionFailed):
     """The step was asked to continue an orbit that leaves the phase space."""
 
 
-class EmptyReport(Exception):
+class EmptyReport(PreconditionFailed):
     """No discontinuities were found along the orbit."""
 
 
@@ -47,18 +47,18 @@ def phase_point(P: Polyhedron, m, theta, face: int | str | None = None) -> Phase
         cands = [f for f in np.flatnonzero(s <= P.tol.plane)
                  if P.point_in_face(int(f), m)]
         if not cands:
-            raise ValueError("point does not lie on any face")
+            raise PreconditionFailed("point does not lie on any face")
         face = int(cands[0])
     elif isinstance(face, str):
         face = P.face_index(face)
     elif not 0 <= face < P.n_faces:
-        raise ValueError(f"face id {face} out of range 0..{P.n_faces - 1}")
+        raise PreconditionFailed(f"face id {face} out of range 0..{P.n_faces - 1}")
     if abs(float(P.faces[face].plane.signed(m))) > 10 * P.tol.plane:
-        raise ValueError("point does not lie on the given face plane")
+        raise PreconditionFailed("point does not lie on the given face plane")
     if not P.point_in_face(face, m):
-        raise ValueError("point lies outside the given face")
+        raise PreconditionFailed("point lies outside the given face")
     if float(theta @ P.normals[face]) <= 0.0:
-        raise ValueError("direction does not point into the interior")
+        raise PreconditionFailed("direction does not point into the interior")
     return PhasePoint(face, m, theta)
 
 
@@ -136,7 +136,7 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     rays (one for ``n_max == 1``).
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise PreconditionFailed("n_max must be >= 1")
     points = [x]
     flagged: list[int] = []
     normals = P.normals.tolist()

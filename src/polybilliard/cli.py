@@ -2,9 +2,9 @@
 
 Subcommands: simulate, code, unfold, group, transversal, cell, complexity.
 Exit codes: 0 ok, 2 parse problem, 3 non-convex input, 4 precondition
-violated, 5 internal error.  Every artifact embeds a hash of the resolved
-configuration so reruns are attributable; outputs are deterministic for a
-fixed seed regardless of --threads.
+violated (``geometry.PreconditionFailed``), 5 internal error (any other
+exception, a ``ValueError`` too).  Artifacts embed a hash of the resolved
+configuration; outputs are deterministic for a fixed seed at any --threads.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ EXIT_NONCONVEX = 3
 EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
 
-_PRECONDITION_ERRORS = (
-    billiard.SingularInput, billiard.EmptyReport, geometry.NoAdvance,
-    transversal.IdenticalLines, transversal.NotPairwiseSkew,
-    symbolic.LabelNotReachable, ValueError, KeyError,
-)
-_GEOMETRY_ERRORS = (geometry.NonConvex, geometry.OpenSurface,
-                    geometry.DegenerateFace)
+_SOLID_ERRORS = (geometry.NonConvex, geometry.OpenSurface, geometry.DegenerateFace)
 
 
 class _ParseFailure(Exception):
@@ -82,7 +76,8 @@ def _parse_tolerances(pairs: list[str]) -> geometry.Tolerances:
             raise _ParseFailure(f"unknown tolerance {name!r} (have {sorted(fields)})")
         x = _parse_finite(val, f"--tol {name}")
         if not (1e-14 <= x <= 1e-3):
-            raise ValueError(f"tolerance {name} out of sane bounds [1e-14, 1e-3]")
+            raise geometry.PreconditionFailed(
+                f"tolerance {name} out of sane bounds [1e-14, 1e-3]")
         overrides[name] = x
     return dataclasses.replace(geometry.Tolerances(), **overrides)
 
@@ -100,8 +95,6 @@ def _load_polyhedron(args) -> geometry.Polyhedron:
         raise _ParseFailure(f"bad JSON in {path}: {e}")
     try:
         return geometry.load_polyhedron(data, tol=tol)
-    except _GEOMETRY_ERRORS:
-        raise
     except (ValueError, KeyError, TypeError) as e:
         # a missing key or a wrongly typed entry is as malformed as a bad value
         raise _ParseFailure(f"bad polyhedron in {path}: {type(e).__name__}: {e}")
@@ -111,8 +104,13 @@ _NON_SEMANTIC_KEYS = {"func", "out", "threads"}
 
 
 def _config_hash(ns: argparse.Namespace) -> str:
-    payload = {k: v for k, v in sorted(vars(ns).items())
-               if k not in _NON_SEMANTIC_KEYS}
+    """Hash of the resolved configuration: ``--budget 1e3`` and ``1000``, or
+    ``--tol`` flags in any order or spelling out a default, hash alike."""
+    payload = {k: v for k, v in vars(ns).items() if k not in _NON_SEMANTIC_KEYS}
+    if "tol" in payload:
+        payload["tol"] = dataclasses.asdict(_parse_tolerances(ns.tol))
+    if "budget" in payload:
+        payload["budget"] = _parse_budget(ns.budget)
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -202,7 +200,7 @@ def _cmd_group(args) -> int:
 def _cmd_transversal(args) -> int:
     for flag in ("samples", "probes", "seed"):
         if getattr(args, flag) < 0:
-            raise ValueError(f"--{flag} must be >= 0")
+            raise geometry.PreconditionFailed(f"--{flag} must be >= 0")
     try:
         data = json.loads(Path(args.edges).read_text())
         raw = data["edges"]
@@ -247,12 +245,12 @@ def _cmd_transversal(args) -> int:
 
 def _cmd_cell(args) -> int:
     if args.kmax < 1:
-        raise ValueError("--kmax must be >= 1")
+        raise geometry.PreconditionFailed("--kmax must be >= 1")
     P = _load_polyhedron(args)
     theta = _parse_direction(args.theta)
     word = [w.strip() for w in args.word.split(",") if w.strip()]
     if not word:
-        raise ValueError("word must contain at least one label")
+        raise geometry.PreconditionFailed("word must contain at least one label")
     beam = symbolic.make_beam(P, word[0], theta)
     for label in word[1:]:
         beam = symbolic.propagate_beam(beam, label, P)
@@ -269,7 +267,7 @@ def _cmd_cell(args) -> int:
 
 def _cmd_complexity(args) -> int:
     if args.seed < 0:       # else numpy's generator rejects it, naming no flag
-        raise ValueError("--seed must be >= 0")
+        raise geometry.PreconditionFailed("--seed must be >= 0")
     P = _load_polyhedron(args)
     table = symbolic.estimate_complexity(P, args.nmax, _parse_budget(args.budget),
                                          seed=args.seed, workers=args.threads)
@@ -277,7 +275,6 @@ def _cmd_complexity(args) -> int:
     rows = [f"# config_hash={h}", "n,p_hat,log_p_over_n"]
     for n, p, l in zip(table.n, table.p_hat, table.log_p_over_n):
         rows.append(f"{n},{p},{l:.12g}")
-    _emit(args.out, "\n".join(rows) + "\n")
     meta = {
         "config_hash": h,
         "budget": table.budget,
@@ -290,10 +287,16 @@ def _cmd_complexity(args) -> int:
         "factor_closure": table.factor_closure_holds(workers=args.threads),
         "extendability_ok": table.extendability_ok,
     }
-    if args.out:
-        _emit(args.out + ".meta.json", json.dumps(meta, indent=2) + "\n")
-    else:
-        print(json.dumps(meta, indent=2), file=sys.stderr)
+    meta_text = json.dumps(meta, indent=2) + "\n"
+    _emit(args.out, "\n".join(rows) + "\n")
+    if not args.out:
+        sys.stderr.write(meta_text)
+        return EXIT_OK
+    try:
+        _emit(args.out + ".meta.json", meta_text)
+    except _ParseFailure:       # no table without its sidecar
+        Path(args.out).unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 
@@ -371,13 +374,13 @@ def main(argv: list[str] | None = None) -> int:
     except _ParseFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except _GEOMETRY_ERRORS as e:
+    except _SOLID_ERRORS as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NONCONVEX
-    except _PRECONDITION_ERRORS as e:
+    except geometry.PreconditionFailed as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -18,6 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 
+class PreconditionFailed(ValueError):
+    """A caller's input breaks a documented precondition of the package."""
+
+
 class NonConvex(Exception):
     """Some vertex lies strictly outside a face plane."""
 
@@ -30,8 +34,12 @@ class DegenerateFace(Exception):
     """A face polygon is collinear, non-convex as a polygon, or non-planar."""
 
 
-class NoAdvance(Exception):
+class NoAdvance(PreconditionFailed):
     """Ray direction does not advance into the interior from its start point."""
+
+
+class LabelNotReachable(PreconditionFailed):
+    """A face label is unknown, or cannot extend a beam's word."""
 
 
 @dataclass(frozen=True)
@@ -60,9 +68,9 @@ DEFAULT_TOL = Tolerances()
 def vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
+        raise PreconditionFailed(f"expected a 3-vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite coordinates")
+        raise PreconditionFailed("non-finite coordinates")
     return v
 
 
@@ -71,7 +79,7 @@ def unit(v) -> np.ndarray:
     v = vec3(v)
     n = float(np.linalg.norm(v))
     if n <= 1e-12:
-        raise ValueError("cannot normalize a zero vector")
+        raise PreconditionFailed("cannot normalize a zero vector")
     return v / n
 
 
@@ -240,7 +248,7 @@ class Polyhedron:
         try:
             return self._label_index[label]
         except KeyError:
-            raise KeyError(f"unknown face label {label!r}") from None
+            raise LabelNotReachable(f"unknown face label {label!r}") from None
 
     def face_polygon(self, f: int) -> np.ndarray:
         return self._face_polys[f]
@@ -288,11 +296,11 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
     tol = tol or DEFAULT_TOL
     V = np.array(vertices, dtype=float)        # a copy: it is frozen below
     if V.ndim != 2 or V.shape[1] != 3:
-        raise ValueError("vertices must be an (N, 3) array")
+        raise PreconditionFailed("vertices must be an (N, 3) array")
     if not np.all(np.isfinite(V)):
-        raise ValueError("vertex coordinates must be finite")
+        raise PreconditionFailed("vertex coordinates must be finite")
     if len(V) < 4:
-        raise ValueError("a solid needs at least 4 vertices")
+        raise PreconditionFailed("a solid needs at least 4 vertices")
 
     face_specs: list[tuple[str, list[int]]] = []
     for fs in faces:
@@ -301,23 +309,23 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
         else:
             label, idx = fs
         if isinstance(idx, (str, bytes)) or not isinstance(idx, Iterable):
-            raise ValueError(f"face {label!r}: vertex index list is missing or not a list")
+            raise PreconditionFailed(f"face {label!r}: vertex index list is missing or not a list")
         try:
             idx = [operator.index(i) for i in idx]
         except TypeError:
-            raise ValueError(f"face {label!r} has a non-integer vertex index") from None
+            raise PreconditionFailed(f"face {label!r} has a non-integer vertex index") from None
         if len(idx) < 3:
-            raise ValueError(f"face {label!r} has fewer than 3 vertices")
+            raise PreconditionFailed(f"face {label!r} has fewer than 3 vertices")
         if len(set(idx)) != len(idx):
-            raise ValueError(f"face {label!r} repeats a vertex")
+            raise PreconditionFailed(f"face {label!r} repeats a vertex")
         if min(idx) < 0 or max(idx) >= len(V):
-            raise ValueError(f"face {label!r} has an out-of-range vertex index")
+            raise PreconditionFailed(f"face {label!r} has an out-of-range vertex index")
         face_specs.append((str(label), idx))
     if len(face_specs) < 4:
-        raise ValueError("a solid needs at least 4 faces")
+        raise PreconditionFailed("a solid needs at least 4 faces")
     labels = [lab for lab, _ in face_specs]
     if any(not lab for lab in labels) or len(set(labels)) != len(labels):
-        raise ValueError("face labels must be distinct non-empty strings")
+        raise PreconditionFailed("face labels must be distinct non-empty strings")
 
     centroid = V.mean(axis=0)
     planes: list[Plane] = []
@@ -381,7 +389,7 @@ def load_polyhedron(data: dict, tol: Tolerances | None = None) -> Polyhedron:
     with 0-based indices.
     """
     if not isinstance(data, dict) or "vertices" not in data or "faces" not in data:
-        raise ValueError("polyhedron JSON needs 'vertices' and 'faces' keys")
+        raise PreconditionFailed("polyhedron JSON needs 'vertices' and 'faces' keys")
     return validate(data["vertices"], data["faces"], tol=tol)
 
 

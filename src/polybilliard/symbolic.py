@@ -23,12 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .billiard import run_word_batch, sample_inward_directions, sample_points_in_face
-from .geometry import Polyhedron, farthest_pair, tangent_frame, unit
+from .geometry import (LabelNotReachable, Polyhedron, PreconditionFailed,
+                       farthest_pair, tangent_frame, unit)
 from .unfolding import Isometry
-
-
-class LabelNotReachable(Exception):
-    """The requested label cannot extend this beam's word."""
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +149,7 @@ def make_beam(P: Polyhedron, label: str, theta) -> Beam:
     f = P.face_index(label)
     theta = unit(theta)
     if float(theta @ P.normals[f]) <= P.tol.angle:
-        raise ValueError(f"direction is tangent to face {label!r}")
+        raise PreconditionFailed(f"direction is tangent to face {label!r}")
     poly, axes = P.face_polygon(f), tangent_frame(theta)
     origin = poly.mean(axis=0)
     section = np.array(_ensure_ccw(((poly - origin) @ axes.T).tolist()))
@@ -173,8 +170,6 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
     and an empty beam extends to an empty beam; a label equal to the
     previous one, or unknown, raises.
     """
-    if label not in P.labels:
-        raise LabelNotReachable(f"unknown face label {label!r}")
     if b.word and label == b.word[-1]:
         raise LabelNotReachable("consecutive labels cannot repeat on a convex solid")
     f = P.face_index(label)
@@ -333,7 +328,7 @@ def _map(fn, items, workers: int) -> list:
     """``[fn(x) for x in items]``, on a pool of ``workers`` threads when
     there is more than one worker and more than one item."""
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise PreconditionFailed("workers must be >= 1")
     items = list(items)
     if workers == 1 or len(items) < 2:
         return [fn(x) for x in items]
@@ -385,14 +380,14 @@ def estimate_complexity(P: Polyhedron, n_max: int, budget: int, seed: int = 0,
     chunking order or worker count.
     """
     if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+        raise PreconditionFailed("n_max must be >= 2")
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise PreconditionFailed("budget must be >= 1")
     if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+        raise PreconditionFailed("chunk_size must be >= 1")
     F = P.n_faces
     if F ** n_max >= 2 ** 62:
-        raise ValueError("alphabet too large for integer word codes at this n_max")
+        raise PreconditionFailed("alphabet too large for integer word codes at this n_max")
     bounds = list(range(0, budget, chunk_size)) + [budget]
     jobs = [(i, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 

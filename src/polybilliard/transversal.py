@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import line_line_distance, unit, vec3
+from .geometry import PreconditionFailed, line_line_distance, unit, vec3
 
 
-class IdenticalLines(Exception):
+class IdenticalLines(PreconditionFailed):
     """The two edges describe the same line."""
 
 
-class NotPairwiseSkew(Exception):
+class NotPairwiseSkew(PreconditionFailed):
     """Some pair of edges is coplanar (or parallel) where skewness is required."""
 
 

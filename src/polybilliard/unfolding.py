@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Plane, Polyhedron
+from .geometry import Plane, Polyhedron, PreconditionFailed
 
 if TYPE_CHECKING:  # pragma: no cover
     from .billiard import OrbitRecord
@@ -122,7 +122,7 @@ class UnfoldingTrack:
 def unfold_orbit(record: "OrbitRecord", P: Polyhedron) -> UnfoldingTrack:
     """Unfold a recorded orbit so its bounce points become colinear."""
     if len(record.points) < 1:
-        raise ValueError("record has no bounces to unfold")
+        raise PreconditionFailed("record has no bounces to unfold")
     faces = [pp.face for pp in record.points]
     lin, trans = _prefix_isometries(P, faces)
     folded = np.array([pp.m for pp in record.points])
@@ -214,7 +214,7 @@ def generate_group(P: Polyhedron, bound: int = 10000) -> GroupClosure:
     group is infinite).
     """
     if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise PreconditionFailed("bound must be >= 1")
     gens: list[np.ndarray] = []
     seen = _MatrixBuckets()
     for R in P.reflection_linear:

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from polybilliard import cli
-from polybilliard.geometry import dump_polyhedron, regular_tetrahedron, unit_cube
+import polybilliard
+from polybilliard import cli, symbolic, unfolding
+from polybilliard.geometry import (PreconditionFailed, dump_polyhedron,
+                                   regular_tetrahedron, unit_cube)
 
 
 @pytest.fixture()
@@ -293,6 +295,24 @@ def test_exit_code_unwritable_sidecar(tmp_path, cube_file, capsys, monkeypatch):
     rc = cli.main(["complexity", cube_file, "--nmax", "3", "--budget", "100", "--out", str(out)])
     assert rc == cli.EXIT_PARSE
     assert f"cannot write {out}.meta.json: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_hash_of_resolved_configuration(tmp_path, cube_file):
+    # spellings of one configuration write the same table under the same hash
+    base = ["complexity", cube_file, "--nmax", "4", "--seed", "3"]
+    spellings = (["--budget", "1000"], ["--budget", "1e3"],
+                 ["--budget", "1000", "--tol", "plane=1e-9"],
+                 ["--budget", "1000", "--tol", "sing=1e-6", "--tol", "step=1e-8"],
+                 ["--budget", "1000", "--tol", "step=1e-8", "--tol", "sing=1e-6"])
+    tables = []
+    for k, extra in enumerate(spellings):
+        out = tmp_path / f"t{k}.csv"
+        assert cli.main(base + extra + ["--out", str(out)]) == cli.EXIT_OK
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1] == tables[2]
+    assert tables[3] == tables[4]
+    assert tables[3].splitlines()[0] != tables[0].splitlines()[0]
 
 
 def test_exit_code_negative_seed(tmp_path, cube_file, capsys):
@@ -356,3 +376,39 @@ def test_direction_normalization_warning(cube_file, capsys):
     captured = capsys.readouterr()
     assert "normalizing" in captured.err
     assert json.loads(captured.out)["word"] == ["z0", "z1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cell", "--theta", "0,0,1", "--word", "q9,z0"],
+    ["cell", "--theta", "0,0,1", "--word", "z0,q9"],
+    ["simulate", "--m", "0.5,0.5,0", "--theta", "0,0,1", "--face", "q9"],
+])
+def test_exit_code_unknown_label(cube_file, capsys, argv):
+    # Polyhedron.face_index is the one label check, wherever the label is read
+    assert cli.main(argv[:1] + [cube_file] + argv[1:]) == cli.EXIT_PRECONDITION
+    assert capsys.readouterr().err == "error: LabelNotReachable: unknown face label 'q9'\n"
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (unfolding, "generate_group", ["group"]),
+    (symbolic, "classify_cell", ["cell", "--theta", "1,0,1", "--word", "z0,x1"]),
+])
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_exit_code_internal_value_or_key_error(cube_file, capsys, monkeypatch,
+                                               module, name, argv, error):
+    # a ValueError or KeyError that no precondition check raised is a bug
+    def broken(*args, **kwargs):
+        raise error("a bug")
+
+    monkeypatch.setattr(module, name, broken)
+    assert cli.main(argv[:1] + [cube_file] + argv[1:]) == cli.EXIT_INTERNAL
+    assert f"internal error: {error.__name__}" in capsys.readouterr().err
+
+
+def test_every_exported_error_has_an_exit_code():
+    # a new exception class must choose: a precondition (4) or a bad solid (3)
+    errors = [v for v in vars(polybilliard).values()
+              if isinstance(v, type) and issubclass(v, BaseException)]
+    assert PreconditionFailed in errors
+    for e in errors:
+        assert issubclass(e, PreconditionFailed) or e in cli._SOLID_ERRORS, e
