@@ -1,7 +1,7 @@
 """Billiards inside convex polyhedra: dynamics, coding, and complexity tools."""
 
-from .geometry import (DegenerateFace, Edge, Face, Hit, HitKind, LabelNotReachable,
-                       NoAdvance, NonConvex, OpenSurface, Plane, Polyhedron,
+from .geometry import (DegenerateFace, Edge, Hit, HitKind, LabelNotReachable,
+                       NoAdvance, NonConvex, OpenSurface, Polyhedron,
                        PreconditionFailed, Tolerances, box, dump_polyhedron,
                        load_polyhedron, reflect_direction, regular_tetrahedron,
                        unit_cube, validate)

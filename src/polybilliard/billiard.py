@@ -53,7 +53,7 @@ def phase_point(P: Polyhedron, m, theta, face: int | str | None = None) -> Phase
         face = P.face_index(face)
     elif not 0 <= face < P.n_faces:
         raise PreconditionFailed(f"face id {face} out of range 0..{P.n_faces - 1}")
-    if abs(float(P.faces[face].plane.signed(m))) > 10 * P.tol.plane:
+    if abs(float(P.normals[face] @ m + P.offsets[face])) > 10 * P.tol.plane:
         raise PreconditionFailed("point does not lie on the given face plane")
     if not P.point_in_face(face, m):
         raise PreconditionFailed("point lies outside the given face")

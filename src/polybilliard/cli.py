@@ -65,6 +65,13 @@ def _parse_budget(text: str) -> int:
     return int(_parse_finite(text, "--budget"))
 
 
+def _parse_word(text: str) -> list[str]:
+    word = [w.strip() for w in text.split(",") if w.strip()]
+    if not word:
+        raise geometry.PreconditionFailed("word must contain at least one label")
+    return word
+
+
 def _parse_tolerances(pairs: list[str]) -> geometry.Tolerances:
     fields = {f.name for f in dataclasses.fields(geometry.Tolerances)}
     overrides: dict[str, float] = {}
@@ -82,21 +89,26 @@ def _parse_tolerances(pairs: list[str]) -> geometry.Tolerances:
     return dataclasses.replace(geometry.Tolerances(), **overrides)
 
 
+# main replaces each of these flags' text by its parsed value, once, so the
+# commands and the config hash read one resolved configuration
+_PARSERS = {"tol": _parse_tolerances, "budget": _parse_budget, "m": _parse_vec,
+            "theta": _parse_direction, "word": _parse_word}
+
+
 def _load_polyhedron(args) -> geometry.Polyhedron:
     """The ``polyhedron`` argument of a subcommand, under its ``--tol`` overrides."""
-    tol, path = _parse_tolerances(args.tol), args.polyhedron
+    path = args.polyhedron
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _ParseFailure(f"cannot read {path}: {e}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise _ParseFailure(f"bad JSON in {path}: {e}")
     try:
-        return geometry.load_polyhedron(data, tol=tol)
-    except (ValueError, KeyError, TypeError) as e:
-        # a missing key or a wrongly typed entry is as malformed as a bad value
+        return geometry.load_polyhedron(data, tol=args.tol)
+    except geometry.PreconditionFailed as e:
         raise _ParseFailure(f"bad polyhedron in {path}: {type(e).__name__}: {e}")
 
 
@@ -104,15 +116,17 @@ _NON_SEMANTIC_KEYS = {"func", "out", "threads"}
 
 
 def _config_hash(ns: argparse.Namespace) -> str:
-    """Hash of the resolved configuration: ``--budget 1e3`` and ``1000``, or
+    """Hash of the resolved configuration: ``--budget 1e3`` and ``1000``,
+    ``--theta 1,0,1`` and ``2,0,2``, ``--word z0,x1`` and ``z0, x1,``, or
     ``--tol`` flags in any order or spelling out a default, hash alike."""
     payload = {k: v for k, v in vars(ns).items() if k not in _NON_SEMANTIC_KEYS}
-    if "tol" in payload:
-        payload["tol"] = dataclasses.asdict(_parse_tolerances(ns.tol))
-    if "budget" in payload:
-        payload["budget"] = _parse_budget(ns.budget)
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
+    blob = json.dumps(payload, sort_keys=True, default=_resolved_json).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _resolved_json(v):
+    """A parsed flag value as JSON: a vector's floats, a ``Tolerances``' fields."""
+    return v.tolist() if isinstance(v, np.ndarray) else dataclasses.asdict(v)
 
 
 def _emit(out: str | None, text: str) -> None:
@@ -132,8 +146,7 @@ def _json_line(obj) -> str:
 def _orbit(args) -> tuple[geometry.Polyhedron, billiard.OrbitRecord]:
     """The solid and the ``--steps`` orbit from ``--m``/``--theta``/``--face``."""
     P = _load_polyhedron(args)
-    theta = _parse_direction(args.theta)
-    x = billiard.phase_point(P, _parse_vec(args.m), theta, face=args.face)
+    x = billiard.phase_point(P, args.m, args.theta, face=args.face)
     return P, billiard.orbit(x, args.steps, P)
 
 
@@ -202,10 +215,9 @@ def _cmd_transversal(args) -> int:
         if getattr(args, flag) < 0:
             raise geometry.PreconditionFailed(f"--{flag} must be >= 0")
     try:
-        data = json.loads(Path(args.edges).read_text())
-        raw = data["edges"]
-        edges = [transversal.EdgeLine.of(e["p"], e["x"]) for e in raw]
-    except (OSError, ValueError, KeyError, TypeError) as e:
+        edges = transversal.load_edges(json.loads(Path(args.edges).read_text()))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            geometry.PreconditionFailed) as e:
         raise _ParseFailure(f"bad edges file: {e}")
     if not 2 <= len(edges) <= 4:
         raise _ParseFailure("edges file must contain 2, 3, or 4 edges")
@@ -247,15 +259,11 @@ def _cmd_cell(args) -> int:
     if args.kmax < 1:
         raise geometry.PreconditionFailed("--kmax must be >= 1")
     P = _load_polyhedron(args)
-    theta = _parse_direction(args.theta)
-    word = [w.strip() for w in args.word.split(",") if w.strip()]
-    if not word:
-        raise geometry.PreconditionFailed("word must contain at least one label")
-    beam = symbolic.make_beam(P, word[0], theta)
-    for label in word[1:]:
+    beam = symbolic.make_beam(P, args.word[0], args.theta)
+    for label in args.word[1:]:
         beam = symbolic.propagate_beam(beam, label, P)
     cell = symbolic.classify_cell(beam)
-    out = {"config_hash": _config_hash(args), "word": word, "kind": cell.kind}
+    out = {"config_hash": _config_hash(args), "word": args.word, "kind": cell.kind}
     if cell.width is not None:
         out["width"] = cell.width
     if cell.area is not None:
@@ -269,7 +277,7 @@ def _cmd_complexity(args) -> int:
     if args.seed < 0:       # else numpy's generator rejects it, naming no flag
         raise geometry.PreconditionFailed("--seed must be >= 0")
     P = _load_polyhedron(args)
-    table = symbolic.estimate_complexity(P, args.nmax, _parse_budget(args.budget),
+    table = symbolic.estimate_complexity(P, args.nmax, args.budget,
                                          seed=args.seed, workers=args.threads)
     h = _config_hash(args)
     rows = [f"# config_hash={h}", "n,p_hat,log_p_over_n"]
@@ -370,6 +378,9 @@ def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
+        for flag, parse in _PARSERS.items():
+            if flag in vars(args):
+                setattr(args, flag, parse(getattr(args, flag)))
         return args.func(args)
     except _ParseFailure as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,6 +8,7 @@ an unreliable orbit.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from collections.abc import Iterable
@@ -66,7 +67,10 @@ DEFAULT_TOL = Tolerances()
 # ---------------------------------------------------------------------------
 
 def vec3(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    try:
+        v = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):             # a ragged list, a non-number
+        raise PreconditionFailed(f"expected a 3-vector of numbers, got {x!r}") from None
     if v.shape != (3,):
         raise PreconditionFailed(f"expected a 3-vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -151,26 +155,6 @@ def tangent_frame(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Plane:
-    """Oriented plane {x : <normal, x> + offset = 0} with unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def signed(self, pts) -> np.ndarray:
-        return np.asarray(pts, float) @ self.normal + self.offset
-
-
-@dataclass(frozen=True)
-class Face:
-    """Labeled convex boundary polygon; ``plane.normal`` points into the solid."""
-
-    label: str
-    plane: Plane
-    boundary: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Edge:
     endpoints: tuple[int, int]
     point: np.ndarray          # one endpoint
@@ -184,6 +168,10 @@ class Polyhedron:
     Construct through :func:`validate` (or the solid builders below), never
     directly; the constructor trusts its inputs and builds every per-solid
     table once, read-only, so instances are safe to share across threads.
+
+    Face f is ``labels[f]``, its vertex-index cycle ``boundaries[f]``
+    (counter-clockwise seen from inside), and its plane {x : <n, x> + c = 0}
+    with ``normals[f]`` the unit inward n and ``offsets[f]`` the c.
 
     Batch stepping table, (F, F), for hit face f and face g: ``inv_sin`` is
     1 / sin of the angle between their normals where they share an edge,
@@ -200,34 +188,32 @@ class Polyhedron:
     ``frames[f]`` has the orthonormal rows (t1, t2, n), n the inward normal.
     """
 
-    def __init__(self, vertices: np.ndarray, faces: list[Face],
-                 edges: list[Edge], tol: Tolerances):
-        self.vertices = vertices
-        self.faces = faces
+    def __init__(self, vertices: np.ndarray, labels: list[str],
+                 boundaries: tuple[tuple[int, ...], ...], normals: np.ndarray,
+                 offsets: np.ndarray, edges: list[Edge], tol: Tolerances):
+        self.vertices, self.labels, self.boundaries = vertices, labels, boundaries
+        N, c = self.normals, self.offsets = normals, offsets
         self.edges = edges
         self.tol = tol
-        N = self.normals = np.array([f.plane.normal for f in faces])
-        c = self.offsets = np.array([f.plane.offset for f in faces])
-        self.labels = [f.label for f in faces]
-        self._label_index = {f.label: i for i, f in enumerate(faces)}
-        face_edges: list[list[int]] = [[] for _ in faces]
+        self._label_index = {lab: i for i, lab in enumerate(labels)}
+        face_edges: list[list[int]] = [[] for _ in labels]
         for e_id, e in enumerate(edges):
             for f in e.faces:
                 face_edges[f].append(e_id)
-        self._face_polys = [vertices[list(f.boundary)] for f in faces]
+        self._face_polys = [vertices[list(b)] for b in boundaries]
 
         fa, fb = np.array([e.faces for e in edges]).T
-        self.inv_sin = np.full((len(faces), len(faces)), np.nan)
+        self.inv_sin = np.full((len(labels), len(labels)), np.nan)
         self.inv_sin[fa, fb] = self.inv_sin[fb, fa] = 1.0 / np.linalg.norm(
             np.cross(N[fa], N[fb]), axis=1)
         rows = []
-        for f, face in enumerate(faces):
+        for f, boundary in enumerate(boundaries):
             segs = []
             for e_id in face_edges[f]:
                 i, j = edges[e_id].endpoints
                 seg = vertices[j] - vertices[i]
                 segs.append((*vertices[i].tolist(), *seg.tolist(), float(seg @ seg), e_id))
-            verts = tuple((*vertices[v].tolist(), v) for v in face.boundary)
+            verts = tuple((*vertices[v].tolist(), v) for v in boundary)
             rows.append((*N[f].tolist(), float(c[f]), verts, tuple(segs)))
         self.rows = tuple(rows)
         # Isometry.reflection of each face plane: x - 2 (<n, x> + c) n
@@ -242,7 +228,7 @@ class Polyhedron:
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return len(self.labels)
 
     def face_index(self, label: str) -> int:
         try:
@@ -278,7 +264,10 @@ class Polyhedron:
         return math.sqrt(r2), e
 
     def with_tolerances(self, tol: Tolerances) -> "Polyhedron":
-        return Polyhedron(self.vertices, self.faces, self.edges, tol)
+        """The same solid under ``tol``; no table depends on it, so all are shared."""
+        P = copy.copy(self)
+        P.tol = tol
+        return P
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +283,26 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
     edge table requires every edge to be shared by exactly two faces.
     """
     tol = tol or DEFAULT_TOL
-    V = np.array(vertices, dtype=float)        # a copy: it is frozen below
+    try:
+        V = np.array(vertices, dtype=float)    # a copy: it is frozen below
+    except (TypeError, ValueError):            # ragged rows, non-numbers
+        V = np.empty(0)
     if V.ndim != 2 or V.shape[1] != 3:
-        raise PreconditionFailed("vertices must be an (N, 3) array")
+        raise PreconditionFailed("vertices must be an (N, 3) array of numbers")
     if not np.all(np.isfinite(V)):
         raise PreconditionFailed("vertex coordinates must be finite")
     if len(V) < 4:
         raise PreconditionFailed("a solid needs at least 4 vertices")
 
+    if not isinstance(faces, Iterable):
+        raise PreconditionFailed("faces must be a list")
     face_specs: list[tuple[str, list[int]]] = []
     for fs in faces:
-        if isinstance(fs, dict):
-            label, idx = fs["label"], fs.get("vertices")
-        else:
-            label, idx = fs
+        try:
+            label, idx = (fs["label"], fs.get("vertices")) if isinstance(fs, dict) else fs
+        except (KeyError, TypeError, ValueError):
+            raise PreconditionFailed(f"face {fs!r} is no {{'label', 'vertices'}} dict "
+                                     "or (label, indices) pair") from None
         if isinstance(idx, (str, bytes)) or not isinstance(idx, Iterable):
             raise PreconditionFailed(f"face {label!r}: vertex index list is missing or not a list")
         try:
@@ -328,8 +323,7 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
         raise PreconditionFailed("face labels must be distinct non-empty strings")
 
     centroid = V.mean(axis=0)
-    planes: list[Plane] = []
-    boundaries: list[list[int]] = []
+    normals, offsets, boundaries = [], [], []
     for label, idx in face_specs:
         pts = V[idx]
         n = _newell_normal(pts)
@@ -341,33 +335,32 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
         if float(n @ centroid) + c < 0.0:
             n, c = -n, -c
             idx = idx[::-1]
-        planes.append(Plane(n, c))
-        boundaries.append(idx)
+        normals.append(n)
+        offsets.append(c)
+        boundaries.append(tuple(idx))
+    N, C = np.array(normals), np.array(offsets)
 
     # convexity first: a vertex pushed past another face's plane must report
     # NonConvex even though it also warps its own faces out of planarity
-    for (label, _), pl in zip(face_specs, planes):
-        d = V @ pl.normal + pl.offset
+    for label, n, c in zip(labels, N, C):
+        d = V @ n + c
         worst = float(d.min())
         if worst < -tol.plane:
             raise NonConvex(
                 f"vertex {int(d.argmin())} lies {-worst:.3g} outside face {label!r}")
 
-    face_objs: list[Face] = []
-    for (label, _), pl, idx in zip(face_specs, planes, boundaries):
-        pts = V[idx]
-        dev = float(np.abs(pl.signed(pts)).max())
+    for label, idx, n, c in zip(labels, boundaries, N, C):
+        pts = V[list(idx)]
+        dev = float(np.abs(pts @ n + c).max())
         if dev > max(tol.plane, 1e-12 * max(1.0, float(np.abs(pts).max()))):
             raise DegenerateFace(f"face {label!r} is not planar (deviation {dev:.3g})")
         edges_v = np.roll(pts, -1, axis=0) - pts
-        turns = np.cross(edges_v, np.roll(edges_v, -1, axis=0)) @ pl.normal
+        turns = np.cross(edges_v, np.roll(edges_v, -1, axis=0)) @ n
         if np.any(turns < -tol.plane):
             raise DegenerateFace(f"face {label!r} polygon is not convex")
-        face_objs.append(Face(label, pl, tuple(idx)))
 
     edge_map: dict[tuple[int, int], list[int]] = {}
-    for f, face in enumerate(face_objs):
-        idx = face.boundary
+    for f, idx in enumerate(boundaries):
         for a in range(len(idx)):
             i, j = idx[a], idx[(a + 1) % len(idx)]
             edge_map.setdefault((min(i, j), max(i, j)), []).append(f)
@@ -377,9 +370,9 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
             raise OpenSurface(f"edge ({i},{j}) belongs to {len(fs)} faces, expected 2")
         edges.append(Edge((i, j), V[i].copy(), unit(V[j] - V[i]), (fs[0], fs[1])))
 
-    for a in (V, *(pl.normal for pl in planes), *(a for e in edges for a in (e.point, e.direction))):
+    for a in (V, *(a for e in edges for a in (e.point, e.direction))):
         a.setflags(write=False)
-    return Polyhedron(V, face_objs, edges, tol)
+    return Polyhedron(V, labels, tuple(boundaries), N, C, edges, tol)
 
 
 def load_polyhedron(data: dict, tol: Tolerances | None = None) -> Polyhedron:
@@ -397,10 +390,8 @@ def dump_polyhedron(P: Polyhedron) -> dict:
     """Inverse of :func:`load_polyhedron`; polygons counter-clockwise from outside."""
     return {
         "vertices": [list(map(float, v)) for v in P.vertices],
-        "faces": [
-            {"label": f.label, "vertices": [int(i) for i in f.boundary[::-1]]}
-            for f in P.faces
-        ],
+        "faces": [{"label": label, "vertices": [int(i) for i in idx[::-1]]}
+                  for label, idx in zip(P.labels, P.boundaries)],
     }
 
 
@@ -408,10 +399,9 @@ def dump_polyhedron(P: Polyhedron) -> dict:
 # reflection and ray casting
 # ---------------------------------------------------------------------------
 
-def reflect_direction(theta, face: Face) -> np.ndarray:
-    """Mirror a direction across a face plane: theta - 2 <theta, n> n."""
-    theta = np.asarray(theta, float)
-    n = face.plane.normal
+def reflect_direction(theta, n) -> np.ndarray:
+    """Mirror a direction across a plane with unit normal n: theta - 2 <theta, n> n."""
+    theta, n = np.asarray(theta, float), np.asarray(n, float)
     return theta - 2.0 * float(theta @ n) * n
 
 

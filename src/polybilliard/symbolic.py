@@ -175,7 +175,7 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
     f = P.face_index(label)
     iso = b.isometry
     poly3 = iso.apply(P.face_polygon(f))
-    n3 = iso.apply_direction(P.faces[f].plane.normal)
+    n3 = iso.apply_direction(P.normals[f])
     verts2 = b.project(poly3)
     section = b.section.tolist()
 

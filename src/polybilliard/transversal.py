@@ -46,6 +46,16 @@ class EdgeLine:
         return self.point + t * self.direction
 
 
+def load_edges(data) -> list[EdgeLine]:
+    """Edge lines from the JSON format, parsed into a dict:
+    ``{"edges": [{"p": [x, y, z], "x": [dx, dy, dz]}, ...]}``, 0 < |x|."""
+    edges = data.get("edges") if isinstance(data, dict) else None
+    if not isinstance(edges, list) or not all(
+            isinstance(e, dict) and {"p", "x"} <= e.keys() for e in edges):
+        raise PreconditionFailed("edges JSON needs an 'edges' list of {'p': .., 'x': ..} dicts")
+    return [EdgeLine.of(e["p"], e["x"]) for e in edges]
+
+
 @dataclass(frozen=True)
 class CoplanarConstraint:
     """Incidence reduces to a linear form on directions: form @ theta == 0."""

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Plane, Polyhedron, PreconditionFailed
+from .geometry import Polyhedron, PreconditionFailed
 
 if TYPE_CHECKING:  # pragma: no cover
     from .billiard import OrbitRecord
@@ -35,10 +35,10 @@ class Isometry:
         return Isometry(np.eye(3), np.zeros(3))
 
     @staticmethod
-    def reflection(plane: Plane) -> "Isometry":
-        """Reflection across {x : <n, x> + c = 0}: x -> x - 2 (<n,x> + c) n."""
-        n = plane.normal
-        return Isometry(np.eye(3) - 2.0 * np.outer(n, n), -2.0 * plane.offset * n)
+    def reflection(n, c: float) -> "Isometry":
+        """Reflection across {x : <n, x> + c = 0}, n a unit normal: x -> x - 2 (<n,x> + c) n."""
+        n = np.asarray(n, float)
+        return Isometry(np.eye(3) - 2.0 * np.outer(n, n), -2.0 * c * n)
 
     def apply(self, pts) -> np.ndarray:
         return np.asarray(pts, float) @ self.linear.T + self.translation
@@ -116,7 +116,7 @@ class UnfoldingTrack:
     def face_polygons(self) -> list[np.ndarray]:     # unfolded copy of each hit face
         P = self.polyhedron
         verts = np.einsum("lij,vj->lvi", self.linear, P.vertices) + self.translation[:, None, :]
-        return [verts[k, list(P.faces[f].boundary)] for k, f in enumerate(self.faces)]
+        return [verts[k, list(P.boundaries[f])] for k, f in enumerate(self.faces)]
 
 
 def unfold_orbit(record: "OrbitRecord", P: Polyhedron) -> UnfoldingTrack:

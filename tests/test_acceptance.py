@@ -41,11 +41,10 @@ def test_criterion_1_mirror_law_and_involution():
     thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
     faces = rng.integers(0, 6, 10_000)
     for i in range(10_000):
-        face = CUBE.faces[int(faces[i])]
-        n = face.plane.normal
+        n = CUBE.normals[int(faces[i])]
         theta = thetas[i]
-        once = reflect_direction(theta, face)
-        twice = reflect_direction(once, face)
+        once = reflect_direction(theta, n)
+        twice = reflect_direction(once, n)
         assert np.abs(twice - theta).max() < 1e-12
         tang_before = theta - (theta @ n) * n
         tang_after = once - (once @ n) * n

@@ -253,7 +253,7 @@ def test_time_reversibility(cube):
         last = rec.points[-1]
         # at the k-th point the stored direction is outgoing; the reversed
         # orbit leaves with the negated incoming one, i.e. the reflection
-        back_theta = pb.reflect_direction(-last.theta, cube.faces[last.face])
+        back_theta = pb.reflect_direction(-last.theta, cube.normals[last.face])
         back = bl.PhasePoint(last.face, last.m, back_theta)
         rev = bl.orbit(back, k + 1, cube)
         assert rev.completed
@@ -354,7 +354,7 @@ def _vertex_bound_orbits(rng, count):
         fwd = bl.orbit(bl.PhasePoint(f, m, theta), int(rng.integers(100, 500)), T)
         if fwd.completed:
             last = fwd.points[-1]
-            back = pb.reflect_direction(-last.theta, T.faces[last.face])
+            back = pb.reflect_direction(-last.theta, T.normals[last.face])
             starts.append(bl.PhasePoint(last.face, last.m, back))
     return starts
 
@@ -603,7 +603,7 @@ def _rotated_box(tol=None):
     Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
     Q = Q * np.sign(np.diag(R))
     B = box(2.0, 1.0, 0.5)
-    faces = [(f.label, list(f.boundary)) for f in B.faces]
+    faces = [(label, list(idx)) for label, idx in zip(B.labels, B.boundaries)]
     return validate(B.vertices @ Q.T + [0.3, -1.0, 2.0], faces, tol=tol)
 
 

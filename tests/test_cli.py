@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import polybilliard
-from polybilliard import cli, symbolic, unfolding
+from polybilliard import cli, geometry, symbolic, transversal, unfolding
 from polybilliard.geometry import (PreconditionFailed, dump_polyhedron,
                                    regular_tetrahedron, unit_cube)
 
@@ -64,6 +64,16 @@ def test_group_outputs(cube_file, tetra_file, capsys):
     assert capsys.readouterr().out.strip() == "NOT_CLOSED(1000)"
 
 
+def test_cell_strip(cube_file, capsys):
+    # face y1 is parallel to theta: its copy is seen edge-on, a segment
+    # along the y = 1 side of z0's section, so the cell is that side
+    rc = cli.main(["cell", cube_file, "--theta", "1,0,1", "--word", "z0,y1"])
+    assert rc == cli.EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "strip" and out["period"] is None and "area" not in out
+    assert out["width"] == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+
 def test_cell_subcommand(cube_file, capsys):
     rc = cli.main(["cell", cube_file, "--theta", "1,0,1",
                    "--word", "z0,x1,z1,x0,z0,x1,z1,x0"])
@@ -108,6 +118,19 @@ def test_complexity_csv_and_meta(cube_file, tmp_path, capsys):
     assert meta["budget"] == 20000 and meta["seed"] == 7
 
 
+def test_complexity_to_stdout_matches_out_files(cube_file, tmp_path, capsys):
+    # without --out the table goes to stdout and its sidecar to stderr, byte
+    # for byte what --out writes to the two files
+    argv = ["complexity", cube_file, "--nmax", "4", "--budget", "2000", "--seed", "5"]
+    assert cli.main(argv) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    out = tmp_path / "table.csv"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert captured.out == out.read_text()
+    assert captured.err == (tmp_path / "table.csv.meta.json").read_text()
+
+
 def test_complexity_deterministic(cube_file, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -130,6 +153,33 @@ def test_transversal_pair(tmp_path, capsys):
     assert out["constraint"]["kind"] == "rational"
     assert out["constraint"]["numerator"] == [1.0, 0.0, 0.0]
     assert out["constraint"]["denominator"] == [0.0, -1.0, 0.0]
+
+
+def test_transversal_coplanar_pair(tmp_path, capsys):
+    # both edges lie in the plane z = 0: incidence is the linear form theta_z = 0
+    edges = tmp_path / "edges.json"
+    edges.write_text(json.dumps({"edges": [
+        {"p": [0, 0, 0], "x": [1, 0, 0]},
+        {"p": [0, 1, 0], "x": [1, 1, 0]},
+    ]}))
+    assert cli.main(["transversal", str(edges)]) == cli.EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["n_edges"] == 2
+    assert out["constraint"] == {"kind": "coplanar", "form": [0.0, 0.0, 1.0]}
+
+
+@pytest.mark.parametrize("fourth, verdict", [
+    ({"p": [3, 0, 0], "x": [0, 1, 3]}, "dependent"),       # a fourth ruling
+    ({"p": [3, 0, 0], "x": [1, 1, 3]}, "independent"),     # a line off the saddle
+])
+def test_transversal_four_edges(tmp_path, capsys, fourth, verdict):
+    # rulings x = a, z = a*y of the saddle z = x*y for a = 0, 1, 2
+    rulings = [{"p": [a, 0, 0], "x": [0, 1, a]} for a in (0, 1, 2)]
+    edges = tmp_path / "edges.json"
+    edges.write_text(json.dumps({"edges": rulings + [fourth]}))
+    assert cli.main(["transversal", str(edges)]) == cli.EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["n_edges"] == 4 and out["independence"] == verdict
 
 
 def test_transversal_triple(tmp_path, capsys):
@@ -156,6 +206,12 @@ def test_exit_code_parse_error(tmp_path, capsys):
     bad.write_text("{ not json")
     assert cli.main(["group", str(bad)]) == cli.EXIT_PARSE
     assert cli.main(["group", str(tmp_path / "missing.json")]) == cli.EXIT_PARSE
+    # a file that is no UTF-8 text cannot be read, for either input file
+    bad.write_bytes(b"\xff\xfe{")
+    assert cli.main(["group", str(bad)]) == cli.EXIT_PARSE
+    assert "cannot read" in capsys.readouterr().err
+    assert cli.main(["transversal", str(bad)]) == cli.EXIT_PARSE
+    assert "bad edges file" in capsys.readouterr().err
 
 
 def _cube_without_face_vertices(data):
@@ -174,11 +230,30 @@ def _cube_with_fractional_index(data):
     data["faces"][0]["vertices"][0] += 0.9       # truncates back to the cube
 
 
+def _cube_without_face_label(data):
+    del data["faces"][0]["label"]
+
+
+def _cube_with_list_face(data):
+    data["faces"][0] = ["x0", data["faces"][0]["vertices"], "extra"]
+
+
+def _cube_with_ragged_vertex(data):
+    data["vertices"][0].append(0.0)
+
+
+def _cube_with_non_numeric_coordinate(data):
+    data["vertices"][0][1] = "a"
+
+
 @pytest.mark.parametrize("damage", [_cube_without_face_vertices, _cube_with_int_face,
-                                    _cube_with_int_faces, _cube_with_fractional_index])
+                                    _cube_with_int_faces, _cube_with_fractional_index,
+                                    _cube_without_face_label, _cube_with_list_face,
+                                    _cube_with_ragged_vertex,
+                                    _cube_with_non_numeric_coordinate])
 def test_exit_code_malformed_polyhedron(tmp_path, capsys, damage):
-    # a missing key (KeyError) or a wrongly typed entry (TypeError) in the
-    # polyhedron file is a parse problem, as a bad value is
+    # a missing key or a wrongly typed entry in the polyhedron file is a
+    # parse problem, as a bad value is: validate rejects each one
     data = dump_polyhedron(unit_cube())
     damage(data)
     f = tmp_path / "damaged.json"
@@ -191,6 +266,9 @@ def test_exit_code_malformed_polyhedron(tmp_path, capsys, damage):
     {"p": [0, 0], "x": [1, 0, 0]},              # two components
     {"p": [0, "a", 0], "x": [1, 0, 0]},         # a non-numeric coordinate
     {"p": [0, 0, 0], "x": [0, 0, 0]},           # a zero direction
+    {"p": [0, 0, 0]},                           # no direction
+    5,                                          # an edge that is a number
+    {"p": [0, 0, 0], "x": [1, [0], 0]},         # a coordinate that is a list
 ])
 def test_exit_code_malformed_edges(tmp_path, capsys, bad):
     # a malformed edges file is a parse problem, as a malformed polyhedron is
@@ -298,7 +376,7 @@ def test_exit_code_unwritable_sidecar(tmp_path, cube_file, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_config_hash_of_resolved_configuration(tmp_path, cube_file):
+def test_config_hash_of_resolved_configuration(tmp_path, cube_file, capsys):
     # spellings of one configuration write the same table under the same hash
     base = ["complexity", cube_file, "--nmax", "4", "--seed", "3"]
     spellings = (["--budget", "1000"], ["--budget", "1e3"],
@@ -313,6 +391,23 @@ def test_config_hash_of_resolved_configuration(tmp_path, cube_file):
     assert tables[0] == tables[1] == tables[2]
     assert tables[3] == tables[4]
     assert tables[3].splitlines()[0] != tables[0].splitlines()[0]
+    # a direction, a start point and a word hash as parsed: the unit theta,
+    # the point's floats, the stripped labels; |theta| != 1 is said once
+    out = tmp_path / "out.json"
+    cells = []
+    for theta, word in (("1,0,1", "z0,x1"), ("1,0,1.0", "z0,x1"), ("2,0,2", "z0,x1"),
+                        ("1,0,1", "z0, x1"), ("1,0,1", "z0,x1,")):
+        argv = ["cell", cube_file, "--theta", theta, "--word", word, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().err.count("normalizing") == 1
+        cells.append(out.read_bytes())
+    assert len(set(cells)) == 1
+    codes = []
+    for m in ("0.5,0.5,0", "0.50,0.5,0"):
+        argv = ["code", cube_file, "--m", m, "--theta", "0.1,0.2,1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        codes.append(out.read_bytes())
+    assert codes[0] == codes[1]
 
 
 def test_exit_code_negative_seed(tmp_path, cube_file, capsys):
@@ -392,6 +487,8 @@ def test_exit_code_unknown_label(cube_file, capsys, argv):
 @pytest.mark.parametrize("module, name, argv", [
     (unfolding, "generate_group", ["group"]),
     (symbolic, "classify_cell", ["cell", "--theta", "1,0,1", "--word", "z0,x1"]),
+    (geometry, "validate", ["group"]),
+    (transversal, "load_edges", ["transversal"]),      # reads the cube file as JSON
 ])
 @pytest.mark.parametrize("error", [ValueError, KeyError])
 def test_exit_code_internal_value_or_key_error(cube_file, capsys, monkeypatch,

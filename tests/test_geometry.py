@@ -16,6 +16,11 @@ def cube():
     return g.unit_cube()
 
 
+def _faces(P):
+    """The faces of ``P`` as ``validate`` reads them: fresh (label, indices) pairs."""
+    return [(label, list(idx)) for label, idx in zip(P.labels, P.boundaries)]
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -48,14 +53,14 @@ def test_pushed_out_vertex_is_nonconvex():
     corner = int(np.argmin(np.linalg.norm(vs - np.array([1.0, 1.0, 1.0]), axis=1)))
     vs = np.array(vs)
     vs[corner] = [2.0, 2.0, 2.0]
-    faces = [(f.label, list(f.boundary)) for f in cube.faces]
+    faces = _faces(cube)
     with pytest.raises(g.NonConvex):
         g.validate(vs, faces)
 
 
 def test_open_surface_detected():
     cube = g.unit_cube()
-    faces = [(f.label, list(f.boundary)) for f in cube.faces][:-1]
+    faces = _faces(cube)[:-1]
     with pytest.raises((g.OpenSurface, ValueError)):
         g.validate(cube.vertices, faces)
 
@@ -69,7 +74,7 @@ def test_collinear_face_rejected():
 
 def test_non_integer_vertex_index_rejected(cube):
     # truncating i + 0.9, or parsing str(i), would give the cube back
-    faces = [(f.label, list(f.boundary)) for f in cube.faces]
+    faces = _faces(cube)
     i = faces[0][1][0]
     for bad in (i + 0.9, str(i)):
         faces[0][1][0] = bad
@@ -82,9 +87,69 @@ def test_non_integer_vertex_index_rejected(cube):
 
 
 def test_duplicate_labels_rejected(cube):
-    faces = [("same", list(f.boundary)) for f in cube.faces]
+    faces = [("same", idx) for _, idx in _faces(cube)]
     with pytest.raises(ValueError):
         g.validate(cube.vertices, faces)
+
+
+def _with_face0(idx):
+    """The cube with the vertex cycle of its first face replaced by ``idx``."""
+    def build(cube):
+        faces = _faces(cube)
+        faces[0] = (faces[0][0], idx)
+        return cube.vertices, faces
+    return build
+
+
+def _hexagonal_prism_pushed(cube):
+    # one top vertex pushed 2.5e-9 into the solid: the top face's vertices lie
+    # within 0.83e-9 outside its mean plane, inside the 1e-9 convexity
+    # tolerance, and up to 1.25e-9 inside it, past the planarity one; on a
+    # quad face the deviations are equal and the convexity check fires first
+    ring = np.exp(1j * np.pi / 3 * np.arange(6))
+    base = np.c_[ring.real, ring.imag, np.zeros(6)]
+    top = base + [0.0, 0.0, 1.0]
+    top[0, 2] -= 2.5e-9
+    faces = [("b", list(range(6))), ("t", list(range(6, 12)))] + [
+        (f"s{k}", [k, (k + 1) % 6, 6 + (k + 1) % 6, 6 + k]) for k in range(6)]
+    return np.vstack([base, top]), faces
+
+
+def _cube_with_dented_face(cube):
+    # the centre of face z1 spliced into its cycle: planar, but reflex there
+    faces = _faces(cube)
+    k = cube.face_index("z1")
+    idx = faces[k][1]
+    faces[k] = ("z1", idx[:2] + [8] + idx[2:])
+    return np.vstack([cube.vertices, [0.5, 0.5, 1.0]]), faces
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda c: (c.vertices[:, :2], _faces(c)), g.PreconditionFailed, r"\(N, 3\) array"),
+    (lambda c: (np.where(c.vertices > 0.5, np.nan, c.vertices), _faces(c)),
+     g.PreconditionFailed, "finite"),
+    (lambda c: (c.vertices[:3], [("a", [0, 1, 2])] * 4), g.PreconditionFailed,
+     "at least 4 vertices"),
+    (_with_face0([0, 4]), g.PreconditionFailed, "fewer than 3 vertices"),
+    (_with_face0([0, 4, 4, 2]), g.PreconditionFailed, "repeats a vertex"),
+    (_with_face0([0, 4, 6, 8]), g.PreconditionFailed, "out-of-range"),
+    (_with_face0([0, 4, 6, -1]), g.PreconditionFailed, "out-of-range"),
+    (lambda c: (c.vertices, _faces(c)[:3]), g.PreconditionFailed, "at least 4 faces"),
+    (_hexagonal_prism_pushed, g.DegenerateFace, "not planar"),
+    (_cube_with_dented_face, g.DegenerateFace, "polygon is not convex"),
+], ids=["not-n-by-3", "non-finite", "3-vertices", "2-gon", "repeat", "index-8",
+        "index-minus-1", "3-faces", "non-planar", "non-convex-polygon"])
+def test_validate_rejections(cube, build, error, message):
+    vertices, faces = build(cube)
+    with pytest.raises(error, match=message):
+        g.validate(vertices, faces)
+
+
+@pytest.mark.parametrize("data", [
+    {"vertices": [[0, 0, 0]]}, {"faces": []}, [[[0, 0, 0]], []], "cube"])
+def test_load_polyhedron_needs_both_keys(data):
+    with pytest.raises(g.PreconditionFailed, match="needs 'vertices' and 'faces' keys"):
+        g.load_polyhedron(data)
 
 
 def test_polyhedron_arrays_are_read_only():
@@ -100,7 +165,7 @@ def test_polyhedron_arrays_are_read_only():
 def test_validate_leaves_callers_vertices_alone():
     cube = g.unit_cube()
     V = np.array(cube.vertices)                  # float64 and writable
-    P = g.validate(V, [(f.label, list(f.boundary)) for f in cube.faces])
+    P = g.validate(V, _faces(cube))
     assert V.flags.writeable and P.vertices is not V
     assert not P.vertices.flags.writeable
     before = P.vertices.copy()
@@ -113,7 +178,7 @@ def test_face_planes_and_edges_are_read_only():
     z0 = P.face_index("z0")
     centre = (0.5, 0.5, 0.0)
     assert P.point_in_face(z0, centre)
-    arrays = [*(f.plane.normal for f in P.faces),
+    arrays = [*P.normals, P.offsets,
               *(a for e in P.edges for a in (e.point, e.direction))]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -164,9 +229,8 @@ def test_json_round_trip(cube):
     again = g.load_polyhedron(json.loads(json.dumps(data)))
     assert again.n_faces == 6 and len(again.edges) == 12
     assert np.allclose(again.vertices, cube.vertices)
-    for a, b in zip(again.faces, cube.faces):
-        assert a.label == b.label
-        assert np.allclose(a.plane.normal, b.plane.normal)
+    assert again.labels == cube.labels
+    assert np.allclose(again.normals, cube.normals)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +238,13 @@ def test_json_round_trip(cube):
 # ---------------------------------------------------------------------------
 
 def test_reflect_floor_mirror(cube):
-    floor = cube.faces[cube.face_index("z0")]
+    floor = cube.normals[cube.face_index("z0")]
     out = g.reflect_direction(np.array([0.3, -0.4, -0.5]), floor)
     assert np.allclose(out, [0.3, -0.4, 0.5])
 
 
 def test_reflect_tangent_fixed(cube):
-    floor = cube.faces[cube.face_index("z0")]
+    floor = cube.normals[cube.face_index("z0")]
     theta = np.array([1.0, 1.0, 0.0]) / SQRT2
     assert np.allclose(g.reflect_direction(theta, floor), theta)
 
@@ -190,9 +254,9 @@ def test_reflect_involution_and_norm(cube):
     for _ in range(1000):
         theta = rng.normal(size=3)
         theta /= np.linalg.norm(theta)
-        face = cube.faces[rng.integers(0, 6)]
-        once = g.reflect_direction(theta, face)
-        twice = g.reflect_direction(once, face)
+        n = cube.normals[rng.integers(0, 6)]
+        once = g.reflect_direction(theta, n)
+        twice = g.reflect_direction(once, n)
         assert np.abs(twice - theta).max() < 1e-12
         assert abs(np.linalg.norm(once) - 1.0) < 1e-12
 
@@ -247,8 +311,7 @@ def test_hit_point_on_face(cube):
         theta[2] = abs(theta[2]) + 0.2
         theta /= np.linalg.norm(theta)
         hit = g.first_hit(m, theta, cube)
-        pl = cube.faces[hit.face].plane
-        assert abs(pl.signed(hit.point)) < 1e-9
+        assert abs(cube.normals[hit.face] @ hit.point + cube.offsets[hit.face]) < 1e-9
         assert cube.point_in_face(hit.face, hit.point)
 
 
@@ -468,7 +531,7 @@ def _reference_first_hit(m, theta, P):
     v_local = int(vdist2.argmin())
     if vdist2[v_local] <= tol.plane * tol.plane:
         return g.Hit(g.HitKind.VERTEX, q, tf, face=f,
-                     vertex=int(P.faces[f].boundary[v_local]), edge_distance=0.0)
+                     vertex=int(P.boundaries[f][v_local]), edge_distance=0.0)
     # the face's edges from the edge list, not from the stepping tables
     ids = [k for k, e in enumerate(P.edges) if f in e.faces]
     A = P.vertices[[P.edges[k].endpoints[0] for k in ids]]
@@ -512,7 +575,7 @@ def _assert_same_hit(m, theta, P, tie=False):
     elif got.kind is g.HitKind.EDGE:
         assert {got.face, ref.face} <= set(P.edges[got.edge].faces)
     else:
-        assert all(got.vertex in P.faces[h.face].boundary for h in (got, ref))
+        assert all(got.vertex in P.boundaries[h.face] for h in (got, ref))
     assert isinstance(got.point, np.ndarray) and got.point.shape == (3,)
     # the kernels sum in different orders: allow 1e-12 per unit of ray length
     # (rays inside these solids are at most 3 long; outward rays from the
@@ -529,7 +592,7 @@ def _rotated_box():
     Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
     Q = Q * np.sign(np.diag(R))
     B = g.box(2.0, 1.0, 0.5)
-    faces = [(f.label, list(f.boundary)) for f in B.faces]
+    faces = _faces(B)
     return g.validate(B.vertices @ Q.T + [0.3, -1.0, 2.0], faces)
 
 

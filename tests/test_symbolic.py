@@ -501,7 +501,7 @@ def _ref_propagate(b, label, P):
     f = P.face_index(label)
     iso = b.isometry
     verts2 = b.project(iso.apply(P.face_polygon(f)))
-    n3 = iso.apply_direction(P.faces[f].plane.normal)
+    n3 = iso.apply_direction(P.normals[f])
     if abs(float(n3 @ b.theta)) <= P.tol.angle:
         d = verts2[:, None, :] - verts2[None, :, :]
         i, j = np.unravel_index(np.argmax((d * d).sum(axis=2)), d.shape[:2])
@@ -521,7 +521,7 @@ def _ref_propagate(b, label, P):
     else:
         clip = verts2[::-1] if _ref_polygon_area(verts2) < 0.0 else verts2
         section = _ref_clip_convex(b.section, clip)
-    new_iso = iso.compose(uf.Isometry.reflection(P.faces[f].plane))
+    new_iso = iso.compose(uf.Isometry.reflection(P.normals[f], P.offsets[f]))
     return sy.Beam(b.theta, b.origin, b.axes, section, b.word + [label],
                    b.isometries + [new_iso])
 

@@ -4,8 +4,8 @@ import pytest
 from polybilliard import billiard as bl
 from polybilliard import symbolic as sy
 from polybilliard import unfolding as uf
-from polybilliard.geometry import (Plane, Tolerances, box, regular_tetrahedron, unit,
-                                  unit_cube, validate)
+from polybilliard.geometry import (Tolerances, box, regular_tetrahedron, unit, unit_cube,
+                                  validate)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -28,8 +28,7 @@ def _orbit(cube, m, theta, n):
 # ---------------------------------------------------------------------------
 
 def test_reflection_isometry():
-    pl = Plane(np.array([0.0, 0.0, 1.0]), -1.0)   # plane z = 1
-    R = uf.Isometry.reflection(pl)
+    R = uf.Isometry.reflection(np.array([0.0, 0.0, 1.0]), -1.0)   # plane z = 1
     assert np.allclose(R.apply([0.3, 0.4, 0.0]), [0.3, 0.4, 2.0])
     assert np.allclose(R.compose(R).linear, np.eye(3))
     assert np.allclose(R.compose(R).translation, 0.0)
@@ -37,8 +36,8 @@ def test_reflection_isometry():
 
 
 def test_compose_order():
-    Rz0 = uf.Isometry.reflection(Plane(np.array([0.0, 0.0, 1.0]), 0.0))
-    Rz1 = uf.Isometry.reflection(Plane(np.array([0.0, 0.0, 1.0]), -1.0))
+    Rz0 = uf.Isometry.reflection(np.array([0.0, 0.0, 1.0]), 0.0)
+    Rz1 = uf.Isometry.reflection(np.array([0.0, 0.0, 1.0]), -1.0)
     # Rz1 o Rz0 maps z -> 2 + z: a pure translation by (0,0,2)
     G = Rz1.compose(Rz0)
     assert G.is_translation(1e-12)
@@ -116,9 +115,9 @@ def test_no_reflection_built_after_construction(cube, monkeypatch):
     calls = []
     reflection = uf.Isometry.reflection
 
-    def counting_reflection(plane):
+    def counting_reflection(n, c):
         calls.append(1)
-        return reflection(plane)
+        return reflection(n, c)
 
     monkeypatch.setattr(uf.Isometry, "reflection", staticmethod(counting_reflection))
     # step-0 edge events unfold by the identity: a ray into an edge, a start on one
@@ -153,11 +152,11 @@ def _reference_frame(n):
 def test_face_tables_match_per_face_builds(name):
     P = _moved(box(2.0, 1.0, 0.5), 5) if name == "rotated-box" else (
         unit_cube() if name == "cube" else regular_tetrahedron())
-    for f, face in enumerate(P.faces):
-        R = uf.Isometry.reflection(face.plane)
+    for f, (n, c) in enumerate(zip(P.normals, P.offsets)):
+        R = uf.Isometry.reflection(n, c)
         assert P.reflection_linear[f].tobytes() == R.linear.tobytes()
         assert P.reflection_translation[f].tobytes() == R.translation.tobytes()
-        assert P.frames[f].tobytes() == _reference_frame(face.plane.normal).tobytes()
+        assert P.frames[f].tobytes() == _reference_frame(n).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +187,25 @@ def test_tetrahedron_group_not_closed():
     assert len(closure.elements) > 1000
 
 
+def test_deep_closure_is_reorthogonalized(monkeypatch):
+    # the base angles arctan(sqrt 2) and arctan(1/sqrt 2) are no rational
+    # multiples of pi: the group is infinite and grows slowly enough for the
+    # BFS to reach level 64, whose candidates are snapped back onto O(3);
+    # 32 of them come before the bound
+    calls = []
+    reorthogonalize = uf.reorthogonalize
+
+    def counting(M):
+        calls.append(1)
+        return reorthogonalize(M)
+
+    monkeypatch.setattr(uf, "reorthogonalize", counting)
+    closure = uf.generate_group(_prism([[0, 0], [1, 0], [0, np.sqrt(2.0)]]), bound=1000)
+    assert len(calls) == 32 and closure.closed is False
+    E = closure.elements
+    assert np.abs(np.einsum("kji,kjl->kil", E, E) - np.eye(3)).max() <= 1e-12
+
+
 def test_closure_contains_identity_and_inverses(cube):
     closure = uf.generate_group(cube, bound=100)
     assert closure.contains(np.eye(3))
@@ -197,8 +215,7 @@ def test_closure_contains_identity_and_inverses(cube):
 
 def test_closure_closed_under_generators(cube):
     closure = uf.generate_group(cube, bound=100)
-    gens = {tuple(np.round(np.eye(3) - 2 * np.outer(f.plane.normal, f.plane.normal), 9).ravel())
-            for f in cube.faces}
+    gens = {tuple(np.round(np.eye(3) - 2 * np.outer(n, n), 9).ravel()) for n in cube.normals}
     for M in closure.elements:
         for gt in gens:
             G = np.array(gt).reshape(3, 3)
@@ -213,8 +230,8 @@ def _reference_generate_group(P, bound):
     """The quadratic closure: each candidate is compared with every stored
     element, and the stack is re-concatenated per element added."""
     gens = []
-    for f in P.faces:
-        R = uf.Isometry.reflection(f.plane).linear
+    for n, c in zip(P.normals, P.offsets):
+        R = uf.Isometry.reflection(n, c).linear
         if not any(np.abs(R - g).max() <= 1e-8 for g in gens):
             gens.append(R)
     elements = [np.eye(3)]
@@ -245,7 +262,7 @@ def _moved(P, seed):
     rng = np.random.default_rng(seed)
     Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
     Q = Q * np.sign(np.diag(R))
-    faces = [(f.label, list(f.boundary)) for f in P.faces]
+    faces = [(label, list(idx)) for label, idx in zip(P.labels, P.boundaries)]
     return validate(P.vertices @ Q.T + rng.normal(size=3), faces)
 
 
@@ -304,7 +321,7 @@ def test_contains_across_bucket_boundary(cube):
 def _reference_cumulative_isometries(P, faces):
     """The sequential kernel: one ``compose`` per bounce, the crossed faces'
     reflections built once."""
-    reflections = {f: uf.Isometry.reflection(P.faces[f].plane) for f in set(faces[1:])}
+    reflections = {f: uf.Isometry.reflection(P.normals[f], P.offsets[f]) for f in set(faces[1:])}
     isos = [uf.Isometry.identity()]
     for f in faces[1:]:
         isos.append(isos[-1].compose(reflections[f]))
