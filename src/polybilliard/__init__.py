@@ -1,6 +1,6 @@
 """Billiards inside convex polyhedra: dynamics, coding, and complexity tools."""
 
-from .geometry import (DegenerateFace, Edge, Hit, HitKind, LabelNotReachable,
+from .geometry import (DegenerateFace, Hit, HitKind, LabelNotReachable,
                        NoAdvance, NonConvex, OpenSurface, Polyhedron,
                        PreconditionFailed, Tolerances, box, dump_polyhedron,
                        load_polyhedron, reflect_direction, regular_tetrahedron,

@@ -195,17 +195,17 @@ def discontinuity_report(record: OrbitRecord, P: Polyhedron,
             ends.append(ev.point)
         ends = np.reshape(ends, (-1, 1, 3))
         starts = np.reshape([p.m for p in pts[:len(ends)]], (-1, 1, 3))
-        ij = P.vertices[[e.endpoints for e in P.edges]]        # (E, 2, 3)
+        ij = P.vertices[P.edge_endpoints]                       # (E, 2, 3)
         dist = segment_segment_distance(starts, ends, ij[:, 0], ij[:, 1])
         pairs = np.argwhere(dist <= radius).tolist()            # row-major (k, edge)
     if ev is not None:          # the edge hit, or every edge through the vertex hit
-        pairs += [(ev.step, i) for i, e in enumerate(P.edges)
-                  if i == ev.edge or ev.vertex in e.endpoints]
+        pairs += [(ev.step, e) for e, ends in enumerate(P.edge_endpoints.tolist())
+                  if e == ev.edge or ev.vertex in ends]
     lin, trans = _prefix_isometries(P, [p.face for p in pts])
     found: dict[tuple, EdgeLine] = {}       # insertion-ordered, one line per key
-    for k, i in pairs:
-        iso, e = Isometry(lin[k], trans[k]), P.edges[i]
-        point, direction = iso.apply(e.point), iso.apply_direction(e.direction)
+    for k, e in pairs:
+        iso, (a, b) = Isometry(lin[k], trans[k]), P.vertices[P.edge_endpoints[e]]
+        point, direction = iso.apply(a), iso.apply_direction(unit(b - a))
         d = direction if direction[int(np.argmax(np.abs(direction)))] >= 0.0 else -direction
         key = tuple(np.round(np.concatenate([point - (point @ d) * d, d]), 9))
         found.setdefault(key, EdgeLine(point, direction))

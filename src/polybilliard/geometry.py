@@ -154,16 +154,8 @@ def tangent_frame(v: np.ndarray) -> np.ndarray:
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Edge:
-    endpoints: tuple[int, int]
-    point: np.ndarray          # one endpoint
-    direction: np.ndarray      # unit, along the edge
-    faces: tuple[int, int]     # the two incident face ids
-
-
 class Polyhedron:
-    """Immutable convex polyhedron with labeled faces and derived edges.
+    """Immutable convex polyhedron with labeled faces and its edge arrays.
 
     Construct through :func:`validate` (or the solid builders below), never
     directly; the constructor trusts its inputs and builds every per-solid
@@ -171,7 +163,9 @@ class Polyhedron:
 
     Face f is ``labels[f]``, its vertex-index cycle ``boundaries[f]``
     (counter-clockwise seen from inside), and its plane {x : <n, x> + c = 0}
-    with ``normals[f]`` the unit inward n and ``offsets[f]`` the c.
+    with ``normals[f]`` the unit inward n and ``offsets[f]`` the c.  Edge e
+    joins vertices ``edge_endpoints[e]`` = (i, j), i < j, with the rows in
+    sorted order, and is shared by the faces ``edge_faces[e]``.
 
     Batch stepping table, (F, F), for hit face f and face g: ``inv_sin`` is
     1 / sin of the angle between their normals where they share an edge,
@@ -190,27 +184,24 @@ class Polyhedron:
 
     def __init__(self, vertices: np.ndarray, labels: list[str],
                  boundaries: tuple[tuple[int, ...], ...], normals: np.ndarray,
-                 offsets: np.ndarray, edges: list[Edge], tol: Tolerances):
+                 offsets: np.ndarray, edge_endpoints: np.ndarray,
+                 edge_faces: np.ndarray, tol: Tolerances):
         self.vertices, self.labels, self.boundaries = vertices, labels, boundaries
         N, c = self.normals, self.offsets = normals, offsets
-        self.edges = edges
+        self.edge_endpoints, self.edge_faces = edge_endpoints, edge_faces
         self.tol = tol
         self._label_index = {lab: i for i, lab in enumerate(labels)}
-        face_edges: list[list[int]] = [[] for _ in labels]
-        for e_id, e in enumerate(edges):
-            for f in e.faces:
-                face_edges[f].append(e_id)
         self._face_polys = [vertices[list(b)] for b in boundaries]
 
-        fa, fb = np.array([e.faces for e in edges]).T
+        fa, fb = edge_faces.T
         self.inv_sin = np.full((len(labels), len(labels)), np.nan)
         self.inv_sin[fa, fb] = self.inv_sin[fb, fa] = 1.0 / np.linalg.norm(
             np.cross(N[fa], N[fb]), axis=1)
         rows = []
         for f, boundary in enumerate(boundaries):
             segs = []
-            for e_id in face_edges[f]:
-                i, j = edges[e_id].endpoints
+            for e_id in np.flatnonzero((edge_faces == f).any(axis=1)).tolist():
+                i, j = edge_endpoints[e_id]
                 seg = vertices[j] - vertices[i]
                 segs.append((*vertices[i].tolist(), *seg.tolist(), float(seg @ seg), e_id))
             verts = tuple((*vertices[v].tolist(), v) for v in boundary)
@@ -220,8 +211,8 @@ class Polyhedron:
         self.reflection_linear = np.eye(3) - 2.0 * N[:, :, None] * N[:, None, :]
         self.reflection_translation = -2.0 * c[:, None] * N
         self.frames = np.array([np.vstack([tangent_frame(n), n]) for n in N])
-        for a in (N, c, self.inv_sin, self.reflection_linear,
-                  self.reflection_translation, self.frames, *self._face_polys):
+        for a in (vertices, N, c, edge_endpoints, edge_faces, self.inv_sin, self.frames,
+                  self.reflection_linear, self.reflection_translation, *self._face_polys):
             a.setflags(write=False)
 
     # -- queries ------------------------------------------------------------
@@ -238,10 +229,6 @@ class Polyhedron:
 
     def face_polygon(self, f: int) -> np.ndarray:
         return self._face_polys[f]
-
-    def diameter(self) -> float:
-        """Largest distance between two vertices."""
-        return farthest_pair(self.vertices)[0]
 
     def signed_distances(self, pts) -> np.ndarray:
         """Signed distances to all face planes; >= 0 everywhere iff inside."""
@@ -279,12 +266,12 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
 
     ``faces`` entries are ``{"label": str, "vertices": [i, ...]}`` dicts or
     ``(label, indices)`` pairs; vertex indices are 0-based and each polygon
-    must be convex and planar.  Normals are oriented inward and the derived
-    edge table requires every edge to be shared by exactly two faces.
+    must be convex and planar.  Normals are oriented inward and the edge
+    arrays require every edge to be shared by exactly two faces.
     """
     tol = tol or DEFAULT_TOL
     try:
-        V = np.array(vertices, dtype=float)    # a copy: it is frozen below
+        V = np.array(vertices, dtype=float)    # a copy: the constructor freezes it
     except (TypeError, ValueError):            # ragged rows, non-numbers
         V = np.empty(0)
     if V.ndim != 2 or V.shape[1] != 3:
@@ -306,7 +293,8 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
         if isinstance(idx, (str, bytes)) or not isinstance(idx, Iterable):
             raise PreconditionFailed(f"face {label!r}: vertex index list is missing or not a list")
         try:
-            idx = [operator.index(i) for i in idx]
+            # True is no vertex index, though operator.index reads it as 1
+            idx = [operator.index(None if isinstance(i, bool) else i) for i in idx]
         except TypeError:
             raise PreconditionFailed(f"face {label!r} has a non-integer vertex index") from None
         if len(idx) < 3:
@@ -315,11 +303,11 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
             raise PreconditionFailed(f"face {label!r} repeats a vertex")
         if min(idx) < 0 or max(idx) >= len(V):
             raise PreconditionFailed(f"face {label!r} has an out-of-range vertex index")
-        face_specs.append((str(label), idx))
+        face_specs.append((label, idx))
     if len(face_specs) < 4:
         raise PreconditionFailed("a solid needs at least 4 faces")
     labels = [lab for lab, _ in face_specs]
-    if any(not lab for lab in labels) or len(set(labels)) != len(labels):
+    if not all(isinstance(lab, str) and lab for lab in labels) or len(set(labels)) != len(labels):
         raise PreconditionFailed("face labels must be distinct non-empty strings")
 
     centroid = V.mean(axis=0)
@@ -364,15 +352,12 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
         for a in range(len(idx)):
             i, j = idx[a], idx[(a + 1) % len(idx)]
             edge_map.setdefault((min(i, j), max(i, j)), []).append(f)
-    edges: list[Edge] = []
-    for (i, j), fs in sorted(edge_map.items()):
+    edges = sorted(edge_map.items())
+    for (i, j), fs in edges:
         if len(fs) != 2:
             raise OpenSurface(f"edge ({i},{j}) belongs to {len(fs)} faces, expected 2")
-        edges.append(Edge((i, j), V[i].copy(), unit(V[j] - V[i]), (fs[0], fs[1])))
-
-    for a in (V, *(a for e in edges for a in (e.point, e.direction))):
-        a.setflags(write=False)
-    return Polyhedron(V, labels, tuple(boundaries), N, C, edges, tol)
+    edge_endpoints, edge_faces = (np.array(a) for a in zip(*edges))
+    return Polyhedron(V, labels, tuple(boundaries), N, C, edge_endpoints, edge_faces, tol)
 
 
 def load_polyhedron(data: dict, tol: Tolerances | None = None) -> Polyhedron:

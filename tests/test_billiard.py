@@ -74,7 +74,7 @@ def test_start_on_edge_rejected_as_singular(cube):
     ev = bl.classify_phase_point(x, cube)
     assert ev is not None and ev.kind is bl.SingularityKind.EDGE_HIT
     # the edge the start lies on: z0 meets y0 along y = z = 0
-    assert set(cube.edges[ev.edge].faces) == {cube.face_index("z0"), cube.face_index("y0")}
+    assert set(cube.edge_faces[ev.edge].tolist()) == {cube.face_index("z0"), cube.face_index("y0")}
     with pytest.raises(bl.SingularInput):
         bl.billiard_step(x, cube)
     rec = bl.orbit(x, 5, cube)
@@ -82,8 +82,8 @@ def test_start_on_edge_rejected_as_singular(cube):
     assert rec.singularity.edge == ev.edge
     # a start on any edge of z0 reports that edge
     z0 = cube.face_index("z0")
-    for e_id in (e_id for e_id, e in enumerate(cube.edges) if z0 in e.faces):
-        a, b = cube.vertices[list(cube.edges[e_id].endpoints)]
+    for e_id in (e_id for e_id, fs in enumerate(cube.edge_faces.tolist()) if z0 in fs):
+        a, b = cube.vertices[cube.edge_endpoints[e_id]]
         x = bl.PhasePoint(z0, 0.5 * (a + b), np.array([0.0, 0.0, 1.0]))
         ev = bl.classify_phase_point(x, cube)
         assert ev.kind is bl.SingularityKind.EDGE_HIT and ev.edge == e_id
@@ -93,7 +93,7 @@ def test_start_on_edge_rejected_as_singular(cube):
         x = bl.PhasePoint(z0, np.array([0.0, 0.5, 0.0]), np.array(theta))
         ev = bl.classify_phase_point(x, cube)
         assert ev.kind is bl.SingularityKind.EDGE_HIT and ev.step == 0
-        assert set(cube.edges[ev.edge].faces) == {z0, x0}
+        assert set(cube.edge_faces[ev.edge].tolist()) == {z0, x0}
 
 
 def test_phase_point_validation(cube):
@@ -377,11 +377,12 @@ def test_terminal_event_unfolds_by_its_step_isometry():
         iso = cumulative_isometries(P, [p.face for p in rec.points])[ev.step]
         lines = bl.discontinuity_report(rec, P)
         # the edge hit, or every edge through the vertex hit, in edge order
-        edges = [e for i, e in enumerate(P.edges) if i == ev.edge or ev.vertex in e.endpoints]
+        edges = [P.vertices[ends] for i, ends in enumerate(P.edge_endpoints.tolist())
+                 if i == ev.edge or ev.vertex in ends]
         assert len(lines) == len(edges) == (1 if ev.edge is not None else 3)
-        for line, e in zip(lines, edges):
-            assert np.array_equal(line.point, iso.apply(e.point))
-            assert np.array_equal(line.direction, iso.apply_direction(e.direction))
+        for line, (a, b) in zip(lines, edges):
+            assert np.array_equal(line.point, iso.apply(a))
+            assert np.array_equal(line.direction, iso.apply_direction(unit(b - a)))
             if ev.vertex is not None:
                 v = iso.apply(P.vertices[ev.vertex])
                 assert point_line_distance(v, line.point, line.direction) <= 1e-12 * (
@@ -436,11 +437,12 @@ def test_batch_matches_orbit_for_starts_near_edges():
     for P in (unit_cube(tol), regular_tetrahedron(tol), _rotated_box(tol)):
         rng = np.random.default_rng(8)
         m, f = [], []
-        for e in P.edges:
-            a, b = P.vertices[list(e.endpoints)]
-            for g in e.faces:
+        for ends, fs in zip(P.edge_endpoints, P.edge_faces.tolist()):
+            a, b = P.vertices[ends]
+            u = unit(b - a)
+            for g in fs:
                 w = P.face_polygon(g).mean(axis=0) - a
-                inward = unit(w - (w @ e.direction) * e.direction)
+                inward = unit(w - (w @ u) * u)
                 for delta in offsets:
                     m.append(a + rng.uniform(0.2, 0.8) * (b - a) + delta * inward)
                     f.append(g)
@@ -516,8 +518,8 @@ def test_batch_padding(cube):
 
 def _padded_edges(P):
     """Per-face edge start points, unit directions and lengths, padded to the
-    most edges per face (pads far away), built from ``P.edges``."""
-    per_face = [[k for k, e in enumerate(P.edges) if f in e.faces]
+    most edges per face (pads far away), built from ``P.edge_faces``."""
+    per_face = [[k for k, fs in enumerate(P.edge_faces.tolist()) if f in fs]
                 for f in range(P.n_faces)]
     e_max = max(map(len, per_face))
     A = np.full((P.n_faces, e_max, 3), 1e30)
@@ -525,7 +527,7 @@ def _padded_edges(P):
     L = np.zeros((P.n_faces, e_max))
     for f, ids in enumerate(per_face):
         for k, e in enumerate(ids):
-            i, j = P.edges[e].endpoints
+            i, j = P.edge_endpoints[e]
             seg = P.vertices[j] - P.vertices[i]
             L[f, k] = np.linalg.norm(seg)
             A[f, k], U[f, k] = P.vertices[i], seg / L[f, k]
@@ -691,7 +693,7 @@ def test_batch_tables_are_symmetric():
     for P in (unit_cube(), regular_tetrahedron(), _rotated_box(), _octahedron()):
         assert np.array_equal(P.inv_sin, P.inv_sin.T, equal_nan=True)
         shared = np.zeros((P.n_faces, P.n_faces), dtype=bool)
-        for f, g in (e.faces for e in P.edges):
+        for f, g in P.edge_faces:
             shared[f, g] = shared[g, f] = True
         assert np.array_equal(np.isnan(P.inv_sin), ~shared)
         assert (P.inv_sin[shared] >= 1.0 - 1e-12).all()    # 1 / sin
@@ -703,11 +705,12 @@ def test_batch_tables_are_symmetric():
 def _edge_aim(P, face):
     """A point 0.5 * plane inside face g from the midpoint of an edge g∩h
     that face ``face`` does not bound: a ray from ``face`` meets it at once."""
-    e = next(e for e in P.edges if face not in e.faces)
-    i, j = e.endpoints
+    e = next(e for e, fs in enumerate(P.edge_faces.tolist()) if face not in fs)
+    i, j = P.edge_endpoints[e]
     mid = 0.5 * (P.vertices[i] + P.vertices[j])
-    w = P.face_polygon(e.faces[0]).mean(axis=0) - mid
-    return mid + 0.5 * P.tol.plane * unit(w - (w @ e.direction) * e.direction)
+    u = unit(P.vertices[j] - P.vertices[i])
+    w = P.face_polygon(P.edge_faces[e, 0]).mean(axis=0) - mid
+    return mid + 0.5 * P.tol.plane * unit(w - (w @ u) * u)
 
 
 def test_batch_matches_reference_across_blocks():

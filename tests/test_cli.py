@@ -246,11 +246,21 @@ def _cube_with_non_numeric_coordinate(data):
     data["vertices"][0][1] = "a"
 
 
+def _cube_with_true_index(data):
+    for face in data["faces"]:                  # JSON true would read as index 1
+        face["vertices"] = [True if i == 1 else i for i in face["vertices"]]
+
+
+def _cube_with_null_label(data):
+    data["faces"][0]["label"] = None             # would name the face "None"
+
+
 @pytest.mark.parametrize("damage", [_cube_without_face_vertices, _cube_with_int_face,
                                     _cube_with_int_faces, _cube_with_fractional_index,
                                     _cube_without_face_label, _cube_with_list_face,
                                     _cube_with_ragged_vertex,
-                                    _cube_with_non_numeric_coordinate])
+                                    _cube_with_non_numeric_coordinate,
+                                    _cube_with_true_index, _cube_with_null_label])
 def test_exit_code_malformed_polyhedron(tmp_path, capsys, damage):
     # a missing key or a wrongly typed entry in the polyhedron file is a
     # parse problem, as a bad value is: validate rejects each one

@@ -27,7 +27,7 @@ def _faces(P):
 
 def test_cube_counts(cube):
     assert cube.n_faces == 6
-    assert len(cube.edges) == 12
+    assert len(cube.edge_endpoints) == 12
     assert len(cube.vertices) == 8
     assert sorted(cube.labels) == ["x0", "x1", "y0", "y1", "z0", "z1"]
 
@@ -35,7 +35,7 @@ def test_cube_counts(cube):
 def test_tetrahedron_counts():
     T = g.regular_tetrahedron()
     assert T.n_faces == 4
-    assert len(T.edges) == 6
+    assert len(T.edge_endpoints) == 6
 
 
 def test_normals_point_inward(cube):
@@ -101,6 +101,17 @@ def _with_face0(idx):
     return build
 
 
+def _cube_with_true_index(cube):
+    # every vertex index 1 given as True, which operator.index reads as 1
+    return cube.vertices, [(lab, [True if i == 1 else i for i in idx])
+                           for lab, idx in _faces(cube)]
+
+
+def _cube_with_label(label):
+    """The cube with the label of its first face replaced by ``label``."""
+    return lambda cube: (cube.vertices, [(label, _faces(cube)[0][1]), *_faces(cube)[1:]])
+
+
 def _hexagonal_prism_pushed(cube):
     # one top vertex pushed 2.5e-9 into the solid: the top face's vertices lie
     # within 0.83e-9 outside its mean plane, inside the 1e-9 convexity
@@ -134,11 +145,15 @@ def _cube_with_dented_face(cube):
     (_with_face0([0, 4, 4, 2]), g.PreconditionFailed, "repeats a vertex"),
     (_with_face0([0, 4, 6, 8]), g.PreconditionFailed, "out-of-range"),
     (_with_face0([0, 4, 6, -1]), g.PreconditionFailed, "out-of-range"),
+    (_cube_with_true_index, g.PreconditionFailed, "non-integer vertex index"),
+    (_cube_with_label(None), g.PreconditionFailed, "distinct non-empty strings"),
+    (_cube_with_label(7), g.PreconditionFailed, "distinct non-empty strings"),
     (lambda c: (c.vertices, _faces(c)[:3]), g.PreconditionFailed, "at least 4 faces"),
     (_hexagonal_prism_pushed, g.DegenerateFace, "not planar"),
     (_cube_with_dented_face, g.DegenerateFace, "polygon is not convex"),
 ], ids=["not-n-by-3", "non-finite", "3-vertices", "2-gon", "repeat", "index-8",
-        "index-minus-1", "3-faces", "non-planar", "non-convex-polygon"])
+        "index-minus-1", "index-true", "label-none", "label-7", "3-faces", "non-planar",
+        "non-convex-polygon"])
 def test_validate_rejections(cube, build, error, message):
     vertices, faces = build(cube)
     with pytest.raises(error, match=message):
@@ -154,8 +169,8 @@ def test_load_polyhedron_needs_both_keys(data):
 
 def test_polyhedron_arrays_are_read_only():
     P = g.unit_cube()
-    arrays = [P.vertices, P.normals, P.offsets, P.inv_sin, P.reflection_linear,
-              P.reflection_translation, P.frames, *P.frames[0],
+    arrays = [P.vertices, P.normals, P.offsets, P.edge_endpoints, P.edge_faces, P.inv_sin,
+              P.reflection_linear, P.reflection_translation, P.frames, *P.frames[0],
               *(P.face_polygon(f) for f in range(P.n_faces))]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -178,19 +193,12 @@ def test_face_planes_and_edges_are_read_only():
     z0 = P.face_index("z0")
     centre = (0.5, 0.5, 0.0)
     assert P.point_in_face(z0, centre)
-    arrays = [*P.normals, P.offsets,
-              *(a for e in P.edges for a in (e.point, e.direction))]
+    arrays = [*P.normals, P.offsets]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[:] *= -1
     assert P.point_in_face(z0, centre)
     assert np.array_equal(P.normals[z0], [0.0, 0.0, 1.0])
-
-
-def test_diameter_is_largest_vertex_distance():
-    assert g.regular_tetrahedron().diameter() == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-15)
-    assert g.unit_cube().diameter() == pytest.approx(np.sqrt(3.0), rel=1e-15)
-    assert g.box(2, 1, 0.5).diameter() == pytest.approx(np.sqrt(5.25), rel=1e-15)
 
 
 def _old_farthest_scans(pts):
@@ -227,7 +235,7 @@ def test_farthest_pair_tie_rule():
 def test_json_round_trip(cube):
     data = g.dump_polyhedron(cube)
     again = g.load_polyhedron(json.loads(json.dumps(data)))
-    assert again.n_faces == 6 and len(again.edges) == 12
+    assert again.n_faces == 6 and len(again.edge_endpoints) == 12
     assert np.allclose(again.vertices, cube.vertices)
     assert again.labels == cube.labels
     assert np.allclose(again.normals, cube.normals)
@@ -279,8 +287,7 @@ def test_cast_diagonal_hits_edge(cube):
     assert hit.kind is g.HitKind.EDGE
     assert np.allclose(hit.point, [1.0, 1.0, 0.5])
     assert abs(hit.length - 0.5 * SQRT3) < 1e-12
-    e = cube.edges[hit.edge]
-    pts = cube.vertices[list(e.endpoints)]
+    pts = cube.vertices[cube.edge_endpoints[hit.edge]]
     assert np.allclose(pts[:, 0], 1.0) and np.allclose(pts[:, 1], 1.0)
 
 
@@ -422,14 +429,14 @@ def test_segment_distance_matches_scalar_reference():
 
 def test_segment_distance_zero_length_first_segment(cube):
     # a point-like first segment gives its point's distance to the second
-    e = cube.edges[0]
-    v0, v1 = cube.vertices[list(e.endpoints)]
+    v0, v1 = cube.vertices[cube.edge_endpoints[0]]
+    u = g.unit(v1 - v0)
     p = 0.5 * (v0 + v1)
     assert g.segment_segment_distance(p, p, v0, v1) == 0.0
-    q = p + 0.25 * np.cross(e.direction, [1.0, 2.0, 3.0]) / np.linalg.norm(
-        np.cross(e.direction, [1.0, 2.0, 3.0]))
+    q = p + 0.25 * np.cross(u, [1.0, 2.0, 3.0]) / np.linalg.norm(
+        np.cross(u, [1.0, 2.0, 3.0]))
     assert abs(g.segment_segment_distance(q, q, v0, v1) - 0.25) <= 1e-15
-    beyond = v1 + 0.5 * e.direction * np.sign((v1 - v0) @ e.direction)
+    beyond = v1 + 0.5 * u * np.sign((v1 - v0) @ u)
     assert abs(g.segment_segment_distance(beyond, beyond, v0, v1) - 0.5) <= 1e-15
 
 
@@ -445,15 +452,15 @@ def _reference_report(rec, P, radius):
     lines = []
     for k, b in enumerate(ends):
         iso = Isometry(lin[k], trans[k])
-        for e in P.edges:
-            v0, v1 = P.vertices[list(e.endpoints)]
+        for v0, v1 in P.vertices[P.edge_endpoints]:
             if _reference_segment_distance(rec.points[k].m, b, v0, v1) <= radius:
-                lines.append((iso.apply(e.point), iso.apply_direction(e.direction)))
+                lines.append((iso.apply(v0), iso.apply_direction(g.unit(v1 - v0))))
     if ev is not None and ev.kind is not bl.SingularityKind.TANGENT_IN_FACE:
         iso = Isometry(lin[ev.step], trans[ev.step])
-        for i, e in enumerate(P.edges):
-            if i == ev.edge or ev.vertex in e.endpoints:
-                lines.append((iso.apply(e.point), iso.apply_direction(e.direction)))
+        for i, ends in enumerate(P.edge_endpoints.tolist()):
+            if i == ev.edge or ev.vertex in ends:
+                v0, v1 = P.vertices[ends]
+                lines.append((iso.apply(v0), iso.apply_direction(g.unit(v1 - v0))))
     found = {}
     for point, direction in lines:
         d = direction if direction[int(np.argmax(np.abs(direction)))] >= 0.0 else -direction
@@ -465,7 +472,7 @@ def _reference_report(rec, P, radius):
 def _aimed_starts(P, rng, count):
     """Starts aimed at a vertex or an edge midpoint, straight or through its
     mirror image in a face plane: orbits that end on an edge or a vertex."""
-    targets = [*P.vertices, *(P.vertices[list(e.endpoints)].mean(axis=0) for e in P.edges)]
+    targets = [*P.vertices, *P.vertices[P.edge_endpoints].mean(axis=1)]
     starts = []
     while len(starts) < count:
         f, h = (int(i) for i in rng.integers(P.n_faces, size=2))
@@ -532,10 +539,10 @@ def _reference_first_hit(m, theta, P):
     if vdist2[v_local] <= tol.plane * tol.plane:
         return g.Hit(g.HitKind.VERTEX, q, tf, face=f,
                      vertex=int(P.boundaries[f][v_local]), edge_distance=0.0)
-    # the face's edges from the edge list, not from the stepping tables
-    ids = [k for k, e in enumerate(P.edges) if f in e.faces]
-    A = P.vertices[[P.edges[k].endpoints[0] for k in ids]]
-    seg = P.vertices[[P.edges[k].endpoints[1] for k in ids]] - A
+    # the face's edges from the edge arrays, not from the stepping tables
+    ids = [k for k, fs in enumerate(P.edge_faces.tolist()) if f in fs]
+    A = P.vertices[P.edge_endpoints[ids, 0]]
+    seg = P.vertices[P.edge_endpoints[ids, 1]] - A
     L = np.linalg.norm(seg, axis=1)
     U = seg / L[:, None]
     w = q - A
@@ -573,7 +580,7 @@ def _assert_same_hit(m, theta, P, tie=False):
     if not tie or got.kind is g.HitKind.FACE:
         assert got.face == ref.face
     elif got.kind is g.HitKind.EDGE:
-        assert {got.face, ref.face} <= set(P.edges[got.edge].faces)
+        assert {got.face, ref.face} <= set(P.edge_faces[got.edge].tolist())
     else:
         assert all(got.vertex in P.boundaries[h.face] for h in (got, ref))
     assert isinstance(got.point, np.ndarray) and got.point.shape == (3,)
@@ -605,6 +612,22 @@ SOLIDS = {
 
 
 @pytest.mark.parametrize("name", sorted(SOLIDS))
+def test_edge_arrays_list_each_side_once(name):
+    # E = V + F - 2 (Euler); rows (i, j) with i < j, strictly sorted; (i, j)
+    # is a side of the boundaries of its two faces and of no other face
+    P = SOLIDS[name]()
+    E = len(P.vertices) + P.n_faces - 2
+    for a in (P.edge_endpoints, P.edge_faces):
+        assert a.dtype.kind == "i" and a.shape == (E, 2)
+    rows = [tuple(r) for r in P.edge_endpoints.tolist()]
+    assert all(i < j for i, j in rows) and rows == sorted(set(rows))
+    sides = [{frozenset((b[k - 1], b[k])) for k in range(len(b))} for b in P.boundaries]
+    for ij, fs in zip(rows, P.edge_faces.tolist()):
+        assert [f for f, s in enumerate(sides) if frozenset(ij) in s] == sorted(fs)
+
+
+
+@pytest.mark.parametrize("name", sorted(SOLIDS))
 def test_first_hit_matches_reference(name):
     P = SOLIDS[name]()
     rng = np.random.default_rng(sorted(SOLIDS).index(name))
@@ -622,8 +645,7 @@ def test_first_hit_matches_reference(name):
     for m in starts[:20]:
         for v in range(len(V)):
             kinds.add(_assert_same_hit(m, g.unit(V[v] - m), P, tie=True).kind)
-        for e in P.edges:
-            a, b = V[list(e.endpoints)]
+        for a, b in V[P.edge_endpoints]:
             q = a + rng.random() * (b - a)
             kinds.add(_assert_same_hit(m, g.unit(q - m), P, tie=True).kind)
     assert {g.HitKind.EDGE, g.HitKind.VERTEX} <= kinds
@@ -687,9 +709,9 @@ def test_first_hit_matches_reference_near_vertices(name):
 
 def _oracle_edge_distances(P, f, q):
     """Face ``f``'s edge ids and the distances from ``q`` to those segments."""
-    ids = [k for k, e in enumerate(P.edges) if f in e.faces]
-    a = P.vertices[[P.edges[k].endpoints[0] for k in ids]]
-    ab = P.vertices[[P.edges[k].endpoints[1] for k in ids]] - a
+    ids = [k for k, fs in enumerate(P.edge_faces.tolist()) if f in fs]
+    a = P.vertices[P.edge_endpoints[ids, 0]]
+    ab = P.vertices[P.edge_endpoints[ids, 1]] - a
     t = np.clip(np.einsum("ej,ej->e", q - a, ab) / np.einsum("ej,ej->e", ab, ab), 0.0, 1.0)
     return ids, np.linalg.norm(q - (a + t[:, None] * ab), axis=1)
 
@@ -714,8 +736,8 @@ def test_nearest_edge_matches_oracle(name):
     plane = P.tol.plane
     for f in range(P.n_faces):
         n = P.normals[f]
-        for e_id in (e_id for e_id, e in enumerate(P.edges) if f in e.faces):
-            a, b = P.vertices[list(P.edges[e_id].endpoints)]
+        for e_id in (e_id for e_id, fs in enumerate(P.edge_faces.tolist()) if f in fs):
+            a, b = P.vertices[P.edge_endpoints[e_id]]
             u = g.unit(b - a)
             inward = np.cross(n, u)
             if inward @ (P.face_polygon(f).mean(axis=0) - a) < 0.0:
@@ -724,7 +746,7 @@ def test_nearest_edge_matches_oracle(name):
             for v in (a, b):
                 dist, edge = _assert_nearest_edge(P, f, v)
                 assert dist <= 1e-15 and v.tolist() in P.vertices[
-                    list(P.edges[edge].endpoints)].tolist()
+                    P.edge_endpoints[edge]].tolist()
             # beyond either end of the edge, in the face plane; on the edge's
             # line that end is nearest (no face angle here exceeds 90 degrees)
             for end, out in ((a, -u), (b, u)):

@@ -126,10 +126,10 @@ def test_no_reflection_built_after_construction(cube, monkeypatch):
         rec = bl.orbit(bl.PhasePoint(cube.face_index("z0"), np.array(m), theta), 1, cube)
         ev = rec.singularity
         assert ev.kind is bl.SingularityKind.EDGE_HIT and ev.step == 0
-        e = cube.edges[ev.edge]
+        a, b = cube.vertices[cube.edge_endpoints[ev.edge]]
         (line,) = bl.discontinuity_report(rec, cube)
-        assert np.array_equal(line.point, e.point)
-        assert np.array_equal(line.direction, e.direction)
+        assert np.array_equal(line.point, a)
+        assert np.array_equal(line.direction, unit(b - a))
     rec = _orbit(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0], 1000)
     uf.unfold_orbit(rec, cube)
     uf.generate_group(cube, bound=100)
@@ -389,9 +389,9 @@ def test_terminal_event_within_rounding_of_sequential_reference():
             continue
         late += ev.step >= 100
         iso = _reference_cumulative_isometries(P, [p.face for p in rec.points])[ev.step]
-        e, line = P.edges[ev.edge], bl.discontinuity_report(rec, P)[0]
-        for got, ref in ((line.point, iso.apply(e.point)),
-                         (line.direction, iso.apply_direction(e.direction))):
+        (a, b), line = P.vertices[P.edge_endpoints[ev.edge]], bl.discontinuity_report(rec, P)[0]
+        for got, ref in ((line.point, iso.apply(a)),
+                         (line.direction, iso.apply_direction(unit(b - a)))):
             assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
     assert late > 0
 
