@@ -62,12 +62,14 @@ def _dedupe(pts: list) -> list:
 def _clip_half(pts: list, nx: float, ny: float, c: float) -> list:
     """Clip a convex section (point/segment/polygon), given as a list of
     ``(x, y)`` float pairs, to {p : <(nx, ny), p> <= c}.  Sections have 3-6
-    points, so Python floats beat numpy here, as in ``first_hit``."""
+    points, so Python floats beat numpy here, as in ``first_hit``.  Every
+    section arrives deduplicated, so one with no point outside (the empty
+    one included) is returned as it is."""
     d = [x * nx + y * ny - c for x, y in pts]
+    if all(v <= 0.0 for v in d):
+        return pts
     if len(pts) == 2:
         ina, inb = d[0] <= 0.0, d[1] <= 0.0
-        if ina and inb:
-            return pts
         if not ina and not inb:
             return []
         (ax, ay), (bx, by) = pts
@@ -152,7 +154,7 @@ def make_beam(P: Polyhedron, label: str, theta) -> Beam:
         raise PreconditionFailed(f"direction is tangent to face {label!r}")
     poly, axes = P.face_polygon(f), tangent_frame(theta)
     origin = poly.mean(axis=0)
-    section = np.array(_ensure_ccw(((poly - origin) @ axes.T).tolist()))
+    section = np.array(_dedupe(_ensure_ccw(((poly - origin) @ axes.T).tolist())))
     return Beam(theta, origin, axes, section, [label])
 
 
@@ -174,12 +176,11 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
         raise LabelNotReachable("consecutive labels cannot repeat on a convex solid")
     f = P.face_index(label)
     iso = b.isometry
-    poly3 = iso.apply(P.face_polygon(f))
-    n3 = iso.apply_direction(P.normals[f])
-    verts2 = b.project(poly3)
+    # the operations of b.project(iso.apply(...)), without their wrappers
+    verts2 = (P.face_polygon(f) @ iso.linear.T + iso.translation - b.origin) @ b.axes.T
     section = b.section.tolist()
 
-    if abs(float(n3 @ b.theta)) <= P.tol.angle:
+    if abs(float((iso.linear @ P.normals[f]) @ b.theta)) <= P.tol.angle:
         # face copy is parallel to the beam: its projection is a segment
         _, i, j = farthest_pair(verts2)
         a = verts2[i]

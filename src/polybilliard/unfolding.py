@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -143,10 +142,29 @@ _DEDUP_TOL = 1e-8
 # wider, so a lookup probes one bucket unless an entry lies within
 # _DEDUP_TOL of a bucket boundary; a power of two, so entry / _BUCKET is exact
 _BUCKET = 2.0 ** -13
+# entries are clipped to this before hashing, so the division cannot
+# overflow and bucket indices stay exact in int64; the clip is monotone,
+# so it hides no match
+_CLIP = 2.0 ** 30
+# candidates hashed per numpy batch of the closure, which bounds its memory
+_BATCH = 512
+
+
+def _cells(X: np.ndarray) -> np.ndarray:
+    """``floor(x / _BUCKET)`` per entry, as int64."""
+    return np.floor(np.clip(X, -_CLIP, _CLIP) / _BUCKET).astype(np.int64)
+
+
+def _keys(cells: np.ndarray) -> list[bytes]:
+    """Pack rows of nine bucket indices into 18-byte keys, 16 bits apiece:
+    distinct for entries below 4 in magnitude.  Larger entries may share a
+    key, which adds bucket members but hides no match."""
+    return cells.astype(np.uint16).view(np.dtype((np.void, 18))).ravel().tolist()
 
 
 class _MatrixBuckets:
-    """3x3 matrices hashed on ``floor(entry / _BUCKET)`` per entry.
+    """A stack of 3x3 matrices whose row indices are hashed on
+    ``floor(entry / _BUCKET)`` per entry.
 
     A stored matrix within ``_DEDUP_TOL`` of a query in max-abs has each
     entry within ``_DEDUP_TOL`` of the query's, so its key is among the
@@ -154,36 +172,78 @@ class _MatrixBuckets:
     ``x + _DEDUP_TOL``.  Lookups thus agree with a linear scan.
     """
 
-    def __init__(self, mats=()):
-        self._buckets: dict[int, list[np.ndarray]] = {}
-        for M in mats:
-            self.add(M)
+    def __init__(self, stack: np.ndarray):
+        self.stack = np.ascontiguousarray(stack, dtype=float)
+        self.count = len(self.stack)
+        self._buckets: dict[bytes, list[int]] = {}
+        for i, key in enumerate(_keys(_cells(self.stack.reshape(-1, 9)))):
+            self._buckets.setdefault(key, []).append(i)
+
+    @property
+    def elements(self) -> np.ndarray:
+        return self.stack[:self.count]
+
+    def _probes(self, flat: np.ndarray) -> list[list[bytes]]:
+        """Per row of the (K, 9) ``flat``, the keys that may hold a match."""
+        lo, hi = _cells(flat - _DEDUP_TOL), _cells(flat + _DEDUP_TOL)
+        probes = [[key] for key in _keys(lo)]
+        for r in np.flatnonzero((lo != hi).any(axis=1)).tolist():
+            m = np.flatnonzero(lo[r] != hi[r])        # there hi = lo + 1
+            cells = np.repeat(lo[r:r + 1], 1 << len(m), axis=0)
+            cells[:, m] += (np.arange(1 << len(m))[:, None] >> np.arange(len(m))) & 1
+            probes[r] = _keys(cells)
+        return probes
+
+    def _stored_match(self, flat: np.ndarray, probes: list[list[bytes]]) -> np.ndarray:
+        """Per row of ``flat``, is a stored matrix within ``_DEDUP_TOL`` of it?"""
+        rows: list[int] = []
+        idx: list[int] = []
+        get = self._buckets.get
+        for r, keys in enumerate(probes):
+            for key in keys:
+                members = get(key)
+                if members:
+                    rows += [r] * len(members)
+                    idx += members
+        hit = np.zeros(len(flat), dtype=bool)
+        if idx:
+            gap = np.abs(flat[rows] - self.stack.reshape(-1, 9)[idx]).max(axis=1)
+            hit[np.asarray(rows)[gap <= _DEDUP_TOL]] = True
+        return hit
 
     def find(self, M: np.ndarray) -> bool:
         """Is a stored matrix within ``_DEDUP_TOL`` of ``M`` in every entry?"""
-        x = M.ravel().tolist()
-        lo = [math.floor((v - _DEDUP_TOL) / _BUCKET) for v in x]
-        hi = [math.floor((v + _DEDUP_TOL) / _BUCKET) for v in x]
-        cells = [lo] if lo == hi else product(*({a, b} for a, b in zip(lo, hi)))
-        for cell in cells:
-            for y in self._buckets.get(_bucket_key(cell), ()):
-                if max(abs(a - b) for a, b in zip(x, y.ravel().tolist())) <= _DEDUP_TOL:
-                    return True
-        return False
+        flat = M.reshape(1, 9)
+        return bool(self._stored_match(flat, self._probes(flat))[0])
 
-    def add(self, M: np.ndarray) -> None:
-        cell = [math.floor(v / _BUCKET) for v in M.ravel().tolist()]
-        self._buckets.setdefault(_bucket_key(cell), []).append(M)
-
-
-def _bucket_key(cell) -> int:
-    """Pack nine bucket indices into one int, 16 bits apiece: smaller than a
-    tuple of ints, and distinct for entries below 4 in magnitude.  Larger
-    entries may share a key, which adds bucket members but hides no match."""
-    key = 0
-    for k in cell:
-        key = (key << 16) + k
-    return key
+    def absorb(self, X: np.ndarray, bound: float) -> bool:
+        """Store, in order, each matrix of the (K, 3, 3) ``X`` that no stored
+        matrix matches, earlier rows of ``X`` included; False as soon as more
+        than ``bound`` are stored."""
+        flat = X.reshape(-1, 9)
+        probes = self._probes(flat)
+        own = _keys(_cells(flat))
+        # every row against the matrices stored before this call at once, then
+        # in order against the rows this call keeps, which are few
+        kept: list[int] = []
+        fresh: dict[bytes, list[int]] = {}
+        for r in np.flatnonzero(~self._stored_match(flat, probes)).tolist():
+            near = [q for key in probes[r] for q in fresh.get(key, ())]
+            if near and np.abs(flat[near] - flat[r]).max(axis=1).min() <= _DEDUP_TOL:
+                continue
+            kept.append(r)
+            fresh.setdefault(own[r], []).append(r)
+            if self.count + len(kept) > bound:
+                break
+        first, self.count = self.count, self.count + len(kept)
+        if self.count > len(self.stack):
+            grown = np.empty((max(self.count, 2 * len(self.stack)), 3, 3))
+            grown[:first] = self.stack[:first]
+            self.stack = grown
+        self.stack[first:self.count] = X[kept]
+        for i, r in enumerate(kept, first):
+            self._buckets.setdefault(own[r], []).append(i)
+        return self.count <= bound
 
 
 @dataclass
@@ -202,43 +262,40 @@ class GroupClosure:
         return _MatrixBuckets(self.elements)
 
     def contains(self, M: np.ndarray) -> bool:
-        """Is ``M`` an element, up to the closure's own 1e-8 max-abs tolerance?"""
-        return self._buckets.find(np.asarray(M, float))
+        """Is ``M`` an element, up to the closure's own 1e-8 max-abs tolerance?
+        A matrix with a nan or infinite entry is none."""
+        M = np.asarray(M, float)
+        return bool(np.isfinite(M).all()) and self._buckets.find(M)
 
 
 def generate_group(P: Polyhedron, bound: int = 10000) -> GroupClosure:
     """Breadth-first closure of the face-reflection linear parts.
 
-    Stops as soon as no new element appears (``closed=True``) or the element
-    count exceeds ``bound`` (``closed=False``; evidence, not proof, that the
-    group is infinite).
+    Each BFS level multiplies every generator onto every element of the
+    previous level in one stacked product, then keeps, in order, the
+    products no earlier element matches.  Stops as soon as no new element
+    appears (``closed=True``) or the element count exceeds ``bound``
+    (``closed=False``; evidence, not proof, that the group is infinite).
     """
     if bound < 1:
         raise PreconditionFailed("bound must be >= 1")
-    gens: list[np.ndarray] = []
-    seen = _MatrixBuckets()
-    for R in P.reflection_linear:
-        if not seen.find(R):
-            seen.add(R)
-            gens.append(R)
+    gens = _MatrixBuckets(np.empty((0, 3, 3)))
+    gens.absorb(P.reflection_linear, math.inf)
+    G = gens.elements[None]
 
-    elements = [np.eye(3)]
-    found = _MatrixBuckets(elements)
-    frontier, depth = list(elements), 0
-    while frontier:
-        depth += 1                  # of every candidate this round
-        new_frontier: list[np.ndarray] = []
-        for E in frontier:
-            for g in gens:
-                cand = g @ E
-                if depth % _RENORM_EVERY == 0:
-                    cand = reorthogonalize(cand)
-                if found.find(cand):
-                    continue
-                found.add(cand)
-                elements.append(cand)
-                new_frontier.append(cand)
-                if len(elements) > bound:
-                    return GroupClosure(np.array(elements), False)
-        frontier = new_frontier
-    return GroupClosure(np.array(elements), True)
+    found = _MatrixBuckets(np.eye(3)[None])
+    start, depth = 0, 0
+    step = max(1, _BATCH // G.shape[1])
+    while start < found.count:
+        depth += 1                  # of every candidate this level
+        stop = found.count
+        for s in range(start, stop, step):
+            cands = np.matmul(G, found.stack[s:min(s + step, stop), None]).reshape(-1, 3, 3)
+            # snap only the candidates examined before the bound is hit
+            batches = ((reorthogonalize(c)[None] for c in cands)
+                       if depth % _RENORM_EVERY == 0 else (cands,))
+            for batch in batches:
+                if not found.absorb(batch, bound):
+                    return GroupClosure(found.elements.copy(), False)
+        start = stop
+    return GroupClosure(found.elements.copy(), True)

@@ -232,6 +232,33 @@ def test_farthest_pair_tie_rule():
     assert g.farthest_pair(square[:1]) == (0.0, 0, 0)
 
 
+def _np_cross_frame(v):
+    """``tangent_frame`` by ``np.cross``, as it was built before its float cross."""
+    a = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    t1 = g.unit(np.cross(v, a))
+    return np.vstack([t1, np.cross(v, t1)])
+
+
+@pytest.mark.parametrize("helper", ["e_x", "e_y"])
+def test_tangent_frame_matches_numpy_cross(helper):
+    # |v_0| < 0.9 takes e_x as the helper, |v_0| >= 0.9 takes e_y; the axes,
+    # signed zeros and the 0.9 boundary go first
+    rng = np.random.default_rng(23)
+    V = rng.normal(size=(10000, 3))
+    lo, hi = (0.9, 1.0) if helper == "e_y" else (0.0, 0.9)
+    V[:, 0] = rng.choice([-1.0, 1.0], 10000) * rng.uniform(lo, hi, 10000)
+    V[:, 1:] *= np.sqrt(1.0 - V[:, :1] ** 2) / np.linalg.norm(V[:, 1:], axis=1)[:, None]
+    if helper == "e_y":
+        edge = [[1.0, 0.0, 0.0], [-1.0, -0.0, 0.0], [0.9, 0.0, np.sqrt(0.19)]]
+    else:
+        edge = [[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [-0.0, -1.0, 0.0],
+                [np.nextafter(0.9, 0.0), np.sqrt(0.19), 0.0]]
+    V = np.concatenate([np.array(edge), V])
+    assert np.all((np.abs(V[:, 0]) >= 0.9) == (helper == "e_y"))
+    for v in V:
+        assert g.tangent_frame(v).tobytes() == _np_cross_frame(v).tobytes()
+
+
 def test_json_round_trip(cube):
     data = g.dump_polyhedron(cube)
     again = g.load_polyhedron(json.loads(json.dumps(data)))

@@ -6,7 +6,7 @@ import pytest
 from polybilliard import billiard as bl
 from polybilliard import symbolic as sy
 from polybilliard import unfolding as uf
-from polybilliard.geometry import Tolerances, box, regular_tetrahedron, unit_cube
+from polybilliard.geometry import Tolerances, box, regular_tetrahedron, unit_cube, validate
 
 SQRT2 = np.sqrt(2.0)
 
@@ -571,9 +571,37 @@ def _box_words(rng, count):
     return out
 
 
-def test_float_clipping_matches_numpy_reference():
-    rng = np.random.default_rng(31)
-    for P, theta, word in _box_words(rng, 80):
+def _solid_words(P, rng, count, directions=None):
+    """Orbit words on ``P`` from random starts, at random directions or, when
+    given, at directions drawn from ``directions``."""
+    out = []
+    while len(out) < count:
+        theta = rng.normal(size=3) if directions is None else \
+            directions[rng.integers(len(directions))]
+        theta = theta / np.linalg.norm(theta)
+        inward = [k for k in range(P.n_faces) if theta @ P.normals[k] > 1e-3]
+        f = int(rng.choice(inward))
+        m = bl.sample_points_in_face(P, np.array([f]), rng)[0]
+        rec = bl.orbit(bl.PhasePoint(f, m, theta), 25, P)
+        if rec.completed and not rec.near_singular_steps:
+            out.append((P, theta, rec.word))
+    return out
+
+
+def _rotated_box_words(rng, count):
+    """Words on a rotated box(2, 1, 1), half of them at rotated integer
+    directions, whose cells are periodic tubes."""
+    Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
+    Q = Q * np.sign(np.diag(R))
+    B = box(2.0, 1.0, 1.0)
+    P = validate(B.vertices @ Q.T + rng.normal(size=3), list(zip(B.labels, B.boundaries)))
+    d = np.array([v for v in np.ndindex(5, 5, 5) if any(v != np.array([2, 2, 2]))]) - 2.0
+    return (_solid_words(P, rng, count // 2)
+            + _solid_words(P, rng, count - count // 2, directions=d @ Q.T))
+
+
+def _check_against_reference(words):
+    for P, theta, word in words:
         b = ref = sy.make_beam(P, word[0], theta)
         for label in word[1:]:
             b, ref = sy.propagate_beam(b, label, P), _ref_propagate(ref, label, P)
@@ -584,6 +612,19 @@ def test_float_clipping_matches_numpy_reference():
             assert b.isometry.linear.tobytes() == ref.isometry.linear.tobytes()
             assert b.isometry.translation.tobytes() == ref.isometry.translation.tobytes()
         assert sy.detect_periodicity(b, 12) == sy.detect_periodicity(ref, 12)
+
+
+def test_float_clipping_matches_numpy_reference():
+    _check_against_reference(_box_words(np.random.default_rng(31), 80))
+
+
+@pytest.mark.parametrize("solid", ["tetra", "rotated-box"])
+def test_float_clipping_matches_numpy_reference_off_axis(solid):
+    # faces off the coordinate planes: the clip's early return and the
+    # shadow's arithmetic must hold there too
+    rng = np.random.default_rng(33)
+    _check_against_reference(_solid_words(regular_tetrahedron(), rng, 60) if solid == "tetra"
+                             else _rotated_box_words(rng, 60))
 
 
 def test_float_clipping_matches_numpy_reference_edge_on(cube):

@@ -314,6 +314,63 @@ def test_contains_across_bucket_boundary(cube):
         assert not closure.contains(M - 2e-8)
 
 
+def test_contains_matches_linear_scan():
+    # stored: group elements, copies scaled past +-4 and copies moved by 8 in
+    # one entry, which wrap onto the same 16-bit key; queries: each stored
+    # matrix with one or two entries moved by +-(0.5..2)e-8, around the
+    # tolerance
+    rng = np.random.default_rng(7)
+    E = uf.generate_group(regular_tetrahedron(), bound=200).elements
+    moved = E[:40].copy()
+    moved[:, 1, 2] += 8.0
+    stored = np.concatenate([E, 5.0 * E[:40], 37.0 * E[40:80], moved])
+    closure = uf.GroupClosure(stored, False)
+    answers = []
+    for M in np.concatenate([stored, stored[rng.permutation(len(stored))[:100]]]):
+        Q = M.copy()
+        for i in rng.choice(9, size=rng.integers(1, 3), replace=False):
+            Q.flat[i] += rng.uniform(0.5e-8, 2e-8) * rng.choice([-1.0, 1.0])
+        expect = bool(np.abs(stored - Q).max(axis=(1, 2)).min() <= 1e-8)
+        assert closure.contains(Q) == expect
+        answers.append(expect)
+    assert 50 < sum(answers) < len(answers) - 50
+
+
+def test_absorb_matches_sequential_scan_near_bucket_boundaries():
+    # entries within 3e-8 of a bucket boundary, and copies with one or two
+    # entries moved by up to 2e-8: the closure's batch store keeps exactly
+    # the matrices a one-by-one linear scan keeps, in the same order
+    rng = np.random.default_rng(8)
+    h = uf._BUCKET
+    base = h * rng.integers(-8192, 8193, size=(60, 3, 3)) + rng.uniform(-3e-8, 3e-8, (60, 3, 3))
+    X = np.repeat(base, 4, axis=0)
+    for k in range(240):
+        for i in rng.choice(9, size=rng.integers(1, 3) if k % 4 else 0, replace=False):
+            X[k].flat[i] += rng.uniform(-2e-8, 2e-8)
+    X = X[rng.permutation(240)]
+    kept = []
+    for M in X:
+        if not any(np.abs(K - M).max() <= 1e-8 for K in kept):
+            kept.append(M)
+    assert 70 < len(kept) < 200
+    for split in (240, 7):          # one batch, and batches that store across calls
+        buckets = uf._MatrixBuckets(np.empty((0, 3, 3)))
+        for s in range(0, 240, split):
+            assert buckets.absorb(X[s:s + split], np.inf)
+        assert buckets.elements.tobytes() == np.array(kept).tobytes()
+
+
+def test_contains_refuses_non_finite_matrices(cube):
+    closure = uf.generate_group(cube, bound=100)
+    for bad in (np.nan, np.inf, -np.inf):
+        M = np.eye(3)
+        M[1, 2] = bad
+        assert closure.contains(M) is False
+    # huge finite entries hash without an overflow warning and match nothing
+    assert closure.contains(np.full((3, 3), 1e308)) is False
+    assert closure.contains(np.diag([-1.0, 1.0, 1.0])) is True
+
+
 # ---------------------------------------------------------------------------
 # prefix-product unfolding against the sequential reference
 # ---------------------------------------------------------------------------
