@@ -19,7 +19,7 @@ import numpy as np
 from .geometry import (Hit, HitKind, NoAdvance, Polyhedron, PreconditionFailed,
                        first_hit, segment_segment_distance, unit, vec3)
 from .transversal import EdgeLine
-from .unfolding import Isometry, _prefix_isometries
+from .unfolding import cumulative_isometries
 
 
 class SingularInput(PreconditionFailed):
@@ -83,9 +83,14 @@ class SingularityEvent:
 
 @dataclass
 class OrbitRecord:
-    """A coded orbit: phase points from the start on, their face-label word, terminal state."""
+    """A coded orbit from the start on: per recorded bounce, its face id,
+    boundary point and outgoing direction, as the (L,), (L, 3) and (L, 3)
+    arrays ``faces``, ``m`` and ``theta``; the face-label word; the terminal
+    state."""
 
-    points: list[PhasePoint]
+    faces: np.ndarray
+    m: np.ndarray
+    theta: np.ndarray
     word: list[str]
     singularity: SingularityEvent | None = None
     near_singular_steps: list[int] = field(default_factory=list)
@@ -96,16 +101,17 @@ class OrbitRecord:
 
     @property
     def n_bounces(self) -> int:
-        return len(self.points)
+        return len(self.faces)
 
 
-def _event(hit: Hit | None, points: list[PhasePoint]) -> SingularityEvent:
-    """The singularity that ends an orbit at its last point, whose forward
-    ``hit`` is an edge or vertex (``None``: a ray inside the face)."""
-    step, last = len(points) - 1, points[-1]
+def _event(hit: Hit | None, faces: list[int], m: np.ndarray) -> SingularityEvent:
+    """The singularity that ends an orbit at its last point, on face
+    ``faces[-1]`` at ``m``, whose forward ``hit`` is an edge or vertex
+    (``None``: a ray inside the face)."""
+    step = len(faces) - 1
     if hit is None:
-        return SingularityEvent(SingularityKind.TANGENT_IN_FACE, step,
-                                last.m.copy(), face=last.face)
+        return SingularityEvent(SingularityKind.TANGENT_IN_FACE, step, m.copy(),
+                                face=faces[-1])
     kind = SingularityKind.EDGE_HIT if hit.kind is HitKind.EDGE else SingularityKind.VERTEX_HIT
     return SingularityEvent(kind, step, hit.point, edge=hit.edge,
                             vertex=hit.vertex, face=hit.face)
@@ -123,7 +129,7 @@ def billiard_step(x: PhasePoint, P: Polyhedron) -> PhasePoint:
     rec = orbit(x, 2, P)
     if rec.singularity is not None:
         raise SingularInput(f"singular phase point: {rec.singularity.kind.value}")
-    return rec.points[1]
+    return PhasePoint(int(rec.faces[1]), rec.m[1], rec.theta[1])
 
 
 def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
@@ -137,9 +143,8 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     """
     if n_max < 1:
         raise PreconditionFailed("n_max must be >= 1")
-    points = [x]
+    faces, ms, thetas = [x.face], [x.m], [x.theta]
     flagged: list[int] = []
-    normals = P.normals.tolist()
 
     # a start on an edge of its face has no continuation convention
     dist, edge = P.nearest_edge(x.face, x.m)
@@ -158,22 +163,25 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
         except NoAdvance:
             hit = None
         # n_max == 1: the start's ray is checked, not followed
-        if hit is None or hit.kind is not HitKind.FACE or len(points) == n_max:
+        if hit is None or hit.kind is not HitKind.FACE or len(faces) == n_max:
             break
         # reflect_direction in floats: theta - 2 <theta, n> n
-        nx, ny, nz = normals[hit.face]
+        nx, ny, nz, _, _, _ = P.rows[hit.face]
         k = 2.0 * (tx * nx + ty * ny + tz * nz)
         tx, ty, tz = tx - k * nx, ty - k * ny, tz - k * nz
         cos_n = tx * nx + ty * ny + tz * nz
         m, theta = hit.point, np.array((tx, ty, tz))
-        points.append(PhasePoint(hit.face, m, theta))
+        faces.append(hit.face)
+        ms.append(m)
+        thetas.append(theta)
         if hit.edge_distance <= P.tol.sing:
-            flagged.append(len(points) - 1)
-        if len(points) == n_max:
+            flagged.append(len(faces) - 1)
+        if len(faces) == n_max:
             break
     ended = hit is None or hit.kind is not HitKind.FACE
-    return OrbitRecord(points, [P.labels[p.face] for p in points],
-                       _event(hit, points) if ended else None, flagged)
+    return OrbitRecord(np.array(faces), np.array(ms), np.array(thetas),
+                       [P.labels[f] for f in faces],
+                       _event(hit, faces, m) if ended else None, flagged)
 
 
 def discontinuity_report(record: OrbitRecord, P: Polyhedron,
@@ -184,28 +192,31 @@ def discontinuity_report(record: OrbitRecord, P: Polyhedron,
     A terminal edge hit gives its edge, a vertex hit every edge through the
     vertex; a positive radius first adds, in (k, edge) order, every edge
     within ``radius`` of segment k.  Equal lines are reported once.  Raises
-    :class:`EmptyReport` when nothing is found.
+    :class:`EmptyReport` when nothing is found, and
+    :class:`PreconditionFailed` for a negative or nan ``radius``.
     """
-    pts, ev = record.points, record.singularity
+    if not radius >= 0.0:
+        raise PreconditionFailed(f"radius must be >= 0, got {radius}")
+    ev = record.singularity
     pairs = []
     if radius > 0.0:
         # segment k ends at point k + 1 or at the terminal edge/vertex hit
-        ends = [p.m for p in pts[1:]]
+        ends = record.m[1:]
         if ev is not None and ev.kind is not SingularityKind.TANGENT_IN_FACE:
-            ends.append(ev.point)
-        ends = np.reshape(ends, (-1, 1, 3))
-        starts = np.reshape([p.m for p in pts[:len(ends)]], (-1, 1, 3))
+            ends = np.vstack([ends, ev.point])
+        starts = record.m[:len(ends)]
         ij = P.vertices[P.edge_endpoints]                       # (E, 2, 3)
-        dist = segment_segment_distance(starts, ends, ij[:, 0], ij[:, 1])
+        dist = segment_segment_distance(starts[:, None], ends[:, None], ij[:, 0], ij[:, 1])
         pairs = np.argwhere(dist <= radius).tolist()            # row-major (k, edge)
     if ev is not None:          # the edge hit, or every edge through the vertex hit
         pairs += [(ev.step, e) for e, ends in enumerate(P.edge_endpoints.tolist())
                   if e == ev.edge or ev.vertex in ends]
-    lin, trans = _prefix_isometries(P, [p.face for p in pts])
+    lin, trans = cumulative_isometries(P, record.faces)
     found: dict[tuple, EdgeLine] = {}       # insertion-ordered, one line per key
     for k, e in pairs:
-        iso, (a, b) = Isometry(lin[k], trans[k]), P.vertices[P.edge_endpoints[e]]
-        point, direction = iso.apply(a), iso.apply_direction(unit(b - a))
+        # Isometry.apply and apply_direction of the step-k unfolding
+        a, b = P.vertices[P.edge_endpoints[e]]
+        point, direction = a @ lin[k].T + trans[k], lin[k] @ unit(b - a)
         d = direction if direction[int(np.argmax(np.abs(direction)))] >= 0.0 else -direction
         key = tuple(np.round(np.concatenate([point - (point @ d) * d, d]), 9))
         found.setdefault(key, EdgeLine(point, direction))
@@ -284,6 +295,8 @@ def run_word_batch(P: Polyhedron, m: np.ndarray, theta: np.ndarray,
     within the ``sing`` tolerance of an edge).  Semantics match iterating
     :func:`billiard_step`, including conservative edge-hit termination.
     """
+    if n_labels < 1:
+        raise PreconditionFailed("n_labels must be >= 1")
     face = np.asarray(face).astype(np.int64)
     words = np.full((len(face), n_labels), -1, dtype=np.int16)
     words[:, 0] = face

@@ -155,13 +155,11 @@ def _orbit(args) -> tuple[geometry.Polyhedron, billiard.OrbitRecord]:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    P, rec = _orbit(args)
+    _, rec = _orbit(args)
     lines = [_json_line({"config_hash": _config_hash(args), "command": "simulate",
                          "status": "completed" if rec.completed else "singular"})]
-    for k, pp in enumerate(rec.points):
-        lines.append(_json_line({"n": k, "face": P.labels[pp.face],
-                                 "m": [float(v) for v in pp.m],
-                                 "theta": [float(v) for v in pp.theta]}))
+    for k, (label, m, theta) in enumerate(zip(rec.word, rec.m.tolist(), rec.theta.tolist())):
+        lines.append(_json_line({"n": k, "face": label, "m": m, "theta": theta}))
     _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PreconditionFailed, line_line_distance, unit, vec3
+from .geometry import PreconditionFailed, _cross, line_line_distance, unit, vec3
 
 
 class IdenticalLines(PreconditionFailed):
@@ -136,10 +136,6 @@ def _require_skew(edges: tuple[EdgeLine, ...]) -> None:
                 raise NotPairwiseSkew(f"a{i}/a{j}: edges are coplanar")
 
 
-def _cross(a, b) -> tuple:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
 def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
@@ -164,7 +160,7 @@ class TripleSurface:
     In these units neither the terms nor the probe tolerances depend on
     where the edges sit or how large they are.  ``points`` and
     ``directions`` are read-only (3, 3) arrays whose rows are the edges'
-    points and unit directions; the terms are kept as float tuples, so a
+    points and unit directions; the terms are kept in Python floats, so a
     probe does no per-surface work.
     """
 

@@ -60,78 +60,58 @@ def reorthogonalize(M: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def _prefix_isometries(P: Polyhedron, faces: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Linear parts (L, 3, 3) and translations (L, 3) of
-    :func:`cumulative_isometries` by a Hillis-Steele scan: entry k starts as
-    the reflection across ``faces[k]`` (entry 0 as the identity), and the
-    pass with stride s composes entry k - s with entry k."""
+def cumulative_isometries(P: Polyhedron, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative unfolding isometry per bounce for a face-id itinerary, as
+    read-only linear parts (L, 3, 3) and translations (L, 3).
+
+    Entry k maps folded coordinates of the k-th bounce into the unfolded
+    picture; entry 0 is the identity (the itinerary's first face is where the
+    orbit starts and contributes no reflection).  A Hillis-Steele scan: entry
+    k starts as the reflection across ``faces[k]``, and the pass with stride
+    s composes entry k - s with entry k.
+    """
     idx = np.asarray(faces, dtype=np.intp)
     lin, trans = P.reflection_linear[idx], P.reflection_translation[idx]
     lin[0], trans[0] = np.eye(3), 0.0
-    s, L = 1, len(faces)
+    s, L = 1, len(idx)
     while s < L:
         # both right-hand sides read entries from before this pass
         trans[s:] = np.einsum("lij,lj->li", lin[:-s], trans[s:]) + trans[:-s]
         lin[s:] = lin[:-s] @ lin[s:]
         s *= 2
-    lin.setflags(write=False)        # the Isometry objects built on them share them
+    lin.setflags(write=False)
     trans.setflags(write=False)
     return lin, trans
 
 
-def cumulative_isometries(P: Polyhedron, faces: list[int]) -> list[Isometry]:
-    """Cumulative unfolding isometry per bounce for a face-id itinerary.
-
-    Entry k maps folded coordinates of the k-th bounce into the unfolded
-    picture; entry 0 is the identity (the itinerary's first face is where the
-    orbit starts and contributes no reflection).  The entries are views into
-    one read-only (L, 3, 3) and one read-only (L, 3) array.
-    """
-    return [Isometry(a, t) for a, t in zip(*_prefix_isometries(P, faces))]
-
-
 @dataclass
 class UnfoldingTrack:
-    """Straight-line realization of an orbit: cumulative isometries as arrays,
-    points, and the per-bounce ``isometries`` and ``face_polygons`` on demand."""
+    """Straight-line realization of an orbit: its cumulative isometries as
+    arrays and its unfolded bounce points."""
 
     linear: np.ndarray                 # (L, 3, 3) cumulative isometries
     translation: np.ndarray            # (L, 3)
     points: np.ndarray                 # (L, 3) unfolded bounce points
     residual: float                    # max point-to-line distance
     path_length: float
-    faces: list[int]                   # hit face per bounce
-    polyhedron: Polyhedron
 
     @property
     def relative_residual(self) -> float:
         return self.residual / max(self.path_length, 1e-300)
 
-    @cached_property
-    def isometries(self) -> list[Isometry]:
-        return [Isometry(a, t) for a, t in zip(self.linear, self.translation)]
-
-    @cached_property
-    def face_polygons(self) -> list[np.ndarray]:     # unfolded copy of each hit face
-        P = self.polyhedron
-        verts = np.einsum("lij,vj->lvi", self.linear, P.vertices) + self.translation[:, None, :]
-        return [verts[k, list(P.boundaries[f])] for k, f in enumerate(self.faces)]
-
 
 def unfold_orbit(record: "OrbitRecord", P: Polyhedron) -> UnfoldingTrack:
     """Unfold a recorded orbit so its bounce points become colinear."""
-    if len(record.points) < 1:
+    if record.n_bounces < 1:
         raise PreconditionFailed("record has no bounces to unfold")
-    faces = [pp.face for pp in record.points]
-    lin, trans = _prefix_isometries(P, faces)
-    folded = np.array([pp.m for pp in record.points])
-    pts = np.einsum("lij,lj->li", lin, folded) + trans
+    lin, trans = cumulative_isometries(P, record.faces)
+    pts = np.einsum("lij,lj->li", lin, record.m) + trans
     p0 = pts[0]
-    theta = record.points[0].theta
+    theta = record.theta[0]
     rel = pts - p0
     dist = np.linalg.norm(rel - np.outer(rel @ theta, theta), axis=1)
     path = float(np.linalg.norm(pts[-1] - p0))
-    return UnfoldingTrack(lin, trans, pts, float(dist.max()), path, faces, P)
+    return UnfoldingTrack(lin, trans, pts, float(dist.max()), path)
 
 
 # re-orthogonalize every few multiplications; orthogonal products drift slowly
@@ -140,7 +120,10 @@ _RENORM_EVERY = 64
 _DEDUP_TOL = 1e-8
 # side of the dedup buckets, absolute like _DEDUP_TOL and about 12 000 times
 # wider, so a lookup probes one bucket unless an entry lies within
-# _DEDUP_TOL of a bucket boundary; a power of two, so entry / _BUCKET is exact
+# _DEDUP_TOL of a bucket boundary; a power of two, so entry / _BUCKET is
+# exact.  The boundaries are the odd multiples of _BUCKET / 2, which puts 0,
+# +-1/2 and +-1, the entries of the identity and of signed permutations,
+# mid-bucket
 _BUCKET = 2.0 ** -13
 # entries are clipped to this before hashing, so the division cannot
 # overflow and bucket indices stay exact in int64; the clip is monotone,
@@ -151,20 +134,21 @@ _BATCH = 512
 
 
 def _cells(X: np.ndarray) -> np.ndarray:
-    """``floor(x / _BUCKET)`` per entry, as int64."""
-    return np.floor(np.clip(X, -_CLIP, _CLIP) / _BUCKET).astype(np.int64)
+    """``floor(x / _BUCKET + 1/2)`` per entry, as int64: monotone in x, since
+    the division is exact and the addition rounds monotonically."""
+    return np.floor(np.clip(X, -_CLIP, _CLIP) / _BUCKET + 0.5).astype(np.int64)
 
 
 def _keys(cells: np.ndarray) -> list[bytes]:
     """Pack rows of nine bucket indices into 18-byte keys, 16 bits apiece:
-    distinct for entries below 4 in magnitude.  Larger entries may share a
-    key, which adds bucket members but hides no match."""
+    distinct for entries in [-4, 4 - _BUCKET / 2).  Entries outside it may
+    share a key, which adds bucket members but hides no match."""
     return cells.astype(np.uint16).view(np.dtype((np.void, 18))).ravel().tolist()
 
 
 class _MatrixBuckets:
     """A stack of 3x3 matrices whose row indices are hashed on
-    ``floor(entry / _BUCKET)`` per entry.
+    ``floor(entry / _BUCKET + 1/2)`` per entry.
 
     A stored matrix within ``_DEDUP_TOL`` of a query in max-abs has each
     entry within ``_DEDUP_TOL`` of the query's, so its key is among the

@@ -7,7 +7,7 @@ import polybilliard as pb
 from polybilliard import billiard as bl
 from polybilliard.geometry import (Tolerances, box, point_line_distance, regular_tetrahedron,
                                   unit, unit_cube, validate)
-from polybilliard.unfolding import cumulative_isometries
+from polybilliard.unfolding import Isometry, cumulative_isometries
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -207,6 +207,29 @@ def test_orbit_casts_one_ray_per_recorded_bounce_but_the_last(cube, monkeypatch)
         assert len(calls) == expected, n
 
 
+@pytest.mark.parametrize("name", ["cube", "tetrahedron", "box"])
+def test_orbit_rows_are_single_steps(name):
+    # row k of a completed orbit is billiard_step of row k - 1, bit for bit
+    P = {"cube": unit_cube, "tetrahedron": regular_tetrahedron,
+         "box": lambda: box(2.0, 1.0, 0.5)}[name]()
+    m, th, f = bl.random_phase_points(P, 30, np.random.default_rng(17))
+    checked = 0
+    for i in range(30):
+        rec = bl.orbit(bl.PhasePoint(int(f[i]), m[i], th[i]), 25, P)
+        if not rec.completed:
+            continue
+        assert rec.faces.shape == (25,) and rec.m.shape == rec.theta.shape == (25, 3)
+        assert rec.word == [P.labels[g] for g in rec.faces]
+        for k in range(1, 25):
+            x = bl.PhasePoint(int(rec.faces[k - 1]), rec.m[k - 1], rec.theta[k - 1])
+            y = bl.billiard_step(x, P)
+            assert y.face == rec.faces[k]
+            assert y.m.tobytes() == rec.m[k].tobytes()
+            assert y.theta.tobytes() == rec.theta[k].tobytes()
+        checked += 1
+    assert checked >= 20
+
+
 def test_hit_and_phase_point_are_immutable(cube):
     x = _pp(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0])
     hit = bl.first_hit(x.m, x.theta, cube)
@@ -232,10 +255,10 @@ def test_specular_conservation(cube):
     for i in range(200):
         x = bl.PhasePoint(int(f[i]), m[i], th[i])
         rec = bl.orbit(x, 10, cube)
-        for a, b in zip(rec.points, rec.points[1:]):
-            n = cube.normals[b.face]
-            before = a.theta
-            after = b.theta
+        for k in range(1, rec.n_bounces):
+            n = cube.normals[rec.faces[k]]
+            before = rec.theta[k - 1]
+            after = rec.theta[k]
             assert np.abs((before - (before @ n) * n)
                           - (after - (after @ n) * n)).max() < 1e-10
             assert abs((before @ n) + (after @ n)) < 1e-10
@@ -250,14 +273,13 @@ def test_time_reversibility(cube):
         if not rec.completed:
             continue
         k = rec.n_bounces - 1
-        last = rec.points[-1]
         # at the k-th point the stored direction is outgoing; the reversed
         # orbit leaves with the negated incoming one, i.e. the reflection
-        back_theta = pb.reflect_direction(-last.theta, cube.normals[last.face])
-        back = bl.PhasePoint(last.face, last.m, back_theta)
+        back_theta = pb.reflect_direction(-rec.theta[k], cube.normals[rec.faces[k]])
+        back = bl.PhasePoint(int(rec.faces[k]), rec.m[k], back_theta)
         rev = bl.orbit(back, k + 1, cube)
         assert rev.completed
-        assert np.abs(rev.points[-1].m - x.m).max() < 1e-7
+        assert np.abs(rev.m[-1] - x.m).max() < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +346,11 @@ def test_report_of_start_on_an_edge_with_radius(cube):
     # the start's distance to each edge, without a floating-point warning
     x = bl.phase_point(cube, [0.5, 0.0, 0.0], [0.0, 0.6, 0.8], face="z0")
     rec = bl.orbit(x, 5, cube)
-    assert rec.singularity.kind is bl.SingularityKind.EDGE_HIT and len(rec.points) == 1
+    assert rec.singularity.kind is bl.SingularityKind.EDGE_HIT and rec.n_bounces == 1
+    # its record is one row: the start itself
+    assert rec.faces.shape == (1,) and rec.m.shape == (1, 3) and rec.theta.shape == (1, 3)
+    assert rec.faces[0] == x.face and rec.word == ["z0"]
+    assert np.array_equal(rec.m[0], x.m) and np.array_equal(rec.theta[0], x.theta)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         near = bl.discontinuity_report(rec, cube, radius=0.55)
@@ -334,6 +360,16 @@ def test_report_of_start_on_an_edge_with_radius(cube):
     assert np.allclose(np.abs(near[0].direction), [1.0, 0, 0])
     assert np.allclose(near[0].point[1:], 0.0)
     assert len(near) == 5 and len(far) == 7
+
+
+def test_report_refuses_a_negative_or_nan_radius(cube):
+    # read as radius 0 these would give the edge line, or an EmptyReport
+    singular = bl.orbit(_pp(cube, [0.5, 0.5, 0.0], [1.0, 1.0, 1.0]), 5, cube)
+    regular = bl.orbit(_pp(cube, [0.5, 0.5, 0.0], [0, 0, 1.0]), 4, cube)
+    for rec in (singular, regular):
+        for radius in (-1.0, np.nan):
+            with pytest.raises(pb.PreconditionFailed, match="radius must be >= 0"):
+                bl.discontinuity_report(rec, cube, radius=radius)
 
 
 def _vertex_bound_orbits(rng, count):
@@ -353,9 +389,9 @@ def _vertex_bound_orbits(rng, count):
         theta = np.sqrt(1 - w * w) * (np.cos(phi) * t1 + np.sin(phi) * t2) + w * n
         fwd = bl.orbit(bl.PhasePoint(f, m, theta), int(rng.integers(100, 500)), T)
         if fwd.completed:
-            last = fwd.points[-1]
-            back = pb.reflect_direction(-last.theta, T.normals[last.face])
-            starts.append(bl.PhasePoint(last.face, last.m, back))
+            last = int(fwd.faces[-1])
+            back = pb.reflect_direction(-fwd.theta[-1], T.normals[last])
+            starts.append(bl.PhasePoint(last, fwd.m[-1], back))
     return starts
 
 
@@ -374,7 +410,8 @@ def test_terminal_event_unfolds_by_its_step_isometry():
             continue
         steps[ev.kind].append(ev.step)
         assert ev.step == rec.n_bounces - 1
-        iso = cumulative_isometries(P, [p.face for p in rec.points])[ev.step]
+        lin, trans = cumulative_isometries(P, rec.faces)
+        iso = Isometry(lin[ev.step], trans[ev.step])
         lines = bl.discontinuity_report(rec, P)
         # the edge hit, or every edge through the vertex hit, in edge order
         edges = [P.vertices[ends] for i, ends in enumerate(P.edge_endpoints.tolist())
@@ -393,13 +430,13 @@ def test_terminal_event_unfolds_by_its_step_isometry():
 def test_singular_event_needs_no_unfolding(cube, monkeypatch):
     # an edge- or vertex-ending orbit records its hit; only the report unfolds
     calls = []
-    prefix = bl._prefix_isometries
+    prefix = bl.cumulative_isometries
 
     def counting_prefix(P, faces):
         calls.append(1)
         return prefix(P, faces)
 
-    monkeypatch.setattr(bl, "_prefix_isometries", counting_prefix)
+    monkeypatch.setattr(bl, "cumulative_isometries", counting_prefix)
     m = np.array([0.5, 0.0, 0.5])
     edge = bl.orbit(_pp(cube, [0.5, 0.5, 0.0], [1.0, 1.0, 1.0]), 10, cube)
     vertex = bl.orbit(_pp(cube, m, np.subtract([2.0, 1.0, 1.0], m)), 10, cube)
@@ -461,6 +498,13 @@ def test_batch_matches_orbit_for_starts_near_edges():
             assert bool(flags[i]) == bool(rec.near_singular_steps)
         assert (lengths[on_edge] == 1).all() and not flags[on_edge].any()
         assert (lengths[~on_edge] > 1).mean() > 0.5
+
+
+def test_batch_refuses_fewer_than_one_label(cube):
+    m, th, f = bl.random_phase_points(cube, 4, np.random.default_rng(0))
+    for n_labels in (0, -1):
+        with pytest.raises(pb.PreconditionFailed, match="n_labels must be >= 1"):
+            bl.run_word_batch(cube, m, th, f, n_labels)
 
 
 def test_near_singular_flag_tolerance(cube):

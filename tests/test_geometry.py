@@ -5,7 +5,7 @@ import pytest
 
 from polybilliard import billiard as bl
 from polybilliard import geometry as g
-from polybilliard.unfolding import Isometry, _prefix_isometries
+from polybilliard.unfolding import Isometry, cumulative_isometries
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -471,16 +471,16 @@ def _reference_report(rec, P, radius):
     """The report as the double loop over segments and edges built it: one
     reference distance call per pair, then the line of the terminal edge
     hit, or of each edge through the terminal vertex hit."""
-    lin, trans = _prefix_isometries(P, [p.face for p in rec.points])
+    lin, trans = cumulative_isometries(P, rec.faces)
     ev = rec.singularity
-    ends = [p.m for p in rec.points[1:]]
+    ends = list(rec.m[1:])
     if ev is not None and ev.kind is not bl.SingularityKind.TANGENT_IN_FACE:
         ends.append(ev.point)
     lines = []
     for k, b in enumerate(ends):
         iso = Isometry(lin[k], trans[k])
         for v0, v1 in P.vertices[P.edge_endpoints]:
-            if _reference_segment_distance(rec.points[k].m, b, v0, v1) <= radius:
+            if _reference_segment_distance(rec.m[k], b, v0, v1) <= radius:
                 lines.append((iso.apply(v0), iso.apply_direction(g.unit(v1 - v0))))
     if ev is not None and ev.kind is not bl.SingularityKind.TANGENT_IN_FACE:
         iso = Isometry(lin[ev.step], trans[ev.step])

@@ -30,7 +30,7 @@ def test_polyhedron_attributes_unchanged_by_use():
     rec = bl.orbit(x, 50, P)
     bl.run_word_batch(P, *bl.random_phase_points(P, 64, np.random.default_rng(0)), 8)
     sy.estimate_complexity(P, 4, 256, chunk_size=64, workers=2)
-    _beam_along(P, "z0", rec.points[0].theta, rec.word[1:10])
+    _beam_along(P, "z0", rec.theta[0], rec.word[1:10])
     uf.generate_group(P, bound=100)
     after = vars(P)
     assert after.keys() == before.keys()
@@ -134,7 +134,7 @@ def test_section_area_never_increases(cube):
         rec = bl.orbit(bl.PhasePoint(int(f[0]), m[0], th[0]), 10, cube)
         if rec.n_bounces < 2:
             continue
-        b = sy.make_beam(cube, rec.word[0], rec.points[0].theta)
+        b = sy.make_beam(cube, rec.word[0], rec.theta[0])
         prev = abs(sy._polygon_area(b.section))
         for lab in rec.word[1:]:
             b = sy.propagate_beam(b, lab, cube)
@@ -165,10 +165,10 @@ def test_beam_orbit_consistency(cube):
         rec = bl.orbit(bl.PhasePoint(int(f[0]), m[0], th[0]), 12, cube)
         if not rec.completed or rec.near_singular_steps:
             continue
-        b = sy.make_beam(cube, rec.word[0], rec.points[0].theta)
+        b = sy.make_beam(cube, rec.word[0], rec.theta[0])
         for lab in rec.word[1:]:
             b = sy.propagate_beam(b, lab, cube)
-            assert _section_contains(b, rec.points[0].m, slack=1e-8)
+            assert _section_contains(b, rec.m[0], slack=1e-8)
         checked += 1
 
 

@@ -71,11 +71,11 @@ def test_unfold_single_bounce_mirror(cube):
     # one reflection: the point after the bounce unfolds to its mirror image
     rec = _orbit(cube, [0.25, 0.5, 0.0], [1.0, 0, 1.0], 3)
     track = uf.unfold_orbit(rec, cube)
-    folded_third = rec.points[2].m
+    folded_third = rec.m[2]
     mirrored = folded_third.copy()
     mirrored[0] = 2.0 - mirrored[0]    # reflect across x = 1
     assert np.allclose(track.points[2], mirrored)
-    assert np.allclose(track.points[1], rec.points[1].m)
+    assert np.allclose(track.points[1], rec.m[1])
 
 
 def test_unfolded_faces_contain_unfolded_points(cube):
@@ -88,9 +88,9 @@ def test_unfolded_faces_contain_unfolded_points(cube):
             if not rec.completed:
                 continue
             track = uf.unfold_orbit(rec, P)
-            for k, (pt, poly) in enumerate(zip(track.points, track.face_polygons)):
-                iso_poly = track.isometries[k].apply(P.face_polygon(rec.points[k].face))
-                assert np.abs(poly - iso_poly).max() <= 1e-12
+            for k, pt in enumerate(track.points):
+                iso = uf.Isometry(track.linear[k], track.translation[k])
+                poly = iso.apply(P.face_polygon(rec.faces[k]))
                 n = np.cross(poly[1] - poly[0], poly[2] - poly[0])
                 n /= np.linalg.norm(n)
                 assert abs((pt - poly[0]) @ n) < 1e-9
@@ -133,7 +133,7 @@ def test_no_reflection_built_after_construction(cube, monkeypatch):
     rec = _orbit(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0], 1000)
     uf.unfold_orbit(rec, cube)
     uf.generate_group(cube, bound=100)
-    beam = sy.make_beam(cube, "z0", rec.points[0].theta)
+    beam = sy.make_beam(cube, "z0", rec.theta[0])
     for label in rec.word[1:20]:
         beam = sy.propagate_beam(beam, label, cube)
     assert len(beam.isometries) == 20 and not beam.is_empty
@@ -277,8 +277,8 @@ _REFERENCE_SOLIDS = {
     "cube": (unit_cube, None),
     "box": (lambda: box(2.0, 1.0, 0.5), None),
     "tetra": (regular_tetrahedron, None),
-    # right prisms: entries 0, +-1/2 and +-1 sit on bucket boundaries, and
-    # rounded products land a hair to either side of them
+    # right prisms: rounded products land a hair to either side of the
+    # entries 0, +-1/2 and +-1, which sit mid-bucket
     "equilateral-prism": (lambda: _prism([[0, 0], [1, 0], [0.5, np.sqrt(3.0) / 2]]), 12),
     "isosceles-prism": (lambda: _prism([[0, 0], [1, 0], [0, 1]]), 16),
 }
@@ -300,14 +300,17 @@ def test_closure_matches_quadratic_reference(name, moved):
 
 def test_contains_across_bucket_boundary(cube):
     h = uf._BUCKET
-    # 0 and 1 are bucket boundaries: the stored entries sit just below them,
-    # the query 8e-9 away just above, so all nine entries change bucket
-    stored = np.eye(3) - 4e-9
-    closure = uf.GroupClosure(stored[None], True)
-    query = np.eye(3) + 4e-9
-    assert np.all(np.floor(query / h) != np.floor(stored / h))
-    assert closure.contains(query)
-    assert not closure.contains(np.eye(3) + 7e-9)
+    # h/2 and 1 + h/2 are bucket boundaries: the stored entries sit just
+    # below them and the query 8e-9 away just above, or the other way round,
+    # so all nine entries change bucket
+    edge = np.eye(3) + h / 2
+    for side in (1.0, -1.0):
+        stored = edge - side * 4e-9
+        closure = uf.GroupClosure(stored[None], True)
+        query = edge + side * 4e-9
+        assert np.all(np.floor(query / h + 0.5) != np.floor(stored / h + 0.5))
+        assert closure.contains(query)
+        assert not closure.contains(edge + side * 7e-9)
     closure = uf.generate_group(cube, bound=100)
     for M in closure.elements:
         assert closure.contains(M - 5e-9)
@@ -342,7 +345,8 @@ def test_absorb_matches_sequential_scan_near_bucket_boundaries():
     # the matrices a one-by-one linear scan keeps, in the same order
     rng = np.random.default_rng(8)
     h = uf._BUCKET
-    base = h * rng.integers(-8192, 8193, size=(60, 3, 3)) + rng.uniform(-3e-8, 3e-8, (60, 3, 3))
+    base = h * (rng.integers(-8192, 8193, size=(60, 3, 3)) + 0.5)
+    base += rng.uniform(-3e-8, 3e-8, (60, 3, 3))
     X = np.repeat(base, 4, axis=0)
     for k in range(240):
         for i in rng.choice(9, size=rng.integers(1, 3) if k % 4 else 0, replace=False):
@@ -408,8 +412,8 @@ _SCAN_SOLIDS = {
 def test_prefix_scan_matches_sequential_reference(name):
     P = _SCAN_SOLIDS[name]()
     for rec in _long_orbits(P, 31):
-        faces = [p.face for p in rec.points]
-        lin, trans = uf._prefix_isometries(P, faces)
+        faces = rec.faces.tolist()
+        lin, trans = uf.cumulative_isometries(P, faces)
         ref = _reference_cumulative_isometries(P, faces)
         ref_lin = np.array([iso.linear for iso in ref])
         ref_trans = np.array([iso.translation for iso in ref])
@@ -427,7 +431,7 @@ def test_prefix_scan_matches_sequential_reference(name):
             assert np.all(np.abs(trans - ref_trans) <= 1e-13 * scale)
         track = uf.unfold_orbit(rec, P)
         assert track.relative_residual < 1e-9
-        ref_pts = np.array([iso.apply(p.m) for iso, p in zip(ref, rec.points)])
+        ref_pts = np.array([iso.apply(m) for iso, m in zip(ref, rec.m)])
         assert np.all(np.abs(track.points - ref_pts)
                       <= 1e-13 * (1.0 + np.abs(ref_pts).max(axis=1, keepdims=True)))
 
@@ -445,7 +449,7 @@ def test_terminal_event_within_rounding_of_sequential_reference():
         if ev is None or ev.kind is not bl.SingularityKind.EDGE_HIT:
             continue
         late += ev.step >= 100
-        iso = _reference_cumulative_isometries(P, [p.face for p in rec.points])[ev.step]
+        iso = _reference_cumulative_isometries(P, rec.faces.tolist())[ev.step]
         (a, b), line = P.vertices[P.edge_endpoints[ev.edge]], bl.discontinuity_report(rec, P)[0]
         for got, ref in ((line.point, iso.apply(a)),
                          (line.direction, iso.apply_direction(unit(b - a)))):
@@ -454,29 +458,27 @@ def test_terminal_event_within_rounding_of_sequential_reference():
 
 
 def test_cumulative_isometries_short_itineraries(cube):
-    assert len(uf.cumulative_isometries(cube, [4])) == 1
-    (iso,) = uf.cumulative_isometries(cube, [4])
-    assert np.array_equal(iso.linear, np.eye(3)) and np.array_equal(iso.translation, np.zeros(3))
+    lin, trans = uf.cumulative_isometries(cube, [4])
+    assert lin.shape == (1, 3, 3) and trans.shape == (1, 3)
+    assert np.array_equal(lin[0], np.eye(3)) and np.array_equal(trans[0], np.zeros(3))
     for faces in ([4, 5], [4, 1, 0], [0, 1, 0, 1, 2, 3, 4, 5, 4]):
-        got = uf.cumulative_isometries(cube, faces)
+        lin, trans = uf.cumulative_isometries(cube, faces)
         ref = _reference_cumulative_isometries(cube, faces)
-        for a, b in zip(got, ref):
-            assert a.linear.tobytes() == b.linear.tobytes()
-            assert a.translation.tobytes() == b.translation.tobytes()
+        assert len(lin) == len(trans) == len(ref)
+        for k, b in enumerate(ref):
+            assert lin[k].tobytes() == b.linear.tobytes()
+            assert trans[k].tobytes() == b.translation.tobytes()
 
 
-def test_track_properties_are_lazy_and_consistent(cube):
+def test_track_holds_the_read_only_cumulative_isometries(cube):
     rec = _orbit(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0], 50)
     track = uf.unfold_orbit(rec, cube)
-    assert "isometries" not in vars(track) and "face_polygons" not in vars(track)
-    for k, iso in enumerate(track.isometries):
-        assert np.array_equal(iso.linear, track.linear[k])
-        assert np.array_equal(iso.translation, track.translation[k])
-    assert track.isometries is track.isometries
-    assert len(track.face_polygons) == rec.n_bounces
-    # the isometries are views into the track's arrays, which reject writes
-    for a in (track.linear, track.isometries[3].translation,
-              uf.cumulative_isometries(cube, [4, 1, 0])[2].linear):
+    lin, trans = uf.cumulative_isometries(cube, rec.faces)
+    assert track.linear.tobytes() == lin.tobytes()
+    assert track.translation.tobytes() == trans.tobytes()
+    assert len(track.points) == rec.n_bounces
+    # the track's arrays, and the scan's, reject writes
+    for a in (track.linear, track.translation[3], uf.cumulative_isometries(cube, [4, 1, 0])[0][2]):
         with pytest.raises(ValueError):
             a[0] = 0.0
 
