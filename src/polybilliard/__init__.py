@@ -9,8 +9,8 @@ from .billiard import (EmptyReport, OrbitRecord, PhasePoint, SingularInput,
                        SingularityEvent, SingularityKind, billiard_step,
                        classify_phase_point, discontinuity_report, orbit,
                        phase_point, random_phase_points, run_word_batch)
-from .unfolding import (GroupClosure, Isometry, UnfoldingTrack,
-                        cumulative_isometries, generate_group, unfold_orbit)
+from .unfolding import (GroupClosure, UnfoldingTrack, cumulative_isometries,
+                        generate_group, unfold_orbit)
 from .transversal import (ON_SURFACE, CoplanarConstraint, EdgeLine,
                           IdenticalLines, NotPairwiseSkew, RationalConstraint,
                           TransversalConstraint, TripleSurface,

@@ -10,6 +10,7 @@ close to an edge so downstream statistics can discard unreliable words.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -51,8 +52,14 @@ def phase_point(P: Polyhedron, m, theta, face: int | str | None = None) -> Phase
         face = int(cands[0])
     elif isinstance(face, str):
         face = P.face_index(face)
-    elif not 0 <= face < P.n_faces:
-        raise PreconditionFailed(f"face id {face} out of range 0..{P.n_faces - 1}")
+    else:
+        try:
+            # a bool is no face id, though operator.index may read it as 0 or 1
+            face = operator.index(None if isinstance(face, (bool, np.bool_)) else face)
+        except TypeError:
+            raise PreconditionFailed(f"face id {face!r} is not an integer") from None
+        if not 0 <= face < P.n_faces:
+            raise PreconditionFailed(f"face id {face} out of range 0..{P.n_faces - 1}")
     if abs(float(P.normals[face] @ m + P.offsets[face])) > 10 * P.tol.plane:
         raise PreconditionFailed("point does not lie on the given face plane")
     if not P.point_in_face(face, m):
@@ -214,7 +221,7 @@ def discontinuity_report(record: OrbitRecord, P: Polyhedron,
     lin, trans = cumulative_isometries(P, record.faces)
     found: dict[tuple, EdgeLine] = {}       # insertion-ordered, one line per key
     for k, e in pairs:
-        # Isometry.apply and apply_direction of the step-k unfolding
+        # the edge's point and direction, moved by the step-k unfolding
         a, b = P.vertices[P.edge_endpoints[e]]
         point, direction = a @ lin[k].T + trans[k], lin[k] @ unit(b - a)
         d = direction if direction[int(np.argmax(np.abs(direction)))] >= 0.0 else -direction

@@ -266,7 +266,7 @@ def _cmd_cell(args) -> int:
         out["width"] = cell.width
     if cell.area is not None:
         out["area"] = cell.area
-    out["period"] = None if beam.is_empty else symbolic.detect_periodicity(beam, args.kmax)
+    out["period"] = symbolic.detect_periodicity(beam, args.kmax)
     _emit(args.out, json.dumps(out, indent=2) + "\n")
     return EXIT_OK
 

@@ -214,7 +214,7 @@ class Polyhedron:
             verts = tuple((*vertices[v].tolist(), v) for v in boundary)
             rows.append((*N[f].tolist(), float(c[f]), verts, tuple(segs)))
         self.rows = tuple(rows)
-        # Isometry.reflection of each face plane: x - 2 (<n, x> + c) n
+        # the reflection across each face plane: x - 2 (<n, x> + c) n
         self.reflection_linear = np.eye(3) - 2.0 * N[:, :, None] * N[:, None, :]
         self.reflection_translation = -2.0 * c[:, None] * N
         self.frames = np.array([np.vstack([tangent_frame(n), n]) for n in N])

@@ -18,14 +18,13 @@ for the number of length-n words together with their normalized logarithms.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .billiard import run_word_batch, sample_inward_directions, sample_points_in_face
 from .geometry import (LabelNotReachable, Polyhedron, PreconditionFailed,
                        farthest_pair, tangent_frame, unit)
-from .unfolding import Isometry
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +120,10 @@ class Beam:
     """Parallel lines with direction ``theta`` over a convex cross-section.
 
     ``section`` lives in the plane through ``origin`` orthogonal to ``theta``,
-    spanned by the rows of ``axes``; ``isometries[k]`` is the cumulative
-    unfolding after the first ``k`` reflections of the word (entry 0 is the
-    identity), so ``isometry`` maps the next folded face into the straight
-    picture.
+    spanned by the rows of ``axes``.  Entry k of ``linear`` and ``translation``
+    is the cumulative unfolding x -> linear[k] @ x + translation[k] after the
+    first k reflections of the word (entry 0 is the identity), so the last
+    entry maps the next folded face into the straight picture.
     """
 
     theta: np.ndarray
@@ -132,18 +131,12 @@ class Beam:
     axes: np.ndarray                         # (2, 3)
     section: np.ndarray                      # (K, 2)
     word: list[str]
-    isometries: list[Isometry] = field(default_factory=lambda: [Isometry.identity()])
-
-    @property
-    def isometry(self) -> Isometry:
-        return self.isometries[-1]
+    linear: np.ndarray                       # (L, 3, 3), L = len(word)
+    translation: np.ndarray                  # (L, 3)
 
     @property
     def is_empty(self) -> bool:
         return len(self.section) == 0
-
-    def project(self, pts3) -> np.ndarray:
-        return (np.atleast_2d(np.asarray(pts3, float)) - self.origin) @ self.axes.T
 
 
 def make_beam(P: Polyhedron, label: str, theta) -> Beam:
@@ -155,7 +148,7 @@ def make_beam(P: Polyhedron, label: str, theta) -> Beam:
     poly, axes = P.face_polygon(f), tangent_frame(theta)
     origin = poly.mean(axis=0)
     section = np.array(_dedupe(_ensure_ccw(((poly - origin) @ axes.T).tolist())))
-    return Beam(theta, origin, axes, section, [label])
+    return Beam(theta, origin, axes, section, [label], np.eye(3)[None], np.zeros((1, 3)))
 
 
 # absolute: a zero-length guard before dividing by the length of a face
@@ -175,12 +168,12 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
     if b.word and label == b.word[-1]:
         raise LabelNotReachable("consecutive labels cannot repeat on a convex solid")
     f = P.face_index(label)
-    iso = b.isometry
-    # the operations of b.project(iso.apply(...)), without their wrappers
-    verts2 = (P.face_polygon(f) @ iso.linear.T + iso.translation - b.origin) @ b.axes.T
+    lin, t = b.linear[-1], b.translation[-1]
+    # the face copy, projected onto the section plane
+    verts2 = (P.face_polygon(f) @ lin.T + t - b.origin) @ b.axes.T
     section = b.section.tolist()
 
-    if abs(float((iso.linear @ P.normals[f]) @ b.theta)) <= P.tol.angle:
+    if abs(float((lin @ P.normals[f]) @ b.theta)) <= P.tol.angle:
         # face copy is parallel to the beam: its projection is a segment
         _, i, j = farthest_pair(verts2)
         a = verts2[i]
@@ -200,10 +193,11 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
     else:
         section = _clip_convex(section, _ensure_ccw(verts2.tolist()))
 
-    new_iso = iso.compose(Isometry(P.reflection_linear[f], P.reflection_translation[f]))
     section = np.array(section).reshape(-1, 2)
+    # the unfolding composed with the reflection across face f
     return Beam(b.theta, b.origin, b.axes, section, b.word + [label],
-                b.isometries + [new_iso])
+                np.concatenate([b.linear, (lin @ P.reflection_linear[f])[None]]),
+                np.concatenate([b.translation, (lin @ P.reflection_translation[f] + t)[None]]))
 
 
 @dataclass(frozen=True)
@@ -237,14 +231,15 @@ def classify_cell(b: Beam) -> CellClass:
 def detect_periodicity(b: Beam, k_max: int) -> int | None:
     """Smallest period k <= k_max whose unfolding is a translation along the
     beam direction and whose word repeats with that period; None otherwise."""
+    if b.is_empty:          # no line realizes its word
+        return None
     w = b.word
     for k in range(1, min(k_max, len(w) - 1) + 1):
         if any(w[i] != w[i + k] for i in range(len(w) - k)):
             continue
-        iso = b.isometries[k]
-        if not iso.is_translation(_PERIOD_TOL):
+        if not np.abs(b.linear[k] - np.eye(3)).max() <= _PERIOD_TOL:
             continue
-        t = iso.translation
+        t = b.translation[k]
         tn = float(np.linalg.norm(t))
         if tn <= _PERIOD_TOL:
             continue
@@ -283,6 +278,8 @@ class ComplexityTable:
 
     def words(self, n: int) -> list[tuple[str, ...]]:
         """Decode the distinct words of length ``n`` back to label tuples."""
+        if not 1 <= n <= self.n_max:
+            raise PreconditionFailed(f"word length must be in 1..{self.n_max}, got {n!r}")
         base = len(self.labels)
         out = []
         for code in self.word_codes[n]:

@@ -22,38 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .billiard import OrbitRecord
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """Affine isometry x -> linear @ x + translation with orthogonal linear part."""
-
-    linear: np.ndarray
-    translation: np.ndarray
-
-    @staticmethod
-    def identity() -> "Isometry":
-        return Isometry(np.eye(3), np.zeros(3))
-
-    @staticmethod
-    def reflection(n, c: float) -> "Isometry":
-        """Reflection across {x : <n, x> + c = 0}, n a unit normal: x -> x - 2 (<n,x> + c) n."""
-        n = np.asarray(n, float)
-        return Isometry(np.eye(3) - 2.0 * np.outer(n, n), -2.0 * c * n)
-
-    def apply(self, pts) -> np.ndarray:
-        return np.asarray(pts, float) @ self.linear.T + self.translation
-
-    def apply_direction(self, d) -> np.ndarray:
-        return self.linear @ np.asarray(d, float)
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        """Return self o other (``other`` acts first)."""
-        return Isometry(self.linear @ other.linear,
-                        self.linear @ other.translation + self.translation)
-
-    def is_translation(self, tol: float = 1e-9) -> bool:
-        return bool(np.abs(self.linear - np.eye(3)).max() <= tol)
-
-
 def reorthogonalize(M: np.ndarray) -> np.ndarray:
     """Snap a drifting product of orthogonal matrices back onto O(3)."""
     u, _, vt = np.linalg.svd(M)

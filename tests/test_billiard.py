@@ -7,7 +7,7 @@ import polybilliard as pb
 from polybilliard import billiard as bl
 from polybilliard.geometry import (Tolerances, box, point_line_distance, regular_tetrahedron,
                                   unit, unit_cube, validate)
-from polybilliard.unfolding import Isometry, cumulative_isometries
+from polybilliard.unfolding import cumulative_isometries
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -108,6 +108,16 @@ def test_phase_point_validation(cube):
             bl.phase_point(cube, [0.5, 0.5, 1.0], [0, 0, -1.0], face=face)
     with pytest.raises(ValueError, match="outside the given face"):
         bl.phase_point(cube, [1.5, 0.5, 0.0], [0.1, 0.2, 1.0], face="z0")
+
+
+def test_phase_point_refuses_a_non_integer_face_id(cube):
+    m, theta = [0.5, 0.5, 1.0], [0.1, 0.2, -1.0]
+    for face in (True, False, np.True_, 5.0, np.float64(5.0), [5]):
+        with pytest.raises(pb.PreconditionFailed, match="not an integer"):
+            bl.phase_point(cube, m, theta, face=face)
+    # a numpy integer is stored as the plain int it stands for
+    x = bl.phase_point(cube, m, theta, face=np.int64(cube.face_index("z1")))
+    assert type(x.face) is int and cube.labels[x.face] == "z1"
 
 
 def test_phase_point_rejects_non_finite_input(cube):
@@ -411,17 +421,17 @@ def test_terminal_event_unfolds_by_its_step_isometry():
         steps[ev.kind].append(ev.step)
         assert ev.step == rec.n_bounces - 1
         lin, trans = cumulative_isometries(P, rec.faces)
-        iso = Isometry(lin[ev.step], trans[ev.step])
+        A, t = lin[ev.step], trans[ev.step]
         lines = bl.discontinuity_report(rec, P)
         # the edge hit, or every edge through the vertex hit, in edge order
         edges = [P.vertices[ends] for i, ends in enumerate(P.edge_endpoints.tolist())
                  if i == ev.edge or ev.vertex in ends]
         assert len(lines) == len(edges) == (1 if ev.edge is not None else 3)
         for line, (a, b) in zip(lines, edges):
-            assert np.array_equal(line.point, iso.apply(a))
-            assert np.array_equal(line.direction, iso.apply_direction(unit(b - a)))
+            assert np.array_equal(line.point, a @ A.T + t)
+            assert np.array_equal(line.direction, A @ unit(b - a))
             if ev.vertex is not None:
-                v = iso.apply(P.vertices[ev.vertex])
+                v = P.vertices[ev.vertex] @ A.T + t
                 assert point_line_distance(v, line.point, line.direction) <= 1e-12 * (
                     1.0 + np.abs(v).max())
     assert all(max(s, default=0) >= 100 for s in steps.values())

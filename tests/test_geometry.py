@@ -5,7 +5,7 @@ import pytest
 
 from polybilliard import billiard as bl
 from polybilliard import geometry as g
-from polybilliard.unfolding import Isometry, cumulative_isometries
+from polybilliard.unfolding import cumulative_isometries
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -478,16 +478,16 @@ def _reference_report(rec, P, radius):
         ends.append(ev.point)
     lines = []
     for k, b in enumerate(ends):
-        iso = Isometry(lin[k], trans[k])
+        A, t = lin[k], trans[k]
         for v0, v1 in P.vertices[P.edge_endpoints]:
             if _reference_segment_distance(rec.m[k], b, v0, v1) <= radius:
-                lines.append((iso.apply(v0), iso.apply_direction(g.unit(v1 - v0))))
+                lines.append((v0 @ A.T + t, A @ g.unit(v1 - v0)))
     if ev is not None and ev.kind is not bl.SingularityKind.TANGENT_IN_FACE:
-        iso = Isometry(lin[ev.step], trans[ev.step])
+        A, t = lin[ev.step], trans[ev.step]
         for i, ends in enumerate(P.edge_endpoints.tolist()):
             if i == ev.edge or ev.vertex in ends:
                 v0, v1 = P.vertices[ends]
-                lines.append((iso.apply(v0), iso.apply_direction(g.unit(v1 - v0))))
+                lines.append((v0 @ A.T + t, A @ g.unit(v1 - v0)))
     found = {}
     for point, direction in lines:
         d = direction if direction[int(np.argmax(np.abs(direction)))] >= 0.0 else -direction

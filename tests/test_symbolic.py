@@ -6,7 +6,8 @@ import pytest
 from polybilliard import billiard as bl
 from polybilliard import symbolic as sy
 from polybilliard import unfolding as uf
-from polybilliard.geometry import Tolerances, box, regular_tetrahedron, unit_cube, validate
+from polybilliard.geometry import (PreconditionFailed, Tolerances, box, regular_tetrahedron,
+                                  unit_cube, validate)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -121,7 +122,7 @@ def test_propagate_empty_beam(cube):
         assert b.is_empty and b.section.shape == (0, 2)
         assert sy.classify_cell(b).kind == "empty"
     assert b.word == ["z0", "z1", "z0", "z1", "x0", "z0", "y1", "z1"]
-    assert len(b.isometries) == len(b.word)
+    assert b.linear.shape == (len(b.word), 3, 3) and b.translation.shape == (len(b.word), 3)
     for label in ("z1", "nope"):                # a repeat, an unknown label
         with pytest.raises(sy.LabelNotReachable):
             sy.propagate_beam(b, label, cube)
@@ -146,7 +147,7 @@ def test_section_area_never_increases(cube):
 def _section_contains(b, m, slack):
     """Does the projection of the base point ``m`` lie within ``slack`` of
     the beam's cross-section (a point, a segment or a CCW polygon)?"""
-    q, pts = b.project(m)[0], b.section
+    q, pts = (m - b.origin) @ b.axes.T, b.section
     if len(pts) < 3:
         a, e = pts[0], pts[-1] - pts[0]
         t = np.clip((q - a) @ e / max(e @ e, 1e-300), 0.0, 1.0)
@@ -186,9 +187,19 @@ def test_diagonal_period_four(cube):
     b = _beam_along(cube, "z0", theta, ["x1", "z1", "x0", "z0", "x1", "z1", "x0", "z0"])
     assert sy.detect_periodicity(b, 10) == 4
     # the 4-step unfolding is the translation by (2, 0, 2)
-    iso = b.isometries[4]
-    assert iso.is_translation(1e-12)
-    assert np.allclose(iso.translation, [2.0, 0.0, 2.0])
+    assert np.abs(b.linear[4] - np.eye(3)).max() <= 1e-12
+    assert np.allclose(b.translation[4], [2.0, 0.0, 2.0])
+
+
+def test_empty_beam_has_no_period(cube):
+    # the word repeats with period 4 and its 4-step unfolding is the
+    # translation by (2, 0, 2), but the section empties after four labels:
+    # no line realizes the word, so it has no period
+    theta = np.array([1.0, 0, 1.0]) / SQRT2
+    b = _beam_along(cube, "z0", theta, ["z1", "x1", "x0", "z0", "z1", "x1", "x0"])
+    assert b.is_empty and sy.classify_cell(b).kind == "empty"
+    assert np.abs(b.linear[4] - np.eye(3)).max() <= 1e-12
+    assert sy.detect_periodicity(b, 10) is None
 
 
 def test_irrational_direction_not_detected(cube):
@@ -287,6 +298,14 @@ def test_word_code_endianness(cube):
     assert code in tab.word_codes[2]
     assert ("z0", "z1") in tab.words(2)
     assert tab.extendability_ok
+
+
+def test_words_refuses_lengths_outside_the_table(cube):
+    tab = sy.estimate_complexity(cube, 4, 2000, seed=7)
+    assert len(tab.words(4)) == tab.p_hat[3]
+    for n in (0, -1, 5):
+        with pytest.raises(PreconditionFailed, match=r"1\.\.4"):
+            tab.words(n)
 
 
 def test_complexity_preconditions(cube):
@@ -499,9 +518,9 @@ def _ref_clip_convex(subject, clip_ccw):
 def _ref_propagate(b, label, P):
     """The numpy propagation: a new reflection per call, numpy clipping."""
     f = P.face_index(label)
-    iso = b.isometry
-    verts2 = b.project(iso.apply(P.face_polygon(f)))
-    n3 = iso.apply_direction(P.normals[f])
+    lin, t = b.linear[-1], b.translation[-1]
+    verts2 = (P.face_polygon(f) @ lin.T + t - b.origin) @ b.axes.T
+    n3 = lin @ P.normals[f]
     if abs(float(n3 @ b.theta)) <= P.tol.angle:
         d = verts2[:, None, :] - verts2[None, :, :]
         i, j = np.unravel_index(np.argmax((d * d).sum(axis=2)), d.shape[:2])
@@ -521,9 +540,12 @@ def _ref_propagate(b, label, P):
     else:
         clip = verts2[::-1] if _ref_polygon_area(verts2) < 0.0 else verts2
         section = _ref_clip_convex(b.section, clip)
-    new_iso = iso.compose(uf.Isometry.reflection(P.normals[f], P.offsets[f]))
+    # compose with the reflection x -> (I - 2 n n^T) x - 2 c n across face f
+    n, c = P.normals[f], P.offsets[f]
+    R, r = np.eye(3) - 2.0 * np.outer(n, n), -2.0 * c * n
     return sy.Beam(b.theta, b.origin, b.axes, section, b.word + [label],
-                   b.isometries + [new_iso])
+                   np.concatenate([b.linear, [lin @ R]]),
+                   np.concatenate([b.translation, [lin @ r + t]]))
 
 
 def _distance_to_section(q, pts):
@@ -609,8 +631,8 @@ def _check_against_reference(words):
             if not b.is_empty:
                 assert _section_distance(b.section, ref.section) <= 1e-12
             assert sy.classify_cell(b).kind == sy.classify_cell(ref).kind
-            assert b.isometry.linear.tobytes() == ref.isometry.linear.tobytes()
-            assert b.isometry.translation.tobytes() == ref.isometry.translation.tobytes()
+            assert b.linear[-1].tobytes() == ref.linear[-1].tobytes()
+            assert b.translation[-1].tobytes() == ref.translation[-1].tobytes()
         assert sy.detect_periodicity(b, 12) == sy.detect_periodicity(ref, 12)
 
 
@@ -625,6 +647,27 @@ def test_float_clipping_matches_numpy_reference_off_axis(solid):
     rng = np.random.default_rng(33)
     _check_against_reference(_solid_words(regular_tetrahedron(), rng, 60) if solid == "tetra"
                              else _rotated_box_words(rng, 60))
+
+
+@pytest.mark.parametrize("solid", ["cube", "box", "tetra", "rotated-box"])
+def test_beam_unfolding_matches_prefix_scan(solid):
+    # the beam composes one reflection per label, the scan in a tree
+    rng = np.random.default_rng(34)
+    words = _rotated_box_words(rng, 40) if solid == "rotated-box" else _solid_words(
+        {"cube": unit_cube, "box": lambda: box(2.0, 1.0, 0.5),
+         "tetra": regular_tetrahedron}[solid](), rng, 40)
+    for P, theta, word in words:
+        b = _beam_along(P, word[0], theta, word[1:])
+        lin, trans = uf.cumulative_isometries(P, [P.face_index(label) for label in word])
+        assert b.linear.shape == lin.shape and b.translation.shape == trans.shape
+        if solid in ("cube", "box"):
+            # entries 0, +-1 and sums of doubled offsets: every product is exact
+            assert b.linear.tobytes() == lin.tobytes()
+            assert b.translation.tobytes() == trans.tobytes()
+        else:
+            assert np.all(np.abs(b.linear - lin) <= 1e-13 * (1.0 + np.abs(lin)))
+            scale = 1.0 + np.abs(trans).max(axis=1, keepdims=True)
+            assert np.all(np.abs(b.translation - trans) <= 1e-13 * scale)
 
 
 def test_float_clipping_matches_numpy_reference_edge_on(cube):

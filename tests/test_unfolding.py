@@ -23,25 +23,31 @@ def _orbit(cube, m, theta, n):
     return rec
 
 
+def _reflection(n, c):
+    """The reflection across {x : <n, x> + c = 0}, n a unit normal, as its
+    linear part and translation: x -> x - 2 (<n, x> + c) n."""
+    n = np.asarray(n, float)
+    return np.eye(3) - 2.0 * np.outer(n, n), -2.0 * c * n
+
+
 # ---------------------------------------------------------------------------
 # isometries
 # ---------------------------------------------------------------------------
 
 def test_reflection_isometry():
-    R = uf.Isometry.reflection(np.array([0.0, 0.0, 1.0]), -1.0)   # plane z = 1
-    assert np.allclose(R.apply([0.3, 0.4, 0.0]), [0.3, 0.4, 2.0])
-    assert np.allclose(R.compose(R).linear, np.eye(3))
-    assert np.allclose(R.compose(R).translation, 0.0)
-    assert np.abs(R.linear @ R.linear.T - np.eye(3)).max() < 1e-15
+    R, r = _reflection(np.array([0.0, 0.0, 1.0]), -1.0)   # plane z = 1
+    assert np.allclose(np.array([0.3, 0.4, 0.0]) @ R.T + r, [0.3, 0.4, 2.0])
+    assert np.allclose(R @ R, np.eye(3))
+    assert np.allclose(R @ r + r, 0.0)
+    assert np.abs(R @ R.T - np.eye(3)).max() < 1e-15
 
 
-def test_compose_order():
-    Rz0 = uf.Isometry.reflection(np.array([0.0, 0.0, 1.0]), 0.0)
-    Rz1 = uf.Isometry.reflection(np.array([0.0, 0.0, 1.0]), -1.0)
-    # Rz1 o Rz0 maps z -> 2 + z: a pure translation by (0,0,2)
-    G = Rz1.compose(Rz0)
-    assert G.is_translation(1e-12)
-    assert np.allclose(G.translation, [0, 0, 2.0])
+def test_compose_order(cube):
+    # entry 2 is Rz1 o Rz0, which maps z -> 2 + z: a pure translation by (0,0,2)
+    faces = [cube.face_index(label) for label in ("x0", "z1", "z0")]
+    lin, trans = uf.cumulative_isometries(cube, faces)
+    assert np.abs(lin[2] - np.eye(3)).max() <= 1e-12
+    assert np.allclose(trans[2], [0, 0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +95,7 @@ def test_unfolded_faces_contain_unfolded_points(cube):
                 continue
             track = uf.unfold_orbit(rec, P)
             for k, pt in enumerate(track.points):
-                iso = uf.Isometry(track.linear[k], track.translation[k])
-                poly = iso.apply(P.face_polygon(rec.faces[k]))
+                poly = P.face_polygon(rec.faces[k]) @ track.linear[k].T + track.translation[k]
                 n = np.cross(poly[1] - poly[0], poly[2] - poly[0])
                 n /= np.linalg.norm(n)
                 assert abs((pt - poly[0]) @ n) < 1e-9
@@ -111,15 +116,7 @@ def test_unfold_colinearity_long(cube):
         done += 1
 
 
-def test_no_reflection_built_after_construction(cube, monkeypatch):
-    calls = []
-    reflection = uf.Isometry.reflection
-
-    def counting_reflection(n, c):
-        calls.append(1)
-        return reflection(n, c)
-
-    monkeypatch.setattr(uf.Isometry, "reflection", staticmethod(counting_reflection))
+def test_no_reflection_built_after_construction(cube):
     # step-0 edge events unfold by the identity: a ray into an edge, a start on one
     for m, theta in (([0.5, 0.5, 0.0], [1.0, 1.0, 1.0]), ([0.5, 0.0, 0.0], [0.0, 1.0, 1.0])):
         theta = np.array(theta) / np.linalg.norm(theta)
@@ -136,8 +133,7 @@ def test_no_reflection_built_after_construction(cube, monkeypatch):
     beam = sy.make_beam(cube, "z0", rec.theta[0])
     for label in rec.word[1:20]:
         beam = sy.propagate_beam(beam, label, cube)
-    assert len(beam.isometries) == 20 and not beam.is_empty
-    assert len(calls) == 0
+    assert len(beam.linear) == len(beam.translation) == 20 and not beam.is_empty
 
 
 def _reference_frame(n):
@@ -153,9 +149,9 @@ def test_face_tables_match_per_face_builds(name):
     P = _moved(box(2.0, 1.0, 0.5), 5) if name == "rotated-box" else (
         unit_cube() if name == "cube" else regular_tetrahedron())
     for f, (n, c) in enumerate(zip(P.normals, P.offsets)):
-        R = uf.Isometry.reflection(n, c)
-        assert P.reflection_linear[f].tobytes() == R.linear.tobytes()
-        assert P.reflection_translation[f].tobytes() == R.translation.tobytes()
+        R, r = _reflection(n, c)
+        assert P.reflection_linear[f].tobytes() == R.tobytes()
+        assert P.reflection_translation[f].tobytes() == r.tobytes()
         assert P.frames[f].tobytes() == _reference_frame(n).tobytes()
 
 
@@ -231,7 +227,7 @@ def _reference_generate_group(P, bound):
     element, and the stack is re-concatenated per element added."""
     gens = []
     for n, c in zip(P.normals, P.offsets):
-        R = uf.Isometry.reflection(n, c).linear
+        R = _reflection(n, c)[0]
         if not any(np.abs(R - g).max() <= 1e-8 for g in gens):
             gens.append(R)
     elements = [np.eye(3)]
@@ -380,13 +376,14 @@ def test_contains_refuses_non_finite_matrices(cube):
 # ---------------------------------------------------------------------------
 
 def _reference_cumulative_isometries(P, faces):
-    """The sequential kernel: one ``compose`` per bounce, the crossed faces'
-    reflections built once."""
-    reflections = {f: uf.Isometry.reflection(P.normals[f], P.offsets[f]) for f in set(faces[1:])}
-    isos = [uf.Isometry.identity()]
+    """The sequential kernel: one composition per bounce, the crossed faces'
+    reflections built once; linear parts (L, 3, 3) and translations (L, 3)."""
+    reflections = {f: _reflection(P.normals[f], P.offsets[f]) for f in set(faces[1:])}
+    isos = [(np.eye(3), np.zeros(3))]
     for f in faces[1:]:
-        isos.append(isos[-1].compose(reflections[f]))
-    return isos
+        (A, a), (R, r) = isos[-1], reflections[f]
+        isos.append((A @ R, A @ r + a))
+    return np.array([A for A, _ in isos]), np.array([a for _, a in isos])
 
 
 def _long_orbits(P, seed, count=4, n=1000):
@@ -414,9 +411,7 @@ def test_prefix_scan_matches_sequential_reference(name):
     for rec in _long_orbits(P, 31):
         faces = rec.faces.tolist()
         lin, trans = uf.cumulative_isometries(P, faces)
-        ref = _reference_cumulative_isometries(P, faces)
-        ref_lin = np.array([iso.linear for iso in ref])
-        ref_trans = np.array([iso.translation for iso in ref])
+        ref_lin, ref_trans = _reference_cumulative_isometries(P, faces)
         assert lin.shape == (1000, 3, 3) and trans.shape == (1000, 3)
         if name in ("cube", "box"):
             # entries 0, +-1 and sums of doubled offsets: every product is exact
@@ -431,7 +426,7 @@ def test_prefix_scan_matches_sequential_reference(name):
             assert np.all(np.abs(trans - ref_trans) <= 1e-13 * scale)
         track = uf.unfold_orbit(rec, P)
         assert track.relative_residual < 1e-9
-        ref_pts = np.array([iso.apply(m) for iso, m in zip(ref, rec.m)])
+        ref_pts = np.array([m @ A.T + a for A, a, m in zip(ref_lin, ref_trans, rec.m)])
         assert np.all(np.abs(track.points - ref_pts)
                       <= 1e-13 * (1.0 + np.abs(ref_pts).max(axis=1, keepdims=True)))
 
@@ -449,10 +444,10 @@ def test_terminal_event_within_rounding_of_sequential_reference():
         if ev is None or ev.kind is not bl.SingularityKind.EDGE_HIT:
             continue
         late += ev.step >= 100
-        iso = _reference_cumulative_isometries(P, rec.faces.tolist())[ev.step]
+        ref_lin, ref_trans = _reference_cumulative_isometries(P, rec.faces.tolist())
+        A, t = ref_lin[ev.step], ref_trans[ev.step]
         (a, b), line = P.vertices[P.edge_endpoints[ev.edge]], bl.discontinuity_report(rec, P)[0]
-        for got, ref in ((line.point, iso.apply(a)),
-                         (line.direction, iso.apply_direction(unit(b - a)))):
+        for got, ref in ((line.point, a @ A.T + t), (line.direction, A @ unit(b - a))):
             assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
     assert late > 0
 
@@ -463,11 +458,11 @@ def test_cumulative_isometries_short_itineraries(cube):
     assert np.array_equal(lin[0], np.eye(3)) and np.array_equal(trans[0], np.zeros(3))
     for faces in ([4, 5], [4, 1, 0], [0, 1, 0, 1, 2, 3, 4, 5, 4]):
         lin, trans = uf.cumulative_isometries(cube, faces)
-        ref = _reference_cumulative_isometries(cube, faces)
-        assert len(lin) == len(trans) == len(ref)
-        for k, b in enumerate(ref):
-            assert lin[k].tobytes() == b.linear.tobytes()
-            assert trans[k].tobytes() == b.translation.tobytes()
+        ref_lin, ref_trans = _reference_cumulative_isometries(cube, faces)
+        assert len(lin) == len(trans) == len(ref_lin)
+        for k in range(len(ref_lin)):
+            assert lin[k].tobytes() == ref_lin[k].tobytes()
+            assert trans[k].tobytes() == ref_trans[k].tobytes()
 
 
 def test_track_holds_the_read_only_cumulative_isometries(cube):
@@ -483,15 +478,7 @@ def test_track_holds_the_read_only_cumulative_isometries(cube):
             a[0] = 0.0
 
 
-def test_orbit_and_unfold_compose_no_isometry(monkeypatch):
-    calls = []
-    compose = uf.Isometry.compose
-
-    def counting_compose(self, other):
-        calls.append(1)
-        return compose(self, other)
-
-    monkeypatch.setattr(uf.Isometry, "compose", counting_compose)
+def test_orbit_and_unfold_compose_no_isometry():
     for P in (unit_cube(), regular_tetrahedron()):
         (rec,) = _long_orbits(P, 32, count=1)
         track = uf.unfold_orbit(rec, P)
@@ -501,5 +488,4 @@ def test_orbit_and_unfold_compose_no_isometry(monkeypatch):
     cube = unit_cube()
     rec = bl.orbit(bl.phase_point(cube, [0.5, 0.0, 0.25], theta, face="y0"), 10, cube)
     assert rec.singularity.kind is bl.SingularityKind.EDGE_HIT and rec.singularity.step == 2
-    bl.discontinuity_report(rec, cube, radius=0.1)
-    assert calls == []
+    assert bl.discontinuity_report(rec, cube, radius=0.1)
