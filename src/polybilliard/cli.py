@@ -62,7 +62,10 @@ def _parse_finite(text: str, what: str) -> float:
 
 
 def _parse_budget(text: str) -> int:
-    return int(_parse_finite(text, "--budget"))
+    x = _parse_finite(text, "--budget")
+    if x >= 1 and not x.is_integer():
+        raise geometry.PreconditionFailed(f"--budget must be a whole number, got {text!r}")
+    return int(x)
 
 
 def _parse_word(text: str) -> list[str]:

@@ -17,6 +17,7 @@ for the number of length-n words together with their normalized logarithms.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -278,6 +279,11 @@ class ComplexityTable:
 
     def words(self, n: int) -> list[tuple[str, ...]]:
         """Decode the distinct words of length ``n`` back to label tuples."""
+        try:
+            # a bool is no length, though operator.index may read it as 0 or 1
+            n = operator.index(None if isinstance(n, (bool, np.bool_)) else n)
+        except TypeError:
+            raise PreconditionFailed(f"word length {n!r} is not an integer") from None
         if not 1 <= n <= self.n_max:
             raise PreconditionFailed(f"word length must be in 1..{self.n_max}, got {n!r}")
         base = len(self.labels)

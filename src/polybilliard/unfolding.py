@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def reorthogonalize(M: np.ndarray) -> np.ndarray:
-    """Snap a drifting product of orthogonal matrices back onto O(3)."""
+    """Snap drifting orthogonal products, (3, 3) or (K, 3, 3), back onto O(3)."""
     u, _, vt = np.linalg.svd(M)
     return u @ vt
 
@@ -86,67 +86,54 @@ def unfold_orbit(record: "OrbitRecord", P: Polyhedron) -> UnfoldingTrack:
 _RENORM_EVERY = 64
 # absolute: entries of orthogonal matrices lie in [-1, 1]
 _DEDUP_TOL = 1e-8
-# side of the dedup buckets, absolute like _DEDUP_TOL and about 12 000 times
-# wider, so a lookup probes one bucket unless an entry lies within
-# _DEDUP_TOL of a bucket boundary; a power of two, so entry / _BUCKET is
-# exact.  The boundaries are the odd multiples of _BUCKET / 2, which puts 0,
-# +-1/2 and +-1, the entries of the identity and of signed permutations,
-# mid-bucket
+# a matrix is hashed on one number: its entries, clipped to +-4, which moves
+# no two entries further apart, projected onto the square roots of the first
+# nine primes, which have no rational relation, so distinct elements project apart
+_WEIGHTS = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0, 23.0])
+# matrices within _DEDUP_TOL in every entry project within half of this;
+# the projection rounds by about 1e-13
+_REACH = 2 * _DEDUP_TOL * float(_WEIGHTS.sum())
+# key width, about 216 * _REACH, so a lookup probes one key, or two near a
+# key boundary; a power of two, so x / _BUCKET is exact
 _BUCKET = 2.0 ** -13
-# entries are clipped to this before hashing, so the division cannot
-# overflow and bucket indices stay exact in int64; the clip is monotone,
-# so it hides no match
-_CLIP = 2.0 ** 30
 # candidates hashed per numpy batch of the closure, which bounds its memory
 _BATCH = 512
 
 
-def _cells(X: np.ndarray) -> np.ndarray:
-    """``floor(x / _BUCKET + 1/2)`` per entry, as int64: monotone in x, since
-    the division is exact and the addition rounds monotonically."""
-    return np.floor(np.clip(X, -_CLIP, _CLIP) / _BUCKET + 0.5).astype(np.int64)
+def _project(flat: np.ndarray) -> np.ndarray:
+    """The rows of the (K, 9) ``flat``, clipped to +-4, dotted with ``_WEIGHTS``."""
+    return np.clip(flat, -4.0, 4.0) @ _WEIGHTS
 
 
-def _keys(cells: np.ndarray) -> list[bytes]:
-    """Pack rows of nine bucket indices into 18-byte keys, 16 bits apiece:
-    distinct for entries in [-4, 4 - _BUCKET / 2).  Entries outside it may
-    share a key, which adds bucket members but hides no match."""
-    return cells.astype(np.uint16).view(np.dtype((np.void, 18))).ravel().tolist()
+def _key(x: np.ndarray) -> list[int]:
+    return np.floor(x / _BUCKET).astype(np.int64).tolist()
+
+
+def _probes(x: np.ndarray) -> list[tuple[int, ...]]:
+    """Per projection in ``x``, the keys that may hold a match: those of
+    ``x - _REACH`` and ``x + _REACH``, one key or two adjacent ones."""
+    return [(lo,) if lo == hi else (lo, hi)
+            for lo, hi in zip(_key(x - _REACH), _key(x + _REACH))]
 
 
 class _MatrixBuckets:
-    """A stack of 3x3 matrices whose row indices are hashed on
-    ``floor(entry / _BUCKET + 1/2)`` per entry.
-
-    A stored matrix within ``_DEDUP_TOL`` of a query in max-abs has each
-    entry within ``_DEDUP_TOL`` of the query's, so its key is among the
-    probed keys: per entry, the buckets of ``x - _DEDUP_TOL`` and
-    ``x + _DEDUP_TOL``.  Lookups thus agree with a linear scan.
-    """
+    """A stack of 3x3 matrices whose row indices are hashed on the keys of
+    their projections.  A stored matrix within ``_DEDUP_TOL`` of a query in
+    max-abs has its key among the query's probes, so lookups agree with a
+    linear scan."""
 
     def __init__(self, stack: np.ndarray):
         self.stack = np.ascontiguousarray(stack, dtype=float)
         self.count = len(self.stack)
-        self._buckets: dict[bytes, list[int]] = {}
-        for i, key in enumerate(_keys(_cells(self.stack.reshape(-1, 9)))):
+        self._buckets: dict[int, list[int]] = {}
+        for i, key in enumerate(_key(_project(self.stack.reshape(-1, 9)))):
             self._buckets.setdefault(key, []).append(i)
 
     @property
     def elements(self) -> np.ndarray:
         return self.stack[:self.count]
 
-    def _probes(self, flat: np.ndarray) -> list[list[bytes]]:
-        """Per row of the (K, 9) ``flat``, the keys that may hold a match."""
-        lo, hi = _cells(flat - _DEDUP_TOL), _cells(flat + _DEDUP_TOL)
-        probes = [[key] for key in _keys(lo)]
-        for r in np.flatnonzero((lo != hi).any(axis=1)).tolist():
-            m = np.flatnonzero(lo[r] != hi[r])        # there hi = lo + 1
-            cells = np.repeat(lo[r:r + 1], 1 << len(m), axis=0)
-            cells[:, m] += (np.arange(1 << len(m))[:, None] >> np.arange(len(m))) & 1
-            probes[r] = _keys(cells)
-        return probes
-
-    def _stored_match(self, flat: np.ndarray, probes: list[list[bytes]]) -> np.ndarray:
+    def _stored_match(self, flat: np.ndarray, probes: list[tuple[int, ...]]) -> np.ndarray:
         """Per row of ``flat``, is a stored matrix within ``_DEDUP_TOL`` of it?"""
         rows: list[int] = []
         idx: list[int] = []
@@ -166,19 +153,19 @@ class _MatrixBuckets:
     def find(self, M: np.ndarray) -> bool:
         """Is a stored matrix within ``_DEDUP_TOL`` of ``M`` in every entry?"""
         flat = M.reshape(1, 9)
-        return bool(self._stored_match(flat, self._probes(flat))[0])
+        return bool(self._stored_match(flat, _probes(_project(flat)))[0])
 
     def absorb(self, X: np.ndarray, bound: float) -> bool:
         """Store, in order, each matrix of the (K, 3, 3) ``X`` that no stored
         matrix matches, earlier rows of ``X`` included; False as soon as more
         than ``bound`` are stored."""
         flat = X.reshape(-1, 9)
-        probes = self._probes(flat)
-        own = _keys(_cells(flat))
+        x = _project(flat)
+        probes, own = _probes(x), _key(x)
         # every row against the matrices stored before this call at once, then
         # in order against the rows this call keeps, which are few
         kept: list[int] = []
-        fresh: dict[bytes, list[int]] = {}
+        fresh: dict[int, list[int]] = {}
         for r in np.flatnonzero(~self._stored_match(flat, probes)).tolist():
             near = [q for key in probes[r] for q in fresh.get(key, ())]
             if near and np.abs(flat[near] - flat[r]).max(axis=1).min() <= _DEDUP_TOL:
@@ -217,6 +204,8 @@ class GroupClosure:
         """Is ``M`` an element, up to the closure's own 1e-8 max-abs tolerance?
         A matrix with a nan or infinite entry is none."""
         M = np.asarray(M, float)
+        if M.shape != (3, 3):
+            raise PreconditionFailed(f"expected a 3x3 matrix, got shape {M.shape}")
         return bool(np.isfinite(M).all()) and self._buckets.find(M)
 
 
@@ -243,11 +232,9 @@ def generate_group(P: Polyhedron, bound: int = 10000) -> GroupClosure:
         stop = found.count
         for s in range(start, stop, step):
             cands = np.matmul(G, found.stack[s:min(s + step, stop), None]).reshape(-1, 3, 3)
-            # snap only the candidates examined before the bound is hit
-            batches = ((reorthogonalize(c)[None] for c in cands)
-                       if depth % _RENORM_EVERY == 0 else (cands,))
-            for batch in batches:
-                if not found.absorb(batch, bound):
-                    return GroupClosure(found.elements.copy(), False)
+            if depth % _RENORM_EVERY == 0:
+                cands = reorthogonalize(cands)
+            if not found.absorb(cands, bound):
+                return GroupClosure(found.elements.copy(), False)
         start = stop
     return GroupClosure(found.elements.copy(), True)

@@ -333,6 +333,15 @@ def test_exit_code_budget(cube_file, capsys):
         assert "workers must be >= 1" in capsys.readouterr().err
 
 
+def test_exit_code_fractional_budget(cube_file, capsys):
+    # a fraction of an orbit is refused, not truncated: 1000.7 used to run,
+    # and hash as, 1000 orbits
+    for budget in ("1000.7", "1.5", "2.5e-0"):
+        rc = cli.main(["complexity", cube_file, "--nmax", "3", "--budget", budget])
+        assert rc == cli.EXIT_PRECONDITION, budget
+        assert "--budget must be a whole number" in capsys.readouterr().err
+
+
 def test_exit_code_count_flags(tmp_path, cube_file, capsys):
     # a count flag out of range is a precondition with its own message, as
     # group --bound 0 is; none is left to numpy or to an empty loop

@@ -308,6 +308,14 @@ def test_words_refuses_lengths_outside_the_table(cube):
             tab.words(n)
 
 
+def test_words_refuses_non_integer_lengths(cube):
+    tab = sy.estimate_complexity(cube, 4, 2000, seed=7)
+    for n in (2.5, 2.0, True, np.bool_(True), "2", None):
+        with pytest.raises(PreconditionFailed, match="not an integer"):
+            tab.words(n)
+    assert tab.words(np.int64(2)) == tab.words(2)
+
+
 def test_complexity_preconditions(cube):
     with pytest.raises(ValueError):
         sy.estimate_complexity(cube, 1, 100)

@@ -4,8 +4,8 @@ import pytest
 from polybilliard import billiard as bl
 from polybilliard import symbolic as sy
 from polybilliard import unfolding as uf
-from polybilliard.geometry import (Tolerances, box, regular_tetrahedron, unit, unit_cube,
-                                  validate)
+from polybilliard.geometry import (PreconditionFailed, Tolerances, box, regular_tetrahedron,
+                                  unit, unit_cube, validate)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -186,19 +186,25 @@ def test_tetrahedron_group_not_closed():
 def test_deep_closure_is_reorthogonalized(monkeypatch):
     # the base angles arctan(sqrt 2) and arctan(1/sqrt 2) are no rational
     # multiples of pi: the group is infinite and grows slowly enough for the
-    # BFS to reach level 64, whose candidates are snapped back onto O(3);
-    # 32 of them come before the bound
+    # BFS to reach level 64, whose 32 candidates (8 elements of level 63 times
+    # 4 distinct generators) are snapped back onto O(3) in one stacked call
     calls = []
     reorthogonalize = uf.reorthogonalize
 
-    def counting(M):
-        calls.append(1)
-        return reorthogonalize(M)
+    def recording(M):
+        calls.append((M, reorthogonalize(M)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(uf, "reorthogonalize", counting)
-    closure = uf.generate_group(_prism([[0, 0], [1, 0], [0, np.sqrt(2.0)]]), bound=1000)
-    assert len(calls) == 32 and closure.closed is False
+    monkeypatch.setattr(uf, "reorthogonalize", recording)
+    closure = uf.generate_group(_sqrt2_prism(), bound=1000)
+    assert closure.closed is False
+    ((cands, snapped),) = calls
+    assert cands.shape == snapped.shape == (32, 3, 3)
+    assert not np.array_equal(cands, snapped)
+    # the 8 elements that level 64 adds are snapped candidates, bit for bit
     E = closure.elements
+    rows = {M.tobytes() for M in snapped}
+    assert [i for i, M in enumerate(E) if M.tobytes() in rows] == list(range(504, 512))
     assert np.abs(np.einsum("kji,kjl->kil", E, E) - np.eye(3)).max() <= 1e-12
 
 
@@ -269,24 +275,31 @@ def _prism(triangle):
     return validate(np.vstack([base, base + [0.0, 0.0, 1.0]]), faces)
 
 
+def _sqrt2_prism():
+    return _prism([[0, 0], [1, 0], [0, np.sqrt(2.0)]])
+
+
 _REFERENCE_SOLIDS = {
-    "cube": (unit_cube, None),
-    "box": (lambda: box(2.0, 1.0, 0.5), None),
-    "tetra": (regular_tetrahedron, None),
+    "cube": (unit_cube, None, 3000),
+    "box": (lambda: box(2.0, 1.0, 0.5), None, 3000),
+    "tetra": (regular_tetrahedron, None, 3000),
     # right prisms: rounded products land a hair to either side of the
-    # entries 0, +-1/2 and +-1, which sit mid-bucket
-    "equilateral-prism": (lambda: _prism([[0, 0], [1, 0], [0.5, np.sqrt(3.0) / 2]]), 12),
-    "isosceles-prism": (lambda: _prism([[0, 0], [1, 0], [0, 1]]), 16),
+    # entries 0, +-1/2 and +-1
+    "equilateral-prism": (lambda: _prism([[0, 0], [1, 0], [0.5, np.sqrt(3.0) / 2]]), 12, 3000),
+    "isosceles-prism": (lambda: _prism([[0, 0], [1, 0], [0, 1]]), 16, 3000),
+    # an infinite group that grows by 8 elements a level: the bound is past
+    # level 64, whose candidates are re-orthogonalized
+    "sqrt2-prism": (_sqrt2_prism, None, 1000),
 }
 
 
 @pytest.mark.parametrize("moved", [False, True], ids=["plain", "rotated"])
 @pytest.mark.parametrize("name", list(_REFERENCE_SOLIDS))
 def test_closure_matches_quadratic_reference(name, moved):
-    build, order = _REFERENCE_SOLIDS[name]
+    build, order, bound = _REFERENCE_SOLIDS[name]
     P = _moved(build(), 3) if moved else build()
-    closure = uf.generate_group(P, bound=3000)
-    ref, closed = _reference_generate_group(P, 3000)
+    closure = uf.generate_group(P, bound=bound)
+    ref, closed = _reference_generate_group(P, bound)
     assert closure.closed == closed
     assert closure.elements.shape == ref.shape
     assert closure.elements.tobytes() == ref.tobytes()     # same values, same order
@@ -294,19 +307,30 @@ def test_closure_matches_quadratic_reference(name, moved):
         assert closure.order == order
 
 
+def _key(M):
+    return np.floor(uf._project(M.reshape(1, 9))[0] / uf._BUCKET)
+
+
+def _onto_key_boundary(M, offset=0.0):
+    """The (K, 3, 3) ``M`` moved along the all-ones matrix until each
+    projection lies ``offset`` from the nearest key boundary."""
+    x = uf._project(M.reshape(-1, 9))
+    target = uf._BUCKET * np.round(x / uf._BUCKET) + offset
+    return M + ((target - x) / uf._WEIGHTS.sum())[:, None, None]
+
+
 def test_contains_across_bucket_boundary(cube):
-    h = uf._BUCKET
-    # h/2 and 1 + h/2 are bucket boundaries: the stored entries sit just
-    # below them and the query 8e-9 away just above, or the other way round,
-    # so all nine entries change bucket
-    edge = np.eye(3) + h / 2
-    for side in (1.0, -1.0):
-        stored = edge - side * 4e-9
-        closure = uf.GroupClosure(stored[None], True)
-        query = edge + side * 4e-9
-        assert np.all(np.floor(query / h + 0.5) != np.floor(stored / h + 0.5))
-        assert closure.contains(query)
-        assert not closure.contains(edge + side * 7e-9)
+    # the stored matrix projects just below a key boundary and the query,
+    # 8e-9 away in every entry, just above it, or the other way round
+    tetra = uf.generate_group(regular_tetrahedron(), bound=50).elements
+    for edge in _onto_key_boundary(np.stack([np.eye(3), tetra[40]])):
+        for side in (1.0, -1.0):
+            stored = edge - side * 4e-9
+            closure = uf.GroupClosure(stored[None], True)
+            query = edge + side * 4e-9
+            assert _key(query) == _key(stored) + side
+            assert closure.contains(query)
+            assert not closure.contains(edge + side * 7e-9)
     closure = uf.generate_group(cube, bound=100)
     for M in closure.elements:
         assert closure.contains(M - 5e-9)
@@ -315,9 +339,9 @@ def test_contains_across_bucket_boundary(cube):
 
 def test_contains_matches_linear_scan():
     # stored: group elements, copies scaled past +-4 and copies moved by 8 in
-    # one entry, which wrap onto the same 16-bit key; queries: each stored
-    # matrix with one or two entries moved by +-(0.5..2)e-8, around the
-    # tolerance
+    # one entry, whose entries past +-4 are clipped before projecting;
+    # queries: each stored matrix with one or two entries moved by
+    # +-(0.5..2)e-8, around the tolerance
     rng = np.random.default_rng(7)
     E = uf.generate_group(regular_tetrahedron(), bound=200).elements
     moved = E[:40].copy()
@@ -336,13 +360,12 @@ def test_contains_matches_linear_scan():
 
 
 def test_absorb_matches_sequential_scan_near_bucket_boundaries():
-    # entries within 3e-8 of a bucket boundary, and copies with one or two
+    # projections within _REACH of a key boundary, and copies with one or two
     # entries moved by up to 2e-8: the closure's batch store keeps exactly
     # the matrices a one-by-one linear scan keeps, in the same order
     rng = np.random.default_rng(8)
-    h = uf._BUCKET
-    base = h * (rng.integers(-8192, 8193, size=(60, 3, 3)) + 0.5)
-    base += rng.uniform(-3e-8, 3e-8, (60, 3, 3))
+    base = rng.uniform(-1.0, 1.0, (60, 3, 3))
+    base = _onto_key_boundary(base, rng.uniform(-uf._REACH, uf._REACH, 60))
     X = np.repeat(base, 4, axis=0)
     for k in range(240):
         for i in rng.choice(9, size=rng.integers(1, 3) if k % 4 else 0, replace=False):
@@ -369,6 +392,14 @@ def test_contains_refuses_non_finite_matrices(cube):
     # huge finite entries hash without an overflow warning and match nothing
     assert closure.contains(np.full((3, 3), 1e308)) is False
     assert closure.contains(np.diag([-1.0, 1.0, 1.0])) is True
+
+
+def test_contains_refuses_other_shapes(cube):
+    closure = uf.generate_group(cube, bound=100)
+    for bad in (np.eye(3).ravel(), np.eye(3)[:, :, None], np.eye(2), np.eye(3)[None]):
+        with pytest.raises(PreconditionFailed, match="3x3"):
+            closure.contains(bad)
+    assert closure.contains(np.eye(3).tolist()) is True
 
 
 # ---------------------------------------------------------------------------
