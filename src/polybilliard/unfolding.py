@@ -201,8 +201,8 @@ class GroupClosure:
         return _MatrixBuckets(self.elements)
 
     def contains(self, M: np.ndarray) -> bool:
-        """Is ``M`` an element, up to the closure's own 1e-8 max-abs tolerance?
-        A matrix with a nan or infinite entry is none."""
+        """Is the 3x3 ``M`` an element, up to the closure's own 1e-8 max-abs
+        tolerance?  A matrix with a nan or infinite entry is none."""
         M = np.asarray(M, float)
         if M.shape != (3, 3):
             raise PreconditionFailed(f"expected a 3x3 matrix, got shape {M.shape}")
