@@ -98,6 +98,11 @@ _PARSERS = {"tol": _parse_tolerances, "budget": _parse_budget, "m": _parse_vec,
             "theta": _parse_direction, "word": _parse_word}
 
 
+# each count flag's least value; main checks them before any work
+_MINIMA = {"steps": 1, "bound": 1, "kmax": 1, "nmax": 2, "threads": 1,
+           "seed": 0, "samples": 0, "probes": 0}
+
+
 def _load_polyhedron(args) -> geometry.Polyhedron:
     """The ``polyhedron`` argument of a subcommand, under its ``--tol`` overrides."""
     path = args.polyhedron
@@ -212,9 +217,6 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_transversal(args) -> int:
-    for flag in ("samples", "probes", "seed"):
-        if getattr(args, flag) < 0:
-            raise geometry.PreconditionFailed(f"--{flag} must be >= 0")
     try:
         edges = transversal.load_edges(json.loads(Path(args.edges).read_text()))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError,
@@ -257,16 +259,12 @@ def _cmd_transversal(args) -> int:
 
 
 def _cmd_cell(args) -> int:
-    if args.kmax < 1:
-        raise geometry.PreconditionFailed("--kmax must be >= 1")
     P = _load_polyhedron(args)
     beam = symbolic.make_beam(P, args.word[0], args.theta)
     for label in args.word[1:]:
         beam = symbolic.propagate_beam(beam, label, P)
     cell = symbolic.classify_cell(beam)
     out = {"config_hash": _config_hash(args), "word": args.word, "kind": cell.kind}
-    if cell.width is not None:
-        out["width"] = cell.width
     if cell.area is not None:
         out["area"] = cell.area
     out["period"] = symbolic.detect_periodicity(beam, args.kmax)
@@ -275,8 +273,6 @@ def _cmd_cell(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    if args.seed < 0:       # else numpy's generator rejects it, naming no flag
-        raise geometry.PreconditionFailed("--seed must be >= 0")
     P = _load_polyhedron(args)
     table = symbolic.estimate_complexity(P, args.nmax, args.budget,
                                          seed=args.seed, workers=args.threads)
@@ -382,6 +378,9 @@ def main(argv: list[str] | None = None) -> int:
         for flag, parse in _PARSERS.items():
             if flag in vars(args):
                 setattr(args, flag, parse(getattr(args, flag)))
+        for flag, least in _MINIMA.items():
+            if getattr(args, flag, least) < least:
+                raise geometry.PreconditionFailed(f"--{flag} must be >= {least}")
         return args.func(args)
     except _ParseFailure as e:
         print(f"error: {e}", file=sys.stderr)

@@ -122,15 +122,6 @@ def segment_segment_distance(p1, q1, p2, q2):
     return np.linalg.norm(p1 + s * d1 - (p2 + t * d2), axis=-1)
 
 
-def farthest_pair(pts: np.ndarray) -> tuple[float, int, int]:
-    """Largest distance between two rows of ``pts`` and the first pair
-    (i, j) in row-major order that attains it, by ``argmax``'s tie rule."""
-    d = pts[:, None, :] - pts[None, :, :]
-    d2 = (d * d).sum(axis=2)
-    i, j = np.unravel_index(np.argmax(d2), d2.shape)
-    return float(np.sqrt(d2[i, j])), int(i), int(j)
-
-
 def _newell_normal(pts: np.ndarray) -> np.ndarray:
     nxt = np.roll(pts, -1, axis=0)
     n = np.array([

@@ -4,10 +4,14 @@ A beam is the set of parallel lines with a fixed direction whose base points
 form a convex cross-section in the plane orthogonal to that direction.
 Propagating a beam by a face label intersects the cross-section with the
 projection of the label's unfolded face copy, so after a word the section is
-exactly the set of base points whose orbit code starts with that word.
-Sections shrink to polygons (tubes), segments (strips), or points; tubes go
-with periodic words, detected through the cumulative unfolding isometry
-becoming a pure translation along the beam direction.
+exactly the set of base points whose orbit code starts with that word.  The
+coding is defined on non-singular lines only, and for a fixed direction the
+lines that realize a word form an open set: a section with no area holds only
+singular lines (in a face plane, or through an edge or a vertex), so it is
+emptied, and a face copy seen edge-on empties the beam at once.  A cell is
+thus a polygon (a tube) or empty; tubes go with periodic words, detected
+through the cumulative unfolding isometry becoming a pure translation along
+the beam direction.
 
 The complexity estimator samples orbits in bulk, codes each reliable word as
 one integer, builds the per-length distinct factor sets by a recurrence from
@@ -25,7 +29,7 @@ import numpy as np
 
 from .billiard import run_word_batch, sample_inward_directions, sample_points_in_face
 from .geometry import (LabelNotReachable, Polyhedron, PreconditionFailed,
-                       farthest_pair, tangent_frame, unit)
+                       tangent_frame, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +37,6 @@ from .geometry import (LabelNotReachable, Polyhedron, PreconditionFailed,
 # ---------------------------------------------------------------------------
 
 def _polygon_area(pts: np.ndarray) -> float:
-    if len(pts) < 3:
-        return 0.0
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
@@ -60,22 +62,14 @@ def _dedupe(pts: list) -> list:
 
 
 def _clip_half(pts: list, nx: float, ny: float, c: float) -> list:
-    """Clip a convex section (point/segment/polygon), given as a list of
-    ``(x, y)`` float pairs, to {p : <(nx, ny), p> <= c}.  Sections have 3-6
-    points, so Python floats beat numpy here, as in ``first_hit``.  Every
-    section arrives deduplicated, so one with no point outside (the empty
-    one included) is returned as it is."""
+    """Clip a convex polygon, given as a list of ``(x, y)`` float pairs, to
+    {p : <(nx, ny), p> <= c}.  Sections have 3-6 points, so Python floats
+    beat numpy here, as in ``first_hit``.  Every section arrives
+    deduplicated, so one with no point outside (the empty one included) is
+    returned as it is."""
     d = [x * nx + y * ny - c for x, y in pts]
     if all(v <= 0.0 for v in d):
         return pts
-    if len(pts) == 2:
-        ina, inb = d[0] <= 0.0, d[1] <= 0.0
-        if not ina and not inb:
-            return []
-        (ax, ay), (bx, by) = pts
-        t = d[0] / (d[0] - d[1])
-        x = (ax + t * (bx - ax), ay + t * (by - ay))
-        return [pts[0], x] if ina else [x, pts[1]]
     out = []
     K = len(pts)
     for i in range(K):
@@ -104,12 +98,32 @@ def _clip_convex(subject: list, clip_ccw: list) -> list:
     return out
 
 
+def _area2(pts: list) -> float:
+    """Twice the signed shoelace area of a polygon of ``(x, y)`` pairs."""
+    return sum(ax * by - bx * ay for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]))
+
+
 def _ensure_ccw(pts: list) -> list:
     """Reverse a polygon of ``(x, y)`` pairs whose shoelace area is negative."""
-    K = len(pts)
-    area2 = sum(pts[i][0] * pts[(i + 1) % K][1] - pts[(i + 1) % K][0] * pts[i][1]
-                for i in range(K))
-    return pts[::-1] if area2 < 0.0 else pts
+    return pts[::-1] if _area2(pts) < 0.0 else pts
+
+
+# absolute, in section coordinates: area over size is a width, within sqrt 2.
+# Clipping a section of singular lines leaves a sliver as wide as rounding,
+# about 1e-16 times the unfolded coordinates, however small the section, so
+# the bound is on the width itself; like _DEDUPE_TOL it suits solids of size ~1
+_DEG_TOL = 1e-8
+
+
+def _open(pts: list) -> list:
+    """The section, or ``[]`` when it has no area: fewer than 3 points, or an
+    area of at most ``_DEG_TOL`` times its size, the larger side of its
+    bounding box (within sqrt 2 of its diameter)."""
+    if len(pts) < 3:
+        return []
+    xs, ys = zip(*pts)
+    size = max(max(xs) - min(xs), max(ys) - min(ys))
+    return pts if 0.5 * abs(_area2(pts)) > _DEG_TOL * size else []
 
 
 # ---------------------------------------------------------------------------
@@ -148,52 +162,34 @@ def make_beam(P: Polyhedron, label: str, theta) -> Beam:
         raise PreconditionFailed(f"direction is tangent to face {label!r}")
     poly, axes = P.face_polygon(f), tangent_frame(theta)
     origin = poly.mean(axis=0)
-    section = np.array(_dedupe(_ensure_ccw(((poly - origin) @ axes.T).tolist())))
+    section = _open(_dedupe(_ensure_ccw(((poly - origin) @ axes.T).tolist())))
+    section = np.array(section).reshape(-1, 2)
     return Beam(theta, origin, axes, section, [label], np.eye(3)[None], np.zeros((1, 3)))
-
-
-# absolute: a zero-length guard before dividing by the length of a face
-# copy's projection, so any positive floor is sound
-_SEGMENT_TOL = 1e-15
 
 
 def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
     """Extend the beam's word by one label.
 
     The new cross-section is the old one intersected with the projection of
-    the label's unfolded face copy (exact convex clipping; a face copy seen
-    edge-on clips to a segment).  A geometric miss yields an empty beam,
-    and an empty beam extends to an empty beam; a label equal to the
+    the label's unfolded face copy (exact convex clipping), emptied when it
+    has no area (``_open``).  A face copy seen edge-on empties the beam: the
+    lines that cross it lie in its plane.  A geometric miss yields an empty
+    beam, and an empty beam extends to an empty beam; a label equal to the
     previous one, or unknown, raises.
     """
     if b.word and label == b.word[-1]:
         raise LabelNotReachable("consecutive labels cannot repeat on a convex solid")
     f = P.face_index(label)
     lin, t = b.linear[-1], b.translation[-1]
-    # the face copy, projected onto the section plane
-    verts2 = (P.face_polygon(f) @ lin.T + t - b.origin) @ b.axes.T
-    section = b.section.tolist()
-
     if abs(float((lin @ P.normals[f]) @ b.theta)) <= P.tol.angle:
-        # face copy is parallel to the beam: its projection is a segment
-        _, i, j = farthest_pair(verts2)
-        a = verts2[i]
-        dir2 = verts2[j] - a
-        L = float(np.linalg.norm(dir2))
-        if L < _SEGMENT_TOL:
-            section = []
-        else:
-            dir2 = dir2 / L
-            s = ((verts2 - a) @ dir2).tolist()
-            (ux, uy), (ax, ay) = dir2.tolist(), a.tolist()
-            for nx, ny, c in ((-uy, ux, -uy * ax + ux * ay),
-                              (uy, -ux, uy * ax + -ux * ay),
-                              (-ux, -uy, -(ux * ax + uy * ay) - min(s)),
-                              (ux, uy, (ux * ax + uy * ay) + max(s))):
-                section = _clip_half(section, nx, ny, c)
+        section = []
     else:
-        section = _clip_convex(section, _ensure_ccw(verts2.tolist()))
-
+        # the face copy, projected onto the section plane
+        verts2 = (P.face_polygon(f) @ lin.T + t - b.origin) @ b.axes.T
+        old = b.section.tolist()
+        section = _clip_convex(old, _ensure_ccw(verts2.tolist()))
+        if section is not old:      # cut; an uncut section was open already
+            section = _open(section)
     section = np.array(section).reshape(-1, 2)
     # the unfolding composed with the reflection across face f
     return Beam(b.theta, b.origin, b.axes, section, b.word + [label],
@@ -203,30 +199,21 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
 
 @dataclass(frozen=True)
 class CellClass:
-    """Shape of a limiting cross-section: tube (2D), strip (1D), point, empty."""
+    """Shape of a limiting cross-section: a tube (open, with its area) or empty."""
 
-    kind: str                  # "tube" | "strip" | "point" | "empty"
-    width: float | None = None
+    kind: str                  # "tube" | "empty"
     area: float | None = None
 
 
-# degenerate cross-sections (classify_cell), periods' translations (detect_periodicity)
-_DEG_TOL = 1e-8
+# periods' translations (detect_periodicity)
 _PERIOD_TOL = 1e-9
 
 
 def classify_cell(b: Beam) -> CellClass:
-    """Classify the beam's cross-section by diameter and area thresholds."""
-    pts = b.section
-    if len(pts) == 0:
+    """The beam's cell: ``empty``, or a ``tube`` with its section's area."""
+    if b.is_empty:
         return CellClass("empty")
-    diam = farthest_pair(pts)[0]
-    if diam <= _DEG_TOL:
-        return CellClass("point")
-    area = abs(_polygon_area(pts))
-    if area <= _DEG_TOL * diam:
-        return CellClass("strip", width=diam)
-    return CellClass("tube", area=area)
+    return CellClass("tube", area=abs(_polygon_area(b.section)))
 
 
 def detect_periodicity(b: Beam, k_max: int) -> int | None:

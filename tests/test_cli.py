@@ -64,14 +64,14 @@ def test_group_outputs(cube_file, tetra_file, capsys):
     assert capsys.readouterr().out.strip() == "NOT_CLOSED(1000)"
 
 
-def test_cell_strip(cube_file, capsys):
-    # face y1 is parallel to theta: its copy is seen edge-on, a segment
-    # along the y = 1 side of z0's section, so the cell is that side
+def test_cell_edge_on_empty(cube_file, capsys):
+    # face y1 is parallel to theta: its copy is seen edge-on, and the lines
+    # that cross it lie in its plane, singular lines, so the cell is empty
     rc = cli.main(["cell", cube_file, "--theta", "1,0,1", "--word", "z0,y1"])
     assert rc == cli.EXIT_OK
     out = json.loads(capsys.readouterr().out)
-    assert out["kind"] == "strip" and out["period"] is None and "area" not in out
-    assert out["width"] == pytest.approx(np.sqrt(0.5), abs=1e-12)
+    assert out["kind"] == "empty" and out["period"] is None
+    assert "area" not in out and "width" not in out
 
 
 def test_cell_subcommand(cube_file, capsys):
@@ -330,7 +330,7 @@ def test_exit_code_budget(cube_file, capsys):
         rc = cli.main(["complexity", cube_file, "--nmax", "3", "--budget", "100",
                        "--threads", threads])
         assert rc == cli.EXIT_PRECONDITION, threads
-        assert "workers must be >= 1" in capsys.readouterr().err
+        assert "--threads must be >= 1" in capsys.readouterr().err
 
 
 def test_exit_code_fractional_budget(cube_file, capsys):
@@ -363,6 +363,23 @@ def test_exit_code_count_flags(tmp_path, cube_file, capsys):
     assert cli.main(["transversal", str(edges), "--probes", "0", "--samples", "0"]) == cli.EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["probe_counts"] == [] and out["transversals"] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["complexity", "--threads", "0"], "--threads must be >= 1"),
+    (["complexity", "--nmax", "1"], "--nmax must be >= 2"),
+    (["complexity", "--seed", "-1"], "--seed must be >= 0"),
+    *[([cmd, "--m", "0.5,0.5,0", "--theta", "0,0,1", "--steps", "0"], "--steps must be >= 1")
+      for cmd in ("simulate", "code", "unfold")],
+    (["group", "--bound", "0"], "--bound must be >= 1"),
+    (["cell", "--theta", "0,0,1", "--word", "z0", "--kmax", "0"], "--kmax must be >= 1"),
+    (["transversal", "--probes", "-1"], "--probes must be >= 0"),
+])
+def test_count_flag_checked_before_input_is_read(tmp_path, capsys, argv, message):
+    # the input file is missing, so the flag's own error, exit 4, comes first
+    missing = str(tmp_path / "missing.json")
+    assert cli.main([argv[0], missing, *argv[1:]]) == cli.EXIT_PRECONDITION
+    assert message in capsys.readouterr().err
 
 
 def test_exit_code_unwritable_out(tmp_path, cube_file, capsys):

@@ -201,37 +201,6 @@ def test_face_planes_and_edges_are_read_only():
     assert np.array_equal(P.normals[z0], [0.0, 0.0, 1.0])
 
 
-def _old_farthest_scans(pts):
-    """The three scans ``farthest_pair`` replaced: ``Polyhedron.diameter``,
-    the cell diameter of ``classify_cell`` and the strip endpoints of the
-    edge-on branch of ``propagate_beam``."""
-    diameter = float(np.sqrt((((pts[:, None] - pts[None]) ** 2).sum(axis=2)).max()))
-    d = pts[:, None, :] - pts[None, :, :]
-    cell = 0.0 if len(pts) < 2 else float(np.sqrt((d * d).sum(axis=2)).max())
-    i, j = np.unravel_index(np.argmax((d * d).sum(axis=2)), d.shape[:2])
-    return diameter, cell, int(i), int(j)
-
-
-def test_farthest_pair_matches_old_scans():
-    rng = np.random.default_rng(17)
-    for k in range(4000):
-        dim, count = 2 + k % 2, int(rng.integers(1, 12))
-        # every other set on a small integer grid, where ties are common
-        pts = rng.normal(size=(count, dim)) if k % 4 < 2 else \
-            rng.integers(-2, 3, size=(count, dim)).astype(float)
-        dist, i, j = g.farthest_pair(pts)
-        diameter, cell, oi, oj = _old_farthest_scans(pts)
-        assert dist == diameter == cell and (i, j) == (oi, oj)
-
-
-def test_farthest_pair_tie_rule():
-    # both diagonals of the unit square tie: the first pair in row-major order wins
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    assert g.farthest_pair(square) == (np.sqrt(2.0), 0, 2)
-    assert g.farthest_pair(square[[1, 2, 3, 0]]) == (np.sqrt(2.0), 0, 2)
-    assert g.farthest_pair(square[:1]) == (0.0, 0, 0)
-
-
 def _np_cross_frame(v):
     """``tangent_frame`` by ``np.cross``, as it was built before its float cross."""
     a = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
