@@ -10,7 +10,6 @@ close to an edge so downstream statistics can discard unreliable words.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -18,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (Hit, HitKind, NoAdvance, Polyhedron, PreconditionFailed,
-                       first_hit, segment_segment_distance, unit, vec3)
+                       as_int, first_hit, segment_segment_distance, unit, vec3)
 from .transversal import EdgeLine
 from .unfolding import cumulative_isometries
 
@@ -53,11 +52,7 @@ def phase_point(P: Polyhedron, m, theta, face: int | str | None = None) -> Phase
     elif isinstance(face, str):
         face = P.face_index(face)
     else:
-        try:
-            # a bool is no face id, though operator.index may read it as 0 or 1
-            face = operator.index(None if isinstance(face, (bool, np.bool_)) else face)
-        except TypeError:
-            raise PreconditionFailed(f"face id {face!r} is not an integer") from None
+        face = as_int(face, f"face id {face!r} is not an integer")
         if not 0 <= face < P.n_faces:
             raise PreconditionFailed(f"face id {face} out of range 0..{P.n_faces - 1}")
     if abs(float(P.normals[face] @ m + P.offsets[face])) > 10 * P.tol.plane:
@@ -111,16 +106,16 @@ class OrbitRecord:
         return len(self.faces)
 
 
-def _event(hit: Hit | None, faces: list[int], m: np.ndarray) -> SingularityEvent:
+def _event(hit: Hit | None, faces: list[int], m) -> SingularityEvent:
     """The singularity that ends an orbit at its last point, on face
-    ``faces[-1]`` at ``m``, whose forward ``hit`` is an edge or vertex
-    (``None``: a ray inside the face)."""
+    ``faces[-1]`` at the float triple ``m``, whose forward ``hit`` is an edge
+    or vertex (``None``: a ray inside the face).  Its point is a new array."""
     step = len(faces) - 1
     if hit is None:
-        return SingularityEvent(SingularityKind.TANGENT_IN_FACE, step, m.copy(),
+        return SingularityEvent(SingularityKind.TANGENT_IN_FACE, step, np.array(m),
                                 face=faces[-1])
     kind = SingularityKind.EDGE_HIT if hit.kind is HitKind.EDGE else SingularityKind.VERTEX_HIT
-    return SingularityEvent(kind, step, hit.point, edge=hit.edge,
+    return SingularityEvent(kind, step, np.array(hit.point), edge=hit.edge,
                             vertex=hit.vertex, face=hit.face)
 
 
@@ -148,46 +143,48 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     checked even for ``n_max == 1``, and a completed orbit casts ``n_max - 1``
     rays (one for ``n_max == 1``).
     """
+    n_max = as_int(n_max, f"n_max must be an integer, got {n_max!r}")
     if n_max < 1:
         raise PreconditionFailed("n_max must be >= 1")
-    faces, ms, thetas = [x.face], [x.m], [x.theta]
+    tol, rows = P.tol, P.rows
+    # the last point and direction, as float triples; every recorded one
+    # goes into flat x, y, z lists, made (L, 3) arrays when the orbit ends
+    m, (tx, ty, tz) = tuple(x.m.tolist()), x.theta.tolist()
+    faces, ms, thetas = [x.face], [*m], [tx, ty, tz]
     flagged: list[int] = []
 
     # a start on an edge of its face has no continuation convention
     dist, edge = P.nearest_edge(x.face, x.m)
-    if dist <= P.tol.plane:
-        hit = Hit(HitKind.EDGE, x.m.copy(), 0.0, face=x.face, edge=edge,
-                  edge_distance=dist)
-    m, theta = x.m, x.theta
-    tx, ty, tz = theta.tolist()
+    if dist <= tol.plane:
+        hit = Hit(HitKind.EDGE, m, 0.0, face=x.face, edge=edge, edge_distance=dist)
     # theta . n of the last point; the start's by numpy, whose dot can round
     # otherwise than the float sum, which flips rays at the `angle` threshold
-    cos_n = float(theta @ P.normals[x.face])
-    while not dist <= P.tol.plane:       # the start is off its face's edges
+    cos_n = float(x.theta @ P.normals[x.face])
+    while not dist <= tol.plane:         # the start is off its face's edges
         # the last point's forward hit, None when its ray runs inside its face
         try:
-            hit = first_hit(m, theta, P) if cos_n > P.tol.angle else None
+            hit = first_hit(m, (tx, ty, tz), P) if cos_n > tol.angle else None
         except NoAdvance:
             hit = None
         # n_max == 1: the start's ray is checked, not followed
         if hit is None or hit.kind is not HitKind.FACE or len(faces) == n_max:
             break
         # reflect_direction in floats: theta - 2 <theta, n> n
-        nx, ny, nz, _, _, _ = P.rows[hit.face]
+        nx, ny, nz, _, _, _ = rows[hit.face]
         k = 2.0 * (tx * nx + ty * ny + tz * nz)
         tx, ty, tz = tx - k * nx, ty - k * ny, tz - k * nz
         cos_n = tx * nx + ty * ny + tz * nz
-        m, theta = hit.point, np.array((tx, ty, tz))
+        m = hit.point
         faces.append(hit.face)
-        ms.append(m)
-        thetas.append(theta)
-        if hit.edge_distance <= P.tol.sing:
+        ms += m
+        thetas += tx, ty, tz
+        if hit.edge_distance <= tol.sing:
             flagged.append(len(faces) - 1)
         if len(faces) == n_max:
             break
     ended = hit is None or hit.kind is not HitKind.FACE
-    return OrbitRecord(np.array(faces), np.array(ms), np.array(thetas),
-                       [P.labels[f] for f in faces],
+    return OrbitRecord(np.array(faces), np.array(ms).reshape(-1, 3),
+                       np.array(thetas).reshape(-1, 3), [P.labels[f] for f in faces],
                        _event(hit, faces, m) if ended else None, flagged)
 
 
@@ -302,6 +299,7 @@ def run_word_batch(P: Polyhedron, m: np.ndarray, theta: np.ndarray,
     within the ``sing`` tolerance of an edge).  Semantics match iterating
     :func:`billiard_step`, including conservative edge-hit termination.
     """
+    n_labels = as_int(n_labels, f"n_labels must be an integer, got {n_labels!r}")
     if n_labels < 1:
         raise PreconditionFailed("n_labels must be >= 1")
     face = np.asarray(face).astype(np.int64)

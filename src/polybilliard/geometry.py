@@ -78,6 +78,16 @@ def vec3(x) -> np.ndarray:
     return v
 
 
+def as_int(x, message: str) -> int:
+    """``x`` as an int, for an integer of any type; any other ``x``, a bool
+    too (``operator.index`` reads it as 0 or 1), raises
+    :class:`PreconditionFailed` with ``message``."""
+    try:
+        return operator.index(None if isinstance(x, (bool, np.bool_)) else x)
+    except TypeError:
+        raise PreconditionFailed(message) from None
+
+
 def unit(v) -> np.ndarray:
     """Normalize ``v``; raise if its norm is at most 1e-12."""
     v = vec3(v)
@@ -290,11 +300,8 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
                                      "or (label, indices) pair") from None
         if isinstance(idx, (str, bytes)) or not isinstance(idx, Iterable):
             raise PreconditionFailed(f"face {label!r}: vertex index list is missing or not a list")
-        try:
-            # True is no vertex index, though operator.index reads it as 1
-            idx = [operator.index(None if isinstance(i, bool) else i) for i in idx]
-        except TypeError:
-            raise PreconditionFailed(f"face {label!r} has a non-integer vertex index") from None
+        bad = f"face {label!r} has a non-integer vertex index"
+        idx = [as_int(i, bad) for i in idx]
         if len(idx) < 3:
             raise PreconditionFailed(f"face {label!r} has fewer than 3 vertices")
         if len(set(idx)) != len(idx):
@@ -397,13 +404,14 @@ class HitKind(Enum):
 class Hit(NamedTuple):
     """First boundary intersection of a ray with the polyhedron surface.
 
-    ``edge_distance`` is the distance from the hit point to the nearest
-    boundary edge of the hit face (finite for FACE hits), used by callers to
-    flag unreliable near-edge passages.  A named tuple, cheap to build per bounce.
+    ``point`` is the float triple ``(x, y, z)``.  ``edge_distance`` is the
+    distance from the hit point to the nearest boundary edge of the hit face
+    (finite for FACE hits), used by callers to flag unreliable near-edge
+    passages.  A named tuple, cheap to build per bounce.
     """
 
     kind: HitKind
-    point: np.ndarray
+    point: tuple[float, float, float]
     length: float
     face: int | None = None
     edge: int | None = None
@@ -411,47 +419,47 @@ class Hit(NamedTuple):
     edge_distance: float = float("inf")
 
 
-def first_hit(m: np.ndarray, theta: np.ndarray, P: Polyhedron) -> Hit:
+def first_hit(m, theta, P: Polyhedron) -> Hit:
     """First boundary hit of the ray ``m + t * theta``, without start checks.
 
     The scalar stepping kernel: callers must already know the ray advances
     into the interior (``orbit`` checks this itself, so
     ``classify_phase_point`` is the validated single ray).  With F of about
     6, a numpy call costs more than the arithmetic it does, so this walks the
-    per-solid float ``rows`` of :class:`Polyhedron` instead.  Among faces hit at
-    the same distance the lowest face id wins.
+    per-solid float ``rows`` of :class:`Polyhedron` instead, and ``m`` and
+    ``theta`` are float triples (an ndarray unpacks to numpy floats, with the
+    same bits).  Among faces hit at the same distance the lowest face id wins.
     """
     tol = P.tol
-    rows = P.rows
-    mx, my, mz = m.tolist()
-    tx, ty, tz = theta.tolist()
+    neg_angle, step, plane = -tol.angle, tol.step, tol.plane
+    mx, my, mz = m
+    tx, ty, tz = theta
     tf, f = math.inf, -1
-    for k, (nx, ny, nz, c, _, _) in enumerate(rows):
+    for k, (nx, ny, nz, c, _, _) in enumerate(P.rows):
         d = nx * tx + ny * ty + nz * tz
-        if d < -tol.angle:
+        if d < neg_angle:
             t = (nx * mx + ny * my + nz * mz + c) / -d
-            if tol.step < t < tf:
+            if step < t < tf:
                 tf, f = t, k
     if f < 0:
         raise NoAdvance("ray does not reach the boundary")
-    qx, qy, qz = mx + tf * tx, my + tf * ty, mz + tf * tz
-    q = np.array((qx, qy, qz))
-    _, _, _, _, verts, edges = rows[f]
+    qx, qy, qz = q = mx + tf * tx, my + tf * ty, mz + tf * tz
+    _, _, _, _, verts, edges = P.rows[f]
 
     best, edge = _nearest_edge(edges, qx, qy, qz)
     # a vertex within plane is an endpoint of an edge within plane, up to
     # rounding, so only a hit near an edge can be a vertex hit
-    if best <= 4.0 * tol.plane * tol.plane:
+    if best <= 4.0 * plane * plane:
         r2v, vertex = math.inf, -1
         for x, y, z, v in verts:
             dx, dy, dz = x - qx, y - qy, z - qz
             r2 = dx * dx + dy * dy + dz * dz
             if r2 < r2v:
                 r2v, vertex = r2, v
-        if r2v <= tol.plane * tol.plane:
+        if r2v <= plane * plane:
             return Hit(HitKind.VERTEX, q, tf, face=f, vertex=vertex, edge_distance=0.0)
     edist = math.sqrt(best)
-    if edist <= tol.plane:
+    if edist <= plane:
         return Hit(HitKind.EDGE, q, tf, face=f, edge=edge, edge_distance=edist)
     # positional: keyword arguments make a NamedTuple's constructor slower
     return Hit(HitKind.FACE, q, tf, f, None, None, edist)

@@ -21,14 +21,13 @@ for the number of length-n words together with their normalized logarithms.
 
 from __future__ import annotations
 
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .billiard import run_word_batch, sample_inward_directions, sample_points_in_face
-from .geometry import (LabelNotReachable, Polyhedron, PreconditionFailed,
+from .geometry import (LabelNotReachable, Polyhedron, PreconditionFailed, as_int,
                        tangent_frame, unit)
 
 
@@ -266,11 +265,7 @@ class ComplexityTable:
 
     def words(self, n: int) -> list[tuple[str, ...]]:
         """Decode the distinct words of length ``n`` back to label tuples."""
-        try:
-            # a bool is no length, though operator.index may read it as 0 or 1
-            n = operator.index(None if isinstance(n, (bool, np.bool_)) else n)
-        except TypeError:
-            raise PreconditionFailed(f"word length {n!r} is not an integer") from None
+        n = as_int(n, f"word length {n!r} is not an integer")
         if not 1 <= n <= self.n_max:
             raise PreconditionFailed(f"word length must be in 1..{self.n_max}, got {n!r}")
         base = len(self.labels)
@@ -318,6 +313,7 @@ def _sorted_distinct(s: np.ndarray) -> np.ndarray:
 def _map(fn, items, workers: int) -> list:
     """``[fn(x) for x in items]``, on a pool of ``workers`` threads when
     there is more than one worker and more than one item."""
+    workers = as_int(workers, f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise PreconditionFailed("workers must be >= 1")
     items = list(items)
@@ -370,6 +366,9 @@ def estimate_complexity(P: Polyhedron, n_max: int, budget: int, seed: int = 0,
     codes, so results are deterministic for a given seed and independent of
     chunking order or worker count.
     """
+    n_max = as_int(n_max, f"n_max must be an integer, got {n_max!r}")
+    budget = as_int(budget, f"budget must be an integer, got {budget!r}")
+    chunk_size = as_int(chunk_size, f"chunk_size must be an integer, got {chunk_size!r}")
     if n_max < 2:
         raise PreconditionFailed("n_max must be >= 2")
     if budget < 1:

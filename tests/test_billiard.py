@@ -219,7 +219,8 @@ def test_orbit_casts_one_ray_per_recorded_bounce_but_the_last(cube, monkeypatch)
 
 @pytest.mark.parametrize("name", ["cube", "tetrahedron", "box"])
 def test_orbit_rows_are_single_steps(name):
-    # row k of a completed orbit is billiard_step of row k - 1, bit for bit
+    # row k of a completed orbit is billiard_step of row k - 1, bit for bit;
+    # and, past orbit's float triples, the first_hit of row k - 1 as ndarrays
     P = {"cube": unit_cube, "tetrahedron": regular_tetrahedron,
          "box": lambda: box(2.0, 1.0, 0.5)}[name]()
     m, th, f = bl.random_phase_points(P, 30, np.random.default_rng(17))
@@ -234,10 +235,45 @@ def test_orbit_rows_are_single_steps(name):
             x = bl.PhasePoint(int(rec.faces[k - 1]), rec.m[k - 1], rec.theta[k - 1])
             y = bl.billiard_step(x, P)
             assert y.face == rec.faces[k]
+            hit = bl.first_hit(x.m, x.theta, P)
+            assert hit.kind is pb.HitKind.FACE and hit.face == rec.faces[k]
+            assert np.array(hit.point).tobytes() == rec.m[k].tobytes()
             assert y.m.tobytes() == rec.m[k].tobytes()
             assert y.theta.tobytes() == rec.theta[k].tobytes()
         checked += 1
     assert checked >= 20
+
+
+def test_singularity_point_is_an_array_of_its_own(cube):
+    # every way an orbit ends gives a (3,) array that owns its data and
+    # shares none with the start's m, even where it is the start's point
+    K = bl.SingularityKind
+    ends = [(K.EDGE_HIT, [0.5, 0.0, 0.0], [0.0, 1.0, 1.0], True),        # start on an edge
+            (K.EDGE_HIT, [0.5, 0.5, 0.0], [1.0, 1.0, 1.0], False),
+            (K.VERTEX_HIT, [0.5, 0.5, 0.0], [1.0, 1.0, 2.0], False),
+            (K.TANGENT_IN_FACE, [0.5, 0.5, 0.0], [1.0, 0.0, 0.0], True)]
+    for kind, m, theta, at_start in ends:
+        x = bl.PhasePoint(cube.face_index("z0"), np.array(m), unit(theta))
+        for n_max in (1, 3):
+            ev = bl.orbit(x, n_max, cube).singularity
+            assert ev.kind is kind and ev.step == 0
+            assert isinstance(ev.point, np.ndarray) and ev.point.shape == (3,)
+            assert ev.point.dtype == float and ev.point.flags.owndata
+            assert not np.shares_memory(ev.point, x.m)
+            assert (ev.point.tobytes() == x.m.tobytes()) == at_start
+
+
+def test_counts_must_be_integers(cube):
+    # a bool or a non-integer count is refused, not run as 1 or never reached
+    x = _pp(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0])
+    m, th, f = bl.random_phase_points(cube, 4, np.random.default_rng(0))
+    for bad in (2.5, 3.0, True, np.bool_(True), "3", None):
+        with pytest.raises(pb.PreconditionFailed, match="n_max must be an integer"):
+            bl.orbit(x, bad, cube)
+        with pytest.raises(pb.PreconditionFailed, match="n_labels must be an integer"):
+            bl.run_word_batch(cube, m, th, f, bad)
+    assert bl.orbit(x, np.int64(3), cube).n_bounces == 3
+    assert bl.run_word_batch(cube, m, th, f, np.int64(3))[0].shape == (4, 3)
 
 
 def test_hit_and_phase_point_are_immutable(cube):

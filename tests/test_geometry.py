@@ -559,6 +559,14 @@ def _outcome(fn, m, theta, P):
         return None
 
 
+def _hit_bits(hit):
+    """A hit's fields, its floats as bytes; None for None."""
+    if hit is None:
+        return None
+    return (hit.kind, hit.face, hit.edge, hit.vertex,
+            np.array([*hit.point, hit.length, hit.edge_distance]).tobytes())
+
+
 def _assert_same_hit(m, theta, P, tie=False):
     """Both kernels agree; returns the hit (None for NoAdvance).
 
@@ -570,6 +578,9 @@ def _assert_same_hit(m, theta, P, tie=False):
     got = _outcome(g.first_hit, m, theta, P)
     ref = _outcome(_reference_first_hit, m, theta, P)
     assert (got is None) == (ref is None)
+    # float triples, as orbit passes them, give the same hit to the bit
+    assert _hit_bits(_outcome(g.first_hit, tuple(m.tolist()), tuple(theta.tolist()), P)) \
+        == _hit_bits(got)
     if got is None:
         return None
     assert (got.kind, got.edge, got.vertex) == (ref.kind, ref.edge, ref.vertex)
@@ -579,7 +590,8 @@ def _assert_same_hit(m, theta, P, tie=False):
         assert {got.face, ref.face} <= set(P.edge_faces[got.edge].tolist())
     else:
         assert all(got.vertex in P.boundaries[h.face] for h in (got, ref))
-    assert isinstance(got.point, np.ndarray) and got.point.shape == (3,)
+    assert isinstance(got.point, tuple) and len(got.point) == 3
+    assert all(isinstance(x, float) for x in got.point)
     # the kernels sum in different orders: allow 1e-12 per unit of ray length
     # (rays inside these solids are at most 3 long; outward rays from the
     # boundary cross far-away face planes outside the solid)

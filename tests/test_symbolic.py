@@ -320,6 +320,17 @@ def test_words_refuses_non_integer_lengths(cube):
     assert tab.words(np.int64(2)) == tab.words(2)
 
 
+def test_complexity_counts_must_be_integers(cube):
+    for bad in (100.5, 4.0, True, np.bool_(True), "4", None):
+        for name, args, kw in (("n_max", (bad, 100), {}), ("budget", (4, bad), {}),
+                               ("chunk_size", (4, 100), {"chunk_size": bad}),
+                               ("workers", (4, 100), {"workers": bad})):
+            with pytest.raises(PreconditionFailed, match=f"{name} must be an integer"):
+                sy.estimate_complexity(cube, *args, **kw)
+    tab = sy.estimate_complexity(cube, np.int64(3), np.int64(100), chunk_size=np.int64(64))
+    assert type(tab.budget) is int and type(tab.n_max) is int
+
+
 def test_complexity_preconditions(cube):
     with pytest.raises(ValueError):
         sy.estimate_complexity(cube, 1, 100)
