@@ -63,12 +63,8 @@ def _dedupe(pts: list) -> list:
 def _clip_half(pts: list, nx: float, ny: float, c: float) -> list:
     """Clip a convex polygon, given as a list of ``(x, y)`` float pairs, to
     {p : <(nx, ny), p> <= c}.  Sections have 3-6 points, so Python floats
-    beat numpy here, as in ``first_hit``.  Every section arrives
-    deduplicated, so one with no point outside (the empty one included) is
-    returned as it is."""
+    beat numpy here, as in ``first_hit``."""
     d = [x * nx + y * ny - c for x, y in pts]
-    if all(v <= 0.0 for v in d):
-        return pts
     out = []
     K = len(pts)
     for i in range(K):
@@ -83,23 +79,39 @@ def _clip_half(pts: list, nx: float, ny: float, c: float) -> list:
     return _dedupe(out)
 
 
-def _clip_convex(subject: list, clip_ccw: list) -> list:
+def _clip_convex(subject: list, clip_ccw: list) -> list | None:
+    """``subject`` clipped to each edge's half-plane of the CCW polygon
+    ``clip_ccw`` in turn, or ``None`` when no point of it lies outside any of
+    them.  Every section arrives deduplicated, so a half-plane that holds
+    every point leaves the section as it is, and only one that cuts it pays
+    for a clip."""
     out = subject
+    cut = False
     K = len(clip_ccw)
     for i in range(K):
         ax, ay = clip_ccw[i]
         bx, by = clip_ccw[(i + 1) % K]
         ex, ey = bx - ax, by - ay
         # interior of a CCW polygon: <(ey, -ex), p - a> <= 0
-        out = _clip_half(out, ey, -ex, ey * ax + -ex * ay)
-        if not out:
-            return []
-    return out
+        nx, ny, c = ey, -ex, ey * ax + -ex * ay
+        for x, y in out:
+            if not x * nx + y * ny - c <= 0.0:      # outside, as _clip_half reads it
+                out, cut = _clip_half(out, nx, ny, c), True
+                if not out:
+                    return []
+                break
+    return out if cut else None
 
 
 def _area2(pts: list) -> float:
-    """Twice the signed shoelace area of a polygon of ``(x, y)`` pairs."""
-    return sum(ax * by - bx * ay for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]))
+    """Twice the signed shoelace area of a polygon of ``(x, y)`` pairs, of
+    at least one point, summed from the edge (p0, p1) on."""
+    s = 0.0
+    ax, ay = pts[0]
+    for bx, by in pts[1:] + pts[:1]:
+        s += ax * by - bx * ay
+        ax, ay = bx, by
+    return s
 
 
 def _ensure_ccw(pts: list) -> list:
@@ -137,7 +149,8 @@ class Beam:
     spanned by the rows of ``axes``.  Entry k of ``linear`` and ``translation``
     is the cumulative unfolding x -> linear[k] @ x + translation[k] after the
     first k reflections of the word (entry 0 is the identity), so the last
-    entry maps the next folded face into the straight picture.
+    entry maps the next folded face into the straight picture.  The beams
+    of ``make_beam`` and ``propagate_beam`` hold read-only arrays.
     """
 
     theta: np.ndarray
@@ -153,6 +166,11 @@ class Beam:
         return len(self.section) == 0
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def make_beam(P: Polyhedron, label: str, theta) -> Beam:
     """Beam of all lines entering through one full face at a fixed direction."""
     f = P.face_index(label)
@@ -162,8 +180,8 @@ def make_beam(P: Polyhedron, label: str, theta) -> Beam:
     poly, axes = P.face_polygon(f), tangent_frame(theta)
     origin = poly.mean(axis=0)
     section = _open(_dedupe(_ensure_ccw(((poly - origin) @ axes.T).tolist())))
-    section = np.array(section).reshape(-1, 2)
-    return Beam(theta, origin, axes, section, [label], np.eye(3)[None], np.zeros((1, 3)))
+    return Beam(theta, origin, axes, _frozen(np.array(section).reshape(-1, 2)), [label],
+                _frozen(np.eye(3)[None]), _frozen(np.zeros((1, 3))))
 
 
 def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
@@ -174,26 +192,32 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
     has no area (``_open``).  A face copy seen edge-on empties the beam: the
     lines that cross it lie in its plane.  A geometric miss yields an empty
     beam, and an empty beam extends to an empty beam; a label equal to the
-    previous one, or unknown, raises.
+    previous one, or unknown, raises.  The child shares every array it does
+    not change (a section no half-plane cuts, for one): beam arrays are
+    read-only.
     """
     if b.word and label == b.word[-1]:
         raise LabelNotReachable("consecutive labels cannot repeat on a convex solid")
     f = P.face_index(label)
+    L = len(b.linear)
     lin, t = b.linear[-1], b.translation[-1]
-    if abs(float((lin @ P.normals[f]) @ b.theta)) <= P.tol.angle:
-        section = []
-    else:
-        # the face copy, projected onto the section plane
-        verts2 = (P.face_polygon(f) @ lin.T + t - b.origin) @ b.axes.T
-        old = b.section.tolist()
-        section = _clip_convex(old, _ensure_ccw(verts2.tolist()))
-        if section is not old:      # cut; an uncut section was open already
-            section = _open(section)
-    section = np.array(section).reshape(-1, 2)
+    section = b.section
+    if len(section):
+        if abs(float((lin @ P.normals[f]) @ b.theta)) <= P.tol.angle:
+            cut = []
+        else:
+            # the face copy, projected onto the section plane
+            verts2 = (P.face_polygon(f) @ lin.T + t - b.origin) @ b.axes.T
+            cut = _clip_convex(section.tolist(), _ensure_ccw(verts2.tolist()))
+        if cut is not None:             # an uncut section was open already
+            section = _frozen(np.array(_open(cut)).reshape(-1, 2))
     # the unfolding composed with the reflection across face f
+    linear, translation = np.empty((L + 1, 3, 3)), np.empty((L + 1, 3))
+    linear[:L], translation[:L] = b.linear, b.translation
+    np.matmul(lin, P.reflection_linear[f], out=linear[L])
+    np.add(lin @ P.reflection_translation[f], t, out=translation[L])
     return Beam(b.theta, b.origin, b.axes, section, b.word + [label],
-                np.concatenate([b.linear, (lin @ P.reflection_linear[f])[None]]),
-                np.concatenate([b.translation, (lin @ P.reflection_translation[f] + t)[None]]))
+                _frozen(linear), _frozen(translation))
 
 
 @dataclass(frozen=True)
@@ -217,12 +241,16 @@ def classify_cell(b: Beam) -> CellClass:
 
 def detect_periodicity(b: Beam, k_max: int) -> int | None:
     """Smallest period k <= k_max whose unfolding is a translation along the
-    beam direction and whose word repeats with that period; None otherwise."""
+    beam direction and whose word repeats with that period; None otherwise.
+    ``k_max`` must be an integer >= 1."""
+    k_max = as_int(k_max, f"k_max must be an integer, got {k_max!r}")
+    if k_max < 1:
+        raise PreconditionFailed(f"k_max must be >= 1, got {k_max}")
     if b.is_empty:          # no line realizes its word
         return None
     w = b.word
     for k in range(1, min(k_max, len(w) - 1) + 1):
-        if any(w[i] != w[i + k] for i in range(len(w) - k)):
+        if w[k:] != w[:-k]:             # the word does not repeat with period k
             continue
         if not np.abs(b.linear[k] - np.eye(3)).max() <= _PERIOD_TOL:
             continue

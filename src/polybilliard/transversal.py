@@ -136,10 +136,6 @@ def _require_skew(edges: tuple[EdgeLine, ...]) -> None:
                 raise NotPairwiseSkew(f"a{i}/a{j}: edges are coplanar")
 
 
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 @dataclass
 class TripleSurface:
     """The quadric swept by lines meeting three pairwise-skew edges.
@@ -174,6 +170,7 @@ class TripleSurface:
         self._length = L = max(line_line_distance(P[i], D[i], P[j], D[j])
                                for i, j in ((0, 1), (0, 2), (1, 2)))
         p, d = P.tolist(), D.tolist()
+        self._origin = p[0]
         q = [tuple((x - y) / L for x, y in zip(pi, p[0])) for pi in p]
         self._edges = tuple(zip(q, map(tuple, d)))
         m1, m2 = _cross(q[1], d[1]), _cross(q[2], d[2])
@@ -217,16 +214,29 @@ def count_line_surface_intersections(line: EdgeLine, S: TripleSurface) -> int | 
     ``c2`` leaves at most one crossing; a discriminant within rounding of
     zero is a tangency, counted once; otherwise its sign gives two crossings
     or none.  So a probe not on the surface crosses it at most twice.  The
-    kernel runs on Python floats.
+    kernel runs on Python floats; a probe whose scale is not finite (a nan
+    or infinite point or direction, or a point so far out that the scale
+    overflows) raises :class:`PreconditionFailed`.
     """
-    y, e = ((line.point - S.points[0]) / S._length).tolist(), line.direction.tolist()
+    # the numpy prelude (c - p0) / L, _cross and dot products, written out in
+    # floats: elementwise arithmetic rounds as numpy's does, to the same bits
+    (ox, oy, oz), L = S._origin, S._length
+    px, py, pz = line.point.tolist()
+    ex, ey, ez = line.direction.tolist()
+    yx, yy, yz = (px - ox) / L, (py - oy) / L, (pz - oz) / L
     scale = 1.0
-    for q, d in S._edges:
-        u = _cross((y[0] - q[0], y[1] - q[1], y[2] - q[2]), d)
-        scale *= 1.0 + math.hypot(*u) + math.hypot(*_cross(e, d))
-    c2, c1, c0 = 0.0, _dot(e, S._linear), _dot(y, S._linear)
-    for a, m in S._quadratic:
-        ya, ea, ym, em = _dot(y, a), _dot(e, a), _dot(y, m), _dot(e, m)
+    for (qx, qy, qz), (dx, dy, dz) in S._edges:
+        wx, wy, wz = yx - qx, yy - qy, yz - qz
+        scale *= (1.0 + math.hypot(wy * dz - wz * dy, wz * dx - wx * dz, wx * dy - wy * dx)
+                  + math.hypot(ey * dz - ez * dy, ez * dx - ex * dz, ex * dy - ey * dx))
+    if not math.isfinite(scale):
+        raise PreconditionFailed("probe line has a non-finite scale: a nan or infinite "
+                                 "point or direction, or a point too far out")
+    lx, ly, lz = S._linear
+    c2, c1, c0 = 0.0, ex * lx + ey * ly + ez * lz, yx * lx + yy * ly + yz * lz
+    for (ax, ay, az), (mx, my, mz) in S._quadratic:
+        ya, ea = yx * ax + yy * ay + yz * az, ex * ax + ey * ay + ez * az
+        ym, em = yx * mx + yy * my + yz * mz, ex * mx + ey * my + ez * mz
         c2 -= ea * em
         c1 -= ya * em + ea * ym
         c0 -= ya * ym

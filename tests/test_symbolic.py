@@ -132,6 +132,21 @@ def test_propagate_empty_beam(cube):
             sy.propagate_beam(b, label, cube)
 
 
+def test_beam_arrays_are_read_only(cube):
+    # a child shares the section no face copy cuts: z1's copy at (0, 0, 1)
+    # projects onto z0's square
+    b = sy.make_beam(cube, "z0", [0, 0, 1.0])
+    c = sy.propagate_beam(b, "z1", cube)
+    assert c.section is b.section and len(c.section) == 4
+    cut = sy.propagate_beam(sy.make_beam(cube, "z0", [0.3, 0.2, 1.0]), "z1", cube)
+    empty = _beam_along(cube, "z0", np.array([1.0, 0, 1.0]) / SQRT2, ["y1"])
+    assert empty.is_empty and not cut.is_empty
+    for beam in (b, c, cut, empty):
+        for a in (beam.section, beam.linear, beam.translation):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+
 def test_section_area_never_increases(cube):
     rng = np.random.default_rng(20)
     for _ in range(20):
@@ -230,6 +245,25 @@ def test_box_period_four():
         b = sy.propagate_beam(b, lab, B)
     assert sy.classify_cell(b).kind == "tube"
     assert sy.detect_periodicity(b, 8) == 4
+
+
+@pytest.mark.parametrize("k_max", [2.5, True, np.bool_(True), "4", None])
+def test_period_bound_must_be_an_integer(cube, k_max):
+    b = _beam_along(cube, "z0", [0, 0, 1.0], ["z1", "z0", "z1", "z0"])
+    with pytest.raises(PreconditionFailed, match="k_max must be an integer"):
+        sy.detect_periodicity(b, k_max)
+
+
+@pytest.mark.parametrize("k_max", [0, -1, np.int64(-3)])
+def test_period_bound_must_be_positive(cube, k_max):
+    # refused before the beam is read, an empty one too
+    for word in (["z1", "z0", "z1", "z0"], ["y1"]):
+        b = _beam_along(cube, "z0", np.array([1.0, 0, 1.0]) / SQRT2, word)
+        with pytest.raises(PreconditionFailed, match="k_max must be >= 1"):
+            sy.detect_periodicity(b, k_max)
+    b = _beam_along(cube, "z0", [0, 0, 1.0], ["z1", "z0", "z1", "z0"])
+    assert sy.detect_periodicity(b, np.int64(1)) is None
+    assert sy.detect_periodicity(b, np.int32(2)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +740,93 @@ def test_float_clipping_matches_numpy_reference_edge_on(cube):
             assert sy.classify_cell(b).kind == sy.classify_cell(ref).kind
             if label == "x1":
                 assert b.is_empty
+
+
+# ---------------------------------------------------------------------------
+# bitwise: the float clip by every half-plane in turn
+# ---------------------------------------------------------------------------
+
+def _float_area2(pts):
+    return sum(ax * by - bx * ay for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]))
+
+
+def _float_clip_half(pts, nx, ny, c):
+    d = [x * nx + y * ny - c for x, y in pts]
+    if all(v <= 0.0 for v in d):
+        return pts
+    out = []
+    for i in range(len(pts)):
+        j = (i + 1) % len(pts)
+        ina, inb = d[i] <= 0.0, d[j] <= 0.0
+        if ina:
+            out.append(pts[i])
+        if ina != inb:
+            (ax, ay), (bx, by) = pts[i], pts[j]
+            t = d[i] / (d[i] - d[j])
+            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
+    return sy._dedupe(out)
+
+
+def _float_propagate(b, label, P):
+    """The float propagation that clips by every half-plane of the face
+    copy in turn, sums areas with ``sum``, builds a new section array each
+    step and concatenates the unfolding; returns the beam and whether a
+    half-plane cut its section."""
+    f = P.face_index(label)
+    lin, t = b.linear[-1], b.translation[-1]
+    old = section = b.section.tolist()
+    if abs(float((lin @ P.normals[f]) @ b.theta)) <= P.tol.angle:
+        section = []
+    else:
+        clip = ((P.face_polygon(f) @ lin.T + t - b.origin) @ b.axes.T).tolist()
+        clip = clip[::-1] if _float_area2(clip) < 0.0 else clip
+        for i in range(len(clip)):
+            (ax, ay), (bx, by) = clip[i], clip[(i + 1) % len(clip)]
+            ex, ey = bx - ax, by - ay
+            section = _float_clip_half(section, ey, -ex, ey * ax + -ex * ay)
+            if not section:
+                break
+        if section and section is not old:
+            xs, ys = zip(*section)
+            size = max(max(xs) - min(xs), max(ys) - min(ys))
+            if len(section) < 3 or 0.5 * abs(_float_area2(section)) <= sy._DEG_TOL * size:
+                section = []
+    child = sy.Beam(b.theta, b.origin, b.axes, np.array(section).reshape(-1, 2),
+                    b.word + [label],
+                    np.concatenate([b.linear, (lin @ P.reflection_linear[f])[None]]),
+                    np.concatenate([b.translation,
+                                    (lin @ P.reflection_translation[f] + t)[None]]))
+    return child, section is not old
+
+
+@pytest.mark.parametrize("solid", ["box", "tetra", "rotated-box"])
+def test_sections_are_the_float_clip_bitwise(solid):
+    rng = np.random.default_rng(36)
+    words = (_box_words(rng, 80) if solid == "box" else
+             _solid_words(regular_tetrahedron(), rng, 60) if solid == "tetra" else
+             _rotated_box_words(rng, 60))
+    # random walks on the labels too, whose beams mostly empty on the way
+    for P, theta, word in words[:30]:
+        walk = word[:2]
+        while len(walk) < len(word):
+            walk.append(str(rng.choice([x for x in P.labels if x != walk[-1]])))
+        words.append((P, theta, walk))
+    cuts = kept = emptied = 0
+    for P, theta, word in words:
+        b = ref = sy.make_beam(P, word[0], theta)
+        for label in word[1:]:
+            b, (ref, was_cut) = sy.propagate_beam(b, label, P), _float_propagate(ref, label, P)
+            assert b.section.shape == ref.section.shape
+            assert b.section.tobytes() == ref.section.tobytes()
+            assert b.linear.tobytes() == ref.linear.tobytes()
+            assert b.translation.tobytes() == ref.translation.tobytes()
+            cuts += was_cut and not ref.is_empty
+            kept += not was_cut and not ref.is_empty
+        emptied += ref.is_empty
+        assert sy.classify_cell(b) == sy.classify_cell(ref)
+        assert sy.detect_periodicity(b, 12) == sy.detect_periodicity(ref, 12)
+    # both paths of the clip loop are taken, many times, and some beams empty
+    assert cuts >= 100 and kept >= 100 and emptied >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polybilliard import transversal as tv
+from polybilliard.geometry import PreconditionFailed, _cross
 
 SQRT3 = np.sqrt(3.0)
 SQRT30 = np.sqrt(30.0)
@@ -445,6 +447,70 @@ def test_probe_counts_match_reference():
             assert got == tv.ON_SURFACE or 0 <= got <= 2
             seen.add(got)
     assert {0, 1, 2, tv.ON_SURFACE} <= seen
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _helper_count(line, S):
+    """The probe kernel over numpy's prelude, ``_cross``, ``_dot`` and
+    ``hypot`` of unpacked lists: the kernel's operations, in its order."""
+    y, e = ((line.point - S.points[0]) / S._length).tolist(), line.direction.tolist()
+    scale = 1.0
+    for q, d in S._edges:
+        u = _cross((y[0] - q[0], y[1] - q[1], y[2] - q[2]), d)
+        scale *= 1.0 + math.hypot(*u) + math.hypot(*_cross(e, d))
+    c2, c1, c0 = 0.0, _dot(e, S._linear), _dot(y, S._linear)
+    for a, m in S._quadratic:
+        ya, ea, ym, em = _dot(y, a), _dot(e, a), _dot(y, m), _dot(e, m)
+        c2 -= ea * em
+        c1 -= ya * em + ea * ym
+        c0 -= ya * ym
+    tol = tv._ROUND_TOL * scale
+    if abs(c2) <= tol:
+        return (1 if abs(c1) > tol else tv.ON_SURFACE if abs(c0) <= tol else 0)
+    disc = c1 * c1 - 4.0 * c2 * c0
+    return 1 if abs(disc) <= 4.0 * abs(c2) * tol else 2 if disc > 0.0 else 0
+
+
+def test_probe_counts_match_the_helper_kernel():
+    # the written-out kernel must take every branch as the helper one does,
+    # on the tolerance bands too: near the base edge, near its direction,
+    # tangent to the saddle and on it
+    rng = np.random.default_rng(47)
+    cases = []
+    for _ in range(2):
+        edges, Q, shift = _moved_surface(rng)
+        lines = [tv.EdgeLine.of(Q @ (2.0 * rng.normal(size=3)) + shift, Q @ rng.normal(size=3))
+                 for _ in range(2000)]
+        lines += _near_base_probes(rng, edges[0], Q) + _near_parallel_probes(rng, edges[0], Q)
+        lines += tv.sample_transversals(*edges, count=15)
+        cases.append((tv.triple_surface(*edges), lines))
+    rulings = [tv.EdgeLine.of([a, 0, 0], [0, 1, a]) for a in np.linspace(-3.0, 3.0, 13)]
+    cases.append((tv.triple_surface(*SADDLE_EDGES),
+                  rulings + _saddle_tangents(rng)
+                  + tv.sample_transversals(*SADDLE_EDGES, count=33)))
+    seen = set()
+    for S, lines in cases:
+        for line in lines:
+            got, ref = tv.count_line_surface_intersections(line, S), _helper_count(line, S)
+            assert got == ref and type(got) is type(ref)
+            seen.add(got)
+    assert seen == {0, 1, 2, tv.ON_SURFACE}
+
+
+@pytest.mark.parametrize("point, direction", [
+    ([np.nan, 0.0, 0.0], [0.0, 0.0, 1.0]),
+    ([0.0, np.inf, 0.0], [0.0, 0.0, 1.0]),
+    ([0.0, 0.5, 0.0], [np.nan, 0.0, 1.0]),
+    ([0.0, 0.5, 0.0], [0.0, -np.inf, 1.0]),
+])
+def test_probe_refuses_non_finite_lines(point, direction):
+    # EdgeLine.of refuses these; a line built directly must not count 0
+    S = tv.triple_surface(X_AXIS, A1, A2)
+    with pytest.raises(PreconditionFailed, match="non-finite"):
+        tv.count_line_surface_intersections(tv.EdgeLine(np.array(point), np.array(direction)), S)
 
 
 # two probes of the exact-geometry benchmark workload (seed 1, passes 4 and
