@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (Hit, HitKind, NoAdvance, Polyhedron, PreconditionFailed,
-                       as_int, first_hit, segment_segment_distance, unit, vec3)
+                       as_count, as_int, first_hit, segment_segment_distance, unit, vec3)
 from .transversal import EdgeLine
 from .unfolding import cumulative_isometries
 
@@ -143,9 +143,7 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     checked even for ``n_max == 1``, and a completed orbit casts ``n_max - 1``
     rays (one for ``n_max == 1``).
     """
-    n_max = as_int(n_max, f"n_max must be an integer, got {n_max!r}")
-    if n_max < 1:
-        raise PreconditionFailed("n_max must be >= 1")
+    n_max = as_count(n_max, "n_max", 1)
     tol, rows = P.tol, P.rows
     # the last point and direction, as float triples; every recorded one
     # goes into flat x, y, z lists, made (L, 3) arrays when the orbit ends
@@ -299,9 +297,7 @@ def run_word_batch(P: Polyhedron, m: np.ndarray, theta: np.ndarray,
     within the ``sing`` tolerance of an edge).  Semantics match iterating
     :func:`billiard_step`, including conservative edge-hit termination.
     """
-    n_labels = as_int(n_labels, f"n_labels must be an integer, got {n_labels!r}")
-    if n_labels < 1:
-        raise PreconditionFailed("n_labels must be >= 1")
+    n_labels = as_count(n_labels, "n_labels", 1)
     face = np.asarray(face).astype(np.int64)
     words = np.full((len(face), n_labels), -1, dtype=np.int16)
     words[:, 0] = face

@@ -379,8 +379,7 @@ def main(argv: list[str] | None = None) -> int:
             if flag in vars(args):
                 setattr(args, flag, parse(getattr(args, flag)))
         for flag, least in _MINIMA.items():
-            if getattr(args, flag, least) < least:
-                raise geometry.PreconditionFailed(f"--{flag} must be >= {least}")
+            geometry.as_count(getattr(args, flag, least), f"--{flag}", least)
         return args.func(args)
     except _ParseFailure as e:
         print(f"error: {e}", file=sys.stderr)

@@ -88,6 +88,15 @@ def as_int(x, message: str) -> int:
         raise PreconditionFailed(message) from None
 
 
+def as_count(x, name: str, least: int) -> int:
+    """``x`` as an int, for an integer of any type that is at least
+    ``least``; otherwise :class:`PreconditionFailed` names ``name``."""
+    x = as_int(x, f"{name} must be an integer, got {x!r}")
+    if x < least:
+        raise PreconditionFailed(f"{name} must be >= {least}")
+    return x
+
+
 def unit(v) -> np.ndarray:
     """Normalize ``v``; raise if its norm is at most 1e-12."""
     v = vec3(v)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .billiard import run_word_batch, sample_inward_directions, sample_points_in_face
-from .geometry import (LabelNotReachable, Polyhedron, PreconditionFailed, as_int,
+from .geometry import (LabelNotReachable, Polyhedron, PreconditionFailed, as_count, as_int,
                        tangent_frame, unit)
 
 
@@ -243,9 +243,7 @@ def detect_periodicity(b: Beam, k_max: int) -> int | None:
     """Smallest period k <= k_max whose unfolding is a translation along the
     beam direction and whose word repeats with that period; None otherwise.
     ``k_max`` must be an integer >= 1."""
-    k_max = as_int(k_max, f"k_max must be an integer, got {k_max!r}")
-    if k_max < 1:
-        raise PreconditionFailed(f"k_max must be >= 1, got {k_max}")
+    k_max = as_count(k_max, "k_max", 1)
     if b.is_empty:          # no line realizes its word
         return None
     w = b.word
@@ -296,16 +294,10 @@ class ComplexityTable:
         n = as_int(n, f"word length {n!r} is not an integer")
         if not 1 <= n <= self.n_max:
             raise PreconditionFailed(f"word length must be in 1..{self.n_max}, got {n!r}")
-        base = len(self.labels)
-        out = []
-        for code in self.word_codes[n]:
-            c = int(code)
-            rev = []
-            for _ in range(n):
-                rev.append(self.labels[c % base])
-                c //= base
-            out.append(tuple(reversed(rev)))
-        return out
+        F = len(self.labels)
+        # the inverse of _chunk_complexity's powers product: digits, first first
+        digits = self.word_codes[n][:, None] // F ** np.arange(n - 1, -1, -1, dtype=np.int64) % F
+        return [tuple(self.labels[d] for d in row) for row in digits.tolist()]
 
     def factor_closure_holds(self, workers: int = 1) -> bool:
         """Every counted (n+1)-word must have both its n-prefix and n-suffix
@@ -341,9 +333,7 @@ def _sorted_distinct(s: np.ndarray) -> np.ndarray:
 def _map(fn, items, workers: int) -> list:
     """``[fn(x) for x in items]``, on a pool of ``workers`` threads when
     there is more than one worker and more than one item."""
-    workers = as_int(workers, f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise PreconditionFailed("workers must be >= 1")
+    workers = as_count(workers, "workers", 1)
     items = list(items)
     if workers == 1 or len(items) < 2:
         return [fn(x) for x in items]
@@ -394,15 +384,10 @@ def estimate_complexity(P: Polyhedron, n_max: int, budget: int, seed: int = 0,
     codes, so results are deterministic for a given seed and independent of
     chunking order or worker count.
     """
-    n_max = as_int(n_max, f"n_max must be an integer, got {n_max!r}")
-    budget = as_int(budget, f"budget must be an integer, got {budget!r}")
-    chunk_size = as_int(chunk_size, f"chunk_size must be an integer, got {chunk_size!r}")
-    if n_max < 2:
-        raise PreconditionFailed("n_max must be >= 2")
-    if budget < 1:
-        raise PreconditionFailed("budget must be >= 1")
-    if chunk_size < 1:
-        raise PreconditionFailed("chunk_size must be >= 1")
+    n_max = as_count(n_max, "n_max", 2)
+    budget = as_count(budget, "budget", 1)
+    seed = as_count(seed, "seed", 0)
+    chunk_size = as_count(chunk_size, "chunk_size", 1)
     F = P.n_faces
     if F ** n_max >= 2 ** 62:
         raise PreconditionFailed("alphabet too large for integer word codes at this n_max")

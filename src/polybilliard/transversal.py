@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PreconditionFailed, _cross, line_line_distance, unit, vec3
+from .geometry import PreconditionFailed, _cross, as_count, line_line_distance, unit, vec3
 
 
 class IdenticalLines(PreconditionFailed):
@@ -206,10 +206,13 @@ ON_SURFACE = "on-surface"
 def count_line_surface_intersections(line: EdgeLine, S: TripleSurface) -> int | str:
     """Count the points where a probe line crosses the surface.
 
-    Along ``c + t e``, in the surface's units, the quadric is ``c2 t^2 +
+    Along ``Y + t e``, in the surface's units, the quadric is ``c2 t^2 +
     c1 t + c0``, counted against the scale ``prod(1 + |u_i| + |v_i|)`` with
-    ``u_i = (Y - q_i) ^ d_i`` at ``Y = (c - p0) / L`` and ``v_i = e ^ d_i``,
-    which bounds every coefficient.  The probe lies on the surface
+    ``u_i = (Y - q_i) ^ d_i`` and ``v_i = e ^ d_i``, which bounds every
+    coefficient.  ``Y`` is the line's point nearest p0, ``(c - p0) / L``
+    re-based by ``Y - <Y, e> e`` (``e`` is a unit vector, as in every
+    :class:`EdgeLine`), so the count is the line's, wherever its base point
+    ``c`` sits on it.  The probe lies on the surface
     (:data:`ON_SURFACE`) when all three vanish against it.  A vanishing
     ``c2`` leaves at most one crossing; a discriminant within rounding of
     zero is a tangency, counted once; otherwise its sign gives two crossings
@@ -224,6 +227,9 @@ def count_line_surface_intersections(line: EdgeLine, S: TripleSurface) -> int | 
     px, py, pz = line.point.tolist()
     ex, ey, ez = line.direction.tolist()
     yx, yy, yz = (px - ox) / L, (py - oy) / L, (pz - oz) / L
+    # re-based at the line's point nearest p0, in floats
+    k = yx * ex + yy * ey + yz * ez
+    yx, yy, yz = yx - k * ex, yy - k * ey, yz - k * ez
     scale = 1.0
     for (qx, qy, qz), (dx, dy, dz) in S._edges:
         wx, wy, wz = yx - qx, yy - qy, yz - qz
@@ -260,6 +266,7 @@ def sample_transversals(a0: EdgeLine, a1: EdgeLine, a2: EdgeLine,
     spanned by ``(q, a0)`` and ``(q, a1)``; samples where that construction
     degenerates or fails verification are skipped.
     """
+    count = as_count(count, "count", 0)
     scale = 1.0 + max(float(np.linalg.norm(a.point)) for a in (a0, a1, a2))
     lines: list[EdgeLine] = []
     for s in np.linspace(-_SAMPLE_SPAN, _SAMPLE_SPAN, count):

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Polyhedron, PreconditionFailed
+from .geometry import Polyhedron, PreconditionFailed, as_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from .billiard import OrbitRecord
@@ -218,8 +218,7 @@ def generate_group(P: Polyhedron, bound: int = 10000) -> GroupClosure:
     appears (``closed=True``) or the element count exceeds ``bound``
     (``closed=False``; evidence, not proof, that the group is infinite).
     """
-    if bound < 1:
-        raise PreconditionFailed("bound must be >= 1")
+    bound = as_count(bound, "bound", 1)
     gens = _MatrixBuckets(np.empty((0, 3, 3)))
     gens.absorb(P.reflection_linear, math.inf)
     G = gens.elements[None]

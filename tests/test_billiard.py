@@ -5,8 +5,8 @@ import pytest
 
 import polybilliard as pb
 from polybilliard import billiard as bl
-from polybilliard.geometry import (Tolerances, box, point_line_distance, regular_tetrahedron,
-                                  unit, unit_cube, validate)
+from polybilliard.geometry import (NoAdvance, Tolerances, box, point_line_distance,
+                                  regular_tetrahedron, unit, unit_cube, validate)
 from polybilliard.unfolding import cumulative_isometries
 
 SQRT2 = np.sqrt(2.0)
@@ -108,6 +108,32 @@ def test_phase_point_validation(cube):
             bl.phase_point(cube, [0.5, 0.5, 1.0], [0, 0, -1.0], face=face)
     with pytest.raises(ValueError, match="outside the given face"):
         bl.phase_point(cube, [1.5, 0.5, 0.0], [0.1, 0.2, 1.0], face="z0")
+
+
+def test_phase_point_refuses_a_point_off_the_given_face_plane(cube):
+    with pytest.raises(pb.PreconditionFailed, match="does not lie on the given face plane"):
+        bl.phase_point(cube, (0.5, 0.5, 0.3), [0.1, 0.2, 1.0], face="z0")
+
+
+def test_orbit_that_cannot_advance_is_tangent_at_its_start(monkeypatch):
+    # in a box smaller than the step tolerance no hit is far enough along
+    # the ray: first_hit raises NoAdvance, and the orbit ends where it began
+    B = box(1e-4, 1e-4, 1e-4, tol=Tolerances(step=1e-3))
+    x = bl.phase_point(B, [5e-5, 5e-5, 0.0], unit([0.3, 0.2, 1.0]), face="z0")
+    real, raised = bl.first_hit, []
+
+    def first_hit(*args):
+        try:
+            return real(*args)
+        except NoAdvance:
+            raised.append(args)
+            raise
+
+    monkeypatch.setattr(bl, "first_hit", first_hit)
+    rec = bl.orbit(x, 5, B)
+    assert len(raised) == 1 and rec.n_bounces == 1
+    assert rec.singularity.kind is bl.SingularityKind.TANGENT_IN_FACE
+    assert rec.singularity.step == 0 and rec.singularity.face == B.face_index("z0")
 
 
 def test_phase_point_refuses_a_non_integer_face_id(cube):

@@ -316,6 +316,24 @@ def test_exit_code_non_finite_vector(cube_file, capsys):
     assert cli.main(["code", cube_file, "--m", "0.5,0.5,0", "--theta", "0,0,1"]) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["code", "--m", "0.5,0.5", "--theta", "0,0,1"], cli.EXIT_PARSE, "expected 3 components"),
+    (["code", "--m", "0.5,0.5,0", "--theta", "0,0,0"], cli.EXIT_PARSE, "must be nonzero"),
+    (["cell", "--theta", "0,0,1", "--word", ","], cli.EXIT_PRECONDITION, "at least one label"),
+    (["group", "--tol", "plane"], cli.EXIT_PARSE, "--tol expects name=value"),
+])
+def test_exit_code_malformed_flags(cube_file, capsys, argv, code, message):
+    assert cli.main([argv[0], cube_file, *argv[1:]]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_exit_code_one_edge(tmp_path, capsys):
+    edges = tmp_path / "edges.json"
+    edges.write_text(json.dumps({"edges": [{"p": [0, 1, 0], "x": [0, 0, 1]}]}))
+    assert cli.main(["transversal", str(edges)]) == cli.EXIT_PARSE
+    assert "must contain 2, 3, or 4 edges" in capsys.readouterr().err
+
+
 def test_exit_code_budget(cube_file, capsys):
     # a budget that is no finite number is a parse problem, not a precondition
     for budget in ("inf", "nan", "abc", "1e400"):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,19 @@ def test_collinear_face_rejected():
     faces = [("bad", [0, 1, 2]), ("a", [0, 1, 4]), ("b", [1, 2, 4]), ("c", [0, 3, 4])]
     with pytest.raises(g.DegenerateFace):
         g.validate(vs, faces)
+
+
+def test_as_count_reads_integers_at_least_the_minimum():
+    assert g.as_count(3, "n", 1) == 3 and g.as_count(0, "seed", 0) == 0
+    x = g.as_count(np.int64(7), "n", 2)
+    assert x == 7 and type(x) is int
+    for bad in (2.5, 3.0, True, np.bool_(False), "5", None):
+        message = re.escape(f"n must be an integer, got {bad!r}")
+        with pytest.raises(g.PreconditionFailed, match=f"^{message}$"):
+            g.as_count(bad, "n", 0)
+    for bad in (-1, 0, np.int32(1)):
+        with pytest.raises(g.PreconditionFailed, match="^--steps must be >= 2$"):
+            g.as_count(bad, "--steps", 2)
 
 
 def test_non_integer_vertex_index_rejected(cube):

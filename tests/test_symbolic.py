@@ -266,6 +266,33 @@ def test_period_bound_must_be_positive(cube, k_max):
     assert sy.detect_periodicity(b, np.int32(2)) == 2
 
 
+def test_repeating_tube_off_the_direction_has_no_period(cube):
+    # z0,z1,z0,z1,z0 at a slant: entry 2 is the identity plus (0, 0, 2),
+    # a translation off theta, so the tube does not close up
+    theta = unit([0.1, 0.0, 1.0])
+    b = _beam_along(cube, "z0", theta, ["z1", "z0", "z1", "z0"])
+    cell = sy.classify_cell(b)
+    assert cell.kind == "tube" and cell.area == pytest.approx(0.597, abs=1e-3)
+    assert np.array_equal(b.linear[2], np.eye(3))
+    assert np.array_equal(b.translation[2], [0.0, 0.0, 2.0])
+    assert sy.detect_periodicity(b, 8) is None
+
+
+def test_period_needs_a_forward_translation():
+    # hand-built beams whose entry 1 is the identity: a zero translation and
+    # one against theta are no period; one along theta is period 1
+    theta = np.array([0.0, 0.0, 1.0])
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+    def beam(t):
+        return sy.Beam(theta, np.zeros(3), np.eye(3)[:2], square, ["z0", "z0", "z0"],
+                       np.stack([np.eye(3)] * 3), np.array([[0.0, 0, 0], t, 2 * np.asarray(t)]))
+
+    assert sy.detect_periodicity(beam([0.0, 0.0, 0.0]), 2) is None
+    assert sy.detect_periodicity(beam([0.0, 0.0, -2.0]), 2) is None
+    assert sy.detect_periodicity(beam([0.0, 0.0, 2.0]), 2) == 1
+
+
 # ---------------------------------------------------------------------------
 # complexity estimation
 # ---------------------------------------------------------------------------
@@ -355,14 +382,29 @@ def test_words_refuses_non_integer_lengths(cube):
 
 
 def test_complexity_counts_must_be_integers(cube):
+    # a seed too is refused before numpy's generator sees it, not stored as True
     for bad in (100.5, 4.0, True, np.bool_(True), "4", None):
         for name, args, kw in (("n_max", (bad, 100), {}), ("budget", (4, bad), {}),
+                               ("seed", (4, 100), {"seed": bad}),
                                ("chunk_size", (4, 100), {"chunk_size": bad}),
                                ("workers", (4, 100), {"workers": bad})):
             with pytest.raises(PreconditionFailed, match=f"{name} must be an integer"):
                 sy.estimate_complexity(cube, *args, **kw)
-    tab = sy.estimate_complexity(cube, np.int64(3), np.int64(100), chunk_size=np.int64(64))
-    assert type(tab.budget) is int and type(tab.n_max) is int
+    tab = sy.estimate_complexity(cube, np.int64(3), np.int64(100), seed=np.int64(5),
+                                 chunk_size=np.int64(64))
+    assert type(tab.budget) is int and type(tab.n_max) is int and type(tab.seed) is int
+
+
+def test_words_decode_codes_in_order():
+    # the decoded words are the codes' base-F digits, first label first,
+    # in code order, up to the longest codes the table holds
+    P = regular_tetrahedron()
+    tab = sy.estimate_complexity(P, 14, 3000, seed=4)
+    F = P.n_faces
+    for n in (1, 2, 7, 14):
+        codes = tab.word_codes[n].tolist()
+        ref = [tuple(P.labels[c // F ** (n - 1 - i) % F] for i in range(n)) for c in codes]
+        assert tab.words(n) == ref and len(ref) == tab.p_hat[n - 1] > 0
 
 
 def test_complexity_preconditions(cube):
@@ -376,6 +418,11 @@ def test_complexity_preconditions(cube):
     for workers in (0, -2):
         with pytest.raises(ValueError, match="workers"):
             sy.estimate_complexity(cube, 4, 1000, workers=workers)
+    with pytest.raises(PreconditionFailed, match="^seed must be >= 0$"):
+        sy.estimate_complexity(cube, 4, 1000, seed=-1)
+    # 6 ** 24 >= 2 ** 62: the codes would overflow int64
+    with pytest.raises(PreconditionFailed, match="alphabet too large"):
+        sy.estimate_complexity(cube, 24, 10)
 
 
 def test_flagged_words_are_discarded(cube):

@@ -320,6 +320,39 @@ def test_independence_reads_the_regulus():
 # the probe kernel and membership against exact arithmetic
 # ---------------------------------------------------------------------------
 
+def test_counts_do_not_depend_on_the_base_point():
+    # the probe is re-based at its point nearest p0, so a far base point on
+    # the same line gives the same count; without it, moving these probes of
+    # the benchmark's surface by 1e4 changed 75 of 500 counts, and by 1e5
+    # read every one as a tangency
+    S = tv.triple_surface(tv.EdgeLine.of([0, 0, 0], [1, 0, 0]),
+                          tv.EdgeLine.of([0, 1, 0], [0, 0, 1]),
+                          tv.EdgeLine.of([2, 0, 1], [0, 1, 0]))
+    rng = np.random.default_rng(31)
+    lines = [tv.EdgeLine.of(2.0 * rng.normal(size=3), rng.normal(size=3)) for _ in range(500)]
+    counts = [tv.count_line_surface_intersections(line, S) for line in lines]
+    assert {0, 2} <= set(counts)
+    for s in (1e2, 1e4, 1e6):
+        moved = [tv.EdgeLine(line.point + s * line.direction, line.direction) for line in lines]
+        assert [tv.count_line_surface_intersections(line, S) for line in moved] == counts
+
+
+@pytest.mark.parametrize("count, message", [
+    (2.5, "count must be an integer, got 2.5"), (True, "count must be an integer, got True"),
+    ("5", "count must be an integer, got '5'"), (-1, "count must be >= 0")])
+def test_sample_transversals_count_must_be_a_count(count, message):
+    with pytest.raises(PreconditionFailed, match=f"^{message}$"):
+        tv.sample_transversals(X_AXIS, A1, A2, count=count)
+
+
+def test_sample_transversals_reads_numpy_counts():
+    assert tv.sample_transversals(X_AXIS, A1, A2, count=0) == []
+    lines = tv.sample_transversals(X_AXIS, A1, A2, count=np.int64(9))
+    ref = tv.sample_transversals(X_AXIS, A1, A2, count=9)
+    assert len(lines) == len(ref) > 0
+    assert all(a.point.tobytes() == b.point.tobytes() for a, b in zip(lines, ref))
+
+
 def _xcross(a, b):
     return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 

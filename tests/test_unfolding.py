@@ -54,6 +54,12 @@ def test_compose_order(cube):
 # orbit unfolding
 # ---------------------------------------------------------------------------
 
+def test_unfold_refuses_an_empty_record(cube):
+    empty = bl.OrbitRecord(np.empty(0, dtype=int), np.empty((0, 3)), np.empty((0, 3)), [])
+    with pytest.raises(PreconditionFailed, match="no bounces"):
+        uf.unfold_orbit(empty, cube)
+
+
 def test_unfold_bouncing_orbit(cube):
     rec = _orbit(cube, [0.5, 0.5, 0.0], [0, 0, 1.0], 6)
     track = uf.unfold_orbit(rec, cube)
@@ -181,6 +187,20 @@ def test_tetrahedron_group_not_closed():
     assert not closure.closed
     assert closure.order is None
     assert len(closure.elements) > 1000
+
+
+@pytest.mark.parametrize("bound, message", [
+    (2.5, "bound must be an integer, got 2.5"), (True, "bound must be an integer, got True"),
+    ("5", "bound must be an integer, got '5'"), (-1, "bound must be >= 1")])
+def test_group_bound_must_be_a_count(cube, bound, message):
+    # 2.5 used to run, and True to close nothing but report NOT_CLOSED
+    with pytest.raises(PreconditionFailed, match=f"^{message}$"):
+        uf.generate_group(cube, bound=bound)
+
+
+def test_group_bound_reads_numpy_integers(cube):
+    assert uf.generate_group(cube, bound=np.int64(100)).order == 8
+    assert not uf.generate_group(regular_tetrahedron(), bound=np.int32(50)).closed
 
 
 def test_deep_closure_is_reorthogonalized(monkeypatch):
