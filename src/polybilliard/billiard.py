@@ -235,6 +235,7 @@ def sample_points_in_face(P: Polyhedron, faces: np.ndarray,
                           rng: np.random.Generator) -> np.ndarray:
     """A uniform point in the polygon of each face in ``faces``, via its
     triangle fan; the faces draw from ``rng`` in face-id order."""
+    faces = P.face_ids(faces)
     m = np.empty((len(faces), 3))
     for f in range(P.n_faces):
         rows = np.flatnonzero(faces == f)
@@ -263,6 +264,7 @@ def sample_inward_directions(P: Polyhedron, faces: np.ndarray,
     ``w`` is the cosine of the polar angle from the inward normal; restricting
     (w, phi) to sub-ranges yields equal-area stratification tiles.
     """
+    faces = P.face_ids(faces)
     count = len(faces)
     w = rng.uniform(0.0, 1.0, count) * (np.asarray(w_hi) - np.asarray(w_lo)) + w_lo
     phi = rng.uniform(0.0, 1.0, count) * (np.asarray(phi_hi) - np.asarray(phi_lo)) + phi_lo
@@ -275,7 +277,7 @@ def sample_inward_directions(P: Polyhedron, faces: np.ndarray,
 def random_phase_points(P: Polyhedron, count: int,
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(m, theta, face) arrays sampled uniformly over faces x inward hemisphere."""
-    faces = rng.integers(0, P.n_faces, count)
+    faces = rng.integers(0, P.n_faces, as_count(count, "count", 0))
     m = sample_points_in_face(P, faces, rng)
     theta = sample_inward_directions(P, faces, rng)
     return m, theta, faces
@@ -296,9 +298,10 @@ def run_word_batch(P: Polyhedron, m: np.ndarray, theta: np.ndarray,
     labels per row, and a near-singular flag per row (some bounce passed
     within the ``sing`` tolerance of an edge).  Semantics match iterating
     :func:`billiard_step`, including conservative edge-hit termination.
+    Face ids are read by :meth:`Polyhedron.face_ids`, as by the samplers.
     """
     n_labels = as_count(n_labels, "n_labels", 1)
-    face = np.asarray(face).astype(np.int64)
+    face = P.face_ids(face)
     words = np.full((len(face), n_labels), -1, dtype=np.int16)
     words[:, 0] = face
     lengths = np.ones(len(face), dtype=np.int64)

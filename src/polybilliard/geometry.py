@@ -244,6 +244,20 @@ class Polyhedron:
         except KeyError:
             raise LabelNotReachable(f"unknown face label {label!r}") from None
 
+    def face_ids(self, faces) -> np.ndarray:
+        """``faces`` as a 1-D intp array of face ids.  An empty one may have
+        any dtype; otherwise an array that is not 1-D or of an integer dtype,
+        or an id outside 0..F-1, raises :class:`PreconditionFailed`."""
+        ids = np.asarray(faces)
+        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+            raise PreconditionFailed(
+                f"face ids must be a 1-D integer array, got {ids.dtype} of shape {ids.shape}")
+        out = (ids < 0) | (ids >= self.n_faces)
+        if out.any():
+            raise PreconditionFailed(
+                f"face id {ids[out][0]} out of range 0..{self.n_faces - 1}")
+        return ids.astype(np.intp)
+
     def face_polygon(self, f: int) -> np.ndarray:
         return self._face_polys[f]
 

@@ -35,11 +35,6 @@ from .geometry import (LabelNotReachable, Polyhedron, PreconditionFailed, as_cou
 # 2D convex sections
 # ---------------------------------------------------------------------------
 
-def _polygon_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 # absolute, in section coordinates: merges clip points that are one vertex
 # computed twice; sections of solids built by ``validate`` are of size ~1
 _DEDUPE_TOL = 1e-12
@@ -60,46 +55,36 @@ def _dedupe(pts: list) -> list:
     return keep
 
 
-def _clip_half(pts: list, nx: float, ny: float, c: float) -> list:
-    """Clip a convex polygon, given as a list of ``(x, y)`` float pairs, to
-    {p : <(nx, ny), p> <= c}.  Sections have 3-6 points, so Python floats
-    beat numpy here, as in ``first_hit``."""
-    d = [x * nx + y * ny - c for x, y in pts]
-    out = []
-    K = len(pts)
-    for i in range(K):
-        j = (i + 1) % K
-        ina, inb = d[i] <= 0.0, d[j] <= 0.0
-        if ina:
-            out.append(pts[i])
-        if ina != inb:
-            (ax, ay), (bx, by) = pts[i], pts[j]
-            t = d[i] / (d[i] - d[j])
-            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
-    return _dedupe(out)
-
-
 def _clip_convex(subject: list, clip_ccw: list) -> list | None:
-    """``subject`` clipped to each edge's half-plane of the CCW polygon
-    ``clip_ccw`` in turn, or ``None`` when no point of it lies outside any of
-    them.  Every section arrives deduplicated, so a half-plane that holds
-    every point leaves the section as it is, and only one that cuts it pays
-    for a clip."""
-    out = subject
-    cut = False
-    K = len(clip_ccw)
-    for i in range(K):
-        ax, ay = clip_ccw[i]
-        bx, by = clip_ccw[(i + 1) % K]
+    """``subject``, a convex polygon of ``(x, y)`` float pairs, clipped to
+    each edge's half-plane of the CCW polygon ``clip_ccw`` in turn, or
+    ``None`` when no point of it lies outside any of them.  Sections have
+    3-6 points, so Python floats beat numpy here, as in ``first_hit``.
+    Every section arrives deduplicated, so a half-plane that holds every
+    point leaves the section as it is, and only one that cuts it pays for
+    a clip."""
+    out, cut = subject, False
+    for (ax, ay), (bx, by) in zip(clip_ccw, clip_ccw[1:] + clip_ccw[:1]):
         ex, ey = bx - ax, by - ay
-        # interior of a CCW polygon: <(ey, -ex), p - a> <= 0
+        # interior of a CCW polygon: <(ey, -ex), p - a> <= 0; nan is outside
         nx, ny, c = ey, -ex, ey * ax + -ex * ay
-        for x, y in out:
-            if not x * nx + y * ny - c <= 0.0:      # outside, as _clip_half reads it
-                out, cut = _clip_half(out, nx, ny, c), True
-                if not out:
-                    return []
+        d = [x * nx + y * ny - c for x, y in out]
+        for v in d:
+            if not v <= 0.0:
                 break
+        else:
+            continue                    # no point outside
+        pts, out, cut = out, [], True
+        for p, (qx, qy), dp, dq in zip(pts, pts[1:] + pts[:1], d, d[1:] + d[:1]):
+            if dp <= 0.0:
+                out.append(p)
+            if (dp <= 0.0) != (dq <= 0.0):
+                px, py = p
+                t = dp / (dp - dq)
+                out.append((px + t * (qx - px), py + t * (qy - py)))
+        out = _dedupe(out)
+        if not out:
+            return []
     return out if cut else None
 
 
@@ -199,7 +184,6 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
     if b.word and label == b.word[-1]:
         raise LabelNotReachable("consecutive labels cannot repeat on a convex solid")
     f = P.face_index(label)
-    L = len(b.linear)
     lin, t = b.linear[-1], b.translation[-1]
     section = b.section
     if len(section):
@@ -212,10 +196,8 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
         if cut is not None:             # an uncut section was open already
             section = _frozen(np.array(_open(cut)).reshape(-1, 2))
     # the unfolding composed with the reflection across face f
-    linear, translation = np.empty((L + 1, 3, 3)), np.empty((L + 1, 3))
-    linear[:L], translation[:L] = b.linear, b.translation
-    np.matmul(lin, P.reflection_linear[f], out=linear[L])
-    np.add(lin @ P.reflection_translation[f], t, out=translation[L])
+    linear = np.concatenate([b.linear, (lin @ P.reflection_linear[f])[None]])
+    translation = np.concatenate([b.translation, (lin @ P.reflection_translation[f] + t)[None]])
     return Beam(b.theta, b.origin, b.axes, section, b.word + [label],
                 _frozen(linear), _frozen(translation))
 
@@ -236,7 +218,7 @@ def classify_cell(b: Beam) -> CellClass:
     """The beam's cell: ``empty``, or a ``tube`` with its section's area."""
     if b.is_empty:
         return CellClass("empty")
-    return CellClass("tube", area=abs(_polygon_area(b.section)))
+    return CellClass("tube", area=0.5 * abs(_area2(b.section.tolist())))
 
 
 def detect_periodicity(b: Beam, k_max: int) -> int | None:

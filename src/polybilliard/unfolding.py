@@ -36,9 +36,12 @@ def cumulative_isometries(P: Polyhedron, faces: np.ndarray) -> tuple[np.ndarray,
     picture; entry 0 is the identity (the itinerary's first face is where the
     orbit starts and contributes no reflection).  A Hillis-Steele scan: entry
     k starts as the reflection across ``faces[k]``, and the pass with stride
-    s composes entry k - s with entry k.
+    s composes entry k - s with entry k.  Face ids are read by
+    :meth:`Polyhedron.face_ids`, and an empty itinerary is refused.
     """
-    idx = np.asarray(faces, dtype=np.intp)
+    idx = P.face_ids(faces)
+    if len(idx) == 0:
+        raise PreconditionFailed("itinerary has no faces")
     lin, trans = P.reflection_linear[idx], P.reflection_translation[idx]
     lin[0], trans[0] = np.eye(3), 0.0
     s, L = 1, len(idx)
@@ -96,7 +99,10 @@ _REACH = 2 * _DEDUP_TOL * float(_WEIGHTS.sum())
 # key width, about 216 * _REACH, so a lookup probes one key, or two near a
 # key boundary; a power of two, so x / _BUCKET is exact
 _BUCKET = 2.0 ** -13
-# candidates hashed per numpy batch of the closure, which bounds its memory
+# candidates hashed per numpy batch of the closure, for speed: `bound` already
+# limits a level, and the tetrahedron's closure to 3000 elements took 9.4 ms
+# hashing each level in one product against 8.0 ms in batches of 512
+# (median of 20, 5 of 5 alternating runs, 2 vCPUs, numpy 2.4)
 _BATCH = 512
 
 

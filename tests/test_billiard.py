@@ -572,6 +572,52 @@ def test_batch_matches_orbit_for_starts_near_edges():
         assert (lengths[~on_edge] > 1).mean() > 0.5
 
 
+@pytest.mark.parametrize("count, message", [
+    (-1, "count must be >= 0"), (2.5, "count must be an integer, got 2.5"),
+    (True, "count must be an integer, got True")])
+def test_random_phase_points_count_must_be_a_count(cube, count, message):
+    # -1 used to leak numpy's ValueError, 2.5 and True a TypeError
+    with pytest.raises(pb.PreconditionFailed, match=f"^{message}$"):
+        bl.random_phase_points(cube, count, np.random.default_rng(0))
+
+
+def test_random_phase_points_reads_numpy_counts(cube):
+    m, th, f = bl.random_phase_points(cube, np.int64(3), np.random.default_rng(0))
+    assert m.shape == th.shape == (3, 3) and f.shape == (3,)
+
+
+# face ids that name no face of the cube, with the refusal each one meets
+_BAD_FACE_IDS = [([0, 7], "face id 7 out of range 0..5"),
+                 ([-1, 0], "face id -1 out of range 0..5"),
+                 ([6, 0], "face id 6 out of range 0..5"), ([2.5, 0.0], "integer array"),
+                 ([True, False], "integer array"), ([[0, 1]], "1-D")]
+
+
+@pytest.mark.parametrize("faces, message", _BAD_FACE_IDS)
+def test_sample_points_in_face_refuses_bad_face_ids(cube, faces, message):
+    # 7, -1 and 2.5 used to return uninitialised rows
+    with pytest.raises(pb.PreconditionFailed, match=message):
+        bl.sample_points_in_face(cube, faces, np.random.default_rng(0))
+    assert bl.sample_points_in_face(cube, [], np.random.default_rng(0)).shape == (0, 3)
+
+
+@pytest.mark.parametrize("faces, message", _BAD_FACE_IDS)
+def test_sample_inward_directions_refuses_bad_face_ids(cube, faces, message):
+    # -1 used to draw directions into face z1
+    with pytest.raises(pb.PreconditionFailed, match=message):
+        bl.sample_inward_directions(cube, faces, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("faces, message", _BAD_FACE_IDS)
+def test_run_word_batch_refuses_bad_face_ids(cube, faces, message):
+    # -1 used to step from face z1 and record the padding marker as a label
+    m, th, _ = bl.random_phase_points(cube, 2, np.random.default_rng(0))
+    with pytest.raises(pb.PreconditionFailed, match=message):
+        bl.run_word_batch(cube, m, th, faces, 4)
+    words, _, _ = bl.run_word_batch(cube, m[:0], th[:0], [], 4)
+    assert words.shape == (0, 4)
+
+
 def test_batch_refuses_fewer_than_one_label(cube):
     m, th, f = bl.random_phase_points(cube, 4, np.random.default_rng(0))
     for n_labels in (0, -1):

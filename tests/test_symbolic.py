@@ -155,10 +155,10 @@ def test_section_area_never_increases(cube):
         if rec.n_bounces < 2:
             continue
         b = sy.make_beam(cube, rec.word[0], rec.theta[0])
-        prev = abs(sy._polygon_area(b.section))
+        prev = abs(sy._area2(b.section.tolist()))
         for lab in rec.word[1:]:
             b = sy.propagate_beam(b, lab, cube)
-            cur = abs(sy._polygon_area(b.section))
+            cur = abs(sy._area2(b.section.tolist()))
             assert cur <= prev + 1e-12
             prev = cur
 
@@ -992,7 +992,9 @@ def test_open_cells_match_exact_oracle():
     # the float kind of every prefix equals the exact one, on the box and on
     # a rigid motion of it, where clipping singular lines leaves slivers of
     # rounding area rather than points; the test has teeth only where the
-    # exact clip leaves a point or a segment, so 20 walks must meet one
+    # exact clip leaves a point or a segment, so 20 walks must meet one.  A
+    # tube's area is the exact one: the oracle projects along theta onto
+    # z = 0, which scales areas by |theta| / |theta_z|
     rng = np.random.default_rng(41)
     singular = 0
     for P, theta, beams in _exact_walks(rng, 240):
@@ -1003,10 +1005,16 @@ def test_open_cells_match_exact_oracle():
         for solid, th in ((P, direction), (moved, Q @ direction)):
             b = sy.make_beam(solid, beams[0].word[0], th)
             assert not b.is_empty and not beams[0].is_empty
-            for e in beams[1:]:
-                b = sy.propagate_beam(b, e.word[-1], solid)
+            for e in beams:
+                if e is not beams[0]:
+                    b = sy.propagate_beam(b, e.word[-1], solid)
                 assert b.is_empty == e.is_empty, (P.vertices.max(axis=0), theta, e.word)
-                assert sy.classify_cell(b).kind == ("empty" if e.is_empty else "tube")
+                cell = sy.classify_cell(b)
+                assert cell.kind == ("empty" if e.is_empty else "tube")
+                if not e.is_empty:
+                    exact = float(abs(_frac_area2(e.section) * theta[2])) / 2
+                    exact /= np.linalg.norm(direction)
+                    assert abs(cell.area - exact) <= 1e-12 * exact, (theta, e.word)
         singular += bool(beams[-1].section) and beams[-1].is_empty
     assert singular >= 20
 

@@ -60,6 +60,17 @@ def test_unfold_refuses_an_empty_record(cube):
         uf.unfold_orbit(empty, cube)
 
 
+@pytest.mark.parametrize("faces, message", [
+    ([], "no faces"), ([0, -1], "face id -1 out of range 0..5"),
+    ([0, 6], "face id 6 out of range 0..5"), ([0.0, 1.0], "integer array")])
+def test_cumulative_isometries_refuses_bad_itineraries(cube, faces, message):
+    # -1 used to act as face z1, and 6 and [] leaked numpy's IndexError
+    with pytest.raises(PreconditionFailed, match=message):
+        uf.cumulative_isometries(cube, faces)
+    lin, trans = uf.cumulative_isometries(cube, np.array([4, 5], dtype=np.int8))
+    assert np.allclose(trans[1], [0, 0, 2.0])
+
+
 def test_unfold_bouncing_orbit(cube):
     rec = _orbit(cube, [0.5, 0.5, 0.0], [0, 0, 1.0], 6)
     track = uf.unfold_orbit(rec, cube)
