@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (Hit, HitKind, NoAdvance, Polyhedron, PreconditionFailed,
-                       as_count, as_int, first_hit, segment_segment_distance, unit, vec3)
+                       as_count, first_hit, segment_segment_distance, unit, vec3)
 from .transversal import EdgeLine
 from .unfolding import cumulative_isometries
 
@@ -52,9 +52,7 @@ def phase_point(P: Polyhedron, m, theta, face: int | str | None = None) -> Phase
     elif isinstance(face, str):
         face = P.face_index(face)
     else:
-        face = as_int(face, f"face id {face!r} is not an integer")
-        if not 0 <= face < P.n_faces:
-            raise PreconditionFailed(f"face id {face} out of range 0..{P.n_faces - 1}")
+        face = P.face_id(face)
     if abs(float(P.normals[face] @ m + P.offsets[face])) > 10 * P.tol.plane:
         raise PreconditionFailed("point does not lie on the given face plane")
     if not P.point_in_face(face, m):
@@ -168,7 +166,7 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
         if hit is None or hit.kind is not HitKind.FACE or len(faces) == n_max:
             break
         # reflect_direction in floats: theta - 2 <theta, n> n
-        nx, ny, nz, _, _, _ = rows[hit.face]
+        nx, ny, nz, _, _, _, _ = rows[hit.face]
         k = 2.0 * (tx * nx + ty * ny + tz * nz)
         tx, ty, tz = tx - k * nx, ty - k * ny, tz - k * nz
         cos_n = tx * nx + ty * ny + tz * nz
