@@ -149,7 +149,7 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     faces, ms, thetas = [x.face], [*m], [tx, ty, tz]
     flagged: list[int] = []
 
-    # a start on an edge of its face has no continuation convention
+    # a start on an edge of its face, or outside it, has no continuation convention
     dist, edge = P.nearest_edge(x.face, x.m)
     if dist <= tol.plane:
         hit = Hit(HitKind.EDGE, m, 0.0, face=x.face, edge=edge, edge_distance=dist)
@@ -166,7 +166,7 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
         if hit is None or hit.kind is not HitKind.FACE or len(faces) == n_max:
             break
         # reflect_direction in floats: theta - 2 <theta, n> n
-        nx, ny, nz, _, _, _, _ = rows[hit.face]
+        nx, ny, nz, _, _, _ = rows[hit.face]
         k = 2.0 * (tx * nx + ty * ny + tz * nz)
         tx, ty, tz = tx - k * nx, ty - k * ny, tz - k * nz
         cos_n = tx * nx + ty * ny + tz * nz

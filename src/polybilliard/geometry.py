@@ -32,7 +32,8 @@ class OpenSurface(Exception):
 
 
 class DegenerateFace(Exception):
-    """A face polygon is collinear, non-convex as a polygon, or non-planar."""
+    """A face polygon is collinear, non-convex as a polygon, non-planar, or
+    coplanar with a face that shares an edge with it."""
 
 
 class NoAdvance(PreconditionFailed):
@@ -184,19 +185,17 @@ class Polyhedron:
     joins vertices ``edge_endpoints[e]`` = (i, j), i < j, with the rows in
     sorted order, and is shared by the faces ``edge_faces[e]``.
 
-    Batch stepping table, (F, F), for hit face f and face g: ``inv_sin`` is
+    The edge distance, (F, F), for hit face f and face g: ``inv_sin`` is
     1 / sin of the angle between their normals where they share an edge,
-    else nan.  For q inside f, s_g(q) / sin is the distance within f to the
-    line of f∩g (s_g: signed distance to plane g), so the nan-skipping
-    ``fmin`` over g of ``s_g(q) * inv_sin`` is q's distance to the boundary
-    of f.  Outside f it fails: q can be nearer an edge's line than the edge.
-    The table is symmetric, and the batch kernel relies on it: it reads
-    column f as row f.  Scalar ``rows``, per face in Python floats: plane
-    ``(nx, ny, nz, c)``, vertices ``(x, y, z, id)``, edges ``(ax, ay, az,
-    bx - ax, by - ay, bz - az, squared length, id)`` from endpoint a to
-    endpoint b, and per edge, in the same order, the face g across it as
-    ``(nx, ny, nz, c, inv_sin[f, g])``: ``first_hit`` screens a hit inside f
-    with these neighbour planes.  The reflection across face f is
+    else nan.  For q in f's plane, s_g(q) / sin is the signed distance
+    within that plane to the line of f∩g (s_g: signed distance to plane g),
+    positive on f's side, so the least ``s_g(q) * inv_sin`` over the faces
+    g across f's edges is q's distance to the boundary of f inside f, and
+    negative outside it.  The table is symmetric, and the batch kernel
+    relies on it: it reads column f as row f.  Scalar ``rows``, per face in
+    Python floats: plane ``(nx, ny, nz, c)``, vertices ``(x, y, z, id)``,
+    and per edge, by increasing id, the face g across it as ``(nx, ny, nz,
+    c, inv_sin[f, g], edge id)``.  The reflection across face f is
     x -> ``reflection_linear[f] @ x + reflection_translation[f]``, and
     ``frames[f]`` has the orthonormal rows (t1, t2, n), n the inward normal.
     """
@@ -218,19 +217,12 @@ class Polyhedron:
             np.cross(N[fa], N[fb]), axis=1)
         rows = []
         for f, boundary in enumerate(boundaries):
-            segs, sides = [], []
-            for e_id in np.flatnonzero((edge_faces == f).any(axis=1)).tolist():
-                i, j = edge_endpoints[e_id]
-                seg = vertices[j] - vertices[i]
-                segs.append((*vertices[i].tolist(), *seg.tolist(), float(seg @ seg), e_id))
-                g = int(edge_faces[e_id].sum()) - f            # the face across the edge
-                k = float(self.inv_sin[f, g])
-                # a coplanar g (1 / sin = inf) measures nothing: its row
-                # reads -1 at every point, which leaves f's hits unscreened
-                sides.append((*N[g].tolist(), float(c[g]), k) if k < math.inf
-                             else (0.0, 0.0, 0.0, -1.0, 1.0))
+            sides = []
+            for e in np.flatnonzero((edge_faces == f).any(axis=1)).tolist():
+                g = int(edge_faces[e].sum()) - f            # the face across edge e
+                sides.append((*N[g].tolist(), float(c[g]), float(self.inv_sin[f, g]), e))
             verts = tuple((*vertices[v].tolist(), v) for v in boundary)
-            rows.append((*N[f].tolist(), float(c[f]), verts, tuple(segs), tuple(sides)))
+            rows.append((*N[f].tolist(), float(c[f]), verts, tuple(sides)))
         self.rows = tuple(rows)
         # the reflection across each face plane: x - 2 (<n, x> + c) n
         self.reflection_linear = np.eye(3) - 2.0 * N[:, :, None] * N[:, None, :]
@@ -282,22 +274,30 @@ class Polyhedron:
         return np.asarray(pts, float) @ self.normals.T + self.offsets
 
     def point_in_face(self, f: int, q) -> bool:
-        """Is ``q`` (assumed on the face plane) inside the face polygon?"""
-        f = self.face_id(f)
-        poly = self.face_polygon(f)
-        n = self.normals[f]
-        nxt = np.roll(poly, -1, axis=0)
-        side = np.cross(n, nxt - poly)          # points into the polygon
-        rel = np.asarray(q, float) - poly
-        return bool(np.all(np.einsum("ij,ij->i", rel, side) >= -self.tol.plane * np.linalg.norm(side, axis=1)))
+        """Is ``q`` (assumed on the face plane) inside face ``f``, or at
+        most ``plane`` outside it?"""
+        return self.nearest_edge(f, q)[0] >= -self.tol.plane
 
     def nearest_edge(self, f: int, q) -> tuple[float, int]:
-        """Distance from ``q`` to the nearest boundary edge of face ``f``,
-        and that edge's id."""
-        f = self.face_id(f)
+        """The signed distance from ``q`` (assumed on the face plane) to the
+        boundary of face ``f``, and the id of the edge that attains it: the
+        distance to the nearest edge inside the face, negative outside it.
+
+        It is the least ``s_g(q) * inv_sin[f, g]`` over the faces g across
+        f's edges, as :func:`first_hit` takes it; the first edge wins a tie.
+        Every s_g is positive exactly inside the convex face, and s_g(q) /
+        sin is the distance within f's plane to the line of f∩g.  Rounding
+        moves it by about 1e-15 * (|q| + |c_g|) * ``inv_sin[f, g]``: under
+        5e-13 at a dihedral 1e-3 from pi (1 / sin about 1e3), far below
+        ``plane``."""
+        sides = self.rows[self.face_id(f)][5]
         qx, qy, qz = np.asarray(q, float).tolist()
-        r2, e = _nearest_edge(self.rows[f][5], qx, qy, qz)
-        return math.sqrt(r2), e
+        dist, edge = math.inf, -1
+        for nx, ny, nz, c, inv_sin, e in sides:
+            d = (nx * qx + ny * qy + nz * qz + c) * inv_sin
+            if d < dist:
+                dist, edge = d, e
+        return dist, edge
 
     def with_tolerances(self, tol: Tolerances) -> "Polyhedron":
         """The same solid under ``tol``; no table depends on it, so all are shared."""
@@ -402,6 +402,12 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
     for (i, j), fs in edges:
         if len(fs) != 2:
             raise OpenSurface(f"edge ({i},{j}) belongs to {len(fs)} faces, expected 2")
+        # no plane distance measures the edge between coplanar faces (1 / sin
+        # is inf): refused before the division when every vertex of one face
+        # lies within plane of the other's plane
+        fa, fb = fs
+        if float(np.abs(V[list(boundaries[fb])] @ N[fa] + C[fa]).max()) <= tol.plane:
+            raise DegenerateFace(f"faces {labels[fa]!r} and {labels[fb]!r} are coplanar")
     edge_endpoints, edge_faces = (np.array(a) for a in zip(*edges))
     return Polyhedron(V, labels, tuple(boundaries), N, C, edge_endpoints, edge_faces, tol)
 
@@ -446,9 +452,11 @@ class Hit(NamedTuple):
     """First boundary intersection of a ray with the polyhedron surface.
 
     ``point`` is the float triple ``(x, y, z)``.  ``edge_distance`` is the
-    distance from the hit point to the nearest boundary edge of the hit face
-    (finite for FACE hits), used by callers to flag unreliable near-edge
-    passages.  A named tuple, cheap to build per bounce.
+    signed distance from the hit point to the boundary of the hit face, as
+    :meth:`Polyhedron.nearest_edge` gives it (0 for a VERTEX hit): over
+    ``plane`` for a FACE hit, and negative outside the face, which a ray
+    from the boundary aimed outward can reach.  Callers flag unreliable
+    near-edge passages by it.  A named tuple, cheap to build per bounce.
     """
 
     kind: HitKind
@@ -470,17 +478,17 @@ def first_hit(m, theta, P: Polyhedron) -> Hit:
     per-solid float ``rows`` of :class:`Polyhedron` instead, and ``m`` and
     ``theta`` are float triples (an ndarray unpacks to numpy floats, with the
     same bits).  Among faces hit at the same distance the lowest face id wins.
-    A hit over 2 * ``plane`` inside its face from every edge is screened
-    by the neighbour planes of ``rows`` and returns as a FACE hit with that
-    plane distance; any other hit measures the clipped segment distance to
-    the face's edges, from which the EDGE and VERTEX verdicts follow.
+    The hit's edge distance is :meth:`Polyhedron.nearest_edge`'s: a hit over
+    2 * ``plane`` from the boundary is a FACE hit, and a nearer one is a
+    VERTEX hit within ``plane`` of a vertex of its face, else an EDGE hit
+    within ``plane`` of an edge (or outside the face), else a FACE hit.
     """
     tol = P.tol
     neg_angle, step, plane = -tol.angle, tol.step, tol.plane
     mx, my, mz = m
     tx, ty, tz = theta
     tf, f = math.inf, -1
-    for k, (nx, ny, nz, c, _, _, _) in enumerate(P.rows):
+    for k, (nx, ny, nz, c, _, _) in enumerate(P.rows):
         d = nx * tx + ny * ty + nz * tz
         if d < neg_angle:
             t = (nx * mx + ny * my + nz * mz + c) / -d
@@ -489,58 +497,31 @@ def first_hit(m, theta, P: Polyhedron) -> Hit:
     if f < 0:
         raise NoAdvance("ray does not reach the boundary")
     qx, qy, qz = q = mx + tf * tx, my + tf * ty, mz + tf * tz
-    _, _, _, _, verts, edges, sides = P.rows[f]
-
-    # the screen: q lies in f's plane, so it is inside the convex face f
-    # exactly when its signed distance to the plane of every face g across
-    # an edge of f is positive, and then the least s_g(q) / sin(phi_fg) is
-    # its distance to f's boundary.  Rounding moves that least value by
-    # about 1e-15 * (|q| + |c_g|) / sin(phi_fg): under 5e-13 against
-    # the clipped distance at a 1 / sin of 1e3 (a dihedral 1e-3 from pi),
-    # far below plane, the margin between this 2 * plane and the EDGE
-    # verdict (no vertex is within plane of a hit 2 * plane from each edge)
-    dmin = math.inf
-    for nx, ny, nz, c, inv_sin in sides:
+    _, _, _, _, verts, sides = P.rows[f]
+    # the loop of Polyhedron.nearest_edge, written out: the call would add
+    # about a tenth to first_hit's 2 us on the tetrahedron
+    edist, edge = math.inf, -1
+    for nx, ny, nz, c, inv_sin, e in sides:
         d = (nx * qx + ny * qy + nz * qz + c) * inv_sin
-        if d < dmin:
-            dmin = d
-    if dmin > 2.0 * plane:
-        return Hit(HitKind.FACE, q, tf, f, None, None, dmin)
-    # near an edge, or outside f (a ray from the boundary aimed outward):
-    # the clipped segment distance, which holds at any point
-    best, edge = _nearest_edge(edges, qx, qy, qz)
-    # a vertex within plane is an endpoint of an edge within plane, up to
-    # rounding, so only a hit near an edge can be a vertex hit
-    if best <= 4.0 * plane * plane:
-        r2v, vertex = math.inf, -1
-        for x, y, z, v in verts:
-            dx, dy, dz = x - qx, y - qy, z - qz
-            r2 = dx * dx + dy * dy + dz * dz
-            if r2 < r2v:
-                r2v, vertex = r2, v
-        if r2v <= plane * plane:
-            return Hit(HitKind.VERTEX, q, tf, face=f, vertex=vertex, edge_distance=0.0)
-    edist = math.sqrt(best)
+        if d < edist:
+            edist, edge = d, e
+    if edist > 2.0 * plane:
+        # positional: keyword arguments make a NamedTuple's constructor slower
+        return Hit(HitKind.FACE, q, tf, f, None, None, edist)
+    # a vertex within plane of q lies on two edge lines within plane of it,
+    # so only a hit near the boundary can be a vertex hit; 2 * plane leaves
+    # a margin of plane for rounding
+    r2v, vertex = math.inf, -1
+    for x, y, z, v in verts:
+        dx, dy, dz = x - qx, y - qy, z - qz
+        r2 = dx * dx + dy * dy + dz * dz
+        if r2 < r2v:
+            r2v, vertex = r2, v
+    if r2v <= plane * plane:
+        return Hit(HitKind.VERTEX, q, tf, face=f, vertex=vertex, edge_distance=0.0)
     if edist <= plane:
         return Hit(HitKind.EDGE, q, tf, face=f, edge=edge, edge_distance=edist)
-    # positional: keyword arguments make a NamedTuple's constructor slower
     return Hit(HitKind.FACE, q, tf, f, None, None, edist)
-
-
-def _nearest_edge(edges, qx: float, qy: float, qz: float) -> tuple[float, int]:
-    """Squared distance from q to the nearest of a face's clipped edge
-    segments, given as its rows in ``Polyhedron.rows``, and that edge's id; the
-    first edge wins a tie.  Both endpoints of an edge are at distance 0."""
-    best, edge = math.inf, -1
-    for ax, ay, az, ex, ey, ez, l2, e in edges:
-        wx, wy, wz = qx - ax, qy - ay, qz - az
-        s = (wx * ex + wy * ey + wz * ez) / l2
-        s = 0.0 if s < 0.0 else 1.0 if s > 1.0 else s    # np.clip(s, 0, 1)
-        dx, dy, dz = wx - s * ex, wy - s * ey, wz - s * ez
-        r2 = dx * dx + dy * dy + dz * dz
-        if r2 < best:
-            best, edge = r2, e
-    return best, edge
 
 
 # ---------------------------------------------------------------------------

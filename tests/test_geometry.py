@@ -619,8 +619,28 @@ def _assert_same_hit(m, theta, P, tie=False, edges=()):
         == _hit_bits(got)
     if got is None:
         return None
-    assert (got.kind, got.vertex) == (ref.kind, ref.vertex)
-    assert got.edge == ref.edge or {got.edge, ref.edge} <= set(edges)
+    # the kernels sum in different orders: allow 1e-12 per unit of ray length
+    # (rays inside these solids are at most 3 long; outward rays from the
+    # boundary cross far-away face planes outside the solid)
+    tol = 1e-12 * max(1.0, ref.length)
+    ids, side = _side_distances(P, got.face, np.array(got.point))
+    outside = side.min() < -tol
+    if outside:
+        # a ray from the boundary aimed outward meets a plane outside its
+        # face; the reference measures the distance to the nearest edge
+        # there, first_hit the (negative) one past the farthest-crossed
+        # edge line, so the hit is an EDGE or VERTEX hit
+        assert got.kind is (g.HitKind.VERTEX if ref.kind is g.HitKind.VERTEX
+                            else g.HitKind.EDGE)
+        assert got.vertex == ref.vertex
+        if got.kind is g.HitKind.EDGE:
+            assert got.edge_distance < 0.0
+            assert abs(got.edge_distance - side.min()) <= tol
+            assert side[ids.index(got.edge)] <= side.min() + tol
+    else:
+        assert (got.kind, got.vertex) == (ref.kind, ref.vertex)
+        assert got.edge == ref.edge or {got.edge, ref.edge} <= set(edges)
+        assert abs(got.edge_distance - ref.edge_distance) <= tol
     if not tie or got.kind is g.HitKind.FACE:
         assert got.face == ref.face
     elif got.kind is g.HitKind.EDGE:
@@ -629,14 +649,21 @@ def _assert_same_hit(m, theta, P, tie=False, edges=()):
         assert all(got.vertex in P.boundaries[h.face] for h in (got, ref))
     assert isinstance(got.point, tuple) and len(got.point) == 3
     assert all(isinstance(x, float) for x in got.point)
-    # the kernels sum in different orders: allow 1e-12 per unit of ray length
-    # (rays inside these solids are at most 3 long; outward rays from the
-    # boundary cross far-away face planes outside the solid)
-    tol = 1e-12 * max(1.0, ref.length)
     assert np.abs(got.point - ref.point).max() <= tol
     assert abs(got.length - ref.length) <= tol
-    assert abs(got.edge_distance - ref.edge_distance) <= tol
     return got
+
+
+def _side_distances(P, f, q):
+    """Face ``f``'s edge ids and the signed distances from ``q``, in f's
+    plane, to the lines of those edges, positive inside f: the side-product
+    test, by numpy."""
+    ids = [k for k, fs in enumerate(P.edge_faces.tolist()) if f in fs]
+    a, b = P.vertices[P.edge_endpoints[ids]].transpose(1, 0, 2)
+    inward = np.cross(P.normals[f], b - a)
+    inward /= np.linalg.norm(inward, axis=1)[:, None]
+    inward *= np.sign(np.einsum("ej,ej->e", P.face_polygon(f).mean(axis=0) - a, inward))[:, None]
+    return ids, np.einsum("ej,ej->e", q - a, inward)
 
 
 def _rotated_box():
@@ -715,18 +742,22 @@ def test_first_hit_matches_reference(name):
             q = v + 1e-6 * g.unit(poly.mean(axis=0) - v)
             assert _assert_same_hit(starts[0], g.unit(q - starts[0]), P).kind is g.HitKind.FACE
     # boundary starts at vertices and face centres, with directions into and
-    # out of the solid, so some rays never reach a face plane
-    no_advance = 0
+    # out of the solid, so some rays never reach a face plane and some meet
+    # one outside its face
+    no_advance = outside = 0
     for v in range(len(V)):
         for theta in dirs[:200]:
-            no_advance += _assert_same_hit(V[v], theta, P, tie=True) is None
+            hit = _assert_same_hit(V[v], theta, P, tie=True)
+            no_advance += hit is None
+            outside += hit is not None and hit.edge_distance < -P.tol.plane
     for f in range(P.n_faces):
         m = P.face_polygon(f).mean(axis=0)
         n = P.normals[f]
         no_advance += _assert_same_hit(m, -n, P) is None
         for theta in dirs[:50]:
-            _assert_same_hit(m, theta, P)
-    assert no_advance > 0
+            hit = _assert_same_hit(m, theta, P)
+            outside += hit is not None and hit.edge_distance < -P.tol.plane
+    assert no_advance > 0 and outside > 0
     assert _assert_same_hit(starts[0], np.zeros(3), P) is None
 
 
@@ -752,10 +783,13 @@ def test_first_hit_matches_reference_near_vertices(name):
     for f in range(P.n_faces):
         poly = P.face_polygon(f)
         for i, v in enumerate(poly):
-            for w in (poly.mean(axis=0) - v, poly[i - 1] - v):
+            # into the face both edges at v can be equally near
+            at_v = [e for e, ij in enumerate(P.edge_endpoints.tolist())
+                    if P.boundaries[f][i] in ij and f in P.edge_faces[e]]
+            for w, edges in ((poly.mean(axis=0) - v, at_v), (poly[i - 1] - v, ())):
                 for mult in (0.5, 1.5, 2.5):
                     q = v + mult * P.tol.plane * g.unit(w)
-                    hit = _assert_same_hit(start, g.unit(q - start), P, tie=True)
+                    hit = _assert_same_hit(start, g.unit(q - start), P, tie=True, edges=edges)
                     found.setdefault(mult, set()).add(hit.kind)
     assert found[0.5] == {g.HitKind.VERTEX}
     assert g.HitKind.VERTEX not in found[1.5] | found[2.5]
@@ -769,16 +803,16 @@ def _inward(P, f, a, b):
 
 
 # offsets from an edge or a vertex, in units of plane, on both sides of the
-# EDGE and VERTEX verdicts at 1 and of first_hit's screen at 2
+# EDGE and VERTEX verdicts at 1 and of first_hit's vertex scan at 2
 _BAND = (0.5, 0.99, 1.01, 1.5, 1.99, 2.01, 2.5, 4.0)
 
 
 @pytest.mark.parametrize("name", sorted(SOLIDS))
 def test_first_hit_matches_reference_across_the_screen_band(name):
-    # first_hit takes a FACE hit over 2 * plane from every edge from the
-    # neighbour planes and leaves every nearer hit to the clipped distance;
-    # aim at each offset from each edge's midpoint, and from each vertex
-    # along the bisector of its face angle
+    # first_hit returns a hit over 2 * plane from every edge line as a FACE
+    # hit and scans the vertices for every nearer one; aim at each offset
+    # from each edge's midpoint, and from each vertex along the bisector of
+    # its face angle
     P = SOLIDS[name]()
     plane, start = P.tol.plane, P.vertices.mean(axis=0)
     found = {}
@@ -803,28 +837,34 @@ def test_first_hit_matches_reference_across_the_screen_band(name):
     assert found["vertex", 4.0] == {g.HitKind.FACE}
 
 
-def test_first_hit_sees_the_edge_between_coplanar_faces():
-    # z0 split along its diagonal into two coplanar triangles: 1 / sin is
-    # inf across the diagonal, so no plane distance measures it, and every
-    # hit on either triangle takes the clipped distance
-    vs = [(x, y, z) for z in (0.0, 1.0) for y in (0.0, 1.0) for x in (0.0, 1.0)]
+def test_validate_refuses_coplanar_neighbours():
+    # z0 split along its diagonal into two coplanar triangles: no plane
+    # distance measures the diagonal (1 / sin is inf), so validate refuses
+    # the solid, as given and rigidly moved, before it divides by that sin;
+    # the roof's faces, at a dihedral 1e-3 from pi, are a solid
+    vs = np.array([(x, y, z) for z in (0.0, 1.0) for y in (0.0, 1.0) for x in (0.0, 1.0)])
     faces = [*((lab, idx) for lab, idx in _faces(g.unit_cube()) if lab != "z0"),
              ("z0a", [0, 2, 3]), ("z0b", [0, 3, 1])]
+    rng = np.random.default_rng(33)
+    motions = [(np.eye(3), np.zeros(3))]
+    for _ in range(3):
+        Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
+        Q = Q * np.sign(np.diag(R))
+        Q[:, 0] *= np.linalg.det(Q)                             # a rotation
+        motions.append((Q, rng.normal(size=3)))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)          # 1 / sin 0
-        P = g.validate(vs, faces)
-    start, out = np.array([0.5, 0.5, 0.5]), np.array([-1.0, 1.0, 0.0]) / SQRT2
-    kinds = []
-    for k in _BAND:
-        q = np.array([0.5, 0.5, 0.0]) + k * P.tol.plane * out
-        kinds.append(_assert_same_hit(start, g.unit(q - start), P).kind)
-    assert kinds == [g.HitKind.EDGE] * 2 + [g.HitKind.FACE] * 6
+        warnings.simplefilter("error")                          # no 1 / sin 0
+        for Q, shift in motions:
+            with pytest.raises(g.DegenerateFace, match="faces 'z0a' and 'z0b' are coplanar"):
+                g.validate(vs @ Q.T + shift, faces)
+        roof = _roof()
+    assert 900.0 < np.nanmax(roof.inv_sin) < 1100.0
 
 
 def _clipped_first_hit(m, theta, P):
-    """``first_hit`` without the neighbour-plane screen, the reference for
-    orbits: every hit measures the clipped segment distance to each edge of
-    its face."""
+    """``first_hit`` by the clipped segment distance in place of the
+    neighbour planes, the reference for orbits: every hit measures its
+    distance to each edge of its face."""
     tol = P.tol
     neg_angle, step, plane = -tol.angle, tol.step, tol.plane
     mx, my, mz = m
@@ -839,7 +879,10 @@ def _clipped_first_hit(m, theta, P):
     if f < 0:
         raise g.NoAdvance("ray does not reach the boundary")
     qx, qy, qz = q = mx + tf * tx, my + tf * ty, mz + tf * tz
-    verts, edges = P.rows[f][4:6]
+    verts, edges = P.rows[f][4], []
+    for e in np.flatnonzero((P.edge_faces == f).any(axis=1)).tolist():
+        a, b = P.vertices[P.edge_endpoints[e]]
+        edges.append((*a.tolist(), *(b - a).tolist(), float((b - a) @ (b - a)), e))
     best, edge = math.inf, -1
     for ax, ay, az, ex, ey, ez, l2, e in edges:
         wx, wy, wz = qx - ax, qy - ay, qz - az
@@ -874,8 +917,8 @@ def _orbit_bits(rec):
 
 @pytest.mark.parametrize("name", sorted(SOLIDS))
 def test_orbits_are_the_clipped_distance_stepping_bitwise(name, monkeypatch):
-    # the screen changes a FACE hit's edge_distance by rounding only, so no
-    # orbit moves: random starts, and starts 0.5 to 3 * plane from an edge,
+    # inside a face the neighbour planes give the clipped distance up to
+    # rounding, so no orbit moves: random starts, and starts 0.5 to 3 * plane from an edge,
     # under the default tolerances and under coarse ones that end orbits on
     # edges and flag bounces near them
     P0 = SOLIDS[name]()
@@ -904,7 +947,8 @@ def test_orbits_are_the_clipped_distance_stepping_bitwise(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# nearest edge of a face against a numpy clipped-segment oracle
+# nearest edge of a face against numpy oracles: the clipped segments inside
+# the face, the side-product test outside it
 # ---------------------------------------------------------------------------
 
 def _oracle_edge_distances(P, f, q):
@@ -917,8 +961,18 @@ def _oracle_edge_distances(P, f, q):
 
 
 def _assert_nearest_edge(P, f, q):
+    q = np.asarray(q, float)
     dist, edge = P.nearest_edge(f, q)
-    ids, ref = _oracle_edge_distances(P, f, np.asarray(q, float))
+    assert P.point_in_face(f, q) == (dist >= -P.tol.plane)
+    ids, side = _side_distances(P, f, q)
+    if side.min() < -1e-13:
+        # outside: minus the distance past the farthest-crossed edge line,
+        # at most the distance to the face
+        assert dist < 0.0 and abs(dist - side.min()) <= 1e-13
+        assert side[ids.index(edge)] <= side.min() + 1e-13
+        assert -dist <= _oracle_edge_distances(P, f, q)[1].min() + 1e-13
+        return dist, edge
+    ids, ref = _oracle_edge_distances(P, f, q)
     k = int(ref.argmin())
     assert abs(dist - ref[k]) <= 1e-13
     assert (dist <= P.tol.plane) == (ref[k] <= P.tol.plane)
@@ -941,21 +995,24 @@ def test_nearest_edge_matches_oracle(name):
             # on both vertices: distance 0, an edge through that vertex
             for v in (a, b):
                 dist, edge = _assert_nearest_edge(P, f, v)
-                assert dist <= 1e-15 and v.tolist() in P.vertices[
+                assert abs(dist) <= 1e-15 and v.tolist() in P.vertices[
                     P.edge_endpoints[edge]].tolist()
-            # beyond either end of the edge, in the face plane; on the edge's
-            # line that end is nearest (no face angle here exceeds 90 degrees)
+            # beyond either end of the edge, in the face plane: outside the
+            # face on the edge's line (no face angle here exceeds 90
+            # degrees), and on either side of it
             for end, out in ((a, -u), (b, u)):
                 for r in (1e-3, 0.5, 2.0):
                     dist, _ = _assert_nearest_edge(P, f, end + r * out)
-                    assert abs(dist - r) <= 1e-14
+                    assert -r - 1e-14 <= dist < 0.0
                     _assert_nearest_edge(P, f, end + r * out + rng.uniform(-1, 1) * inward)
-            # 0.5x and 2x plane inside the face from a random point of the edge
+            # 0.5x and 2x plane inside the face from a random point of the
+            # edge, and outside it
             mid = a + rng.uniform(0.2, 0.8) * (b - a)
-            for k in (0.5, 2.0):
+            for k in (-2.0, -0.5, 0.5, 2.0):
                 dist, edge = _assert_nearest_edge(P, f, mid + k * plane * inward)
                 assert edge == e_id and abs(dist - k * plane) <= 1e-14
                 assert (dist <= plane) == (k < 1.0)
+                assert P.point_in_face(f, mid + k * plane * inward) == (k > -1.0)
         # random points in and around the face
         poly = P.face_polygon(f)
         w = rng.random((50, len(poly)))
