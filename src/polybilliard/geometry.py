@@ -194,10 +194,13 @@ class Polyhedron:
     negative outside it.  The table is symmetric, and the batch kernel
     relies on it: it reads column f as row f.  Scalar ``rows``, per face in
     Python floats: plane ``(nx, ny, nz, c)``, vertices ``(x, y, z, id)``,
-    and per edge, by increasing id, the face g across it as ``(nx, ny, nz,
-    c, inv_sin[f, g], edge id)``.  The reflection across face f is
-    x -> ``reflection_linear[f] @ x + reflection_translation[f]``, and
-    ``frames[f]`` has the orthonormal rows (t1, t2, n), n the inward normal.
+    and per edge, by increasing id, the side row ``(ux, uy, uz, c', edge
+    id)`` of the face g across it: <u, q> + c' = (s_g(q) - cos s_f(q)) /
+    sin, which is s_g(q) / sin in f's plane and stays so as q moves along
+    n_f (u is the unit normal of the edge in f's plane).  The reflection
+    across face f is x -> ``reflection_linear[f] @ x +
+    reflection_translation[f]``, and ``frames[f]`` has the orthonormal rows
+    (t1, t2, n), n the inward normal.
     """
 
     def __init__(self, vertices: np.ndarray, labels: list[str],
@@ -220,7 +223,9 @@ class Polyhedron:
             sides = []
             for e in np.flatnonzero((edge_faces == f).any(axis=1)).tolist():
                 g = int(edge_faces[e].sum()) - f            # the face across edge e
-                sides.append((*N[g].tolist(), float(c[g]), float(self.inv_sin[f, g]), e))
+                cos = float(N[f] @ N[g])
+                side = np.append(N[g] - cos * N[f], c[g] - cos * c[f]) * self.inv_sin[f, g]
+                sides.append((*side.tolist(), e))
             verts = tuple((*vertices[v].tolist(), v) for v in boundary)
             rows.append((*N[f].tolist(), float(c[f]), verts, tuple(sides)))
         self.rows = tuple(rows)
@@ -279,31 +284,51 @@ class Polyhedron:
         return self.nearest_edge(f, q)[0] >= -self.tol.plane
 
     def nearest_edge(self, f: int, q) -> tuple[float, int]:
-        """The signed distance from ``q`` (assumed on the face plane) to the
-        boundary of face ``f``, and the id of the edge that attains it: the
-        distance to the nearest edge inside the face, negative outside it.
-
-        It is the least ``s_g(q) * inv_sin[f, g]`` over the faces g across
-        f's edges, as :func:`first_hit` takes it; the first edge wins a tie.
-        Every s_g is positive exactly inside the convex face, and s_g(q) /
-        sin is the distance within f's plane to the line of f∩g.  Rounding
-        moves it by about 1e-15 * (|q| + |c_g|) * ``inv_sin[f, g]``: under
-        5e-13 at a dihedral 1e-3 from pi (1 / sin about 1e3), far below
-        ``plane``."""
-        sides = self.rows[self.face_id(f)][5]
-        qx, qy, qz = np.asarray(q, float).tolist()
-        dist, edge = math.inf, -1
-        for nx, ny, nz, c, inv_sin, e in sides:
-            d = (nx * qx + ny * qy + nz * qz + c) * inv_sin
-            if d < dist:
-                dist, edge = d, e
-        return dist, edge
+        """The signed distance from ``q``, moved along the normal onto the
+        plane of face ``f``, to the boundary of ``f``, and the id of the
+        edge that attains it (the first one in a tie): the distance to the
+        nearest edge inside the face, negative outside it.  It is the
+        neighbour-plane distance of the side rows (see above), as
+        :func:`first_hit` takes it.  Rounding moves it by about 1e-15 *
+        (|q| + |c_g|) * ``inv_sin[f, g]``, which :func:`validate` keeps
+        under ``plane`` / 2: under 5e-13 at a dihedral 1e-3 from pi."""
+        return _side_distance(self.rows[self.face_id(f)][5], *np.asarray(q, float).tolist())
 
     def with_tolerances(self, tol: Tolerances) -> "Polyhedron":
-        """The same solid under ``tol``; no table depends on it, so all are shared."""
+        """The same solid under ``tol``; no table depends on it, so all are
+        shared.  Its ``plane`` is checked against the edges as by :func:`validate`."""
+        _check_edge_angles(self.vertices, self.labels, self.normals, self.edge_faces, tol.plane)
         P = copy.copy(self)
         P.tol = tol
         return P
+
+
+def _side_distance(sides, qx: float, qy: float, qz: float) -> tuple[float, int]:
+    """The least ``<u, q> + c'`` over a face's side rows ``(ux, uy, uz, c',
+    edge id)`` (see :class:`Polyhedron`), and the edge id that attains it."""
+    dist, edge = math.inf, -1
+    for ux, uy, uz, c, e in sides:
+        d = ux * qx + uy * qy + uz * qz + c
+        if d < dist:
+            dist, edge = d, e
+    return dist, edge
+
+
+def _check_edge_angles(V, labels, N, edge_faces, plane: float) -> None:
+    """Raise :class:`DegenerateFace` for two faces that share an edge and are
+    coplanar to within rounding: the distance to their edge rounds by about
+    2e-15 * R / sin (R the largest vertex norm, which bounds |q| and every
+    |c|), and that must stay under ``plane`` / 2.  Exactly coplanar faces
+    (sin 0) are refused too, so ``Polyhedron.inv_sin`` is finite."""
+    fa, fb = edge_faces.T
+    sin = np.linalg.norm(np.cross(N[fa], N[fb]), axis=1)
+    least = 4e-15 * float(np.linalg.norm(V, axis=1).max()) / plane
+    bad = np.flatnonzero(sin < least)
+    if bad.size:
+        e = bad[0]
+        raise DegenerateFace(f"faces {labels[fa[e]]!r} and {labels[fb[e]]!r} are coplanar "
+                             f"to within rounding (sin {sin[e]:.3g} of their angle, "
+                             f"under {least:.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +427,8 @@ def validate(vertices, faces, tol: Tolerances | None = None) -> Polyhedron:
     for (i, j), fs in edges:
         if len(fs) != 2:
             raise OpenSurface(f"edge ({i},{j}) belongs to {len(fs)} faces, expected 2")
-        # no plane distance measures the edge between coplanar faces (1 / sin
-        # is inf): refused before the division when every vertex of one face
-        # lies within plane of the other's plane
-        fa, fb = fs
-        if float(np.abs(V[list(boundaries[fb])] @ N[fa] + C[fa]).max()) <= tol.plane:
-            raise DegenerateFace(f"faces {labels[fa]!r} and {labels[fb]!r} are coplanar")
     edge_endpoints, edge_faces = (np.array(a) for a in zip(*edges))
+    _check_edge_angles(V, labels, N, edge_faces, tol.plane)
     return Polyhedron(V, labels, tuple(boundaries), N, C, edge_endpoints, edge_faces, tol)
 
 
@@ -498,13 +518,7 @@ def first_hit(m, theta, P: Polyhedron) -> Hit:
         raise NoAdvance("ray does not reach the boundary")
     qx, qy, qz = q = mx + tf * tx, my + tf * ty, mz + tf * tz
     _, _, _, _, verts, sides = P.rows[f]
-    # the loop of Polyhedron.nearest_edge, written out: the call would add
-    # about a tenth to first_hit's 2 us on the tetrahedron
-    edist, edge = math.inf, -1
-    for nx, ny, nz, c, inv_sin, e in sides:
-        d = (nx * qx + ny * qy + nz * qz + c) * inv_sin
-        if d < edist:
-            edist, edge = d, e
+    edist, edge = _side_distance(sides, qx, qy, qz)
     if edist > 2.0 * plane:
         # positional: keyword arguments make a NamedTuple's constructor slower
         return Hit(HitKind.FACE, q, tf, f, None, None, edist)

@@ -96,39 +96,6 @@ def test_start_on_edge_rejected_as_singular(cube):
         assert set(cube.edge_faces[ev.edge].tolist()) == {z0, x0}
 
 
-@pytest.mark.parametrize("name", ["cube", "tetrahedron", "rotated-box"])
-def test_starts_across_an_edge_meet_one_edge_distance(name):
-    # phase_point's face test and orbit's start check read one signed edge
-    # distance: 2 * plane outside the face is refused, within plane of an
-    # edge on either side ends at once on that edge, 2 * plane inside steps
-    P = {"cube": unit_cube, "tetrahedron": regular_tetrahedron,
-         "rotated-box": _rotated_box}[name]()
-    rng = np.random.default_rng(34)
-    plane = P.tol.plane
-    for e, (ends, fs) in enumerate(zip(P.edge_endpoints, P.edge_faces.tolist())):
-        a, b = P.vertices[ends]
-        u, on = unit(b - a), a + rng.uniform(0.2, 0.8) * (b - a)
-        for f in fs:
-            w = P.face_polygon(f).mean(axis=0) - a
-            inward = unit(w - (w @ u) * u)
-            # into the solid and away from the edge
-            theta = unit(P.normals[f] + rng.uniform(0.2, 1.0) * inward
-                         + rng.uniform(-1.0, 1.0) * u)
-            for k in (-2.0, -0.5, 0.5, 2.0):
-                m = on + k * plane * inward
-                if k < -1.0:
-                    with pytest.raises(pb.PreconditionFailed, match="outside the given face"):
-                        bl.phase_point(P, m, theta, face=f)
-                    continue
-                rec = bl.orbit(bl.phase_point(P, m, theta, face=f), 20, P)
-                if k < 1.0:
-                    ev = rec.singularity
-                    assert ev.kind is bl.SingularityKind.EDGE_HIT
-                    assert (ev.step, ev.edge, ev.face) == (0, e, f)
-                else:
-                    assert rec.completed and rec.n_bounces == 20
-
-
 def test_phase_point_validation(cube):
     with pytest.raises(ValueError):
         bl.phase_point(cube, [0.5, 0.5, 0.5], [0, 0, 1.0])   # not on the boundary

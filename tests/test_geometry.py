@@ -675,17 +675,18 @@ def _rotated_box():
     return g.validate(B.vertices @ Q.T + [0.3, -1.0, 2.0], faces)
 
 
-def _roof():
-    """A box [0, 2] x [0, 1] x [0, 1] whose top rises 5e-4 to a ridge at
-    x = 1: the two roof faces meet at a dihedral 1e-3 from pi, so their
-    1 / sin is about 1e3, the largest among these solids."""
-    h = 1.0 + 5e-4
+def _roof(rise=5e-4, tol=None):
+    """A box [0, 2] x [0, 1] x [0, 1] whose top rises ``rise`` to a ridge at
+    x = 1: the two roof faces meet at a dihedral 2 * ``rise`` from pi, so
+    their 1 / sin is about 1 / (2 * ``rise``), by default 1e3, the largest
+    among these solids."""
+    h = 1.0 + rise
     vs = [(0, 0, 0), (2, 0, 0), (2, 1, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1),
           (2, 0, 1), (2, 1, 1), (1, 0, h), (1, 1, h)]
     faces = [("z0", [0, 3, 2, 1]), ("x0", [0, 4, 5, 3]), ("x1", [1, 2, 7, 6]),
              ("y0", [0, 1, 6, 8, 4]), ("y1", [3, 5, 9, 7, 2]),
              ("ra", [4, 8, 9, 5]), ("rb", [8, 6, 7, 9])]
-    return g.validate(vs, faces)
+    return g.validate(vs, faces, tol)
 
 
 SOLIDS = {
@@ -841,7 +842,9 @@ def test_validate_refuses_coplanar_neighbours():
     # z0 split along its diagonal into two coplanar triangles: no plane
     # distance measures the diagonal (1 / sin is inf), so validate refuses
     # the solid, as given and rigidly moved, before it divides by that sin;
-    # the roof's faces, at a dihedral 1e-3 from pi, are a solid
+    # the roof's faces, at a dihedral 1e-3 from pi, are a solid.  Near flat
+    # is refused too, where the rounding of the distance, 2e-15 * 2.45 / sin
+    # on the roof, would exceed plane / 2: sin 9.8e-6 at the default plane
     vs = np.array([(x, y, z) for z in (0.0, 1.0) for y in (0.0, 1.0) for x in (0.0, 1.0)])
     faces = [*((lab, idx) for lab, idx in _faces(g.unit_cube()) if lab != "z0"),
              ("z0a", [0, 2, 3]), ("z0b", [0, 3, 1])]
@@ -858,7 +861,14 @@ def test_validate_refuses_coplanar_neighbours():
             with pytest.raises(g.DegenerateFace, match="faces 'z0a' and 'z0b' are coplanar"):
                 g.validate(vs @ Q.T + shift, faces)
         roof = _roof()
+        assert 8e4 < np.nanmax(_roof(6e-6).inv_sin) < 9e4
+        for refuse in (lambda: _roof(4e-6), lambda: _roof(tol=g.Tolerances(plane=1e-12)),
+                       lambda: roof.with_tolerances(g.Tolerances(plane=1e-12))):
+            with pytest.raises(g.DegenerateFace, match="faces 'ra' and 'rb' are coplanar"):
+                refuse()
     assert 900.0 < np.nanmax(roof.inv_sin) < 1100.0
+    assert roof.with_tolerances(g.Tolerances(plane=1e-11)).tol.plane == 1e-11
+    assert g.unit_cube(g.Tolerances(plane=1e-14)).tol.plane == 1e-14
 
 
 def _clipped_first_hit(m, theta, P):
@@ -1020,3 +1030,43 @@ def test_nearest_edge_matches_oracle(name):
             _assert_nearest_edge(P, f, q)
             _assert_nearest_edge(P, f, q + 3.0 * (q - poly.mean(axis=0)))
 
+
+
+@pytest.mark.parametrize("name", [*sorted(SOLIDS), "flat-roof"])
+def test_starts_across_an_edge_meet_one_edge_distance(name):
+    # phase_point's face test and orbit's start check read one signed edge
+    # distance, of the start moved onto its face plane: 2 * plane outside
+    # the face is refused, within plane of an edge on either side ends at
+    # once on that edge, 2 * plane inside steps.  The start may lie up to
+    # 10 * plane off the plane, and then possibly outside the solid, where
+    # its first ray need not stay inside, so only starts on the plane are
+    # followed.  The flat roof's ridge is near the largest 1 / sin that
+    # validate accepts
+    P = SOLIDS[name]() if name in SOLIDS else _roof(6e-6)
+    rng = np.random.default_rng(34)
+    plane = P.tol.plane
+    for e, (ends, fs) in enumerate(zip(P.edge_endpoints, P.edge_faces.tolist())):
+        a, b = P.vertices[ends]
+        on = a + rng.uniform(0.2, 0.8) * (b - a)
+        for f in fs:
+            inward = _inward(P, f, a, b)
+            # into the solid and away from the edge
+            theta = g.unit(P.normals[f] + rng.uniform(0.2, 1.0) * inward
+                           + rng.uniform(-1.0, 1.0) * g.unit(b - a))
+            for k in (-2.0, -0.5, 0.5, 2.0):
+                for h in (0.0, -9.0, -5.0, 5.0, 9.0):
+                    m = on + k * plane * inward + h * plane * P.normals[f]
+                    dist, edge = P.nearest_edge(f, m)
+                    assert abs(dist - k * plane) <= 0.1 * plane and edge == e
+                    if k < -1.0:
+                        with pytest.raises(g.PreconditionFailed, match="outside the given face"):
+                            bl.phase_point(P, m, theta, face=f)
+                        continue
+                    x = bl.phase_point(P, m, theta, face=f)
+                    if k < 1.0:
+                        ev = bl.orbit(x, 20, P).singularity
+                        assert ev.kind is bl.SingularityKind.EDGE_HIT
+                        assert (ev.step, ev.edge, ev.face) == (0, e, f)
+                    elif h == 0.0:
+                        rec = bl.orbit(x, 20, P)
+                        assert rec.completed and rec.n_bounces == 20
