@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (Hit, HitKind, NoAdvance, Polyhedron, PreconditionFailed,
+from .geometry import (ANGLE, Hit, HitKind, NoAdvance, Polyhedron, PreconditionFailed,
                        as_count, first_hit, segment_segment_distance, unit, vec3)
 from .transversal import EdgeLine
 from .unfolding import cumulative_isometries
@@ -39,7 +39,8 @@ class PhasePoint(NamedTuple):
 
 
 def phase_point(P: Polyhedron, m, theta, face: int | str | None = None) -> PhasePoint:
-    """Validated phase point; the face is located from ``m`` when omitted."""
+    """Validated phase point, moved along the normal onto its face plane (it
+    may lie 10 * ``plane`` off it); the face is located from ``m`` when omitted."""
     m = vec3(m)
     theta = unit(theta)
     if face is None:
@@ -53,13 +54,14 @@ def phase_point(P: Polyhedron, m, theta, face: int | str | None = None) -> Phase
         face = P.face_index(face)
     else:
         face = P.face_id(face)
-    if abs(float(P.normals[face] @ m + P.offsets[face])) > 10 * P.tol.plane:
+    s = float((P.normals[face] * m).sum() + P.offsets[face])
+    if abs(s) > 10 * P.tol.plane:
         raise PreconditionFailed("point does not lie on the given face plane")
     if not P.point_in_face(face, m):
         raise PreconditionFailed("point lies outside the given face")
     if float(theta @ P.normals[face]) <= 0.0:
         raise PreconditionFailed("direction does not point into the interior")
-    return PhasePoint(face, m, theta)
+    return PhasePoint(face, m - s * P.normals[face], theta)
 
 
 class SingularityKind(Enum):
@@ -154,12 +156,12 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     if dist <= tol.plane:
         hit = Hit(HitKind.EDGE, m, 0.0, face=x.face, edge=edge, edge_distance=dist)
     # theta . n of the last point; the start's by numpy, whose dot can round
-    # otherwise than the float sum, which flips rays at the `angle` threshold
+    # otherwise than the float sum, which flips rays at the ANGLE threshold
     cos_n = float(x.theta @ P.normals[x.face])
     while not dist <= tol.plane:         # the start is off its face's edges
         # the last point's forward hit, None when its ray runs inside its face
         try:
-            hit = first_hit(m, (tx, ty, tz), P) if cos_n > tol.angle else None
+            hit = first_hit(m, (tx, ty, tz), P) if cos_n > ANGLE else None
         except NoAdvance:
             hit = None
         # n_max == 1: the start's ray is checked, not followed
@@ -305,10 +307,13 @@ def run_word_batch(P: Polyhedron, m: np.ndarray, theta: np.ndarray,
     lengths = np.ones(len(face), dtype=np.int64)
     flags = np.zeros(len(face), dtype=bool)
 
+    # starts move onto their face planes by phase_point's sums, bit for bit
+    n = P.normals[face]
+    m = np.asarray(m, float)
+    m = m - ((m * n).sum(axis=1) + P.offsets[face])[:, None] * n
     # tangent starts never advance
     theta = np.asarray(theta, float)
-    rows = np.flatnonzero(np.einsum("bj,bj->b", theta, P.normals[face]) > P.tol.angle)
-    m = np.asarray(m, float)
+    rows = np.flatnonzero(np.einsum("bj,bj->b", theta, n) > ANGLE)
     for lo in range(0, rows.size, _BLOCK):
         block = rows[lo:lo + _BLOCK]
         _step_block(P, m[block].T.copy(), theta[block].T.copy(), block, words, lengths, flags)
@@ -331,7 +336,7 @@ def _step_block(P: Polyhedron, m: np.ndarray, theta: np.ndarray, rows: np.ndarra
     offsets, inv_sin = P.offsets[:, None], P.inv_sin
     s = N @ m + offsets
     # a start on an edge of its face ends at once, as in orbit; the start
-    # lies in its face, so its edge-line distance is its edge distance
+    # lies on its face plane, so its edge-line distance is its edge distance
     keep = _edge_distance(inv_sin, s, words[rows, 0]) > tol.plane
     if not keep.all():
         m, theta, s = (a.compress(keep, axis=1) for a in (m, theta, s))
@@ -342,9 +347,9 @@ def _step_block(P: Polyhedron, m: np.ndarray, theta: np.ndarray, rows: np.ndarra
         d = N_out @ theta               # outward normals: t = s / d, no negation
         # a row with no forward hit (tstar = inf) gets inf/nan below
         with np.errstate(divide="ignore", invalid="ignore"):
-            bad = d <= tol.angle
+            bad = d <= ANGLE
             t = np.divide(s, d, out=s)              # in s's storage
-            bad |= t <= tol.step
+            bad |= t <= 0.0
             # bad * inf is nan (0 * inf) where fmax keeps t and inf where it
             # masks t, a nan t (0/0 at d = 0) too
             np.fmax(t, np.multiply(bad, np.inf), out=t)

@@ -46,21 +46,18 @@ class LabelNotReachable(PreconditionFailed):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds used throughout the library.
+    """The two lengths the library's verdicts read, settable per solid.
 
     plane : point-on-plane and edge/vertex hit classification
-    step  : minimum ray advance before a boundary hit counts
-    angle : tangency threshold on <theta, normal>
     sing  : near-singular flag radius around edges (non-terminal)
     """
 
     plane: float = 1e-9
-    step: float = 1e-9
-    angle: float = 1e-9
     sing: float = 1e-7
 
 
 DEFAULT_TOL = Tolerances()
+ANGLE = 1e-9        # tangency threshold on <theta, normal>: a cosine, so it needs no scale
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +494,16 @@ def first_hit(m, theta, P: Polyhedron) -> Hit:
     6, a numpy call costs more than the arithmetic it does, so this walks the
     per-solid float ``rows`` of :class:`Polyhedron` instead, and ``m`` and
     ``theta`` are float triples (an ndarray unpacks to numpy floats, with the
-    same bits).  Among faces hit at the same distance the lowest face id wins.
+    same bits).  A face counts as hit at t > 0: from a point on its face plane
+    off its edges every other plane lies over ``plane`` * sin phi ahead, far
+    above rounding (see :func:`validate`).  Among faces hit at the same
+    distance the lowest face id wins.
     The hit's edge distance is :meth:`Polyhedron.nearest_edge`'s: a hit over
     2 * ``plane`` from the boundary is a FACE hit, and a nearer one is a
     VERTEX hit within ``plane`` of a vertex of its face, else an EDGE hit
     within ``plane`` of an edge (or outside the face), else a FACE hit.
     """
-    tol = P.tol
-    neg_angle, step, plane = -tol.angle, tol.step, tol.plane
+    neg_angle, plane = -ANGLE, P.tol.plane
     mx, my, mz = m
     tx, ty, tz = theta
     tf, f = math.inf, -1
@@ -512,7 +511,7 @@ def first_hit(m, theta, P: Polyhedron) -> Hit:
         d = nx * tx + ny * ty + nz * tz
         if d < neg_angle:
             t = (nx * mx + ny * my + nz * mz + c) / -d
-            if step < t < tf:
+            if 0.0 < t < tf:
                 tf, f = t, k
     if f < 0:
         raise NoAdvance("ray does not reach the boundary")

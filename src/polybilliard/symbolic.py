@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .billiard import run_word_batch, sample_inward_directions, sample_points_in_face
-from .geometry import (LabelNotReachable, Polyhedron, PreconditionFailed, as_count, as_int,
-                       tangent_frame, unit)
+from .geometry import (ANGLE, LabelNotReachable, Polyhedron, PreconditionFailed, as_count,
+                       as_int, tangent_frame, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def make_beam(P: Polyhedron, label: str, theta) -> Beam:
     """Beam of all lines entering through one full face at a fixed direction."""
     f = P.face_index(label)
     theta = unit(theta)
-    if float(theta @ P.normals[f]) <= P.tol.angle:
+    if float(theta @ P.normals[f]) <= ANGLE:
         raise PreconditionFailed(f"direction is tangent to face {label!r}")
     poly, axes = P.face_polygon(f), tangent_frame(theta)
     origin = poly.mean(axis=0)
@@ -187,7 +187,7 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
     lin, t = b.linear[-1], b.translation[-1]
     section = b.section
     if len(section):
-        if abs(float((lin @ P.normals[f]) @ b.theta)) <= P.tol.angle:
+        if abs(float((lin @ P.normals[f]) @ b.theta)) <= ANGLE:
             cut = []
         else:
             # the face copy, projected onto the section plane

@@ -5,7 +5,7 @@ import pytest
 
 import polybilliard as pb
 from polybilliard import billiard as bl
-from polybilliard.geometry import (NoAdvance, Tolerances, box, point_line_distance,
+from polybilliard.geometry import (ANGLE, NoAdvance, Tolerances, box, point_line_distance,
                                   regular_tetrahedron, unit, unit_cube, validate)
 from polybilliard.unfolding import cumulative_isometries
 
@@ -53,18 +53,18 @@ def test_classify_tangent(cube):
 
 
 def test_start_tangency_decided_by_numpy_dot():
-    # starts tilted inward by exactly `angle`: numpy's dot decides which are
+    # starts tilted inward by exactly ANGLE: numpy's dot decides which are
     # tangent; the plain float sum rounds otherwise for about a tenth of them
     for P in (_rotated_box(), regular_tetrahedron()):
         for f in range(P.n_faces):
             t1, t2, n = P.frames[f]
             m = P.face_polygon(f).mean(axis=0)
             for phi in np.linspace(0.0, 2.0 * np.pi, 50):
-                w = P.tol.angle
+                w = ANGLE
                 theta = np.sqrt(1 - w * w) * (np.cos(phi) * t1 + np.sin(phi) * t2) + w * n
                 ev = bl.classify_phase_point(bl.PhasePoint(f, m, theta), P)
                 tangent = ev is not None and ev.kind is bl.SingularityKind.TANGENT_IN_FACE
-                assert tangent == (float(theta @ P.normals[f]) <= P.tol.angle)
+                assert tangent == (float(theta @ P.normals[f]) <= ANGLE)
 
 
 def test_start_on_edge_rejected_as_singular(cube):
@@ -115,25 +115,38 @@ def test_phase_point_refuses_a_point_off_the_given_face_plane(cube):
         bl.phase_point(cube, (0.5, 0.5, 0.3), [0.1, 0.2, 1.0], face="z0")
 
 
-def test_orbit_that_cannot_advance_is_tangent_at_its_start(monkeypatch):
-    # in a box smaller than the step tolerance no hit is far enough along
-    # the ray: first_hit raises NoAdvance, and the orbit ends where it began
-    B = box(1e-4, 1e-4, 1e-4, tol=Tolerances(step=1e-3))
-    x = bl.phase_point(B, [5e-5, 5e-5, 0.0], unit([0.3, 0.2, 1.0]), face="z0")
-    real, raised = bl.first_hit, []
+def test_orbit_that_cannot_advance_is_tangent_at_its_start(cube, monkeypatch):
+    # a ray that meets no face ahead of it: first_hit raises NoAdvance, and
+    # the orbit ends where it began
+    x = bl.phase_point(cube, [0.5, 0.5, 0.0], unit([0.3, 0.2, 1.0]), face="z0")
+    raised = []
 
     def first_hit(*args):
-        try:
-            return real(*args)
-        except NoAdvance:
-            raised.append(args)
-            raise
+        raised.append(args)
+        raise NoAdvance("ray does not reach the boundary")
 
     monkeypatch.setattr(bl, "first_hit", first_hit)
-    rec = bl.orbit(x, 5, B)
+    rec = bl.orbit(x, 5, cube)
     assert len(raised) == 1 and rec.n_bounces == 1
     assert rec.singularity.kind is bl.SingularityKind.TANGENT_IN_FACE
-    assert rec.singularity.step == 0 and rec.singularity.face == B.face_index("z0")
+    assert rec.singularity.step == 0 and rec.singularity.face == cube.face_index("z0")
+
+
+def test_hit_just_past_the_start_face_edge_is_an_edge_hit():
+    # a start on face a, just over plane from its edge with b, aimed straight
+    # at b: the hit lies about 0.95 * plane along the ray, and a third of
+    # plane from that edge in b, so the orbit ends on the edge at step 0
+    P = regular_tetrahedron()
+    a, b = P.face_index("a"), P.face_index("b")
+    e = next(e for e, fs in enumerate(P.edge_faces.tolist()) if set(fs) == {a, b})
+    na, nb = P.normals[a], P.normals[b]
+    inward = unit(nb - (na @ nb) * na)      # in a's plane, away from the edge
+    mid = P.vertices[P.edge_endpoints[e]].mean(axis=0)
+    for k in (1.01, 1.03, 1.05):
+        x = bl.phase_point(P, mid + k * P.tol.plane * inward, -nb, face="a")
+        ev = bl.classify_phase_point(x, P)
+        assert ev is not None and ev.kind is bl.SingularityKind.EDGE_HIT, k
+        assert (ev.step, ev.edge, ev.face) == (0, e, b)
 
 
 def test_phase_point_refuses_a_non_integer_face_id(cube):
@@ -721,8 +734,10 @@ def _reference_run_word_batch(P, m, theta, face, n_labels):
     words[:, 0] = face
     lengths[:] = 1
 
-    # tangent starts and starts on an edge of their face never advance
-    good = np.einsum("bj,bj->b", theta, N[face]) > tol.angle
+    # starts move onto their face planes; tangent starts and starts on an
+    # edge of their face never advance
+    m -= ((m * N[face]).sum(axis=1) + off[face])[:, None] * N[face]
+    good = np.einsum("bj,bj->b", theta, N[face]) > ANGLE
     good &= edge_distance(m, face) > tol.plane
     rows = np.flatnonzero(good)
     m, theta = m[rows], theta[rows]
@@ -733,8 +748,8 @@ def _reference_run_word_batch(P, m, theta, face, n_labels):
         s = m @ N.T + off
         d = theta @ N.T
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(d < -tol.angle, s / -d, np.inf)
-        t[t <= tol.step] = np.inf
+            t = np.where(d < -ANGLE, s / -d, np.inf)
+        t[t <= 0.0] = np.inf
         fstar = np.argmin(t, axis=1)
         tstar = np.take_along_axis(t, fstar[:, None], axis=1)[:, 0]
         ok = np.isfinite(tstar)

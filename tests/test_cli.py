@@ -289,9 +289,11 @@ def test_exit_code_malformed_edges(tmp_path, capsys, bad):
 
 
 def test_exit_code_unknown_tolerance(cube_file, capsys):
-    # only the tolerances the package reads can be overridden
-    assert cli.main(["group", cube_file, "--tol", "deg=1e-3"]) == cli.EXIT_PARSE
-    assert "unknown tolerance" in capsys.readouterr().err
+    # only the tolerances the package reads can be overridden: plane and
+    # sing; the tangency threshold is the constant geometry.ANGLE
+    for spec in ("deg=1e-3", "step=1e-8", "angle=1e-9"):
+        assert cli.main(["group", cube_file, "--tol", spec]) == cli.EXIT_PARSE, spec
+        assert "unknown tolerance" in capsys.readouterr().err
 
 
 def test_exit_code_tolerance_value(cube_file, capsys):
@@ -435,8 +437,8 @@ def test_config_hash_of_resolved_configuration(tmp_path, cube_file, capsys):
     base = ["complexity", cube_file, "--nmax", "4", "--seed", "3"]
     spellings = (["--budget", "1000"], ["--budget", "1e3"],
                  ["--budget", "1000", "--tol", "plane=1e-9"],
-                 ["--budget", "1000", "--tol", "sing=1e-6", "--tol", "step=1e-8"],
-                 ["--budget", "1000", "--tol", "step=1e-8", "--tol", "sing=1e-6"])
+                 ["--budget", "1000", "--tol", "sing=1e-6", "--tol", "plane=1e-8"],
+                 ["--budget", "1000", "--tol", "plane=1e-8", "--tol", "sing=1e-6"])
     tables = []
     for k, extra in enumerate(spellings):
         out = tmp_path / f"t{k}.csv"

@@ -555,8 +555,8 @@ def _reference_first_hit(m, theta, P):
     s = P.signed_distances(m)
     d = P.normals @ theta
     t = np.full(len(d), np.inf)
-    np.divide(s, -d, out=t, where=d < -tol.angle)
-    t[t <= tol.step] = np.inf
+    np.divide(s, -d, out=t, where=d < -g.ANGLE)
+    t[t <= 0.0] = np.inf
     f = int(np.argmin(t))
     tf = float(t[f])
     if not np.isfinite(tf):
@@ -742,18 +742,22 @@ def test_first_hit_matches_reference(name):
         for v in poly:
             q = v + 1e-6 * g.unit(poly.mean(axis=0) - v)
             assert _assert_same_hit(starts[0], g.unit(q - starts[0]), P).kind is g.HitKind.FACE
-    # boundary starts at vertices and face centres, with directions into and
-    # out of the solid, so some rays never reach a face plane and some meet
-    # one outside its face
+    # starts 1e-12 outside the boundary at vertices and face centres, with
+    # directions into and out of the solid, so some rays never reach a face
+    # plane and some meet one outside its face.  Every plane through the
+    # start lies behind the ray (t < 0) or is entered from outside, by far
+    # more than rounding: on the boundary itself the sign of t ~ 1e-16 would
+    # be the kernels' rounding, and a hit counts at any t > 0
     no_advance = outside = 0
+    centre = V.mean(axis=0)
     for v in range(len(V)):
         for theta in dirs[:200]:
-            hit = _assert_same_hit(V[v], theta, P, tie=True)
+            hit = _assert_same_hit(V[v] + 1e-12 * g.unit(V[v] - centre), theta, P, tie=True)
             no_advance += hit is None
             outside += hit is not None and hit.edge_distance < -P.tol.plane
     for f in range(P.n_faces):
-        m = P.face_polygon(f).mean(axis=0)
         n = P.normals[f]
+        m = P.face_polygon(f).mean(axis=0) - 1e-12 * n
         no_advance += _assert_same_hit(m, -n, P) is None
         for theta in dirs[:50]:
             hit = _assert_same_hit(m, theta, P)
@@ -875,8 +879,7 @@ def _clipped_first_hit(m, theta, P):
     """``first_hit`` by the clipped segment distance in place of the
     neighbour planes, the reference for orbits: every hit measures its
     distance to each edge of its face."""
-    tol = P.tol
-    neg_angle, step, plane = -tol.angle, tol.step, tol.plane
+    neg_angle, plane = -g.ANGLE, P.tol.plane
     mx, my, mz = m
     tx, ty, tz = theta
     tf, f = math.inf, -1
@@ -884,7 +887,7 @@ def _clipped_first_hit(m, theta, P):
         d = nx * tx + ny * ty + nz * tz
         if d < neg_angle:
             t = (nx * mx + ny * my + nz * mz + c) / -d
-            if step < t < tf:
+            if 0.0 < t < tf:
                 tf, f = t, k
     if f < 0:
         raise g.NoAdvance("ray does not reach the boundary")
@@ -1037,14 +1040,15 @@ def test_starts_across_an_edge_meet_one_edge_distance(name):
     # phase_point's face test and orbit's start check read one signed edge
     # distance, of the start moved onto its face plane: 2 * plane outside
     # the face is refused, within plane of an edge on either side ends at
-    # once on that edge, 2 * plane inside steps.  The start may lie up to
-    # 10 * plane off the plane, and then possibly outside the solid, where
-    # its first ray need not stay inside, so only starts on the plane are
-    # followed.  The flat roof's ridge is near the largest 1 / sin that
-    # validate accepts
+    # once on that edge, 2 * plane inside steps.  A start up to 10 * plane
+    # off the plane is moved onto it, so it follows the orbit of the start
+    # on the plane, and run_word_batch, which moves its starts alike, gives
+    # that orbit's word.  The flat roof's ridge is near the largest 1 / sin
+    # that validate accepts
     P = SOLIDS[name]() if name in SOLIDS else _roof(6e-6)
     rng = np.random.default_rng(34)
     plane = P.tol.plane
+    starts, words = [], []
     for e, (ends, fs) in enumerate(zip(P.edge_endpoints, P.edge_faces.tolist())):
         a, b = P.vertices[ends]
         on = a + rng.uniform(0.2, 0.8) * (b - a)
@@ -1063,10 +1067,20 @@ def test_starts_across_an_edge_meet_one_edge_distance(name):
                             bl.phase_point(P, m, theta, face=f)
                         continue
                     x = bl.phase_point(P, m, theta, face=f)
+                    assert abs(float(P.normals[f] @ x.m + P.offsets[f])) <= 1e-15
+                    rec = bl.orbit(x, 20, P)
+                    ev = rec.singularity
+                    if h == 0.0:
+                        word, kind = rec.word, ev and ev.kind
+                    assert (rec.word, ev and ev.kind) == (word, kind)
                     if k < 1.0:
-                        ev = bl.orbit(x, 20, P).singularity
                         assert ev.kind is bl.SingularityKind.EDGE_HIT
                         assert (ev.step, ev.edge, ev.face) == (0, e, f)
-                    elif h == 0.0:
-                        rec = bl.orbit(x, 20, P)
+                    else:
                         assert rec.completed and rec.n_bounces == 20
+                    starts.append((m, theta, f))
+                    words.append(rec.word)
+    m, theta, f = (np.array(a) for a in zip(*starts))
+    got, lengths, _ = bl.run_word_batch(P, m, theta, f, 20)
+    for row, n, word in zip(got, lengths, words):
+        assert [P.labels[i] for i in row[:n]] == word

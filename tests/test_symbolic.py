@@ -8,8 +8,8 @@ import pytest
 from polybilliard import billiard as bl
 from polybilliard import symbolic as sy
 from polybilliard import unfolding as uf
-from polybilliard.geometry import (PreconditionFailed, Tolerances, box, regular_tetrahedron,
-                                  unit, unit_cube, validate)
+from polybilliard.geometry import (ANGLE, PreconditionFailed, Tolerances, box,
+                                  regular_tetrahedron, unit, unit_cube, validate)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -636,7 +636,7 @@ def _ref_propagate(b, label, P):
     lin, t = b.linear[-1], b.translation[-1]
     verts2 = (P.face_polygon(f) @ lin.T + t - b.origin) @ b.axes.T
     n3 = lin @ P.normals[f]
-    if abs(float(n3 @ b.theta)) <= P.tol.angle:
+    if abs(float(n3 @ b.theta)) <= ANGLE:
         section = np.zeros((0, 2))
     else:
         clip = verts2[::-1] if _ref_polygon_area(verts2) < 0.0 else verts2
@@ -822,7 +822,7 @@ def _float_propagate(b, label, P):
     f = P.face_index(label)
     lin, t = b.linear[-1], b.translation[-1]
     old = section = b.section.tolist()
-    if abs(float((lin @ P.normals[f]) @ b.theta)) <= P.tol.angle:
+    if abs(float((lin @ P.normals[f]) @ b.theta)) <= ANGLE:
         section = []
     else:
         clip = ((P.face_polygon(f) @ lin.T + t - b.origin) @ b.axes.T).tolist()
