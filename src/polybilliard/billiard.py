@@ -134,6 +134,15 @@ def billiard_step(x: PhasePoint, P: Polyhedron) -> PhasePoint:
     return PhasePoint(int(rec.faces[1]), rec.m[1], rec.theta[1])
 
 
+def _start_cos(theta: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """theta . n over the last axis of two (..., 3) arrays: the one product
+    that decides whether a start is tangent, on both stepping paths.  numpy
+    takes a stacked (1, 3) @ (3, 1) matmul as the 1-D dot of each pair,
+    which rounds otherwise than ``einsum`` and the float sum; either would
+    flip starts at the ``ANGLE`` threshold from one path to the other."""
+    return np.matmul(theta[..., None, :], n[..., :, None])[..., 0, 0]
+
+
 def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     """Iterate the map until ``n_max`` bounces are recorded or the orbit
     turns singular; the word collects one face label per recorded bounce.
@@ -155,9 +164,8 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     dist, edge = P.nearest_edge(x.face, x.m)
     if dist <= tol.plane:
         hit = Hit(HitKind.EDGE, m, 0.0, face=x.face, edge=edge, edge_distance=dist)
-    # theta . n of the last point; the start's by numpy, whose dot can round
-    # otherwise than the float sum, which flips rays at the ANGLE threshold
-    cos_n = float(x.theta @ P.normals[x.face])
+    # theta . n of the last point; the start's as run_word_batch takes it
+    cos_n = float(_start_cos(x.theta, P.normals[x.face]))
     while not dist <= tol.plane:         # the start is off its face's edges
         # the last point's forward hit, None when its ray runs inside its face
         try:
@@ -193,7 +201,9 @@ def discontinuity_report(record: OrbitRecord, P: Polyhedron,
     Each line is an edge at a step k, moved by the unfolding isometry of k.
     A terminal edge hit gives its edge, a vertex hit every edge through the
     vertex; a positive radius first adds, in (k, edge) order, every edge
-    within ``radius`` of segment k.  Equal lines are reported once.  Raises
+    within ``radius`` of segment k.  A line parallel to one reported before
+    and within the ``plane`` tolerance of it is the same line, and is
+    reported once, where it was first seen.  Raises
     :class:`EmptyReport` when nothing is found, and
     :class:`PreconditionFailed` for a negative or nan ``radius``.
     """
@@ -214,17 +224,26 @@ def discontinuity_report(record: OrbitRecord, P: Polyhedron,
         pairs += [(ev.step, e) for e, ends in enumerate(P.edge_endpoints.tolist())
                   if e == ev.edge or ev.vertex in ends]
     lin, trans = cumulative_isometries(P, record.faces)
-    found: dict[tuple, EdgeLine] = {}       # insertion-ordered, one line per key
+    lines = []
     for k, e in pairs:
         # the edge's point and direction, moved by the step-k unfolding
         a, b = P.vertices[P.edge_endpoints[e]]
-        point, direction = a @ lin[k].T + trans[k], lin[k] @ unit(b - a)
-        d = direction if direction[int(np.argmax(np.abs(direction)))] >= 0.0 else -direction
-        key = tuple(np.round(np.concatenate([point - (point @ d) * d, d]), 9))
-        found.setdefault(key, EdgeLine(point, direction))
+        lines.append(EdgeLine(a @ lin[k].T + trans[k], lin[k] @ unit(b - a)))
+    # v @ cross[i] is v x d, d the direction of lines[i]: row j is e_j x d
+    cross = np.cross(np.eye(3), np.reshape([l.direction for l in lines], (-1, 1, 3)))
+    # a line is dropped when one kept already is parallel to it, up to sign,
+    # and passes within plane of it; ``dirs`` and ``points`` are the kept ones'
+    dirs, points, found = np.empty((len(lines), 3)), np.empty((len(lines), 3)), []
+    for line, c in zip(lines, cross):
+        n = len(found)
+        sin2 = np.square(dirs[:n] @ c) @ np.ones(3)                     # |d' x d|^2
+        dist2 = np.square((points[:n] - line.point) @ c) @ np.ones(3)   # |(p' - p) x d|^2
+        if not (np.maximum(sin2, dist2) <= P.tol.plane ** 2).any():
+            dirs[n], points[n] = line.direction, line.point
+            found.append(line)
     if not found:
         raise EmptyReport("no discontinuities within the requested radius")
-    return list(found.values())
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +332,7 @@ def run_word_batch(P: Polyhedron, m: np.ndarray, theta: np.ndarray,
     m = m - ((m * n).sum(axis=1) + P.offsets[face])[:, None] * n
     # tangent starts never advance
     theta = np.asarray(theta, float)
-    rows = np.flatnonzero(np.einsum("bj,bj->b", theta, n) > ANGLE)
+    rows = np.flatnonzero(_start_cos(theta, n) > ANGLE)
     for lo in range(0, rows.size, _BLOCK):
         block = rows[lo:lo + _BLOCK]
         _step_block(P, m[block].T.copy(), theta[block].T.copy(), block, words, lengths, flags)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -46,7 +47,8 @@ class LabelNotReachable(PreconditionFailed):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The two lengths the library's verdicts read, settable per solid.
+    """The two lengths the library's verdicts read, settable per solid;
+    each must be finite and positive.
 
     plane : point-on-plane and edge/vertex hit classification
     sing  : near-singular flag radius around edges (non-terminal)
@@ -54,6 +56,12 @@ class Tolerances:
 
     plane: float = 1e-9
     sing: float = 1e-7
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+                raise PreconditionFailed(f"tolerance {name} must be finite and positive, "
+                                         f"got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()

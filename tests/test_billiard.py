@@ -67,6 +67,23 @@ def test_start_tangency_decided_by_numpy_dot():
                 assert tangent == (float(theta @ P.normals[f]) <= ANGLE)
 
 
+def test_start_tangency_agrees_between_orbit_and_batch():
+    # face-centre starts whose theta . n lies within about 1e-16 of ANGLE:
+    # both paths take the product alike, so they agree on every tangency
+    rng = np.random.default_rng(3)
+    for P in (_rotated_box(), regular_tetrahedron()):
+        f = rng.integers(0, P.n_faces, 2000)
+        m = np.array([P.face_polygon(i).mean(axis=0) for i in f.tolist()])
+        t1, t2, n = P.frames[f].transpose(1, 0, 2)
+        phi = rng.uniform(0.0, 2.0 * np.pi, len(f))[:, None]
+        w = ANGLE * (1.0 + rng.uniform(-1e-7, 1e-7, len(f)))[:, None]
+        theta = np.sqrt(1 - w * w) * (np.cos(phi) * t1 + np.sin(phi) * t2) + w * n
+        words, lengths, _ = bl.run_word_batch(P, m, theta, f, 6)
+        for i in range(len(f)):
+            rec = bl.orbit(bl.PhasePoint(int(f[i]), m[i], theta[i]), 6, P)
+            assert [P.labels[j] for j in words[i, :lengths[i]]] == rec.word, i
+
+
 def test_start_on_edge_rejected_as_singular(cube):
     # no continuation convention exists for edge starts, even inward ones
     x = bl.PhasePoint(cube.face_index("z0"), np.array([0.5, 0.0, 0.0]),
@@ -455,6 +472,22 @@ def test_report_refuses_a_negative_or_nan_radius(cube):
         for radius in (-1.0, np.nan):
             with pytest.raises(pb.PreconditionFailed, match="radius must be >= 0"):
                 bl.discontinuity_report(rec, cube, radius=radius)
+
+
+def test_report_lists_each_line_once():
+    # tetrahedron orbits near edges: some edge line is met at several steps,
+    # once with a direction whose two largest components are equal in size
+    # (draw 18), so no sign rule on that direction can make it canonical
+    P = regular_tetrahedron()
+    rng = np.random.default_rng(1)
+    for draw in range(20):
+        m, theta, face = bl.random_phase_points(P, 1, rng)
+        rec = bl.orbit(bl.phase_point(P, m[0], theta[0], face=int(face[0])), 30, P)
+        lines = bl.discontinuity_report(rec, P, radius=0.3)
+        for i, a in enumerate(lines):
+            for b in lines[:i]:
+                assert not (np.linalg.norm(np.cross(a.direction, b.direction)) <= 1e-9
+                            and point_line_distance(a.point, b.point, b.direction) <= 1e-9), draw
 
 
 def _vertex_bound_orbits(rng, count):

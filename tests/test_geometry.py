@@ -875,6 +875,19 @@ def test_validate_refuses_coplanar_neighbours():
     assert g.unit_cube(g.Tolerances(plane=1e-14)).tol.plane == 1e-14
 
 
+def test_tolerances_refuse_a_field_not_finite_and_positive():
+    # unrefused, plane 0 divided by zero in the edge-angle gate, -1e-9 put
+    # a vertex outside its face (NonConvex), nan or a negative sing built a
+    # solid with no error, and a string failed the comparison (TypeError)
+    for field, bad in (("plane", 0.0), ("plane", -1e-9), ("plane", math.nan),
+                       ("sing", -1.0), ("sing", "1e-7")):
+        message = f"tolerance {field} must be finite and positive, got {bad!r}"
+        with pytest.raises(g.PreconditionFailed, match=re.escape(message)):
+            g.unit_cube(g.Tolerances(**{field: bad}))
+        with pytest.raises(g.PreconditionFailed, match=re.escape(message)):
+            g.unit_cube().with_tolerances(g.Tolerances(**{field: bad}))
+
+
 def _clipped_first_hit(m, theta, P):
     """``first_hit`` by the clipped segment distance in place of the
     neighbour planes, the reference for orbits: every hit measures its
