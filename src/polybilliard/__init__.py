@@ -5,10 +5,9 @@ from .geometry import (DegenerateFace, Hit, HitKind, LabelNotReachable,
                        PreconditionFailed, Tolerances, box, dump_polyhedron,
                        load_polyhedron, reflect_direction, regular_tetrahedron,
                        unit_cube, validate)
-from .billiard import (EmptyReport, OrbitRecord, PhasePoint, SingularInput,
-                       SingularityEvent, SingularityKind, billiard_step,
-                       classify_phase_point, discontinuity_report, orbit,
-                       phase_point, random_phase_points, run_word_batch)
+from .billiard import (OrbitRecord, PhasePoint, SingularInput, SingularityEvent,
+                       SingularityKind, billiard_step, classify_phase_point,
+                       orbit, phase_point, random_phase_points, run_word_batch)
 from .unfolding import (GroupClosure, UnfoldingTrack, cumulative_isometries,
                         generate_group, unfold_orbit)
 from .transversal import (ON_SURFACE, CoplanarConstraint, EdgeLine,

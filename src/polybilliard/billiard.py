@@ -17,17 +17,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (ANGLE, Hit, HitKind, NoAdvance, Polyhedron, PreconditionFailed,
-                       as_count, first_hit, segment_segment_distance, unit, vec3)
-from .transversal import EdgeLine
-from .unfolding import cumulative_isometries
+                       as_count, first_hit, unit, vec3)
 
 
 class SingularInput(PreconditionFailed):
     """The step was asked to continue an orbit that leaves the phase space."""
-
-
-class EmptyReport(PreconditionFailed):
-    """No discontinuities were found along the orbit."""
 
 
 class PhasePoint(NamedTuple):
@@ -40,13 +34,15 @@ class PhasePoint(NamedTuple):
 
 def phase_point(P: Polyhedron, m, theta, face: int | str | None = None) -> PhasePoint:
     """Validated phase point, moved along the normal onto its face plane (it
-    may lie 10 * ``plane`` off it); the face is located from ``m`` when omitted."""
+    may lie 10 * ``plane`` off it).  When ``face`` is omitted it is the face
+    holding ``m`` whose plane lies nearest, planes within ``plane`` counting
+    as equally near, so the first of those by id."""
     m = vec3(m)
     theta = unit(theta)
     if face is None:
         s = np.abs(P.signed_distances(m))
-        cands = [f for f in np.flatnonzero(s <= P.tol.plane)
-                 if P.point_in_face(int(f), m)]
+        cands = [f for f in np.argsort(np.maximum(s, P.tol.plane), kind="stable")
+                 if s[f] <= 10 * P.tol.plane and P.point_in_face(int(f), m)]
         if not cands:
             raise PreconditionFailed("point does not lie on any face")
         face = int(cands[0])
@@ -72,8 +68,8 @@ class SingularityKind(Enum):
 
 @dataclass(frozen=True)
 class SingularityEvent:
-    """Where and how an orbit left the phase space; :func:`discontinuity_report`
-    gives its edge, or the edges through its vertex, in unfolded coordinates."""
+    """Where and how an orbit left the phase space: the step, the point, and
+    the edge, vertex or face that ended it."""
 
     kind: SingularityKind
     step: int
@@ -192,58 +188,6 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     return OrbitRecord(np.array(faces), np.array(ms).reshape(-1, 3),
                        np.array(thetas).reshape(-1, 3), [P.labels[f] for f in faces],
                        _event(hit, faces, m) if ended else None, flagged)
-
-
-def discontinuity_report(record: OrbitRecord, P: Polyhedron,
-                         radius: float = 0.0) -> list[EdgeLine]:
-    """Unfolded edge lines met (or approached within ``radius``) by an orbit.
-
-    Each line is an edge at a step k, moved by the unfolding isometry of k.
-    A terminal edge hit gives its edge, a vertex hit every edge through the
-    vertex; a positive radius first adds, in (k, edge) order, every edge
-    within ``radius`` of segment k.  A line parallel to one reported before
-    and within the ``plane`` tolerance of it is the same line, and is
-    reported once, where it was first seen.  Raises
-    :class:`EmptyReport` when nothing is found, and
-    :class:`PreconditionFailed` for a negative or nan ``radius``.
-    """
-    if not radius >= 0.0:
-        raise PreconditionFailed(f"radius must be >= 0, got {radius}")
-    ev = record.singularity
-    pairs = []
-    if radius > 0.0:
-        # segment k ends at point k + 1 or at the terminal edge/vertex hit
-        ends = record.m[1:]
-        if ev is not None and ev.kind is not SingularityKind.TANGENT_IN_FACE:
-            ends = np.vstack([ends, ev.point])
-        starts = record.m[:len(ends)]
-        ij = P.vertices[P.edge_endpoints]                       # (E, 2, 3)
-        dist = segment_segment_distance(starts[:, None], ends[:, None], ij[:, 0], ij[:, 1])
-        pairs = np.argwhere(dist <= radius).tolist()            # row-major (k, edge)
-    if ev is not None:          # the edge hit, or every edge through the vertex hit
-        pairs += [(ev.step, e) for e, ends in enumerate(P.edge_endpoints.tolist())
-                  if e == ev.edge or ev.vertex in ends]
-    lin, trans = cumulative_isometries(P, record.faces)
-    lines = []
-    for k, e in pairs:
-        # the edge's point and direction, moved by the step-k unfolding
-        a, b = P.vertices[P.edge_endpoints[e]]
-        lines.append(EdgeLine(a @ lin[k].T + trans[k], lin[k] @ unit(b - a)))
-    # v @ cross[i] is v x d, d the direction of lines[i]: row j is e_j x d
-    cross = np.cross(np.eye(3), np.reshape([l.direction for l in lines], (-1, 1, 3)))
-    # a line is dropped when one kept already is parallel to it, up to sign,
-    # and passes within plane of it; ``dirs`` and ``points`` are the kept ones'
-    dirs, points, found = np.empty((len(lines), 3)), np.empty((len(lines), 3)), []
-    for line, c in zip(lines, cross):
-        n = len(found)
-        sin2 = np.square(dirs[:n] @ c) @ np.ones(3)                     # |d' x d|^2
-        dist2 = np.square((points[:n] - line.point) @ c) @ np.ones(3)   # |(p' - p) x d|^2
-        if not (np.maximum(sin2, dist2) <= P.tol.plane ** 2).any():
-            dirs[n], points[n] = line.direction, line.point
-            found.append(line)
-    if not found:
-        raise EmptyReport("no discontinuities within the requested radius")
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ an unreliable orbit.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 import operator
@@ -125,26 +124,6 @@ def line_line_distance(p1, x1, p2, x2) -> float:
     if nn < 1e-14:
         return point_line_distance(p2, p1, x1)
     return abs(float((p2 - p1) @ n)) / nn
-
-
-def segment_segment_distance(p1, q1, p2, q2):
-    """Distance between segments [p1,q1] and [p2,q2] (clamped closest points).
-
-    The arguments broadcast over their leading axes, the last one holding
-    x, y, z.  A segment shorter than 1e-15 counts as its first point.
-    """
-    d1, d2, r = np.subtract(q1, p1), np.subtract(q2, p2), np.subtract(p1, p2)
-    a, b, e = (d1 * d1).sum(-1), (d1 * d2).sum(-1), (d2 * d2).sum(-1)
-    c, f = (d1 * r).sum(-1), (d2 * r).sum(-1)
-    denom = a * e - b * b
-    # every branch is computed everywhere, then selected; t = -inf clamps to 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(denom > 1e-30, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
-        t = np.where(e > 1e-30, (b * s + f) / e, -np.inf)
-        s = np.where(t < 0.0, np.clip(-c / a, 0.0, 1.0),
-                     np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
-    s, t = np.where(a > 1e-30, s, 0.0)[..., None], np.clip(t, 0.0, 1.0)[..., None]
-    return np.linalg.norm(p1 + s * d1 - (p2 + t * d2), axis=-1)
 
 
 def _newell_normal(pts: np.ndarray) -> np.ndarray:
@@ -298,14 +277,6 @@ class Polyhedron:
         (|q| + |c_g|) * ``inv_sin[f, g]``, which :func:`validate` keeps
         under ``plane`` / 2: under 5e-13 at a dihedral 1e-3 from pi."""
         return _side_distance(self.rows[self.face_id(f)][5], *np.asarray(q, float).tolist())
-
-    def with_tolerances(self, tol: Tolerances) -> "Polyhedron":
-        """The same solid under ``tol``; no table depends on it, so all are
-        shared.  Its ``plane`` is checked against the edges as by :func:`validate`."""
-        _check_edge_angles(self.vertices, self.labels, self.normals, self.edge_faces, tol.plane)
-        P = copy.copy(self)
-        P.tol = tol
-        return P
 
 
 def _side_distance(sides, qx: float, qy: float, qz: float) -> tuple[float, int]:

@@ -1,4 +1,4 @@
-import warnings
+import inspect
 
 import numpy as np
 import pytest
@@ -22,6 +22,14 @@ def _pp(cube, m, theta):
     return bl.phase_point(cube, m, np.asarray(theta, float) / np.linalg.norm(theta))
 
 
+def _unfolded_edge(P, rec, k, e):
+    """Edge ``e`` as a point and unit direction, moved by the unfolding
+    isometry of step ``k`` of the orbit ``rec``."""
+    lin, trans = cumulative_isometries(P, rec.faces)
+    a, b = P.vertices[P.edge_endpoints[e]]
+    return a @ lin[k].T + trans[k], lin[k] @ unit(b - a)
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -37,9 +45,9 @@ def test_classify_edge_hit(cube):
     assert np.allclose(ev.point, [1.0, 1.0, 0.5])
     assert ev.step == 0
     # single-step unfolding is the identity: unfolded edge equals the folded one
-    (line,) = bl.discontinuity_report(bl.orbit(x, 1, cube), cube)
-    assert np.allclose(np.abs(line.direction), [0, 0, 1.0])
-    assert np.allclose(line.point[:2], [1.0, 1.0])
+    point, direction = _unfolded_edge(cube, bl.orbit(x, 1, cube), 0, ev.edge)
+    assert np.allclose(np.abs(direction), [0, 0, 1.0])
+    assert np.allclose(point[:2], [1.0, 1.0])
 
 
 def test_classify_tangent(cube):
@@ -120,6 +128,12 @@ def test_phase_point_validation(cube):
         bl.phase_point(cube, [0.5, 0.5, 0.0], [0, 0, -1.0])  # points outward
     x = bl.phase_point(cube, [0.5, 0.5, 0.0], [0, 0, 1.0])
     assert cube.labels[x.face] == "z0"
+    # 5 * plane off z0's plane is accepted, found or given; 2 * plane inside
+    # z0 and 5 * plane above it is 2 * plane from y0's plane, inside y0
+    for m, label in (([0.5, 0.5, -5e-9], "z0"), ([0.5, 2e-9, 5e-9], "y0")):
+        x = bl.phase_point(cube, m, [0, 0.6, 0.8])
+        assert cube.labels[x.face] == label
+        assert np.array_equal(x.m, bl.phase_point(cube, m, [0, 0.6, 0.8], face=label).m)
     for face in (-1, 7):                                     # no such face id
         with pytest.raises(ValueError, match="out of range"):
             bl.phase_point(cube, [0.5, 0.5, 1.0], [0, 0, -1.0], face=face)
@@ -385,31 +399,10 @@ def test_time_reversibility(cube):
 
 
 # ---------------------------------------------------------------------------
-# discontinuity report
+# terminal events in unfolded coordinates
 # ---------------------------------------------------------------------------
 
-def test_report_for_singular_orbit(cube):
-    rec = bl.orbit(_pp(cube, [0.5, 0.5, 0.0], [1.0, 1.0, 1.0]), 5, cube)
-    lines = bl.discontinuity_report(rec, cube)
-    assert len(lines) == 1
-    (line,) = lines
-    assert np.allclose(np.abs(line.direction), [0, 0, 1.0])
-    assert np.allclose(line.point[:2], [1.0, 1.0])
-
-
-def test_report_empty_for_regular_orbit(cube):
-    rec = bl.orbit(_pp(cube, [0.5, 0.5, 0.0], [0, 0, 1.0]), 4, cube)
-    with pytest.raises(bl.EmptyReport):
-        bl.discontinuity_report(rec, cube)
-
-
-def test_report_near_misses_with_radius(cube):
-    rec = bl.orbit(_pp(cube, [0.5, 0.5, 0.0], [0, 0, 1.0]), 4, cube)
-    lines = bl.discontinuity_report(rec, cube, radius=0.5)
-    assert len(lines) >= 4  # every vertical cube edge is half a unit away
-
-
-def test_report_unfolded_edge_after_bounces(cube):
+def test_orbit_unfolded_edge_after_bounces(cube):
     # hand trace: (0.5,0,0.25) + t(2,2,1)/3 bounces on x1 at (1,.5,.5), on y1
     # at (.5,1,.75), then meets x=0 and z=1 together at (0,.5,1): the x0/z1
     # edge.  Its endpoint (0,0,1) unfolds through y=1 then x=1 to (2,2,1).
@@ -417,16 +410,16 @@ def test_report_unfolded_edge_after_bounces(cube):
     theta /= np.linalg.norm(theta)
     x = bl.phase_point(cube, [0.5, 0.0, 0.25], theta, face="y0")
     rec = bl.orbit(x, 10, cube)
-    assert not rec.completed
-    assert rec.singularity.kind is bl.SingularityKind.EDGE_HIT
+    ev = rec.singularity
+    assert ev.kind is bl.SingularityKind.EDGE_HIT and ev.step == 2
     assert rec.word == ["y0", "x1", "y1"]
-    assert np.allclose(rec.singularity.point, [0.0, 0.5, 1.0])
-    lines = bl.discontinuity_report(rec, cube)
-    assert np.allclose(np.abs(lines[0].direction), [0, 1.0, 0])
-    assert np.allclose(lines[0].point, [2.0, 2.0, 1.0])
+    assert np.allclose(ev.point, [0.0, 0.5, 1.0])
+    point, direction = _unfolded_edge(cube, rec, ev.step, ev.edge)
+    assert np.allclose(np.abs(direction), [0, 1.0, 0])
+    assert np.allclose(point, [2.0, 2.0, 1.0])
 
 
-def test_report_vertex_hit_gives_its_edges(cube):
+def test_orbit_vertex_hit_unfolds_its_edges(cube):
     # aimed at (2,1,1), the image of the vertex (0,1,1) across x=1: the ray
     # bounces on x1 at (1,1/3,2/3) and then ends in that vertex
     m = np.array([0.5, 0.0, 0.5])
@@ -434,60 +427,29 @@ def test_report_vertex_hit_gives_its_edges(cube):
     ev = rec.singularity
     assert ev.kind is bl.SingularityKind.VERTEX_HIT and ev.step == 1
     assert rec.word == ["y0", "x1"]
-    lines = bl.discontinuity_report(rec, cube)
+    assert np.allclose(ev.point, [0.0, 1.0, 1.0])
     # the three edges through the vertex, unfolded through (2,1,1)
+    lines = [_unfolded_edge(cube, rec, ev.step, e)
+             for e, ends in enumerate(cube.edge_endpoints.tolist()) if ev.vertex in ends]
     assert len(lines) == 3
-    assert sorted(np.argmax(np.abs(line.direction)) for line in lines) == [0, 1, 2]
-    for line in lines:
-        assert np.allclose(np.sort(np.abs(line.direction)), [0, 0, 1.0])
-        assert point_line_distance([2.0, 1.0, 1.0], line.point, line.direction) < 1e-12
+    assert sorted(np.argmax(np.abs(d)) for _, d in lines) == [0, 1, 2]
+    for point, direction in lines:
+        assert np.allclose(np.sort(np.abs(direction)), [0, 0, 1.0])
+        assert point_line_distance([2.0, 1.0, 1.0], point, direction) < 1e-12
 
 
-def test_report_of_start_on_an_edge_with_radius(cube):
-    # the orbit ends at step 0, so its one segment has no length; it gives
-    # the start's distance to each edge, without a floating-point warning
+def test_orbit_of_a_start_on_an_edge_is_one_row(cube):
+    # the orbit ends at step 0 on the edge under the start, and its record
+    # is one row: the start itself
     x = bl.phase_point(cube, [0.5, 0.0, 0.0], [0.0, 0.6, 0.8], face="z0")
     rec = bl.orbit(x, 5, cube)
     assert rec.singularity.kind is bl.SingularityKind.EDGE_HIT and rec.n_bounces == 1
-    # its record is one row: the start itself
     assert rec.faces.shape == (1,) and rec.m.shape == (1, 3) and rec.theta.shape == (1, 3)
     assert rec.faces[0] == x.face and rec.word == ["z0"]
     assert np.array_equal(rec.m[0], x.m) and np.array_equal(rec.theta[0], x.theta)
-    with warnings.catch_warnings(), np.errstate(all="raise"):
-        warnings.simplefilter("error")
-        near = bl.discontinuity_report(rec, cube, radius=0.55)
-        far = bl.discontinuity_report(rec, cube, radius=1.05)
-    # the edge under the start; the four edges 0.5 away that end at (0,0,0)
-    # or (1,0,0) join it, and at 1.05 also (0,1,0)-(1,1,0) and (0,0,1)-(1,0,1)
-    assert np.allclose(np.abs(near[0].direction), [1.0, 0, 0])
-    assert np.allclose(near[0].point[1:], 0.0)
-    assert len(near) == 5 and len(far) == 7
-
-
-def test_report_refuses_a_negative_or_nan_radius(cube):
-    # read as radius 0 these would give the edge line, or an EmptyReport
-    singular = bl.orbit(_pp(cube, [0.5, 0.5, 0.0], [1.0, 1.0, 1.0]), 5, cube)
-    regular = bl.orbit(_pp(cube, [0.5, 0.5, 0.0], [0, 0, 1.0]), 4, cube)
-    for rec in (singular, regular):
-        for radius in (-1.0, np.nan):
-            with pytest.raises(pb.PreconditionFailed, match="radius must be >= 0"):
-                bl.discontinuity_report(rec, cube, radius=radius)
-
-
-def test_report_lists_each_line_once():
-    # tetrahedron orbits near edges: some edge line is met at several steps,
-    # once with a direction whose two largest components are equal in size
-    # (draw 18), so no sign rule on that direction can make it canonical
-    P = regular_tetrahedron()
-    rng = np.random.default_rng(1)
-    for draw in range(20):
-        m, theta, face = bl.random_phase_points(P, 1, rng)
-        rec = bl.orbit(bl.phase_point(P, m[0], theta[0], face=int(face[0])), 30, P)
-        lines = bl.discontinuity_report(rec, P, radius=0.3)
-        for i, a in enumerate(lines):
-            for b in lines[:i]:
-                assert not (np.linalg.norm(np.cross(a.direction, b.direction)) <= 1e-9
-                            and point_line_distance(a.point, b.point, b.direction) <= 1e-9), draw
+    point, direction = _unfolded_edge(cube, rec, 0, rec.singularity.edge)
+    assert np.allclose(np.abs(direction), [1.0, 0, 0])
+    assert np.allclose(point[1:], 0.0)
 
 
 def _vertex_bound_orbits(rng, count):
@@ -528,41 +490,33 @@ def test_terminal_event_unfolds_by_its_step_isometry():
             continue
         steps[ev.kind].append(ev.step)
         assert ev.step == rec.n_bounces - 1
+        # the edge hit, or every edge through the vertex hit, unfolded by
+        # the isometry of the event's step, passes within plane of the
+        # unfolded hit point (and through the unfolded vertex)
+        edges = [e for e, ends in enumerate(P.edge_endpoints.tolist())
+                 if e == ev.edge or ev.vertex in ends]
+        assert len(edges) == (1 if ev.edge is not None else 3)
         lin, trans = cumulative_isometries(P, rec.faces)
         A, t = lin[ev.step], trans[ev.step]
-        lines = bl.discontinuity_report(rec, P)
-        # the edge hit, or every edge through the vertex hit, in edge order
-        edges = [P.vertices[ends] for i, ends in enumerate(P.edge_endpoints.tolist())
-                 if i == ev.edge or ev.vertex in ends]
-        assert len(lines) == len(edges) == (1 if ev.edge is not None else 3)
-        for line, (a, b) in zip(lines, edges):
-            assert np.array_equal(line.point, a @ A.T + t)
-            assert np.array_equal(line.direction, A @ unit(b - a))
+        hit = ev.point @ A.T + t
+        scale = 1e-12 * (1.0 + np.abs(hit).max())
+        for a, b in P.vertices[P.edge_endpoints[edges]]:
+            point, direction = a @ A.T + t, A @ unit(b - a)
+            assert point_line_distance(hit, point, direction) <= P.tol.plane + scale
             if ev.vertex is not None:
                 v = P.vertices[ev.vertex] @ A.T + t
-                assert point_line_distance(v, line.point, line.direction) <= 1e-12 * (
-                    1.0 + np.abs(v).max())
+                assert point_line_distance(v, point, direction) <= scale
     assert all(max(s, default=0) >= 100 for s in steps.values())
 
 
-def test_singular_event_needs_no_unfolding(cube, monkeypatch):
-    # an edge- or vertex-ending orbit records its hit; only the report unfolds
-    calls = []
-    prefix = bl.cumulative_isometries
-
-    def counting_prefix(P, faces):
-        calls.append(1)
-        return prefix(P, faces)
-
-    monkeypatch.setattr(bl, "cumulative_isometries", counting_prefix)
+def test_singular_event_needs_no_unfolding(cube):
+    # an edge- or vertex-ending orbit records its hit; the stepper never unfolds
     m = np.array([0.5, 0.0, 0.5])
     edge = bl.orbit(_pp(cube, [0.5, 0.5, 0.0], [1.0, 1.0, 1.0]), 10, cube)
     vertex = bl.orbit(_pp(cube, m, np.subtract([2.0, 1.0, 1.0], m)), 10, cube)
     assert edge.singularity.kind is bl.SingularityKind.EDGE_HIT
     assert vertex.singularity.kind is bl.SingularityKind.VERTEX_HIT
-    assert calls == []
-    bl.discontinuity_report(vertex, cube)
-    assert calls == [1]
+    assert "cumulative_isometries" not in inspect.getsource(bl)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +626,7 @@ def test_batch_refuses_fewer_than_one_label(cube):
 
 
 def test_near_singular_flag_tolerance(cube):
-    wide = cube.with_tolerances(Tolerances(sing=1e-2))
+    wide = unit_cube(Tolerances(sing=1e-2))
     x = bl.phase_point(wide, [0.5, 0.999, 0.0], [0, 0, 1.0])
     rec = bl.orbit(x, 2, wide)
     assert rec.completed and rec.near_singular_steps == [1]

@@ -426,7 +426,7 @@ def test_complexity_preconditions(cube):
 
 
 def test_flagged_words_are_discarded(cube):
-    wide = cube.with_tolerances(Tolerances(sing=5e-2))
+    wide = unit_cube(Tolerances(sing=5e-2))
     tab = sy.estimate_complexity(wide, 4, 4000, seed=0)
     assert tab.discarded > 0
     narrow = sy.estimate_complexity(cube, 4, 4000, seed=0)
@@ -442,9 +442,7 @@ def test_flagged_words_are_discarded(cube):
 def test_factor_sets_match_window_oracle(monkeypatch, solid, n_max, budget, tol):
     # independent oracle: every n-window of every unflagged word the stepper
     # returned, collected as plain tuples of labels
-    P = unit_cube() if solid == "cube" else regular_tetrahedron()
-    if tol is not None:
-        P = P.with_tolerances(tol)
+    P = unit_cube(tol) if solid == "cube" else regular_tetrahedron(tol)
     returned = []
 
     def recording(*args, **kwargs):
@@ -528,9 +526,7 @@ def _reference_word_codes(codes, lengths, F, n_max):
     ("cube", 12, 3000, Tolerances(plane=1e-3, sing=1e-2)),  # short words exist
 ])
 def test_word_codes_match_reference_recurrence(monkeypatch, solid, n_max, budget, tol):
-    P = unit_cube() if solid == "cube" else regular_tetrahedron()
-    if tol is not None:
-        P = P.with_tolerances(tol)
+    P = unit_cube(tol) if solid == "cube" else regular_tetrahedron(tol)
     chunks = []
     chunk_complexity = sy._chunk_complexity
 

@@ -4,8 +4,8 @@ import pytest
 from polybilliard import billiard as bl
 from polybilliard import symbolic as sy
 from polybilliard import unfolding as uf
-from polybilliard.geometry import (PreconditionFailed, Tolerances, box, regular_tetrahedron,
-                                  unit, unit_cube, validate)
+from polybilliard.geometry import (PreconditionFailed, Tolerances, box, point_line_distance,
+                                  regular_tetrahedron, unit, unit_cube, validate)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -140,10 +140,10 @@ def test_no_reflection_built_after_construction(cube):
         rec = bl.orbit(bl.PhasePoint(cube.face_index("z0"), np.array(m), theta), 1, cube)
         ev = rec.singularity
         assert ev.kind is bl.SingularityKind.EDGE_HIT and ev.step == 0
+        lin, trans = uf.cumulative_isometries(cube, rec.faces)
         a, b = cube.vertices[cube.edge_endpoints[ev.edge]]
-        (line,) = bl.discontinuity_report(rec, cube)
-        assert np.array_equal(line.point, a)
-        assert np.array_equal(line.direction, unit(b - a))
+        assert np.array_equal(a @ lin[0].T + trans[0], a)
+        assert np.array_equal(lin[0] @ unit(b - a), unit(b - a))
     rec = _orbit(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0], 1000)
     uf.unfold_orbit(rec, cube)
     uf.generate_group(cube, bound=100)
@@ -494,8 +494,9 @@ def test_prefix_scan_matches_sequential_reference(name):
 
 
 def test_terminal_event_within_rounding_of_sequential_reference():
-    # reports take their isometry from the scan, so on solids whose products
-    # round they differ from the sequential product in the last bits only
+    # the scan's isometry of the event's step moves the hit edge as the
+    # sequential product does, up to its last bits on solids whose products
+    # round
     P = regular_tetrahedron(Tolerances(plane=1e-3))
     rng = np.random.default_rng(16)
     m, th, f = bl.random_phase_points(P, 40, rng)
@@ -507,9 +508,11 @@ def test_terminal_event_within_rounding_of_sequential_reference():
             continue
         late += ev.step >= 100
         ref_lin, ref_trans = _reference_cumulative_isometries(P, rec.faces.tolist())
+        lin, trans = uf.cumulative_isometries(P, rec.faces)
         A, t = ref_lin[ev.step], ref_trans[ev.step]
-        (a, b), line = P.vertices[P.edge_endpoints[ev.edge]], bl.discontinuity_report(rec, P)[0]
-        for got, ref in ((line.point, a @ A.T + t), (line.direction, A @ unit(b - a))):
+        B, u = lin[ev.step], trans[ev.step]
+        a, b = P.vertices[P.edge_endpoints[ev.edge]]
+        for got, ref in ((a @ B.T + u, a @ A.T + t), (B @ unit(b - a), A @ unit(b - a))):
             assert np.abs(got - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
     assert late > 0
 
@@ -549,5 +552,9 @@ def test_orbit_and_unfold_compose_no_isometry():
     theta = np.array([1.0, 1.0, 0.5]) / 1.5
     cube = unit_cube()
     rec = bl.orbit(bl.phase_point(cube, [0.5, 0.0, 0.25], theta, face="y0"), 10, cube)
-    assert rec.singularity.kind is bl.SingularityKind.EDGE_HIT and rec.singularity.step == 2
-    assert bl.discontinuity_report(rec, cube, radius=0.1)
+    ev = rec.singularity
+    assert ev.kind is bl.SingularityKind.EDGE_HIT and ev.step == 2
+    lin, trans = uf.cumulative_isometries(cube, rec.faces)
+    a, b = cube.vertices[cube.edge_endpoints[ev.edge]]
+    hit = ev.point @ lin[2].T + trans[2]
+    assert point_line_distance(hit, a @ lin[2].T + trans[2], lin[2] @ unit(b - a)) <= 1e-15
