@@ -33,31 +33,30 @@ class PhasePoint(NamedTuple):
 
 
 def phase_point(P: Polyhedron, m, theta, face: int | str | None = None) -> PhasePoint:
-    """Validated phase point, moved along the normal onto its face plane (it
-    may lie 10 * ``plane`` off it).  When ``face`` is omitted it is the face
-    holding ``m`` whose plane lies nearest, planes within ``plane`` counting
-    as equally near, so the first of those by id."""
+    """Validated phase point, moved along the normal onto its face plane.  A
+    face accepts the start when ``m`` lies within 10 * ``plane`` of its plane
+    and in the face (:meth:`Polyhedron.point_in_face`) and ``theta`` enters
+    it.  When ``face`` is omitted it is the first face that accepts the
+    start, nearest plane first, planes within ``plane`` counting as equally
+    near, so by id."""
     m = vec3(m)
     theta = unit(theta)
+    s = (P.normals * m).sum(axis=1) + P.offsets
     if face is None:
-        s = np.abs(P.signed_distances(m))
-        cands = [f for f in np.argsort(np.maximum(s, P.tol.plane), kind="stable")
-                 if s[f] <= 10 * P.tol.plane and P.point_in_face(int(f), m)]
-        if not cands:
-            raise PreconditionFailed("point does not lie on any face")
-        face = int(cands[0])
-    elif isinstance(face, str):
-        face = P.face_index(face)
+        faces = np.argsort(np.maximum(np.abs(s), P.tol.plane), kind="stable").tolist()
     else:
-        face = P.face_id(face)
-    s = float((P.normals[face] * m).sum() + P.offsets[face])
-    if abs(s) > 10 * P.tol.plane:
-        raise PreconditionFailed("point does not lie on the given face plane")
-    if not P.point_in_face(face, m):
-        raise PreconditionFailed("point lies outside the given face")
-    if float(theta @ P.normals[face]) <= 0.0:
-        raise PreconditionFailed("direction does not point into the interior")
-    return PhasePoint(face, m - s * P.normals[face], theta)
+        faces = [P.face_index(face) if isinstance(face, str) else P.face_id(face)]
+    for f in faces:
+        if abs(s[f]) > 10 * P.tol.plane:
+            why = "point does not lie on the given face plane"
+        elif not P.point_in_face(f, m):
+            why = "point lies outside the given face"
+        elif float(theta @ P.normals[f]) <= 0.0:
+            why = "direction does not point into the interior"
+        else:
+            return PhasePoint(f, m - s[f] * P.normals[f], theta)
+    raise PreconditionFailed(why if face is not None else
+                             "point lies on no face that the direction enters")
 
 
 class SingularityKind(Enum):
@@ -172,7 +171,7 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
         if hit is None or hit.kind is not HitKind.FACE or len(faces) == n_max:
             break
         # reflect_direction in floats: theta - 2 <theta, n> n
-        nx, ny, nz, _, _, _ = rows[hit.face]
+        nx, ny, nz, _, _ = rows[hit.face]
         k = 2.0 * (tx * nx + ty * ny + tz * nz)
         tx, ty, tz = tx - k * nx, ty - k * ny, tz - k * nz
         cos_n = tx * nx + ty * ny + tz * nz

@@ -177,14 +177,13 @@ class Polyhedron:
     g across f's edges is q's distance to the boundary of f inside f, and
     negative outside it.  The table is symmetric, and the batch kernel
     relies on it: it reads column f as row f.  Scalar ``rows``, per face in
-    Python floats: plane ``(nx, ny, nz, c)``, vertices ``(x, y, z, id)``,
-    and per edge, by increasing id, the side row ``(ux, uy, uz, c', edge
-    id)`` of the face g across it: <u, q> + c' = (s_g(q) - cos s_f(q)) /
-    sin, which is s_g(q) / sin in f's plane and stays so as q moves along
-    n_f (u is the unit normal of the edge in f's plane).  The reflection
-    across face f is x -> ``reflection_linear[f] @ x +
-    reflection_translation[f]``, and ``frames[f]`` has the orthonormal rows
-    (t1, t2, n), n the inward normal.
+    Python floats: ``(nx, ny, nz, c, sides)``, its plane and, per edge by
+    increasing id, the side row ``(ux, uy, uz, c', edge id)`` of the face g
+    across it: <u, q> + c' = (s_g(q) - cos s_f(q)) / sin, which is s_g(q) /
+    sin in f's plane and stays so as q moves along n_f (u is the unit
+    normal of the edge in f's plane).  The reflection across face f is x ->
+    ``reflection_linear[f] @ x + reflection_translation[f]``, and
+    ``frames[f]`` has the orthonormal rows (t1, t2, n), n the inward normal.
     """
 
     def __init__(self, vertices: np.ndarray, labels: list[str],
@@ -203,15 +202,14 @@ class Polyhedron:
         self.inv_sin[fa, fb] = self.inv_sin[fb, fa] = 1.0 / np.linalg.norm(
             np.cross(N[fa], N[fb]), axis=1)
         rows = []
-        for f, boundary in enumerate(boundaries):
+        for f in range(len(labels)):
             sides = []
             for e in np.flatnonzero((edge_faces == f).any(axis=1)).tolist():
                 g = int(edge_faces[e].sum()) - f            # the face across edge e
                 cos = float(N[f] @ N[g])
                 side = np.append(N[g] - cos * N[f], c[g] - cos * c[f]) * self.inv_sin[f, g]
                 sides.append((*side.tolist(), e))
-            verts = tuple((*vertices[v].tolist(), v) for v in boundary)
-            rows.append((*N[f].tolist(), float(c[f]), verts, tuple(sides)))
+            rows.append((*N[f].tolist(), float(c[f]), tuple(sides)))
         self.rows = tuple(rows)
         # the reflection across each face plane: x - 2 (<n, x> + c) n
         self.reflection_linear = np.eye(3) - 2.0 * N[:, :, None] * N[:, None, :]
@@ -258,10 +256,6 @@ class Polyhedron:
     def face_polygon(self, f: int) -> np.ndarray:
         return self._face_polys[f]
 
-    def signed_distances(self, pts) -> np.ndarray:
-        """Signed distances to all face planes; >= 0 everywhere iff inside."""
-        return np.asarray(pts, float) @ self.normals.T + self.offsets
-
     def point_in_face(self, f: int, q) -> bool:
         """Is ``q`` (assumed on the face plane) inside face ``f``, or at
         most ``plane`` outside it?"""
@@ -276,7 +270,7 @@ class Polyhedron:
         :func:`first_hit` takes it.  Rounding moves it by about 1e-15 *
         (|q| + |c_g|) * ``inv_sin[f, g]``, which :func:`validate` keeps
         under ``plane`` / 2: under 5e-13 at a dihedral 1e-3 from pi."""
-        return _side_distance(self.rows[self.face_id(f)][5], *np.asarray(q, float).tolist())
+        return _side_distance(self.rows[self.face_id(f)][4], *np.asarray(q, float).tolist())
 
 
 def _side_distance(sides, qx: float, qy: float, qz: float) -> tuple[float, int]:
@@ -486,7 +480,7 @@ def first_hit(m, theta, P: Polyhedron) -> Hit:
     mx, my, mz = m
     tx, ty, tz = theta
     tf, f = math.inf, -1
-    for k, (nx, ny, nz, c, _, _) in enumerate(P.rows):
+    for k, (nx, ny, nz, c, _) in enumerate(P.rows):
         d = nx * tx + ny * ty + nz * tz
         if d < neg_angle:
             t = (nx * mx + ny * my + nz * mz + c) / -d
@@ -495,22 +489,18 @@ def first_hit(m, theta, P: Polyhedron) -> Hit:
     if f < 0:
         raise NoAdvance("ray does not reach the boundary")
     qx, qy, qz = q = mx + tf * tx, my + tf * ty, mz + tf * tz
-    _, _, _, _, verts, sides = P.rows[f]
-    edist, edge = _side_distance(sides, qx, qy, qz)
+    edist, edge = _side_distance(P.rows[f][4], qx, qy, qz)
     if edist > 2.0 * plane:
         # positional: keyword arguments make a NamedTuple's constructor slower
         return Hit(HitKind.FACE, q, tf, f, None, None, edist)
     # a vertex within plane of q lies on two edge lines within plane of it,
     # so only a hit near the boundary can be a vertex hit; 2 * plane leaves
-    # a margin of plane for rounding
-    r2v, vertex = math.inf, -1
-    for x, y, z, v in verts:
-        dx, dy, dz = x - qx, y - qy, z - qz
-        r2 = dx * dx + dy * dy + dz * dz
-        if r2 < r2v:
-            r2v, vertex = r2, v
-    if r2v <= plane * plane:
-        return Hit(HitKind.VERTEX, q, tf, face=f, vertex=vertex, edge_distance=0.0)
+    # a margin of plane for rounding.  Few hits get here, so it is numpy
+    d = P.face_polygon(f) - q
+    r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+    i = int(r2.argmin())                # the first nearest vertex
+    if r2[i] <= plane * plane:
+        return Hit(HitKind.VERTEX, q, tf, face=f, vertex=P.boundaries[f][i], edge_distance=0.0)
     if edist <= plane:
         return Hit(HitKind.EDGE, q, tf, face=f, edge=edge, edge_distance=edist)
     return Hit(HitKind.FACE, q, tf, f, None, None, edist)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -123,17 +122,15 @@ def _probes(x: np.ndarray) -> list[tuple[int, ...]]:
 
 
 class _MatrixBuckets:
-    """A stack of 3x3 matrices whose row indices are hashed on the keys of
-    their projections.  A stored matrix within ``_DEDUP_TOL`` of a query in
-    max-abs has its key among the query's probes, so lookups agree with a
-    linear scan."""
+    """A stack of 3x3 matrices, empty at first, whose row indices are hashed
+    on the keys of their projections.  A stored matrix within ``_DEDUP_TOL``
+    of a query in max-abs has its key among the query's probes, so lookups
+    agree with a linear scan."""
 
-    def __init__(self, stack: np.ndarray):
-        self.stack = np.ascontiguousarray(stack, dtype=float)
-        self.count = len(self.stack)
-        self._buckets: dict[int, list[int]] = {}
-        for i, key in enumerate(_key(_project(self.stack.reshape(-1, 9)))):
-            self._buckets.setdefault(key, []).append(i)
+    def __init__(self):
+        self.stack = np.empty((0, 3, 3))
+        self.count = 0
+        self._index: dict[int, list[int]] = {}
 
     @property
     def elements(self) -> np.ndarray:
@@ -143,7 +140,7 @@ class _MatrixBuckets:
         """Per row of ``flat``, is a stored matrix within ``_DEDUP_TOL`` of it?"""
         rows: list[int] = []
         idx: list[int] = []
-        get = self._buckets.get
+        get = self._index.get
         for r, keys in enumerate(probes):
             for key in keys:
                 members = get(key)
@@ -155,11 +152,6 @@ class _MatrixBuckets:
             gap = np.abs(flat[rows] - self.stack.reshape(-1, 9)[idx]).max(axis=1)
             hit[np.asarray(rows)[gap <= _DEDUP_TOL]] = True
         return hit
-
-    def find(self, M: np.ndarray) -> bool:
-        """Is a stored matrix within ``_DEDUP_TOL`` of ``M`` in every entry?"""
-        flat = M.reshape(1, 9)
-        return bool(self._stored_match(flat, _probes(_project(flat)))[0])
 
     def absorb(self, X: np.ndarray, bound: float) -> bool:
         """Store, in order, each matrix of the (K, 3, 3) ``X`` that no stored
@@ -187,7 +179,7 @@ class _MatrixBuckets:
             self.stack = grown
         self.stack[first:self.count] = X[kept]
         for i, r in enumerate(kept, first):
-            self._buckets.setdefault(own[r], []).append(i)
+            self._index.setdefault(own[r], []).append(i)
         return self.count <= bound
 
 
@@ -202,17 +194,15 @@ class GroupClosure:
     def order(self) -> int | None:
         return len(self.elements) if self.closed else None
 
-    @cached_property
-    def _buckets(self) -> _MatrixBuckets:
-        return _MatrixBuckets(self.elements)
-
     def contains(self, M: np.ndarray) -> bool:
         """Is the 3x3 ``M`` an element, up to the closure's own 1e-8 max-abs
-        tolerance?  A matrix with a nan or infinite entry is none."""
+        tolerance, by a scan of the elements?  A matrix with a nan or
+        infinite entry is none."""
         M = np.asarray(M, float)
         if M.shape != (3, 3):
             raise PreconditionFailed(f"expected a 3x3 matrix, got shape {M.shape}")
-        return bool(np.isfinite(M).all()) and self._buckets.find(M)
+        return bool(np.isfinite(M).all()) and bool(
+            np.abs(self.elements - M).max(axis=(1, 2)).min(initial=np.inf) <= _DEDUP_TOL)
 
 
 def generate_group(P: Polyhedron, bound: int = 10000) -> GroupClosure:
@@ -225,11 +215,12 @@ def generate_group(P: Polyhedron, bound: int = 10000) -> GroupClosure:
     (``closed=False``; evidence, not proof, that the group is infinite).
     """
     bound = as_count(bound, "bound", 1)
-    gens = _MatrixBuckets(np.empty((0, 3, 3)))
+    gens = _MatrixBuckets()
     gens.absorb(P.reflection_linear, math.inf)
     G = gens.elements[None]
 
-    found = _MatrixBuckets(np.eye(3)[None])
+    found = _MatrixBuckets()
+    found.absorb(np.eye(3)[None], bound)
     start, depth = 0, 0
     step = max(1, _BATCH // G.shape[1])
     while start < found.count:

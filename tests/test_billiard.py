@@ -1,4 +1,5 @@
 import inspect
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,6 +135,14 @@ def test_phase_point_validation(cube):
         x = bl.phase_point(cube, m, [0, 0.6, 0.8])
         assert cube.labels[x.face] == label
         assert np.array_equal(x.m, bl.phase_point(cube, m, [0, 0.6, 0.8], face=label).m)
+    # the same point aimed away from y0 is a start of z0, the nearest plane
+    # whose face holds it and whose face the direction enters
+    x = bl.phase_point(cube, [0.5, 2e-9, 5e-9], [0, -0.6, 0.8])
+    assert cube.labels[x.face] == "z0"
+    assert np.array_equal(x.m, bl.phase_point(cube, [0.5, 2e-9, 5e-9], [0, -0.6, 0.8],
+                                              face="z0").m)
+    with pytest.raises(pb.PreconditionFailed):                  # on no face
+        bl.phase_point(cube, [0.5, 0.5, 0.5], [0, 0, 1.0])
     for face in (-1, 7):                                     # no such face id
         with pytest.raises(ValueError, match="out of range"):
             bl.phase_point(cube, [0.5, 0.5, 1.0], [0, 0, -1.0], face=face)
@@ -570,6 +579,140 @@ def test_batch_matches_orbit_for_starts_near_edges():
             assert bool(flags[i]) == bool(rec.near_singular_steps)
         assert (lengths[on_edge] == 1).all() and not flags[on_edge].any()
         assert (lengths[~on_edge] > 1).mean() > 0.5
+
+
+# ---------------------------------------------------------------------------
+# exact rational replay: every float is a rational, so a solid whose faces
+# are exactly planar, with a float start, has an orbit that can be followed
+# in Fraction with no tolerance at all
+# ---------------------------------------------------------------------------
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _mirror(x, n, h, k):
+    """x - k (n.x - h) n / |n|^2: the reflection across the plane n.x = h
+    for k = 2, the foot on it for k = 1."""
+    c = k * (_dot(n, x) - h) / _dot(n, n)
+    return [xi - c * ni for xi, ni in zip(x, n)]
+
+
+def _exact_planes(P):
+    """Per face, its plane {x : n.x = h} in Fraction, n = (b - a) x (c - a)
+    for its first three vertices a, b, c, pointing inward; every vertex of
+    the face lies exactly on it."""
+    V = [[Fraction(x) for x in v] for v in P.vertices.tolist()]
+    centre = [sum(col) / len(V) for col in zip(*V)]
+    planes = []
+    for boundary in P.boundaries:
+        a, b, c = (V[i] for i in boundary[:3])
+        u, w = [p - q for p, q in zip(b, a)], [p - q for p, q in zip(c, a)]
+        n = [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]]
+        h = _dot(n, a)
+        assert all(_dot(n, V[i]) == h for i in boundary)
+        if _dot(n, centre) < h:
+            n, h = [-x for x in n], -h
+        planes.append((n, h))
+    return planes
+
+
+def _exact_word(planes, f, m, theta, n_labels):
+    """The face ids of the exact orbit of the float start (m, theta) on face
+    f, moved onto its plane first: per bounce the least positive t over the
+    other planes, and a tie, a hit on an edge or vertex, ends the word."""
+    m = _mirror([Fraction(x) for x in m], *planes[f], 1)
+    theta = [Fraction(x) for x in theta]
+    word = [f]
+    while len(word) < n_labels:
+        ts = [((h - _dot(n, m)) / d, g) for g, (n, h) in enumerate(planes)
+              if g != f and (d := _dot(n, theta)) < 0]
+        t, f = min(tt for tt in ts if tt[0] > 0)
+        if sum(tt[0] == t for tt in ts) > 1:
+            break
+        m = [x + t * y for x, y in zip(m, theta)]
+        theta = _mirror(theta, planes[f][0], 0, 2)
+        word.append(f)
+    return word
+
+
+def _sqrt2_prism():
+    """The right prism over (0, 0), (1, 0), (0, sqrt 2): its faces are
+    exactly planar in floats, and its reflection group is infinite."""
+    b = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, SQRT2, 0.0]])
+    return validate(np.vstack([b, b + [0.0, 0.0, 1.0]]),
+                    [("b", [0, 1, 2]), ("t", [3, 4, 5]), ("s0", [0, 1, 4, 3]),
+                     ("s1", [1, 2, 5, 4]), ("s2", [2, 0, 3, 5])])
+
+
+@pytest.mark.parametrize("name", ["cube", "box", "tetrahedron", "prism"])
+def test_words_match_exact_rational_replay(name):
+    # uniform starts, and starts 1e-10 to 1e-5 inside an edge of their face
+    # aimed at a point as far inside an edge of another face (under plane:
+    # the orbit stops at once or at that hit; under sing: flagged): both
+    # float paths give the exact word on a row that is neither flagged nor
+    # stopped, and a prefix of it on the others
+    P = {"cube": unit_cube, "box": lambda: box(2.0, 1.0, 0.5),
+         "tetrahedron": regular_tetrahedron, "prism": _sqrt2_prism}[name]()
+    planes, n_labels = _exact_planes(P), 12
+    rng = np.random.default_rng(17)
+    edges = P.edge_faces.tolist()
+
+    def near_edge(e, g):
+        a, b = P.vertices[P.edge_endpoints[e]]
+        u = unit(b - a)
+        w = P.face_polygon(g).mean(axis=0) - a
+        return a + rng.uniform(0.2, 0.8) * (b - a) \
+            + 10.0 ** rng.uniform(-10, -5) * unit(w - (w @ u) * u)
+
+    starts = [bl.phase_point(P, x, t, face=int(g))
+              for x, t, g in zip(*bl.random_phase_points(P, 200, rng))]
+    for e, fs in enumerate(edges):
+        for g in fs + fs:
+            x = near_edge(e, g)
+            # an edge that g does not bound, so the ray leaves g's plane
+            e2 = rng.choice([k for k, hs in enumerate(edges) if g not in hs])
+            target = near_edge(e2, edges[e2][rng.integers(2)])
+            starts.append(bl.phase_point(P, x, unit(target - x), face=g))
+    # rays from a dyadic point of each face at each vertex and edge midpoint
+    # off it, kept where the floats are exact (the point on the face's plane,
+    # the direction the target minus it): the exact orbit ties at its first
+    # hit.  phase_point would round their directions, so only the batch runs
+    # them
+    ties = []
+    for g, boundary in enumerate(P.boundaries):
+        w = 0.5 ** np.arange(1, len(boundary) + 1)
+        w[-1] *= 2.0
+        x = w @ P.face_polygon(g)
+        exact_x = [Fraction(v) for v in x.tolist()]
+        if _dot(planes[g][0], exact_x) != planes[g][1]:
+            continue
+        targets = [v for i, v in enumerate(P.vertices) if i not in boundary]
+        targets += [P.vertices[ends].mean(axis=0)
+                    for ends, fs in zip(P.edge_endpoints, edges) if g not in fs]
+        ties += [bl.PhasePoint(g, x, t - x) for t in targets
+                 if [Fraction(v) for v in (t - x).tolist()]
+                 == [Fraction(v) - u for v, u in zip(t.tolist(), exact_x)]]
+    f, m, theta = (np.array(a) for a in zip(*starts, *ties))
+    words, lengths, flags = bl.run_word_batch(P, m, theta, f, n_labels)
+    whole = cut = 0
+    for i, x in enumerate(starts + ties):
+        exact = _exact_word(planes, x.face, x.m, x.theta, n_labels)
+        got = [(words[i, :lengths[i]].tolist(), flags[i])]
+        if i < len(starts):
+            rec = bl.orbit(x, n_labels, P)
+            got.append((rec.faces.tolist(), rec.near_singular_steps))
+        else:
+            assert exact == [x.face]
+        for word, flagged in got:
+            if flagged or len(word) < n_labels:
+                assert word == exact[:len(word)]
+                cut += 1
+            else:
+                assert word == exact
+                whole += 1
+    assert whole > 300 and cut > 20 + len(ties) and len(ties) >= 12
+    assert flags.any() and (lengths[:len(starts)] < n_labels).any()
 
 
 @pytest.mark.parametrize("count, message", [

@@ -362,6 +362,13 @@ def test_contains_across_bucket_boundary(cube):
             assert _key(query) == _key(stored) + side
             assert closure.contains(query)
             assert not closure.contains(edge + side * 7e-9)
+            # the store's own lookup across the boundary: absorb keeps a
+            # matrix 11e-9 from the stored one, and not one 8e-9 from it
+            buckets = uf._MatrixBuckets()
+            for M, count in ((stored, 1), (query, 1), (edge + side * 7e-9, 2)):
+                assert buckets.absorb(M[None], np.inf)
+                assert buckets.count == count
+    assert uf.GroupClosure(np.empty((0, 3, 3)), True).contains(np.eye(3)) is False
     closure = uf.generate_group(cube, bound=100)
     for M in closure.elements:
         assert closure.contains(M - 5e-9)
@@ -408,7 +415,7 @@ def test_absorb_matches_sequential_scan_near_bucket_boundaries():
             kept.append(M)
     assert 70 < len(kept) < 200
     for split in (240, 7):          # one batch, and batches that store across calls
-        buckets = uf._MatrixBuckets(np.empty((0, 3, 3)))
+        buckets = uf._MatrixBuckets()
         for s in range(0, 240, split):
             assert buckets.absorb(X[s:s + split], np.inf)
         assert buckets.elements.tobytes() == np.array(kept).tobytes()
