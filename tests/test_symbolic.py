@@ -1015,6 +1015,90 @@ def test_open_cells_match_exact_oracle():
     assert singular >= 20
 
 
+# ---------------------------------------------------------------------------
+# the beam tree at a fixed direction, against an exact one
+# ---------------------------------------------------------------------------
+
+def _float_tree_counts(P, theta, n_max):
+    """Open cells per word length 1..n_max: one beam per face that lines
+    along ``theta`` enter, each open beam extended by every other label."""
+    level = [sy.make_beam(P, lab, theta) for lab, n in zip(P.labels, P.normals)
+             if float(unit(theta) @ n) > ANGLE]
+    counts = [len(level)]
+    while len(counts) < n_max:
+        level = [c for b in level for lab in P.labels if lab != b.word[-1]
+                 for c in [sy.propagate_beam(b, lab, P)] if not c.is_empty]
+        counts.append(len(level))
+    return counts
+
+
+def _fdot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _exact_tree_counts(P, theta, n_max):
+    """The same tree in ``Fraction``, with no tolerance.  Every float is a
+    rational, so a solid whose faces' float vertices lie exactly on planes is
+    an exact rational solid: the face normals n = (v1 - v0) ^ (v2 - v0) and
+    the reflections x -> x - 2 (n.x - h) n / |n|^2 are exact.  Sections are
+    projected along the float unit ``theta`` onto the coordinate plane of its
+    largest component, an affine map that scales every area by one constant,
+    so a cell is open exactly when its closed section has area > 0.  A beam
+    keeps its unfolding followed by that projection, two rows (M, m)."""
+    th = [Fraction(v) for v in unit(theta)]
+    k = max(range(3), key=lambda i: abs(th[i]))
+    proj = [[int(r == c) - int(c == k) * th[r] / th[k] for c in range(3)]
+            for r in range(3) if r != k]
+    polys = [[[Fraction(x) for x in v] for v in P.face_polygon(f).tolist()]
+             for f in range(len(P.labels))]
+    refl, enter = [], []
+    for f, (poly, inward) in enumerate(zip(polys, P.normals)):
+        (ax, ay, az), (bx, by, bz) = ([a - b for a, b in zip(v, poly[0])] for v in poly[1:3])
+        n = [ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]
+        n = n if np.dot(np.array(n, float), inward) > 0 else [-a for a in n]
+        h, nn = _fdot(n, poly[0]), _fdot(n, n)
+        assert all(_fdot(n, v) == h for v in poly)          # planar faces
+        # x -> R x + r; R is symmetric, so its rows are its columns
+        refl.append(([[int(r == c) - 2 * n[r] * n[c] / nn for c in range(3)] for r in range(3)],
+                     [2 * h * a / nn for a in n]))
+        if _fdot(n, th) > 0:                                 # lines enter here
+            enter.append(f)
+
+    def shadow(M, m, f):
+        return [(_fdot(M[0], v) + m[0], _fdot(M[1], v) + m[1]) for v in polys[f]]
+
+    zero = [Fraction(0)] * 2
+    level = [(f, proj, zero, shadow(proj, zero, f)) for f in enter]
+    counts = [len(level)]
+    while len(counts) < n_max:
+        children = []
+        for last, M, m, section in level:
+            for g, (R, r) in enumerate(refl):
+                cut = shadow(M, m, g) if g != last else []
+                if _frac_area2(cut) == 0:             # the last face, or seen edge-on
+                    continue
+                cell = _frac_clip(section, cut)
+                if _frac_area2(cell) != 0:
+                    children.append((g, [[_fdot(row, col) for col in R] for row in M],
+                                     [_fdot(row, r) + c for row, c in zip(M, m)], cell))
+        level = children
+        counts.append(len(level))
+    return counts
+
+
+@pytest.mark.parametrize("solid, theta, expect", [
+    (unit_cube, (1.0, SQRT2, np.pi / 2), [n * n + n + 1 for n in range(1, 13)]),
+    (lambda: box(2.0, 1.0, 0.5), (2.0, SQRT2, np.pi / 4), [n * n + n + 1 for n in range(1, 11)]),
+    (regular_tetrahedron, (0.3, SQRT2, np.pi / 2), [1, 3, 6, 10, 17, 26, 39, 58, 74, 90, 105, 118]),
+], ids=["cube", "box", "tetra"])
+def test_beam_tree_counts_match_exact_tree(solid, theta, expect):
+    # the float tree's emptiness test, _open's _DEG_TOL, against area > 0
+    P = solid()
+    counts = _float_tree_counts(P, theta, len(expect))
+    assert counts == _exact_tree_counts(P, theta, len(expect))
+    assert counts == expect
+
+
 def _ulp_neighbours(theta):
     """``theta`` moved by -1, 0 or +1 ulp in each component: 27 directions."""
     for steps in itertools.product((-1.0, 0.0, 1.0), repeat=3):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polybilliard import transversal as tv
-from polybilliard.geometry import PreconditionFailed, _cross
+from polybilliard.geometry import PreconditionFailed, _cross, line_line_distance
 
 SQRT3 = np.sqrt(3.0)
 SQRT30 = np.sqrt(30.0)
@@ -351,6 +351,34 @@ def test_sample_transversals_reads_numpy_counts():
     ref = tv.sample_transversals(X_AXIS, A1, A2, count=9)
     assert len(lines) == len(ref) > 0
     assert all(a.point.tobytes() == b.point.tobytes() for a, b in zip(lines, ref))
+
+
+def _check_skipped(a0, a1, a2, skipped):
+    """The lines of a 9-sample run meet all three edges, and start at every
+    sampled point of ``a2`` but the parameters in ``skipped``."""
+    lines = tv.sample_transversals(a0, a1, a2, count=9)
+    scale = 1.0 + max(float(np.linalg.norm(a.point)) for a in (a0, a1, a2))
+    for line in lines:
+        for a in (a0, a1, a2):
+            assert line_line_distance(line.point, line.direction, a.point, a.direction) \
+                <= tv._MEET_TOL * scale
+    starts = [a2.at(float(s)) for s in np.linspace(-tv._SAMPLE_SPAN, tv._SAMPLE_SPAN, 9)
+              if float(s) not in skipped]
+    assert [line.point.tobytes() for line in lines] == [q.tobytes() for q in starts]
+
+
+def test_sample_on_the_first_edge_is_skipped():
+    # a2 crosses the x axis at its middle sample, so no plane through that
+    # point and a0 exists: the m0 test skips it
+    _check_skipped(X_AXIS, A1, tv.EdgeLine.of([0.5, 0, 0], [0, 1, 1]), {0.0})
+
+
+def test_sample_in_the_plane_of_coplanar_edges_is_skipped():
+    # a0 and a1 span the plane z = 0 and meet at (-1, 0, 0); at its middle
+    # sample a2 lies in that plane, where the planes through the sample and
+    # each edge coincide: the |d| test skips it
+    a1 = tv.EdgeLine.of([0, 1, 0], [1, 1, 0])
+    _check_skipped(X_AXIS, a1, tv.EdgeLine.of([2, 5, 0], [0, 0, 1]), {0.0})
 
 
 def _xcross(a, b):

@@ -214,28 +214,15 @@ def test_group_bound_reads_numpy_integers(cube):
     assert not uf.generate_group(regular_tetrahedron(), bound=np.int32(50)).closed
 
 
-def test_deep_closure_is_reorthogonalized(monkeypatch):
+def test_deep_closure_stays_orthogonal():
     # the base angles arctan(sqrt 2) and arctan(1/sqrt 2) are no rational
-    # multiples of pi: the group is infinite and grows slowly enough for the
-    # BFS to reach level 64, whose 32 candidates (8 elements of level 63 times
-    # 4 distinct generators) are snapped back onto O(3) in one stacked call
-    calls = []
-    reorthogonalize = uf.reorthogonalize
-
-    def recording(M):
-        calls.append((M, reorthogonalize(M)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(uf, "reorthogonalize", recording)
-    closure = uf.generate_group(_sqrt2_prism(), bound=1000)
+    # multiples of pi: the group is infinite and grows by 8 elements a BFS
+    # level, so 10 000 elements lie about 1250 levels deep.  Nothing snaps
+    # the products back onto O(3); rounding alone moves them (2.1e-14 measured)
+    closure = uf.generate_group(_sqrt2_prism(), bound=10000)
     assert closure.closed is False
-    ((cands, snapped),) = calls
-    assert cands.shape == snapped.shape == (32, 3, 3)
-    assert not np.array_equal(cands, snapped)
-    # the 8 elements that level 64 adds are snapped candidates, bit for bit
     E = closure.elements
-    rows = {M.tobytes() for M in snapped}
-    assert [i for i, M in enumerate(E) if M.tobytes() in rows] == list(range(504, 512))
+    assert len(E) == 10001
     assert np.abs(np.einsum("kji,kjl->kil", E, E) - np.eye(3)).max() <= 1e-12
 
 
@@ -269,20 +256,15 @@ def _reference_generate_group(P, bound):
             gens.append(R)
     elements = [np.eye(3)]
     stack = np.array(elements)
-    depth = [0]
     frontier = [0]
     while frontier:
         new_frontier = []
         for i in frontier:
             for g in gens:
                 cand = g @ elements[i]
-                d = depth[i] + 1
-                if d % 64 == 0:
-                    cand = uf.reorthogonalize(cand)
                 if np.abs(stack - cand).max(axis=(1, 2)).min() <= 1e-8:
                     continue
                 elements.append(cand)
-                depth.append(d)
                 new_frontier.append(len(elements) - 1)
                 stack = np.concatenate([stack, cand[None]], axis=0)
                 if len(elements) > bound:
@@ -318,8 +300,8 @@ _REFERENCE_SOLIDS = {
     # entries 0, +-1/2 and +-1
     "equilateral-prism": (lambda: _prism([[0, 0], [1, 0], [0.5, np.sqrt(3.0) / 2]]), 12, 3000),
     "isosceles-prism": (lambda: _prism([[0, 0], [1, 0], [0, 1]]), 16, 3000),
-    # an infinite group that grows by 8 elements a level: the bound is past
-    # level 64, whose candidates are re-orthogonalized
+    # an infinite group that grows by 8 elements a level: the bound is about
+    # 125 levels deep
     "sqrt2-prism": (_sqrt2_prism, None, 1000),
 }
 
