@@ -16,8 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (ANGLE, Hit, HitKind, NoAdvance, Polyhedron, PreconditionFailed,
-                       as_count, first_hit, unit, vec3)
+# first_hit is not called here; billiard.first_hit stays public for callers
+# and for the benchmark's tracer, which hooks it
+from .geometry import (ANGLE, Hit, HitKind, Polyhedron, PreconditionFailed, _cast,
+                       _near_hit, as_count, first_hit, unit, vec3)
 
 
 class SingularInput(PreconditionFailed):
@@ -145,10 +147,13 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     The start is checked for sitting on an edge, and the forward ray of every
     recorded point but the last is cast and checked; so the start's ray is
     checked even for ``n_max == 1``, and a completed orbit casts ``n_max - 1``
-    rays (one for ``n_max == 1``).
+    rays (one for ``n_max == 1``).  A cast is the plain-float kernel
+    ``geometry._cast``; only one within 2 * ``plane`` of the boundary
+    builds a :class:`Hit`, by ``geometry._near_hit``.
     """
     n_max = as_count(n_max, "n_max", 1)
-    tol, rows = P.tol, P.rows
+    tol, rows, cast = P.tol, P.rows, _cast
+    plane2, sing = 2.0 * tol.plane, tol.sing
     # the last point and direction, as float triples; every recorded one
     # goes into flat x, y, z lists, made (L, 3) arrays when the orbit ends
     m, (tx, ty, tz) = tuple(x.m.tolist()), x.theta.tolist()
@@ -157,36 +162,43 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
 
     # a start on an edge of its face, or outside it, has no continuation convention
     dist, edge = P.nearest_edge(x.face, x.m)
-    if dist <= tol.plane:
-        hit = Hit(HitKind.EDGE, m, 0.0, face=x.face, edge=edge, edge_distance=dist)
+    end = _event(Hit(HitKind.EDGE, m, 0.0, face=x.face, edge=edge, edge_distance=dist),
+                 faces, m) if dist <= tol.plane else None
     # theta . n of the last point; the start's as run_word_batch takes it
     cos_n = float(_start_cos(x.theta, P.normals[x.face]))
-    while not dist <= tol.plane:         # the start is off its face's edges
-        # the last point's forward hit, None when its ray runs inside its face
-        try:
-            hit = first_hit(m, (tx, ty, tz), P) if cos_n > ANGLE else None
-        except NoAdvance:
-            hit = None
+    while end is None:
+        # the last point's forward cast: f = -1 when its ray runs inside
+        # its face or meets no face ahead
+        f = -1
+        if cos_n > ANGLE:
+            f, t, q, edist, edge = cast(m, (tx, ty, tz), P)
+        if f < 0:
+            end = _event(None, faces, m)
+            break
+        if not edist > plane2:           # near the boundary: a Hit decides
+            hit = _near_hit(P, f, t, q, edist, edge)
+            if hit.kind is not HitKind.FACE:
+                end = _event(hit, faces, m)
+                break
         # n_max == 1: the start's ray is checked, not followed
-        if hit is None or hit.kind is not HitKind.FACE or len(faces) == n_max:
+        if len(faces) == n_max:
             break
         # reflect_direction in floats: theta - 2 <theta, n> n
-        nx, ny, nz, _, _ = rows[hit.face]
+        nx, ny, nz, _, _ = rows[f]
         k = 2.0 * (tx * nx + ty * ny + tz * nz)
         tx, ty, tz = tx - k * nx, ty - k * ny, tz - k * nz
         cos_n = tx * nx + ty * ny + tz * nz
-        m = hit.point
-        faces.append(hit.face)
-        ms += m
+        m = q
+        faces.append(f)
+        ms += q
         thetas += tx, ty, tz
-        if hit.edge_distance <= tol.sing:
+        if edist <= sing:
             flagged.append(len(faces) - 1)
         if len(faces) == n_max:
             break
-    ended = hit is None or hit.kind is not HitKind.FACE
     return OrbitRecord(np.array(faces), np.array(ms).reshape(-1, 3),
                        np.array(thetas).reshape(-1, 3), [P.labels[f] for f in faces],
-                       _event(hit, faces, m) if ended else None, flagged)
+                       end, flagged)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def vec3(x) -> np.ndarray:
         raise PreconditionFailed(f"expected a 3-vector of numbers, got {x!r}") from None
     if v.shape != (3,):
         raise PreconditionFailed(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise PreconditionFailed("non-finite coordinates")
     return v
 
@@ -105,7 +105,7 @@ def as_count(x, name: str, least: int) -> int:
 def unit(v) -> np.ndarray:
     """Normalize ``v``; raise if its norm is at most 1e-12."""
     v = vec3(v)
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(float(v @ v))     # np.linalg.norm's bits, without its wrapper
     if n <= 1e-12:
         raise PreconditionFailed("cannot normalize a zero vector")
     return v / n
@@ -459,51 +459,67 @@ class Hit(NamedTuple):
 
 
 def first_hit(m, theta, P: Polyhedron) -> Hit:
-    """First boundary hit of the ray ``m + t * theta``, without start checks.
+    """First boundary hit of the ray ``m + t * theta``, without start checks
+    (callers must know the ray advances into the interior): :func:`_cast`,
+    a FACE hit over 2 * ``plane`` from the boundary, else :func:`_near_hit`.
+    ``m`` and ``theta`` are float triples (an ndarray unpacks to numpy
+    floats, with the same bits)."""
+    f, t, q, edist, edge = _cast(m, theta, P)
+    if f < 0:
+        raise NoAdvance("ray does not reach the boundary")
+    if edist > 2.0 * P.tol.plane:
+        # positional: keyword arguments make a NamedTuple's constructor slower
+        return Hit(HitKind.FACE, q, t, f, None, None, edist)
+    return _near_hit(P, f, t, q, edist, edge)
 
-    The scalar stepping kernel: callers must already know the ray advances
-    into the interior (``orbit`` checks this itself, so
-    ``classify_phase_point`` is the validated single ray).  With F of about
-    6, a numpy call costs more than the arithmetic it does, so this walks the
-    per-solid float ``rows`` of :class:`Polyhedron` instead, and ``m`` and
-    ``theta`` are float triples (an ndarray unpacks to numpy floats, with the
-    same bits).  A face counts as hit at t > 0: from a point on its face plane
-    off its edges every other plane lies over ``plane`` * sin phi ahead, far
-    above rounding (see :func:`validate`).  Among faces hit at the same
-    distance the lowest face id wins.
-    The hit's edge distance is :meth:`Polyhedron.nearest_edge`'s: a hit over
-    2 * ``plane`` from the boundary is a FACE hit, and a nearer one is a
-    VERTEX hit within ``plane`` of a vertex of its face, else an EDGE hit
-    within ``plane`` of an edge (or outside the face), else a FACE hit.
+
+def _cast(m, theta, P: Polyhedron) -> tuple[int, float, tuple, float, int]:
+    """The scalar stepping kernel: ``(f, t, q, edist, edge)`` for the ray
+    ``m + t * theta``, in plain floats; f = -1 when no face lies ahead.
+
+    With F of about 6, a numpy call costs more than the arithmetic it does,
+    so this walks the per-solid float ``rows`` of :class:`Polyhedron`.  A
+    face counts as hit at t > 0: from a point on its face plane off its
+    edges every other plane lies over ``plane`` * sin phi ahead, far above
+    rounding (see :func:`validate`).  Among faces hit at the same distance
+    the lowest face id wins.  ``q`` is the hit point, the float triple
+    ``(x, y, z)``, and ``edist`` and ``edge`` are its
+    :meth:`Polyhedron.nearest_edge` in face f.
     """
-    neg_angle, plane = -ANGLE, P.tol.plane
+    neg_angle, rows = -ANGLE, P.rows
     mx, my, mz = m
     tx, ty, tz = theta
     tf, f = math.inf, -1
-    for k, (nx, ny, nz, c, _) in enumerate(P.rows):
+    for k, (nx, ny, nz, c, _) in enumerate(rows):
         d = nx * tx + ny * ty + nz * tz
         if d < neg_angle:
             t = (nx * mx + ny * my + nz * mz + c) / -d
             if 0.0 < t < tf:
                 tf, f = t, k
     if f < 0:
-        raise NoAdvance("ray does not reach the boundary")
+        return -1, tf, None, math.inf, -1
     qx, qy, qz = q = mx + tf * tx, my + tf * ty, mz + tf * tz
-    edist, edge = _side_distance(P.rows[f][4], qx, qy, qz)
-    if edist > 2.0 * plane:
-        # positional: keyword arguments make a NamedTuple's constructor slower
-        return Hit(HitKind.FACE, q, tf, f, None, None, edist)
-    # a vertex within plane of q lies on two edge lines within plane of it,
-    # so only a hit near the boundary can be a vertex hit; 2 * plane leaves
-    # a margin of plane for rounding.  Few hits get here, so it is numpy
+    edist, edge = _side_distance(rows[f][4], qx, qy, qz)
+    return f, tf, q, edist, edge
+
+
+def _near_hit(P: Polyhedron, f: int, t: float, q: tuple, edist: float, edge: int) -> Hit:
+    """The :class:`Hit` of a cast (see :func:`_cast`) at most 2 * ``plane``
+    from the boundary of face f: a VERTEX hit within ``plane`` of a vertex
+    of the face, else an EDGE hit within ``plane`` of an edge (or outside
+    the face), else a FACE hit.  A vertex within ``plane`` of q lies on two
+    edge lines within ``plane`` of it, so only such a hit can be a vertex
+    hit; 2 * ``plane`` leaves a margin of ``plane`` for rounding.  Few hits
+    get here, so it is numpy."""
+    plane = P.tol.plane
     d = P.face_polygon(f) - q
     r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
     i = int(r2.argmin())                # the first nearest vertex
     if r2[i] <= plane * plane:
-        return Hit(HitKind.VERTEX, q, tf, face=f, vertex=P.boundaries[f][i], edge_distance=0.0)
+        return Hit(HitKind.VERTEX, q, t, face=f, vertex=P.boundaries[f][i], edge_distance=0.0)
     if edist <= plane:
-        return Hit(HitKind.EDGE, q, tf, face=f, edge=edge, edge_distance=edist)
-    return Hit(HitKind.FACE, q, tf, f, None, None, edist)
+        return Hit(HitKind.EDGE, q, t, face=f, edge=edge, edge_distance=edist)
+    return Hit(HitKind.FACE, q, t, f, None, None, edist)
 
 
 # ---------------------------------------------------------------------------

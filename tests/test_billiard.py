@@ -6,7 +6,7 @@ import pytest
 
 import polybilliard as pb
 from polybilliard import billiard as bl
-from polybilliard.geometry import (ANGLE, NoAdvance, Tolerances, box, point_line_distance,
+from polybilliard.geometry import (ANGLE, Tolerances, box, point_line_distance,
                                   regular_tetrahedron, unit, unit_cube, validate)
 from polybilliard.unfolding import cumulative_isometries
 
@@ -156,18 +156,18 @@ def test_phase_point_refuses_a_point_off_the_given_face_plane(cube):
 
 
 def test_orbit_that_cannot_advance_is_tangent_at_its_start(cube, monkeypatch):
-    # a ray that meets no face ahead of it: first_hit raises NoAdvance, and
-    # the orbit ends where it began
+    # a ray that meets no face ahead of it: the cast kernel finds no face
+    # (f = -1), and the orbit ends where it began
     x = bl.phase_point(cube, [0.5, 0.5, 0.0], unit([0.3, 0.2, 1.0]), face="z0")
-    raised = []
+    casts = []
 
-    def first_hit(*args):
-        raised.append(args)
-        raise NoAdvance("ray does not reach the boundary")
+    def cast(*args):
+        casts.append(args)
+        return -1, float("inf"), None, float("inf"), -1
 
-    monkeypatch.setattr(bl, "first_hit", first_hit)
+    monkeypatch.setattr(bl, "_cast", cast)
     rec = bl.orbit(x, 5, cube)
-    assert len(raised) == 1 and rec.n_bounces == 1
+    assert len(casts) == 1 and rec.n_bounces == 1
     assert rec.singularity.kind is bl.SingularityKind.TANGENT_IN_FACE
     assert rec.singularity.step == 0 and rec.singularity.face == cube.face_index("z0")
 
@@ -281,13 +281,13 @@ def test_orbit_casts_one_ray_per_recorded_bounce_but_the_last(cube, monkeypatch)
     # the start's ray is reused for the first bounce; the last point's
     # forward ray is never cast, except that n_max = 1 checks the start's
     calls = []
-    first_hit = bl.first_hit
+    cast = bl._cast
 
-    def counting_first_hit(m, theta, P):
+    def counting_cast(m, theta, P):
         calls.append(1)
-        return first_hit(m, theta, P)
+        return cast(m, theta, P)
 
-    monkeypatch.setattr(bl, "first_hit", counting_first_hit)
+    monkeypatch.setattr(bl, "_cast", counting_cast)
     x = _pp(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0])
     for n, expected in ((1, 1), (2, 1), (5, 4), (1000, 999)):
         calls.clear()

@@ -386,6 +386,16 @@ def test_vec3_rejects_non_finite_arrays():
             g.unit(np.array(bad, dtype=float))
 
 
+def test_unit_has_the_bits_of_dividing_by_the_norm():
+    # unit takes its norm as sqrt(v @ v), without np.linalg.norm's wrapper;
+    # the quotient stays that of the norm, at every scale from 1e-8 to 1e8
+    rng = np.random.default_rng(39)
+    v = rng.normal(size=(20_000, 3)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(20_000, 1))
+    got = np.array([g.unit(x) for x in v])
+    ref = np.array([x / np.linalg.norm(x) for x in v])
+    assert got.tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # first_hit against a numpy reference
 # ---------------------------------------------------------------------------
@@ -771,6 +781,44 @@ def _clipped_first_hit(m, theta, P):
     return g.Hit(g.HitKind.FACE, q, tf, f, None, None, edist)
 
 
+def _reference_orbit(x, n_max, P, first_hit):
+    """``billiard.orbit`` over whole hits, the reference for its cast-kernel
+    loop: the same loop with every cast made by ``first_hit``, a kernel
+    shaped like :func:`geometry.first_hit`."""
+    tol, rows = P.tol, P.rows
+    m, (tx, ty, tz) = tuple(x.m.tolist()), x.theta.tolist()
+    faces, ms, thetas = [x.face], [*m], [tx, ty, tz]
+    flagged = []
+
+    dist, edge = P.nearest_edge(x.face, x.m)
+    if dist <= tol.plane:
+        hit = g.Hit(g.HitKind.EDGE, m, 0.0, face=x.face, edge=edge, edge_distance=dist)
+    cos_n = float(bl._start_cos(x.theta, P.normals[x.face]))
+    while not dist <= tol.plane:
+        try:
+            hit = first_hit(m, (tx, ty, tz), P) if cos_n > g.ANGLE else None
+        except g.NoAdvance:
+            hit = None
+        if hit is None or hit.kind is not g.HitKind.FACE or len(faces) == n_max:
+            break
+        nx, ny, nz, _, _ = rows[hit.face]
+        k = 2.0 * (tx * nx + ty * ny + tz * nz)
+        tx, ty, tz = tx - k * nx, ty - k * ny, tz - k * nz
+        cos_n = tx * nx + ty * ny + tz * nz
+        m = hit.point
+        faces.append(hit.face)
+        ms += m
+        thetas += tx, ty, tz
+        if hit.edge_distance <= tol.sing:
+            flagged.append(len(faces) - 1)
+        if len(faces) == n_max:
+            break
+    ended = hit is None or hit.kind is not g.HitKind.FACE
+    return bl.OrbitRecord(np.array(faces), np.array(ms).reshape(-1, 3),
+                          np.array(thetas).reshape(-1, 3), [P.labels[f] for f in faces],
+                          bl._event(hit, faces, m) if ended else None, flagged)
+
+
 def _orbit_bits(rec):
     """An orbit record's fields, its arrays as bytes."""
     ev = rec.singularity
@@ -780,11 +828,13 @@ def _orbit_bits(rec):
 
 
 @pytest.mark.parametrize("name", sorted(SOLIDS))
-def test_orbits_are_the_clipped_distance_stepping_bitwise(name, monkeypatch):
+def test_orbits_are_the_clipped_distance_stepping_bitwise(name):
     # inside a face the neighbour planes give the clipped distance up to
     # rounding, so no orbit moves: random starts, and starts 0.5 to 3 * plane from an edge,
     # under the default tolerances and under coarse ones that end orbits on
-    # edges and flag bounces near them
+    # edges and flag bounces near them.  orbit steps by the cast kernel, so
+    # the reference is the loop over whole hits, run with the clipped
+    # distance and with first_hit
     rng = np.random.default_rng(32 + sorted(SOLIDS).index(name))
     ended = flagged = 0
     for P in (SOLIDS[name](), SOLIDS[name](tol=g.Tolerances(plane=1e-3, sing=1e-2))):
@@ -799,11 +849,9 @@ def test_orbits_are_the_clipped_distance_stepping_bitwise(name, monkeypatch):
                 t = bl.sample_inward_directions(P, np.array([f]), rng)[0]
                 starts.append((bl.phase_point(P, x, t, face=f), 20))
         for x, n in starts:
-            with monkeypatch.context() as mp:
-                mp.setattr(bl, "first_hit", _clipped_first_hit)
-                ref = bl.orbit(x, n, P)
             rec = bl.orbit(x, n, P)
-            assert _orbit_bits(rec) == _orbit_bits(ref)
+            for first_hit in (_clipped_first_hit, bl.first_hit):
+                assert _orbit_bits(rec) == _orbit_bits(_reference_orbit(x, n, P, first_hit))
             ended += not rec.completed
             flagged += len(rec.near_singular_steps)
     assert ended > 0 and flagged > 0
