@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,29 +127,58 @@ def _open(pts: list) -> list:
 # beams
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Beam:
     """Parallel lines with direction ``theta`` over a convex cross-section.
 
-    ``section`` lives in the plane through ``origin`` orthogonal to ``theta``,
-    spanned by the rows of ``axes``.  Entry k of ``linear`` and ``translation``
-    is the cumulative unfolding x -> linear[k] @ x + translation[k] after the
-    first k reflections of the word (entry 0 is the identity), so the last
-    entry maps the next folded face into the straight picture.  The beams
-    of ``make_beam`` and ``propagate_beam`` hold read-only arrays.
+    ``section``, a read-only (K, 2) array, lives in the plane through
+    ``origin`` orthogonal to ``theta``, spanned by the rows of ``axes``.
+    Entry k of ``linear`` and ``translation`` is the cumulative unfolding
+    x -> linear[k] @ x + translation[k] after the first k reflections of the
+    word (entry 0 is the identity), so the last entry maps the next folded
+    face into the straight picture.  Both are read-only arrays, built from
+    the word and ``solid`` the first time they are read.  ``propagate_beam``
+    steps the folded frame instead, 11 floats: A = axes @ linear[-1],
+    c = axes @ (translation[-1] - origin) and u = linear[-1].T @ theta, so
+    the unfolded copy of a folded point v projects to A v + c, and that of
+    a folded face normal n meets theta at u . n.
     """
 
-    theta: np.ndarray
-    origin: np.ndarray
-    axes: np.ndarray                         # (2, 3)
-    section: np.ndarray                      # (K, 2)
-    word: list[str]
-    linear: np.ndarray                       # (L, 3, 3), L = len(word)
-    translation: np.ndarray                  # (L, 3)
+    def __init__(self, solid: Polyhedron, theta: np.ndarray, origin: np.ndarray,
+                 axes: np.ndarray, section: list, word: list[str], frame: tuple):
+        self.solid, self.theta, self.origin, self.axes = solid, theta, origin, axes
+        # [float pairs, their array once read], shared by the children it does not cut
+        self._section, self.word, self._frame = section, word, frame
+
+    @property
+    def section(self) -> np.ndarray:                 # (K, 2)
+        held = self._section
+        if held[1] is None:
+            held[1] = _frozen(np.array(held[0]).reshape(-1, 2))
+        return held[1]
 
     @property
     def is_empty(self) -> bool:
-        return len(self.section) == 0
+        return not self._section[0]
+
+    @cached_property
+    def _unfolding(self) -> tuple[np.ndarray, np.ndarray]:
+        P, lin, t = self.solid, np.eye(3), np.zeros(3)
+        lins, ts = [lin], [t]
+        for label in self.word[1:]:
+            f = P.face_index(label)
+            # the unfolding composed with the reflection across face f
+            lin, t = lin @ P.reflection_linear[f], lin @ P.reflection_translation[f] + t
+            lins.append(lin)
+            ts.append(t)
+        return _frozen(np.array(lins)), _frozen(np.array(ts))
+
+    @property
+    def linear(self) -> np.ndarray:                  # (L, 3, 3), L = len(word)
+        return self._unfolding[0]
+
+    @property
+    def translation(self) -> np.ndarray:             # (L, 3)
+        return self._unfolding[1]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -165,8 +195,8 @@ def make_beam(P: Polyhedron, label: str, theta) -> Beam:
     poly, axes = P.face_polygon(f), tangent_frame(theta)
     origin = poly.mean(axis=0)
     section = _open(_dedupe(_ensure_ccw(((poly - origin) @ axes.T).tolist())))
-    return Beam(theta, origin, axes, _frozen(np.array(section).reshape(-1, 2)), [label],
-                _frozen(np.eye(3)[None]), _frozen(np.zeros((1, 3))))
+    frame = (*axes.ravel().tolist(), *(-(axes @ origin)).tolist(), *theta.tolist())
+    return Beam(P, theta, origin, axes, [section, None], [label], frame)
 
 
 def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
@@ -177,29 +207,31 @@ def propagate_beam(b: Beam, label: str, P: Polyhedron) -> Beam:
     has no area (``_open``).  A face copy seen edge-on empties the beam: the
     lines that cross it lie in its plane.  A geometric miss yields an empty
     beam, and an empty beam extends to an empty beam; a label equal to the
-    previous one, or unknown, raises.  The child shares every array it does
-    not change (a section no half-plane cuts, for one): beam arrays are
-    read-only.
+    previous one, or unknown, raises.  A child shares the section no
+    half-plane cuts: beam arrays are read-only.
     """
     if b.word and label == b.word[-1]:
         raise LabelNotReachable("consecutive labels cannot repeat on a convex solid")
     f = P.face_index(label)
-    lin, t = b.linear[-1], b.translation[-1]
-    section = b.section
-    if len(section):
-        if abs(float((lin @ P.normals[f]) @ b.theta)) <= ANGLE:
+    nx, ny, nz, cf, _ = P.rows[f]
+    a0, a1, a2, b0, b1, b2, c0, c1, u0, u1, u2 = b._frame
+    un = u0 * nx + u1 * ny + u2 * nz
+    section = b._section
+    if section[0]:
+        if abs(un) <= ANGLE:
             cut = []
         else:
             # the face copy, projected onto the section plane
-            verts2 = (P.face_polygon(f) @ lin.T + t - b.origin) @ b.axes.T
-            cut = _clip_convex(section.tolist(), _ensure_ccw(verts2.tolist()))
+            shadow = [(a0 * x + a1 * y + a2 * z + c0, b0 * x + b1 * y + b2 * z + c1)
+                      for x, y, z in P.face_polygon(f).tolist()]
+            cut = _clip_convex(section[0], _ensure_ccw(shadow))
         if cut is not None:             # an uncut section was open already
-            section = _frozen(np.array(_open(cut)).reshape(-1, 2))
-    # the unfolding composed with the reflection across face f
-    linear = np.concatenate([b.linear, (lin @ P.reflection_linear[f])[None]])
-    translation = np.concatenate([b.translation, (lin @ P.reflection_translation[f] + t)[None]])
-    return Beam(b.theta, b.origin, b.axes, section, b.word + [label],
-                _frozen(linear), _frozen(translation))
+            section = [_open(cut), None]
+    # the frame composed with the reflection x -> x - 2 (n . x + cf) n
+    an, bn, un = 2.0 * (a0 * nx + a1 * ny + a2 * nz), 2.0 * (b0 * nx + b1 * ny + b2 * nz), 2.0 * un
+    frame = (a0 - an * nx, a1 - an * ny, a2 - an * nz, b0 - bn * nx, b1 - bn * ny, b2 - bn * nz,
+             c0 - cf * an, c1 - cf * bn, u0 - un * nx, u1 - un * ny, u2 - un * nz)
+    return Beam(P, b.theta, b.origin, b.axes, section, b.word + [label], frame)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,26 @@ def cube():
     return unit_cube()
 
 
+@dataclasses.dataclass
+class _Beam:
+    """A beam built in the test, with the fields ``classify_cell`` and
+    ``detect_periodicity`` read, and the folded frame ``_float_propagate``
+    steps."""
+
+    theta: np.ndarray
+    origin: np.ndarray
+    axes: np.ndarray
+    section: np.ndarray
+    word: list
+    linear: np.ndarray
+    translation: np.ndarray
+    _frame: tuple = ()
+
+    @property
+    def is_empty(self):
+        return len(self.section) == 0
+
+
 def _beam_along(cube, label, theta, word):
     b = sy.make_beam(cube, label, theta)
     for lab in word:
@@ -247,6 +267,51 @@ def test_box_period_four():
     assert sy.detect_periodicity(b, 8) == 4
 
 
+def _box_word(dims, start, m, d, length):
+    """Face word of the box orbit from ``m`` on face ``start`` along ``d``,
+    read off the unfolded straight line, which crosses x_i = k * dims[i]
+    (face i0 for even k, i1 for odd k) in time order; and the least gap
+    between crossing times."""
+    events = []
+    for i in range(3):
+        if d[i] == 0:
+            continue
+        for k in range(1, length + 1) if d[i] > 0 else range(0, -length, -1):
+            t = (k * dims[i] - m[i]) / d[i]
+            if t > 1e-12:
+                events.append((t, i, k))
+    events = sorted(events)[:length - 1]
+    times = [0.0] + [t for t, _, _ in events]
+    return [start] + ["xyz"[i] + str(k % 2) for _, i, k in events], min(np.diff(times))
+
+
+def test_integer_box_directions_are_tubes_of_their_period():
+    # an independent oracle: on a box with integer sides an integer direction
+    # d closes up after 2 * sum(c) bounces, with c the coprime integer vector
+    # along (|d_i| / dims[i]); the beam of its 37-label word is a tube of
+    # that period, found with k_max = 18
+    rng = np.random.default_rng(40)
+    solids = {(1, 1, 1): unit_cube(), (2, 1, 1): box(2.0, 1.0, 1.0)}
+    cells = 0
+    while cells < 40:
+        dims = (1, 1, 1) if cells % 2 == 0 else (2, 1, 1)
+        d = rng.integers(-2, 3, size=3)
+        if not d.any():
+            continue
+        i = int(rng.choice(np.flatnonzero(d)))
+        m = rng.uniform(0.05, 0.95, 3) * dims
+        m[i] = 0.0 if d[i] > 0 else dims[i]
+        word, gap = _box_word(dims, "xyz"[i] + ("0" if d[i] > 0 else "1"), m, d, 37)
+        if gap < 1e-6:
+            continue
+        c = [abs(int(d[j])) * 2 // dims[j] for j in range(3)]     # 2 = lcm of the sides
+        period = 2 * sum(x // np.gcd.reduce(c) for x in c)
+        b = _beam_along(solids[dims], word[0], unit(d.astype(float)), word[1:])
+        assert len(word) == 37 and sy.classify_cell(b).kind == "tube"
+        assert sy.detect_periodicity(b, 18) == period
+        cells += 1
+
+
 @pytest.mark.parametrize("k_max", [2.5, True, np.bool_(True), "4", None])
 def test_period_bound_must_be_an_integer(cube, k_max):
     b = _beam_along(cube, "z0", [0, 0, 1.0], ["z1", "z0", "z1", "z0"])
@@ -285,8 +350,8 @@ def test_period_needs_a_forward_translation():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
     def beam(t):
-        return sy.Beam(theta, np.zeros(3), np.eye(3)[:2], square, ["z0", "z0", "z0"],
-                       np.stack([np.eye(3)] * 3), np.array([[0.0, 0, 0], t, 2 * np.asarray(t)]))
+        return _Beam(theta, np.zeros(3), np.eye(3)[:2], square, ["z0", "z0", "z0"],
+                     np.stack([np.eye(3)] * 3), np.array([[0.0, 0, 0], t, 2 * np.asarray(t)]))
 
     assert sy.detect_periodicity(beam([0.0, 0.0, 0.0]), 2) is None
     assert sy.detect_periodicity(beam([0.0, 0.0, -2.0]), 2) is None
@@ -640,9 +705,9 @@ def _ref_propagate(b, label, P):
     # compose with the reflection x -> (I - 2 n n^T) x - 2 c n across face f
     n, c = P.normals[f], P.offsets[f]
     R, r = np.eye(3) - 2.0 * np.outer(n, n), -2.0 * c * n
-    return sy.Beam(b.theta, b.origin, b.axes, section, b.word + [label],
-                   np.concatenate([b.linear, [lin @ R]]),
-                   np.concatenate([b.translation, [lin @ r + t]]))
+    return _Beam(b.theta, b.origin, b.axes, section, b.word + [label],
+                 np.concatenate([b.linear, [lin @ R]]),
+                 np.concatenate([b.translation, [lin @ r + t]]))
 
 
 def _distance_to_section(q, pts):
@@ -707,13 +772,18 @@ def _solid_words(P, rng, count, directions=None):
     return out
 
 
-def _rotated_box_words(rng, count):
-    """Words on a rotated box(2, 1, 1), half of them at rotated integer
-    directions, whose cells are periodic tubes."""
+def _rotated_box(rng):
+    """box(2, 1, 1) turned by a random rotation Q and moved; returns it and Q."""
     Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
     Q = Q * np.sign(np.diag(R))
     B = box(2.0, 1.0, 1.0)
-    P = validate(B.vertices @ Q.T + rng.normal(size=3), list(zip(B.labels, B.boundaries)))
+    return validate(B.vertices @ Q.T + rng.normal(size=3), list(zip(B.labels, B.boundaries))), Q
+
+
+def _rotated_box_words(rng, count):
+    """Words on a rotated box(2, 1, 1), half of them at rotated integer
+    directions, whose cells are periodic tubes."""
+    P, Q = _rotated_box(rng)
     d = np.array([v for v in np.ndindex(5, 5, 5) if any(v != np.array([2, 2, 2]))]) - 2.0
     return (_solid_words(P, rng, count // 2)
             + _solid_words(P, rng, count - count // 2, directions=d @ Q.T))
@@ -767,6 +837,34 @@ def test_beam_unfolding_matches_prefix_scan(solid):
             assert np.all(np.abs(b.translation - trans) <= 1e-13 * scale)
 
 
+@pytest.mark.parametrize("solid", ["tetra", "rotated-box"])
+def test_folded_frame_follows_the_unfolding(solid):
+    # the 11 floats propagate_beam steps instead of the unfolding, over
+    # 200-label orbit words whose unfolded copies lie up to ~200 away
+    rng = np.random.default_rng(38)
+    P = regular_tetrahedron() if solid == "tetra" else _rotated_box(rng)[0]
+    words = 0
+    while words < 4:
+        theta = unit(rng.normal(size=3))
+        f = int(rng.choice([k for k in range(P.n_faces) if theta @ P.normals[k] > 1e-3]))
+        rec = bl.orbit(bl.PhasePoint(f, bl.sample_points_in_face(P, np.array([f]), rng)[0],
+                                     theta), 200, P)
+        if not rec.completed:
+            continue
+        b = sy.make_beam(P, rec.word[0], theta)
+        frames = [b._frame]
+        for label in rec.word[1:]:
+            b = sy.propagate_beam(b, label, P)
+            frames.append(b._frame)
+        frames = np.array(frames)
+        assert frames.shape == (200, 11)
+        A = np.einsum("ij,kjl->kil", b.axes, b.linear).reshape(-1, 6)
+        c = (b.translation - b.origin) @ b.axes.T
+        u = np.einsum("kji,j->ki", b.linear, theta)
+        assert np.abs(frames - np.hstack([A, c, u])).max() <= 1e-12
+        words += 1
+
+
 def test_float_clipping_matches_numpy_reference_edge_on(cube):
     # a face copy parallel to the beam projects to a segment, and empties
     # it: x1 after a clip by y1's copy, which leaves a tube or nothing
@@ -814,14 +912,20 @@ def _float_propagate(b, label, P):
     """The float propagation that clips by every half-plane of the face
     copy in turn, sums areas with ``sum``, builds a new section array each
     step and concatenates the unfolding; returns the beam and whether a
-    half-plane cut its section."""
+    half-plane cut its section.  The face copy's shadow and the edge-on
+    test come from the folded frame (A, c, u) of ``sy.Beam``, stepped here
+    by the same float formulas."""
     f = P.face_index(label)
     lin, t = b.linear[-1], b.translation[-1]
     old = section = b.section.tolist()
-    if abs(float((lin @ P.normals[f]) @ b.theta)) <= ANGLE:
+    a0, a1, a2, b0, b1, b2, c0, c1, u0, u1, u2 = b._frame
+    (nx, ny, nz), cf = P.normals[f].tolist(), float(P.offsets[f])
+    un = u0 * nx + u1 * ny + u2 * nz
+    if abs(un) <= ANGLE:
         section = []
     else:
-        clip = ((P.face_polygon(f) @ lin.T + t - b.origin) @ b.axes.T).tolist()
+        clip = [(a0 * x + a1 * y + a2 * z + c0, b0 * x + b1 * y + b2 * z + c1)
+                for x, y, z in P.face_polygon(f).tolist()]
         clip = clip[::-1] if _float_area2(clip) < 0.0 else clip
         for i in range(len(clip)):
             (ax, ay), (bx, by) = clip[i], clip[(i + 1) % len(clip)]
@@ -834,11 +938,16 @@ def _float_propagate(b, label, P):
             size = max(max(xs) - min(xs), max(ys) - min(ys))
             if len(section) < 3 or 0.5 * abs(_float_area2(section)) <= sy._DEG_TOL * size:
                 section = []
-    child = sy.Beam(b.theta, b.origin, b.axes, np.array(section).reshape(-1, 2),
-                    b.word + [label],
-                    np.concatenate([b.linear, (lin @ P.reflection_linear[f])[None]]),
-                    np.concatenate([b.translation,
-                                    (lin @ P.reflection_translation[f] + t)[None]]))
+    an, bn = a0 * nx + a1 * ny + a2 * nz, b0 * nx + b1 * ny + b2 * nz
+    frame = (a0 - 2.0 * an * nx, a1 - 2.0 * an * ny, a2 - 2.0 * an * nz,
+             b0 - 2.0 * bn * nx, b1 - 2.0 * bn * ny, b2 - 2.0 * bn * nz,
+             c0 - 2.0 * cf * an, c1 - 2.0 * cf * bn,
+             u0 - 2.0 * un * nx, u1 - 2.0 * un * ny, u2 - 2.0 * un * nz)
+    child = _Beam(b.theta, b.origin, b.axes, np.array(section).reshape(-1, 2),
+                  b.word + [label],
+                  np.concatenate([b.linear, (lin @ P.reflection_linear[f])[None]]),
+                  np.concatenate([b.translation,
+                                  (lin @ P.reflection_translation[f] + t)[None]]), frame)
     return child, section is not old
 
 
