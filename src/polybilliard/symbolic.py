@@ -9,9 +9,11 @@ coding is defined on non-singular lines only, and for a fixed direction the
 lines that realize a word form an open set: a section with no area holds only
 singular lines (in a face plane, or through an edge or a vertex), so it is
 emptied, and a face copy seen edge-on empties the beam at once.  A cell is
-thus a polygon (a tube) or empty; tubes go with periodic words, detected
-through the cumulative unfolding isometry becoming a pure translation along
-the beam direction.
+thus a polygon (a tube) or empty.  A beam keeps its solid, its direction, its
+section, its word and the folded frame that maps the next face into the
+section plane, not its unfolding: tubes go with periodic words, detected by
+composing the word's reflections, at most ``k_max`` of them, in plain floats
+until the unfolding becomes a pure translation along the beam direction.
 
 The complexity estimator samples orbits in bulk, codes each reliable word as
 one integer, builds the per-length distinct factor sets by a recurrence from
@@ -21,9 +23,9 @@ for the number of length-n words together with their normalized logarithms.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -132,15 +134,13 @@ class Beam:
 
     ``section``, a read-only (K, 2) array, lives in the plane through
     ``origin`` orthogonal to ``theta``, spanned by the rows of ``axes``.
-    Entry k of ``linear`` and ``translation`` is the cumulative unfolding
-    x -> linear[k] @ x + translation[k] after the first k reflections of the
-    word (entry 0 is the identity), so the last entry maps the next folded
-    face into the straight picture.  Both are read-only arrays, built from
-    the word and ``solid`` the first time they are read.  ``propagate_beam``
-    steps the folded frame instead, 11 floats: A = axes @ linear[-1],
-    c = axes @ (translation[-1] - origin) and u = linear[-1].T @ theta, so
-    the unfolded copy of a folded point v projects to A v + c, and that of
-    a folded face normal n meets theta at u . n.
+    Besides these the beam keeps its solid, its word and, in place of its
+    unfolding, the folded frame ``_frame`` that ``propagate_beam`` steps, 11
+    floats: with x -> L x + t the unfolding by the word's reflections, which
+    maps the next folded face into the straight picture, A = axes @ L,
+    c = axes @ (t - origin) and u = L.T @ theta, so the unfolded copy of a
+    folded point v projects to A v + c, and that of a folded face normal n
+    meets theta at u . n.
     """
 
     def __init__(self, solid: Polyhedron, theta: np.ndarray, origin: np.ndarray,
@@ -153,37 +153,13 @@ class Beam:
     def section(self) -> np.ndarray:                 # (K, 2)
         held = self._section
         if held[1] is None:
-            held[1] = _frozen(np.array(held[0]).reshape(-1, 2))
+            a = held[1] = np.array(held[0]).reshape(-1, 2)
+            a.setflags(write=False)
         return held[1]
 
     @property
     def is_empty(self) -> bool:
         return not self._section[0]
-
-    @cached_property
-    def _unfolding(self) -> tuple[np.ndarray, np.ndarray]:
-        P, lin, t = self.solid, np.eye(3), np.zeros(3)
-        lins, ts = [lin], [t]
-        for label in self.word[1:]:
-            f = P.face_index(label)
-            # the unfolding composed with the reflection across face f
-            lin, t = lin @ P.reflection_linear[f], lin @ P.reflection_translation[f] + t
-            lins.append(lin)
-            ts.append(t)
-        return _frozen(np.array(lins)), _frozen(np.array(ts))
-
-    @property
-    def linear(self) -> np.ndarray:                  # (L, 3, 3), L = len(word)
-        return self._unfolding[0]
-
-    @property
-    def translation(self) -> np.ndarray:             # (L, 3)
-        return self._unfolding[1]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def make_beam(P: Polyhedron, label: str, theta) -> Beam:
@@ -250,31 +226,48 @@ def classify_cell(b: Beam) -> CellClass:
     """The beam's cell: ``empty``, or a ``tube`` with its section's area."""
     if b.is_empty:
         return CellClass("empty")
-    return CellClass("tube", area=0.5 * abs(_area2(b.section.tolist())))
+    return CellClass("tube", area=0.5 * abs(_area2(b._section[0])))
+
+
+def _forward_along(t: tuple, theta: tuple) -> bool:
+    """Is the translation ``t`` a step forward along the unit ``theta``: longer
+    than ``_PERIOD_TOL``, off ``theta`` by at most ``_PERIOD_TOL`` of its
+    length, and at a positive dot with it?  Both are float triples."""
+    tx, ty, tz = t
+    ux, uy, uz = theta
+    tn, s = math.hypot(tx, ty, tz), tx * ux + ty * uy + tz * uz
+    return (tn > _PERIOD_TOL and s > 0.0
+            and math.hypot(tx - s * ux, ty - s * uy, tz - s * uz) <= _PERIOD_TOL * tn)
 
 
 def detect_periodicity(b: Beam, k_max: int) -> int | None:
     """Smallest period k <= k_max whose unfolding is a translation along the
     beam direction and whose word repeats with that period; None otherwise.
-    ``k_max`` must be an integer >= 1."""
+    ``k_max`` must be an integer >= 1.  The unfolding after k reflections is
+    composed here, in plain floats, from the first k + 1 labels of the word,
+    so at most ``k_max`` reflections are composed, whatever the word's length."""
     k_max = as_count(k_max, "k_max", 1)
     if b.is_empty:          # no line realizes its word
         return None
-    w = b.word
+    P, w, theta = b.solid, b.word, b.theta.tolist()
+    # x -> L x + t, L row by row
+    l0, l1, l2, m0, m1, m2, n0, n1, n2 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    t0 = t1 = t2 = 0.0
     for k in range(1, min(k_max, len(w) - 1) + 1):
+        nx, ny, nz, cf, _ = P.rows[P.face_index(w[k])]
+        # the unfolding composed with the reflection x -> x - 2 (n . x + cf) n
+        p0, p1, p2 = (2.0 * (l0 * nx + l1 * ny + l2 * nz), 2.0 * (m0 * nx + m1 * ny + m2 * nz),
+                      2.0 * (n0 * nx + n1 * ny + n2 * nz))
+        l0, l1, l2, m0, m1, m2, n0, n1, n2 = (l0 - p0 * nx, l1 - p0 * ny, l2 - p0 * nz,
+                                              m0 - p1 * nx, m1 - p1 * ny, m2 - p1 * nz,
+                                              n0 - p2 * nx, n1 - p2 * ny, n2 - p2 * nz)
+        t0, t1, t2 = t0 - cf * p0, t1 - cf * p1, t2 - cf * p2
         if w[k:] != w[:-k]:             # the word does not repeat with period k
             continue
-        if not np.abs(b.linear[k] - np.eye(3)).max() <= _PERIOD_TOL:
-            continue
-        t = b.translation[k]
-        tn = float(np.linalg.norm(t))
-        if tn <= _PERIOD_TOL:
-            continue
-        if float(np.linalg.norm(t - (t @ b.theta) * b.theta)) > _PERIOD_TOL * tn:
-            continue
-        if float(t @ b.theta) <= 0.0:
-            continue
-        return k
+        if all(abs(x) <= _PERIOD_TOL for x in (l0 - 1.0, l1, l2, m0, m1 - 1.0, m2,
+                                                 n0, n1, n2 - 1.0)) \
+                and _forward_along((t0, t1, t2), theta):
+            return k
     return None
 
 

@@ -183,8 +183,9 @@ def test_criterion_5_tube_implies_periodic():
             assert cell.kind == "tube", (vec, face, cell)
             k = sy.detect_periodicity(beam, k_max)
             assert k == expect, (vec, face, k, expect)
-            assert np.abs(beam.linear[k] - np.eye(3)).max() <= 1e-9
-            t = beam.translation[k]
+            lin, trans = uf.cumulative_isometries(P, [P.face_index(lab) for lab in beam.word])
+            assert np.abs(lin[k] - np.eye(3)).max() <= 1e-9
+            t = trans[k]
             assert np.linalg.norm(t - (t @ theta) * theta) < 1e-9 * np.linalg.norm(t)
             checked += 1
     assert checked == 20

@@ -22,17 +22,22 @@ def cube():
 @dataclasses.dataclass
 class _Beam:
     """A beam built in the test, with the fields ``classify_cell`` and
-    ``detect_periodicity`` read, and the folded frame ``_float_propagate``
-    steps."""
+    ``detect_periodicity`` read, the folded frame ``_float_propagate`` steps,
+    and the numpy unfolding ``_ref_propagate`` steps instead."""
 
+    solid: object
     theta: np.ndarray
     origin: np.ndarray
     axes: np.ndarray
     section: np.ndarray
     word: list
-    linear: np.ndarray
-    translation: np.ndarray
     _frame: tuple = ()
+    linear: np.ndarray | None = None
+    translation: np.ndarray | None = None
+
+    @property
+    def _section(self):
+        return [self.section.tolist()]
 
     @property
     def is_empty(self):
@@ -44,6 +49,20 @@ def _beam_along(cube, label, theta, word):
     for lab in word:
         b = sy.propagate_beam(b, lab, cube)
     return b
+
+
+def _unfolding(b):
+    """The unfolding of a beam's word, from the prefix scan."""
+    return uf.cumulative_isometries(b.solid, [b.solid.face_index(lab) for lab in b.word])
+
+
+def _projected_frame(b, lin, t):
+    """The folded frame (A, c, u) of ``sy.Beam`` for the unfolding entries
+    x -> lin[k] x + t[k], one row of 11 per entry."""
+    A = np.einsum("ij,kjl->kil", b.axes, lin).reshape(-1, 6)
+    c = (t - b.origin) @ b.axes.T
+    u = np.einsum("kji,j->ki", lin, b.theta)
+    return np.hstack([A, c, u])
 
 
 def test_polyhedron_attributes_unchanged_by_use():
@@ -146,7 +165,10 @@ def test_propagate_empty_beam(cube):
         assert b.is_empty and b.section.shape == (0, 2)
         assert sy.classify_cell(b).kind == "empty"
     assert b.word == ["z0", "z1", "z0", "z1", "x0", "z0", "y1", "z1"]
-    assert b.linear.shape == (len(b.word), 3, 3) and b.translation.shape == (len(b.word), 3)
+    lin, t = _unfolding(b)
+    assert lin.shape == (len(b.word), 3, 3) and t.shape == (len(b.word), 3)
+    # an empty beam still steps its frame
+    assert np.abs(np.array(b._frame) - _projected_frame(b, lin, t)[-1]).max() <= 1e-12
     for label in ("z1", "nope"):                # a repeat, an unknown label
         with pytest.raises(sy.LabelNotReachable):
             sy.propagate_beam(b, label, cube)
@@ -162,9 +184,8 @@ def test_beam_arrays_are_read_only(cube):
     empty = _beam_along(cube, "z0", np.array([1.0, 0, 1.0]) / SQRT2, ["y1"])
     assert empty.is_empty and not cut.is_empty
     for beam in (b, c, cut, empty):
-        for a in (beam.section, beam.linear, beam.translation):
-            with pytest.raises(ValueError, match="read-only"):
-                a[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            beam.section[...] = 0.0
 
 
 def test_section_area_never_increases(cube):
@@ -226,8 +247,9 @@ def test_diagonal_period_four(cube):
     b = _beam_along(cube, "z0", theta, ["x1", "z1", "x0", "z0", "x1", "z1", "x0", "z0"])
     assert sy.detect_periodicity(b, 10) == 4
     # the 4-step unfolding is the translation by (2, 0, 2)
-    assert np.abs(b.linear[4] - np.eye(3)).max() <= 1e-12
-    assert np.allclose(b.translation[4], [2.0, 0.0, 2.0])
+    lin, t = _unfolding(b)
+    assert np.abs(lin[4] - np.eye(3)).max() <= 1e-12
+    assert np.allclose(t[4], [2.0, 0.0, 2.0])
 
 
 def test_empty_beam_has_no_period(cube):
@@ -237,7 +259,7 @@ def test_empty_beam_has_no_period(cube):
     theta = np.array([1.0, 0, 1.0]) / SQRT2
     b = _beam_along(cube, "z0", theta, ["z1", "x1", "x0", "z0", "z1", "x1", "x0"])
     assert b.is_empty and sy.classify_cell(b).kind == "empty"
-    assert np.abs(b.linear[4] - np.eye(3)).max() <= 1e-12
+    assert np.abs(_unfolding(b)[0][4] - np.eye(3)).max() <= 1e-12
     assert sy.detect_periodicity(b, 10) is None
 
 
@@ -338,24 +360,34 @@ def test_repeating_tube_off_the_direction_has_no_period(cube):
     b = _beam_along(cube, "z0", theta, ["z1", "z0", "z1", "z0"])
     cell = sy.classify_cell(b)
     assert cell.kind == "tube" and cell.area == pytest.approx(0.597, abs=1e-3)
-    assert np.array_equal(b.linear[2], np.eye(3))
-    assert np.array_equal(b.translation[2], [0.0, 0.0, 2.0])
+    lin, t = _unfolding(b)
+    assert np.array_equal(lin[2], np.eye(3))
+    assert np.array_equal(t[2], [0.0, 0.0, 2.0])
     assert sy.detect_periodicity(b, 8) is None
 
 
-def test_period_needs_a_forward_translation():
-    # hand-built beams whose entry 1 is the identity: a zero translation and
-    # one against theta are no period; one along theta is period 1
-    theta = np.array([0.0, 0.0, 1.0])
+def test_period_needs_an_identity_linear_part(cube):
+    # a hand-built beam whose word repeats with period 2, and whose 2-step
+    # unfolding, across x1 then z0, moves the origin by (2, 0, 0) along
+    # theta but turns (x, z) to (-x, -z): a glide, not a translation, so no
+    # period; the 4-step unfolding is the identity with no translation
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    b = _Beam(cube, np.array([1.0, 0.0, 0.0]), np.zeros(3), np.eye(3)[1:], square,
+              ["z0", "x1", "z0", "x1", "z0"])
+    lin, t = _unfolding(b)
+    assert np.array_equal(lin[2], np.diag([-1.0, 1.0, -1.0])) and np.array_equal(t[2], [2, 0, 0])
+    assert sy.detect_periodicity(b, 4) is None
 
-    def beam(t):
-        return _Beam(theta, np.zeros(3), np.eye(3)[:2], square, ["z0", "z0", "z0"],
-                     np.stack([np.eye(3)] * 3), np.array([[0.0, 0, 0], t, 2 * np.asarray(t)]))
 
-    assert sy.detect_periodicity(beam([0.0, 0.0, 0.0]), 2) is None
-    assert sy.detect_periodicity(beam([0.0, 0.0, -2.0]), 2) is None
-    assert sy.detect_periodicity(beam([0.0, 0.0, 2.0]), 2) == 1
+def test_period_needs_a_forward_translation():
+    # an unfolding that is the identity closes up only by a translation
+    # forward along theta: a zero translation and one against theta are no
+    # period, one along theta is
+    theta = (0.0, 0.0, 1.0)
+    assert not sy._forward_along((0.0, 0.0, 0.0), theta)
+    assert not sy._forward_along((0.0, 0.0, -2.0), theta)
+    assert sy._forward_along((0.0, 0.0, 2.0), theta)
+    assert not sy._forward_along((0.0, 1e-6, 2.0), theta)     # off theta
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +722,13 @@ def _ref_open(pts):
     return pts if abs(_ref_polygon_area(pts)) > 1e-8 * diameter else np.zeros((0, 2))
 
 
+def _ref_beam(b):
+    """The library beam ``b`` of one label as a reference beam, whose
+    unfolding is the identity."""
+    return _Beam(b.solid, b.theta, b.origin, b.axes, b.section, b.word,
+                 linear=np.eye(3)[None], translation=np.zeros((1, 3)))
+
+
 def _ref_propagate(b, label, P):
     """The numpy propagation: a new reflection per call, numpy clipping,
     open cells (an edge-on face copy, or a clip with no area, empties)."""
@@ -705,9 +744,9 @@ def _ref_propagate(b, label, P):
     # compose with the reflection x -> (I - 2 n n^T) x - 2 c n across face f
     n, c = P.normals[f], P.offsets[f]
     R, r = np.eye(3) - 2.0 * np.outer(n, n), -2.0 * c * n
-    return _Beam(b.theta, b.origin, b.axes, section, b.word + [label],
-                 np.concatenate([b.linear, [lin @ R]]),
-                 np.concatenate([b.translation, [lin @ r + t]]))
+    return _Beam(P, b.theta, b.origin, b.axes, section, b.word + [label],
+                 linear=np.concatenate([b.linear, [lin @ R]]),
+                 translation=np.concatenate([b.translation, [lin @ r + t]]))
 
 
 def _distance_to_section(q, pts):
@@ -791,15 +830,16 @@ def _rotated_box_words(rng, count):
 
 def _check_against_reference(words):
     for P, theta, word in words:
-        b = ref = sy.make_beam(P, word[0], theta)
+        b = sy.make_beam(P, word[0], theta)
+        ref = _ref_beam(b)
         for label in word[1:]:
             b, ref = sy.propagate_beam(b, label, P), _ref_propagate(ref, label, P)
             assert b.is_empty == ref.is_empty
             if not b.is_empty:
                 assert _section_distance(b.section, ref.section) <= 1e-12
             assert sy.classify_cell(b).kind == sy.classify_cell(ref).kind
-            assert b.linear[-1].tobytes() == ref.linear[-1].tobytes()
-            assert b.translation[-1].tobytes() == ref.translation[-1].tobytes()
+            frame = _projected_frame(ref, ref.linear[-1:], ref.translation[-1:])[0]
+            assert np.abs(np.array(b._frame) - frame).max() <= 1e-12
         assert sy.detect_periodicity(b, 12) == sy.detect_periodicity(ref, 12)
 
 
@@ -816,33 +856,67 @@ def test_float_clipping_matches_numpy_reference_off_axis(solid):
                              else _rotated_box_words(rng, 60))
 
 
-@pytest.mark.parametrize("solid", ["cube", "box", "tetra", "rotated-box"])
-def test_beam_unfolding_matches_prefix_scan(solid):
-    # the beam composes one reflection per label, the scan in a tree
+def _ref_period(b, k_max):
+    """The period scan over numpy arrays: the checks of ``detect_periodicity``
+    on the entries of the word's unfolding from the prefix scan."""
+    if b.is_empty:
+        return None
+    w, theta = b.word, b.theta
+    lin, trans = _unfolding(b)
+    for k in range(1, min(k_max, len(w) - 1) + 1):
+        if w[k:] != w[:-k]:
+            continue
+        if not np.abs(lin[k] - np.eye(3)).max() <= 1e-9:
+            continue
+        t = trans[k]
+        tn = float(np.linalg.norm(t))
+        if tn <= 1e-9 or float(np.linalg.norm(t - (t @ theta) * theta)) > 1e-9 * tn:
+            continue
+        if float(t @ theta) <= 0.0:
+            continue
+        return k
+    return None
+
+
+@pytest.mark.parametrize("solid", ["box", "tetra", "rotated-box"])
+def test_period_matches_numpy_scan(solid):
+    # the float composition against an independent numpy oracle, at bounds
+    # below, among and above the periods, and past the 25-label words
     rng = np.random.default_rng(34)
-    words = _rotated_box_words(rng, 40) if solid == "rotated-box" else _solid_words(
-        {"cube": unit_cube, "box": lambda: box(2.0, 1.0, 0.5),
-         "tetra": regular_tetrahedron}[solid](), rng, 40)
+    words = (_box_words(rng, 300) if solid == "box" else
+             _solid_words(regular_tetrahedron(), rng, 200) if solid == "tetra" else
+             _rotated_box_words(rng, 300))
+    periods = set()
     for P, theta, word in words:
         b = _beam_along(P, word[0], theta, word[1:])
-        lin, trans = uf.cumulative_isometries(P, [P.face_index(label) for label in word])
-        assert b.linear.shape == lin.shape and b.translation.shape == trans.shape
-        if solid in ("cube", "box"):
-            # entries 0, +-1 and sums of doubled offsets: every product is exact
-            assert b.linear.tobytes() == lin.tobytes()
-            assert b.translation.tobytes() == trans.tobytes()
-        else:
-            assert np.all(np.abs(b.linear - lin) <= 1e-13 * (1.0 + np.abs(lin)))
-            scale = 1.0 + np.abs(trans).max(axis=1, keepdims=True)
-            assert np.all(np.abs(b.translation - trans) <= 1e-13 * scale)
+        for k_max in (1, 3, 12, 40):
+            k = sy.detect_periodicity(b, k_max)
+            assert k == _ref_period(b, k_max), (word, k_max)
+            periods.add(k)
+    # integer directions on boxes close up at several periods
+    assert len(periods) >= (1 if solid == "tetra" else 6), periods
 
 
-@pytest.mark.parametrize("solid", ["tetra", "rotated-box"])
+def test_period_composes_at_most_k_max_reflections(cube, monkeypatch):
+    # a 201-label axis word repeats at period 2; a bound of 5 reads 6 labels
+    b = _beam_along(cube, "z0", [0, 0, 1.0], ["z1", "z0"] * 100)
+    seen = []
+    index = cube.face_index
+    monkeypatch.setattr(cube, "face_index", lambda lab: seen.append(lab) or index(lab))
+    assert sy.detect_periodicity(b, 1) is None and len(seen) == 1
+    assert sy.detect_periodicity(b, 5) == 2 and len(seen) == 3
+    seen.clear()
+    b.word[3] = "x1"        # now the word never repeats: every k <= 5 is composed
+    assert sy.detect_periodicity(b, 5) is None and len(seen) == 5
+
+
+@pytest.mark.parametrize("solid", ["cube", "box", "tetra", "rotated-box"])
 def test_folded_frame_follows_the_unfolding(solid):
     # the 11 floats propagate_beam steps instead of the unfolding, over
     # 200-label orbit words whose unfolded copies lie up to ~200 away
     rng = np.random.default_rng(38)
-    P = regular_tetrahedron() if solid == "tetra" else _rotated_box(rng)[0]
+    P = {"cube": unit_cube, "box": lambda: box(2.0, 1.0, 0.5), "tetra": regular_tetrahedron,
+         "rotated-box": lambda: _rotated_box(rng)[0]}[solid]()
     words = 0
     while words < 4:
         theta = unit(rng.normal(size=3))
@@ -858,10 +932,7 @@ def test_folded_frame_follows_the_unfolding(solid):
             frames.append(b._frame)
         frames = np.array(frames)
         assert frames.shape == (200, 11)
-        A = np.einsum("ij,kjl->kil", b.axes, b.linear).reshape(-1, 6)
-        c = (b.translation - b.origin) @ b.axes.T
-        u = np.einsum("kji,j->ki", b.linear, theta)
-        assert np.abs(frames - np.hstack([A, c, u])).max() <= 1e-12
+        assert np.abs(frames - _projected_frame(b, *_unfolding(b))).max() <= 1e-12
         words += 1
 
 
@@ -872,7 +943,8 @@ def test_float_clipping_matches_numpy_reference_edge_on(cube):
     for _ in range(40):
         theta = np.array([0.0, *rng.uniform(0.2, 1.0, 2)])
         theta /= np.linalg.norm(theta)
-        b = ref = sy.make_beam(cube, "z0", theta)
+        b = sy.make_beam(cube, "z0", theta)
+        ref = _ref_beam(b)
         for label in ("y1", "x1", "z1"):
             b, ref = sy.propagate_beam(b, label, cube), _ref_propagate(ref, label, cube)
             assert b.is_empty == ref.is_empty
@@ -911,12 +983,10 @@ def _float_clip_half(pts, nx, ny, c):
 def _float_propagate(b, label, P):
     """The float propagation that clips by every half-plane of the face
     copy in turn, sums areas with ``sum``, builds a new section array each
-    step and concatenates the unfolding; returns the beam and whether a
-    half-plane cut its section.  The face copy's shadow and the edge-on
-    test come from the folded frame (A, c, u) of ``sy.Beam``, stepped here
-    by the same float formulas."""
+    step; returns the beam and whether a half-plane cut its section.  The
+    face copy's shadow and the edge-on test come from the folded frame
+    (A, c, u) of ``sy.Beam``, stepped here by the same float formulas."""
     f = P.face_index(label)
-    lin, t = b.linear[-1], b.translation[-1]
     old = section = b.section.tolist()
     a0, a1, a2, b0, b1, b2, c0, c1, u0, u1, u2 = b._frame
     (nx, ny, nz), cf = P.normals[f].tolist(), float(P.offsets[f])
@@ -943,11 +1013,8 @@ def _float_propagate(b, label, P):
              b0 - 2.0 * bn * nx, b1 - 2.0 * bn * ny, b2 - 2.0 * bn * nz,
              c0 - 2.0 * cf * an, c1 - 2.0 * cf * bn,
              u0 - 2.0 * un * nx, u1 - 2.0 * un * ny, u2 - 2.0 * un * nz)
-    child = _Beam(b.theta, b.origin, b.axes, np.array(section).reshape(-1, 2),
-                  b.word + [label],
-                  np.concatenate([b.linear, (lin @ P.reflection_linear[f])[None]]),
-                  np.concatenate([b.translation,
-                                  (lin @ P.reflection_translation[f] + t)[None]]), frame)
+    child = _Beam(P, b.theta, b.origin, b.axes, np.array(section).reshape(-1, 2),
+                  b.word + [label], frame)
     return child, section is not old
 
 
@@ -970,8 +1037,7 @@ def test_sections_are_the_float_clip_bitwise(solid):
             b, (ref, was_cut) = sy.propagate_beam(b, label, P), _float_propagate(ref, label, P)
             assert b.section.shape == ref.section.shape
             assert b.section.tobytes() == ref.section.tobytes()
-            assert b.linear.tobytes() == ref.linear.tobytes()
-            assert b.translation.tobytes() == ref.translation.tobytes()
+            assert np.array(b._frame).tobytes() == np.array(ref._frame).tobytes()
             cuts += was_cut and not ref.is_empty
             kept += not was_cut and not ref.is_empty
         emptied += ref.is_empty

@@ -150,7 +150,8 @@ def test_no_reflection_built_after_construction(cube):
     beam = sy.make_beam(cube, "z0", rec.theta[0])
     for label in rec.word[1:20]:
         beam = sy.propagate_beam(beam, label, cube)
-    assert len(beam.linear) == len(beam.translation) == 20 and not beam.is_empty
+    lin, trans = uf.cumulative_isometries(cube, [cube.face_index(lab) for lab in beam.word])
+    assert len(lin) == len(trans) == 20 and not beam.is_empty
 
 
 def _reference_frame(n):
