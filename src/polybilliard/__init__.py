@@ -1,10 +1,9 @@
 """Billiards inside convex polyhedra: dynamics, coding, and complexity tools."""
 
-from .geometry import (DegenerateFace, Hit, HitKind, LabelNotReachable,
-                       NoAdvance, NonConvex, OpenSurface, Polyhedron,
-                       PreconditionFailed, Tolerances, box, dump_polyhedron,
-                       load_polyhedron, reflect_direction, regular_tetrahedron,
-                       unit_cube, validate)
+from .geometry import (DegenerateFace, LabelNotReachable, NonConvex, OpenSurface,
+                       Polyhedron, PreconditionFailed, Tolerances, box,
+                       dump_polyhedron, load_polyhedron, reflect_direction,
+                       regular_tetrahedron, unit_cube, validate)
 from .billiard import (OrbitRecord, PhasePoint, SingularInput, SingularityEvent,
                        SingularityKind, billiard_step, classify_phase_point,
                        orbit, phase_point, random_phase_points, run_word_batch)

@@ -16,10 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# first_hit is not called here; billiard.first_hit stays public for callers
-# and for the benchmark's tracer, which hooks it
-from .geometry import (ANGLE, Hit, HitKind, Polyhedron, PreconditionFailed, _cast,
-                       _near_hit, as_count, first_hit, unit, vec3)
+from .geometry import ANGLE, Polyhedron, PreconditionFailed, _cast, as_count, unit, vec3
 
 
 class SingularInput(PreconditionFailed):
@@ -103,17 +100,26 @@ class OrbitRecord:
         return len(self.faces)
 
 
-def _event(hit: Hit | None, faces: list[int], m) -> SingularityEvent:
-    """The singularity that ends an orbit at its last point, on face
-    ``faces[-1]`` at the float triple ``m``, whose forward ``hit`` is an edge
-    or vertex (``None``: a ray inside the face).  Its point is a new array."""
-    step = len(faces) - 1
-    if hit is None:
-        return SingularityEvent(SingularityKind.TANGENT_IN_FACE, step, np.array(m),
-                                face=faces[-1])
-    kind = SingularityKind.EDGE_HIT if hit.kind is HitKind.EDGE else SingularityKind.VERTEX_HIT
-    return SingularityEvent(kind, step, np.array(hit.point), edge=hit.edge,
-                            vertex=hit.vertex, face=hit.face)
+def _near_end(P: Polyhedron, f: int, q: tuple, edist: float, edge: int,
+              step: int) -> SingularityEvent | None:
+    """The end at step ``step`` of an orbit whose forward cast (see
+    ``geometry._cast``) meets face f at the float triple ``q``, at most 2 *
+    ``plane`` from the boundary of the face: a VERTEX_HIT within ``plane``
+    of a vertex of the face, else an EDGE_HIT within ``plane`` of an edge
+    (or outside the face), else ``None``, a face hit.  A vertex within
+    ``plane`` of q lies on two edge lines within ``plane`` of it, so only
+    such a cast can meet a vertex; 2 * ``plane`` leaves a margin of
+    ``plane`` for rounding.  Few casts get here, so it is numpy."""
+    plane = P.tol.plane
+    d = P.face_polygon(f) - q
+    r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+    i = int(r2.argmin())                # the first nearest vertex
+    if r2[i] <= plane * plane:
+        return SingularityEvent(SingularityKind.VERTEX_HIT, step, np.array(q),
+                                vertex=P.boundaries[f][i], face=f)
+    if edist <= plane:
+        return SingularityEvent(SingularityKind.EDGE_HIT, step, np.array(q), edge=edge, face=f)
+    return None
 
 
 def classify_phase_point(x: PhasePoint, P: Polyhedron) -> SingularityEvent | None:
@@ -148,8 +154,9 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
     recorded point but the last is cast and checked; so the start's ray is
     checked even for ``n_max == 1``, and a completed orbit casts ``n_max - 1``
     rays (one for ``n_max == 1``).  A cast is the plain-float kernel
-    ``geometry._cast``; only one within 2 * ``plane`` of the boundary
-    builds a :class:`Hit`, by ``geometry._near_hit``.
+    ``geometry._cast``; only one within 2 * ``plane`` of the boundary is
+    classified further, by :func:`_near_end`.  The end, if any, is a
+    :class:`SingularityEvent` whose point is a new array.
     """
     n_max = as_count(n_max, "n_max", 1)
     tol, rows, cast = P.tol, P.rows, _cast
@@ -162,8 +169,8 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
 
     # a start on an edge of its face, or outside it, has no continuation convention
     dist, edge = P.nearest_edge(x.face, x.m)
-    end = _event(Hit(HitKind.EDGE, m, 0.0, face=x.face, edge=edge, edge_distance=dist),
-                 faces, m) if dist <= tol.plane else None
+    end = SingularityEvent(SingularityKind.EDGE_HIT, 0, np.array(m), edge=edge,
+                           face=x.face) if dist <= tol.plane else None
     # theta . n of the last point; the start's as run_word_batch takes it
     cos_n = float(_start_cos(x.theta, P.normals[x.face]))
     while end is None:
@@ -171,14 +178,14 @@ def orbit(x: PhasePoint, n_max: int, P: Polyhedron) -> OrbitRecord:
         # its face or meets no face ahead
         f = -1
         if cos_n > ANGLE:
-            f, t, q, edist, edge = cast(m, (tx, ty, tz), P)
+            f, _, q, edist, edge = cast(m, (tx, ty, tz), P)
         if f < 0:
-            end = _event(None, faces, m)
+            end = SingularityEvent(SingularityKind.TANGENT_IN_FACE, len(faces) - 1,
+                                   np.array(m), face=faces[-1])
             break
-        if not edist > plane2:           # near the boundary: a Hit decides
-            hit = _near_hit(P, f, t, q, edist, edge)
-            if hit.kind is not HitKind.FACE:
-                end = _event(hit, faces, m)
+        if not edist > plane2:           # near the boundary: _near_end decides
+            end = _near_end(P, f, q, edist, edge, len(faces) - 1)
+            if end is not None:
                 break
         # n_max == 1: the start's ray is checked, not followed
         if len(faces) == n_max:

@@ -1,9 +1,9 @@
 """Geometric core: labeled convex polyhedra, mirror reflection, ray casting.
 
 Everything is float64 with explicit tolerances (no exact arithmetic kernel).
-Hits that land too close to an edge or vertex are classified conservatively,
-so callers can treat them as singular instead of silently continuing along
-an unreliable orbit.
+A cast reports its hit's distance to the boundary of the hit face, so callers
+can treat a hit too close to an edge or vertex as singular instead of
+silently continuing along an unreliable orbit.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import numbers
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +34,6 @@ class DegenerateFace(Exception):
     coplanar with a face that shares an edge with it."""
 
 
-class NoAdvance(PreconditionFailed):
-    """Ray direction does not advance into the interior from its start point."""
-
-
 class LabelNotReachable(PreconditionFailed):
     """A face label is unknown, or cannot extend a beam's word."""
 
@@ -58,7 +52,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+            # a bool is a numbers.Real, and True would act as 1.0
+            if not (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+                    and 0.0 < value < math.inf):
                 raise PreconditionFailed(f"tolerance {name} must be finite and positive, "
                                          f"got {value!r}")
 
@@ -267,7 +263,7 @@ class Polyhedron:
         edge that attains it (the first one in a tie): the distance to the
         nearest edge inside the face, negative outside it.  It is the
         neighbour-plane distance of the side rows (see above), as
-        :func:`first_hit` takes it.  Rounding moves it by about 1e-15 *
+        :func:`_cast` takes it.  Rounding moves it by about 1e-15 *
         (|q| + |c_g|) * ``inv_sin[f, g]``, which :func:`validate` keeps
         under ``plane`` / 2: under 5e-13 at a dihedral 1e-3 from pi."""
         return _side_distance(self.rows[self.face_id(f)][4], *np.asarray(q, float).tolist())
@@ -432,47 +428,6 @@ def reflect_direction(theta, n) -> np.ndarray:
     return theta - 2.0 * float(theta @ n) * n
 
 
-class HitKind(Enum):
-    FACE = "face"
-    EDGE = "edge"
-    VERTEX = "vertex"
-
-
-class Hit(NamedTuple):
-    """First boundary intersection of a ray with the polyhedron surface.
-
-    ``point`` is the float triple ``(x, y, z)``.  ``edge_distance`` is the
-    signed distance from the hit point to the boundary of the hit face, as
-    :meth:`Polyhedron.nearest_edge` gives it (0 for a VERTEX hit): over
-    ``plane`` for a FACE hit, and negative outside the face, which a ray
-    from the boundary aimed outward can reach.  Callers flag unreliable
-    near-edge passages by it.  A named tuple, cheap to build per bounce.
-    """
-
-    kind: HitKind
-    point: tuple[float, float, float]
-    length: float
-    face: int | None = None
-    edge: int | None = None
-    vertex: int | None = None
-    edge_distance: float = float("inf")
-
-
-def first_hit(m, theta, P: Polyhedron) -> Hit:
-    """First boundary hit of the ray ``m + t * theta``, without start checks
-    (callers must know the ray advances into the interior): :func:`_cast`,
-    a FACE hit over 2 * ``plane`` from the boundary, else :func:`_near_hit`.
-    ``m`` and ``theta`` are float triples (an ndarray unpacks to numpy
-    floats, with the same bits)."""
-    f, t, q, edist, edge = _cast(m, theta, P)
-    if f < 0:
-        raise NoAdvance("ray does not reach the boundary")
-    if edist > 2.0 * P.tol.plane:
-        # positional: keyword arguments make a NamedTuple's constructor slower
-        return Hit(HitKind.FACE, q, t, f, None, None, edist)
-    return _near_hit(P, f, t, q, edist, edge)
-
-
 def _cast(m, theta, P: Polyhedron) -> tuple[int, float, tuple, float, int]:
     """The scalar stepping kernel: ``(f, t, q, edist, edge)`` for the ray
     ``m + t * theta``, in plain floats; f = -1 when no face lies ahead.
@@ -501,25 +456,6 @@ def _cast(m, theta, P: Polyhedron) -> tuple[int, float, tuple, float, int]:
     qx, qy, qz = q = mx + tf * tx, my + tf * ty, mz + tf * tz
     edist, edge = _side_distance(rows[f][4], qx, qy, qz)
     return f, tf, q, edist, edge
-
-
-def _near_hit(P: Polyhedron, f: int, t: float, q: tuple, edist: float, edge: int) -> Hit:
-    """The :class:`Hit` of a cast (see :func:`_cast`) at most 2 * ``plane``
-    from the boundary of face f: a VERTEX hit within ``plane`` of a vertex
-    of the face, else an EDGE hit within ``plane`` of an edge (or outside
-    the face), else a FACE hit.  A vertex within ``plane`` of q lies on two
-    edge lines within ``plane`` of it, so only such a hit can be a vertex
-    hit; 2 * ``plane`` leaves a margin of ``plane`` for rounding.  Few hits
-    get here, so it is numpy."""
-    plane = P.tol.plane
-    d = P.face_polygon(f) - q
-    r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
-    i = int(r2.argmin())                # the first nearest vertex
-    if r2[i] <= plane * plane:
-        return Hit(HitKind.VERTEX, q, t, face=f, vertex=P.boundaries[f][i], edge_distance=0.0)
-    if edist <= plane:
-        return Hit(HitKind.EDGE, q, t, face=f, edge=edge, edge_distance=edist)
-    return Hit(HitKind.FACE, q, t, f, None, None, edist)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def _clip_convex(subject: list, clip_ccw: list) -> list | None:
     """``subject``, a convex polygon of ``(x, y)`` float pairs, clipped to
     each edge's half-plane of the CCW polygon ``clip_ccw`` in turn, or
     ``None`` when no point of it lies outside any of them.  Sections have
-    3-6 points, so Python floats beat numpy here, as in ``first_hit``.
+    3-6 points, so Python floats beat numpy here, as in ``geometry._cast``.
     Every section arrives deduplicated, so a half-plane that holds every
     point leaves the section as it is, and only one that cuts it pays for
     a clip."""

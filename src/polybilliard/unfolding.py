@@ -189,7 +189,10 @@ class GroupClosure:
         """Is the 3x3 ``M`` an element, up to the closure's own 1e-8 max-abs
         tolerance, by a scan of the elements?  A matrix with a nan or
         infinite entry is none."""
-        M = np.asarray(M, float)
+        try:
+            M = np.asarray(M, float)
+        except (TypeError, ValueError):         # a ragged list, a non-number
+            raise PreconditionFailed(f"expected a 3x3 matrix of numbers, got {M!r}") from None
         if M.shape != (3, 3):
             raise PreconditionFailed(f"expected a 3x3 matrix, got shape {M.shape}")
         return bool(np.isfinite(M).all()) and bool(

@@ -299,7 +299,8 @@ def test_orbit_casts_one_ray_per_recorded_bounce_but_the_last(cube, monkeypatch)
 @pytest.mark.parametrize("name", ["cube", "tetrahedron", "box"])
 def test_orbit_rows_are_single_steps(name):
     # row k of a completed orbit is billiard_step of row k - 1, bit for bit;
-    # and, past orbit's float triples, the first_hit of row k - 1 as ndarrays
+    # and, past orbit's float triples, the face hit of row k - 1 as ndarrays:
+    # the cast kernel's, over 2 * plane from the boundary or no end by _near_end
     P = {"cube": unit_cube, "tetrahedron": regular_tetrahedron,
          "box": lambda: box(2.0, 1.0, 0.5)}[name]()
     m, th, f = bl.random_phase_points(P, 30, np.random.default_rng(17))
@@ -314,9 +315,10 @@ def test_orbit_rows_are_single_steps(name):
             x = bl.PhasePoint(int(rec.faces[k - 1]), rec.m[k - 1], rec.theta[k - 1])
             y = bl.billiard_step(x, P)
             assert y.face == rec.faces[k]
-            hit = bl.first_hit(x.m, x.theta, P)
-            assert hit.kind is pb.HitKind.FACE and hit.face == rec.faces[k]
-            assert np.array(hit.point).tobytes() == rec.m[k].tobytes()
+            face, _, q, edist, edge = bl._cast(x.m, x.theta, P)
+            assert edist > 2.0 * P.tol.plane or bl._near_end(P, face, q, edist, edge, 0) is None
+            assert face == rec.faces[k]
+            assert np.array(q).tobytes() == rec.m[k].tobytes()
             assert y.m.tobytes() == rec.m[k].tobytes()
             assert y.theta.tobytes() == rec.theta[k].tobytes()
         checked += 1
@@ -356,13 +358,15 @@ def test_counts_must_be_integers(cube):
 
 
 def test_hit_and_phase_point_are_immutable(cube):
+    # an orbit's end, here an edge hit, is a frozen SingularityEvent
     x = _pp(cube, [0.3141, 0.2718, 0.0], [0.5772, 0.6931, 1.0])
-    hit = bl.first_hit(x.m, x.theta, cube)
+    hit = bl.orbit(_pp(cube, [0.5, 0.5, 0.0], [1.0, 1.0, 1.0]), 5, cube).singularity
     for obj, name, value in ((x, "face", 1), (x, "theta", x.theta), (hit, "face", 0),
-                             (hit, "edge_distance", 0.0)):
+                             (hit, "step", 1)):
         with pytest.raises(AttributeError):
             setattr(obj, name, value)
-    assert hit.kind is pb.HitKind.FACE and hit.edge is None and hit.vertex is None
+    assert hit.kind is bl.SingularityKind.EDGE_HIT and hit.edge is not None
+    assert hit.vertex is None
 
 
 def test_orbit_consecutive_labels_differ(cube):

@@ -2,6 +2,8 @@ import json
 import math
 import re
 import warnings
+from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -303,9 +305,45 @@ def test_reflect_involution_and_norm(cube):
 # ray casting
 # ---------------------------------------------------------------------------
 
+class _HitKind(Enum):
+    FACE = "face"
+    EDGE = "edge"
+    VERTEX = "vertex"
+
+
+class _Hit(NamedTuple):
+    """A ray's first boundary hit, as these tests read it.  ``point`` is the
+    float triple of the hit; ``edge_distance`` its signed distance to the
+    boundary of the hit face (0 for a VERTEX hit), negative outside it."""
+
+    kind: _HitKind
+    point: tuple
+    length: float
+    face: int | None = None
+    edge: int | None = None
+    vertex: int | None = None
+    edge_distance: float = math.inf
+
+
+def _first_hit(m, theta, P):
+    """The first hit of the ray ``m + t * theta`` as ``billiard.orbit``
+    takes it: the cast kernel, a FACE hit over 2 * ``plane`` from the
+    boundary, else what ``billiard._near_end`` makes of it; None where the
+    ray meets no face ahead."""
+    f, t, q, edist, edge = g._cast(m, theta, P)
+    if f < 0:
+        return None
+    end = bl._near_end(P, f, q, edist, edge, 0) if edist <= 2.0 * P.tol.plane else None
+    if end is None:
+        return _Hit(_HitKind.FACE, q, t, f, None, None, edist)
+    if end.kind is bl.SingularityKind.VERTEX_HIT:
+        return _Hit(_HitKind.VERTEX, q, t, f, None, end.vertex, 0.0)
+    return _Hit(_HitKind.EDGE, q, t, f, end.edge, None, edist)
+
+
 def test_cast_axis_ray(cube):
-    hit = g.first_hit(np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]), cube)
-    assert hit.kind is g.HitKind.FACE
+    hit = _first_hit(np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]), cube)
+    assert hit.kind is _HitKind.FACE
     assert cube.labels[hit.face] == "z1"
     assert np.allclose(hit.point, [0.5, 0.5, 1.0])
     assert abs(hit.length - 1.0) < 1e-12
@@ -313,8 +351,8 @@ def test_cast_axis_ray(cube):
 
 def test_cast_diagonal_hits_edge(cube):
     # equal x/y advance reaches the planes x=1 and y=1 together at z=0.5
-    hit = g.first_hit(np.array([0.5, 0.5, 0.0]), np.array([1.0, 1.0, 1.0]) / SQRT3, cube)
-    assert hit.kind is g.HitKind.EDGE
+    hit = _first_hit(np.array([0.5, 0.5, 0.0]), np.array([1.0, 1.0, 1.0]) / SQRT3, cube)
+    assert hit.kind is _HitKind.EDGE
     assert np.allclose(hit.point, [1.0, 1.0, 0.5])
     assert abs(hit.length - 0.5 * SQRT3) < 1e-12
     pts = cube.vertices[cube.edge_endpoints[hit.edge]]
@@ -322,22 +360,21 @@ def test_cast_diagonal_hits_edge(cube):
 
 
 def test_cast_slanted_ray(cube):
-    hit = g.first_hit(np.array([0.25, 0.5, 0.0]), np.array([1.0, 0.0, 1.0]) / SQRT2, cube)
-    assert hit.kind is g.HitKind.FACE
+    hit = _first_hit(np.array([0.25, 0.5, 0.0]), np.array([1.0, 0.0, 1.0]) / SQRT2, cube)
+    assert hit.kind is _HitKind.FACE
     assert cube.labels[hit.face] == "x1"
     assert np.allclose(hit.point, [1.0, 0.5, 0.75])
 
 
 def test_cast_corner_hits_vertex(cube):
-    hit = g.first_hit(np.array([0.25, 0.25, 0.0]), np.array([1.0, 1.0, 4.0 / 3.0]), cube)
-    assert hit.kind is g.HitKind.VERTEX
+    hit = _first_hit(np.array([0.25, 0.25, 0.0]), np.array([1.0, 1.0, 4.0 / 3.0]), cube)
+    assert hit.kind is _HitKind.VERTEX
     assert np.allclose(hit.point, [1.0, 1.0, 1.0])
 
 
 def test_no_advance_outward_and_tangent(cube):
     # the in-face tangent start is covered by the orbit (test_classify_tangent)
-    with pytest.raises(g.NoAdvance):
-        g.first_hit(np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, -1.0]), cube)
+    assert g._cast(np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, -1.0]), cube)[0] == -1
 
 
 def test_hit_point_on_face(cube):
@@ -347,7 +384,7 @@ def test_hit_point_on_face(cube):
         theta = rng.normal(size=3)
         theta[2] = abs(theta[2]) + 0.2
         theta /= np.linalg.norm(theta)
-        hit = g.first_hit(m, theta, cube)
+        hit = _first_hit(m, theta, cube)
         assert abs(cube.normals[hit.face] @ hit.point + cube.offsets[hit.face]) < 1e-9
         assert cube.point_in_face(hit.face, hit.point)
 
@@ -397,11 +434,11 @@ def test_unit_has_the_bits_of_dividing_by_the_norm():
 
 
 # ---------------------------------------------------------------------------
-# first_hit against a numpy reference
+# _first_hit against a numpy reference
 # ---------------------------------------------------------------------------
 
 def _reference_first_hit(m, theta, P):
-    """The vectorized numpy formulation of :func:`geometry.first_hit`."""
+    """The vectorized numpy formulation of :func:`_first_hit`."""
     tol = P.tol
     s = np.asarray(m, float) @ P.normals.T + P.offsets
     d = P.normals @ theta
@@ -411,7 +448,7 @@ def _reference_first_hit(m, theta, P):
     f = int(np.argmin(t))
     tf = float(t[f])
     if not np.isfinite(tf):
-        raise g.NoAdvance("ray does not reach the boundary")
+        return None
     q = m + tf * theta
 
     verts = P.face_polygon(f)
@@ -419,7 +456,7 @@ def _reference_first_hit(m, theta, P):
     vdist2 = np.einsum("ij,ij->i", diff, diff)
     v_local = int(vdist2.argmin())
     if vdist2[v_local] <= tol.plane * tol.plane:
-        return g.Hit(g.HitKind.VERTEX, q, tf, face=f,
+        return _Hit(_HitKind.VERTEX, q, tf, face=f,
                      vertex=int(P.boundaries[f][v_local]), edge_distance=0.0)
     # the face's edges from the edge arrays, not from the stepping tables
     ids = [k for k, fs in enumerate(P.edge_faces.tolist()) if f in fs]
@@ -434,15 +471,8 @@ def _reference_first_hit(m, theta, P):
     k = int(ed2.argmin())
     edist = float(np.sqrt(ed2[k]))
     if edist <= tol.plane:
-        return g.Hit(g.HitKind.EDGE, q, tf, face=f, edge=int(ids[k]), edge_distance=edist)
-    return g.Hit(g.HitKind.FACE, q, tf, face=f, edge_distance=edist)
-
-
-def _outcome(fn, m, theta, P):
-    try:
-        return fn(m, theta, P)
-    except g.NoAdvance:
-        return None
+        return _Hit(_HitKind.EDGE, q, tf, face=f, edge=int(ids[k]), edge_distance=edist)
+    return _Hit(_HitKind.FACE, q, tf, face=f, edge_distance=edist)
 
 
 def _hit_bits(hit):
@@ -454,7 +484,7 @@ def _hit_bits(hit):
 
 
 def _assert_same_hit(m, theta, P, tie=False, edges=()):
-    """Both kernels agree; returns the hit (None for NoAdvance).
+    """Both kernels agree; returns the hit (None where no face lies ahead).
 
     With ``tie`` the ray is aimed at an edge or vertex, where several face
     planes are reached at the same length up to rounding; the kernels sum in
@@ -462,12 +492,11 @@ def _assert_same_hit(m, theta, P, tie=False, edges=()):
     aimed equally near the ``edges``, so an EDGE hit may name any of them.
     """
     m, theta = np.asarray(m, float), np.asarray(theta, float)
-    got = _outcome(g.first_hit, m, theta, P)
-    ref = _outcome(_reference_first_hit, m, theta, P)
+    got = _first_hit(m, theta, P)
+    ref = _reference_first_hit(m, theta, P)
     assert (got is None) == (ref is None)
     # float triples, as orbit passes them, give the same hit to the bit
-    assert _hit_bits(_outcome(g.first_hit, tuple(m.tolist()), tuple(theta.tolist()), P)) \
-        == _hit_bits(got)
+    assert _hit_bits(_first_hit(tuple(m.tolist()), tuple(theta.tolist()), P)) == _hit_bits(got)
     if got is None:
         return None
     # the kernels sum in different orders: allow 1e-12 per unit of ray length
@@ -479,12 +508,12 @@ def _assert_same_hit(m, theta, P, tie=False, edges=()):
     if outside:
         # a ray from the boundary aimed outward meets a plane outside its
         # face; the reference measures the distance to the nearest edge
-        # there, first_hit the (negative) one past the farthest-crossed
+        # there, _first_hit the (negative) one past the farthest-crossed
         # edge line, so the hit is an EDGE or VERTEX hit
-        assert got.kind is (g.HitKind.VERTEX if ref.kind is g.HitKind.VERTEX
-                            else g.HitKind.EDGE)
+        assert got.kind is (_HitKind.VERTEX if ref.kind is _HitKind.VERTEX
+                            else _HitKind.EDGE)
         assert got.vertex == ref.vertex
-        if got.kind is g.HitKind.EDGE:
+        if got.kind is _HitKind.EDGE:
             assert got.edge_distance < 0.0
             assert abs(got.edge_distance - side.min()) <= tol
             assert side[ids.index(got.edge)] <= side.min() + tol
@@ -492,9 +521,9 @@ def _assert_same_hit(m, theta, P, tie=False, edges=()):
         assert (got.kind, got.vertex) == (ref.kind, ref.vertex)
         assert got.edge == ref.edge or {got.edge, ref.edge} <= set(edges)
         assert abs(got.edge_distance - ref.edge_distance) <= tol
-    if not tie or got.kind is g.HitKind.FACE:
+    if not tie or got.kind is _HitKind.FACE:
         assert got.face == ref.face
-    elif got.kind is g.HitKind.EDGE:
+    elif got.kind is _HitKind.EDGE:
         assert {got.face, ref.face} <= set(P.edge_faces[got.edge].tolist())
     else:
         assert all(got.vertex in P.boundaries[h.face] for h in (got, ref))
@@ -578,7 +607,7 @@ def test_first_hit_matches_reference(name):
     kinds = set()
     for m, theta in zip(starts, dirs):
         kinds.add(_assert_same_hit(m, theta, P).kind)
-    assert kinds == {g.HitKind.FACE}
+    assert kinds == {_HitKind.FACE}
     # rays aimed at every vertex and at random points of every edge
     for m in starts[:20]:
         for v in range(len(V)):
@@ -586,13 +615,13 @@ def test_first_hit_matches_reference(name):
         for a, b in V[P.edge_endpoints]:
             q = a + rng.random() * (b - a)
             kinds.add(_assert_same_hit(m, g.unit(q - m), P, tie=True).kind)
-    assert {g.HitKind.EDGE, g.HitKind.VERTEX} <= kinds
+    assert {_HitKind.EDGE, _HitKind.VERTEX} <= kinds
     # 1e-6 from a vertex, inside its face: a face hit, though near the vertex
     for f in range(P.n_faces):
         poly = P.face_polygon(f)
         for v in poly:
             q = v + 1e-6 * g.unit(poly.mean(axis=0) - v)
-            assert _assert_same_hit(starts[0], g.unit(q - starts[0]), P).kind is g.HitKind.FACE
+            assert _assert_same_hit(starts[0], g.unit(q - starts[0]), P).kind is _HitKind.FACE
     # starts 1e-12 outside the boundary at vertices and face centres, with
     # directions into and out of the solid, so some rays never reach a face
     # plane and some meet one outside its face.  Every plane through the
@@ -624,13 +653,13 @@ def test_first_hit_matches_reference_on_engineered_rays(cube):
             ([0.25, 0.25, 0.0], np.array([1.0, 1.0, 4.0 / 3.0])),     # vertex
             ([0.5, 0.5, 0.0], [0.0, 0.0, -1.0])]                      # no advance
     hits = [_assert_same_hit(m, theta, cube) for m, theta in rays]
-    assert [h and h.kind for h in hits] == [g.HitKind.FACE, g.HitKind.EDGE, g.HitKind.FACE,
-                                             g.HitKind.VERTEX, None]
+    assert [h and h.kind for h in hits] == [_HitKind.FACE, _HitKind.EDGE, _HitKind.FACE,
+                                             _HitKind.VERTEX, None]
 
 
 @pytest.mark.parametrize("name", sorted(SOLIDS))
 def test_first_hit_matches_reference_near_vertices(name):
-    # first_hit scans a face's vertices only for a hit within 2 * plane of an
+    # _first_hit scans a face's vertices only for a hit within 2 * plane of an
     # edge; aim 0.5, 1.5 and 2.5 * plane from each vertex, into its face and
     # along one of its edges, on both sides of either threshold
     P = SOLIDS[name]()
@@ -647,9 +676,9 @@ def test_first_hit_matches_reference_near_vertices(name):
                     q = v + mult * P.tol.plane * g.unit(w)
                     hit = _assert_same_hit(start, g.unit(q - start), P, tie=True, edges=edges)
                     found.setdefault(mult, set()).add(hit.kind)
-    assert found[0.5] == {g.HitKind.VERTEX}
-    assert g.HitKind.VERTEX not in found[1.5] | found[2.5]
-    assert found[1.5] | found[2.5] >= {g.HitKind.EDGE, g.HitKind.FACE}
+    assert found[0.5] == {_HitKind.VERTEX}
+    assert _HitKind.VERTEX not in found[1.5] | found[2.5]
+    assert found[1.5] | found[2.5] >= {_HitKind.EDGE, _HitKind.FACE}
 
 
 def _inward(P, f, a, b):
@@ -659,13 +688,13 @@ def _inward(P, f, a, b):
 
 
 # offsets from an edge or a vertex, in units of plane, on both sides of the
-# EDGE and VERTEX verdicts at 1 and of first_hit's vertex scan at 2
+# EDGE and VERTEX verdicts at 1 and of _first_hit's vertex scan at 2
 _BAND = (0.5, 0.99, 1.01, 1.5, 1.99, 2.01, 2.5, 4.0)
 
 
 @pytest.mark.parametrize("name", sorted(SOLIDS))
 def test_first_hit_matches_reference_across_the_screen_band(name):
-    # first_hit returns a hit over 2 * plane from every edge line as a FACE
+    # _first_hit returns a hit over 2 * plane from every edge line as a FACE
     # hit and scans the vertices for every nearer one; aim at each offset
     # from each edge's midpoint, and from each vertex along the bisector of
     # its face angle
@@ -687,10 +716,10 @@ def test_first_hit_matches_reference_across_the_screen_band(name):
                     hit = _assert_same_hit(start, g.unit(q - start), P, edges=edges)
                     found.setdefault((where, k), set()).add(hit.kind)
     for k in _BAND:
-        assert found["edge", k] == {g.HitKind.EDGE if k < 1.0 else g.HitKind.FACE}
-        assert (found["vertex", k] == {g.HitKind.VERTEX} if k < 1.0
-                else g.HitKind.VERTEX not in found["vertex", k])
-    assert found["vertex", 4.0] == {g.HitKind.FACE}
+        assert found["edge", k] == {_HitKind.EDGE if k < 1.0 else _HitKind.FACE}
+        assert (found["vertex", k] == {_HitKind.VERTEX} if k < 1.0
+                else _HitKind.VERTEX not in found["vertex", k])
+    assert found["vertex", 4.0] == {_HitKind.FACE}
 
 
 def test_validate_refuses_coplanar_neighbours():
@@ -730,14 +759,14 @@ def test_tolerances_refuse_a_field_not_finite_and_positive():
     # a vertex outside its face (NonConvex), nan or a negative sing built a
     # solid with no error, and a string failed the comparison (TypeError)
     for field, bad in (("plane", 0.0), ("plane", -1e-9), ("plane", math.nan),
-                       ("sing", -1.0), ("sing", "1e-7")):
+                       ("sing", -1.0), ("sing", "1e-7"), ("plane", True)):
         message = f"tolerance {field} must be finite and positive, got {bad!r}"
         with pytest.raises(g.PreconditionFailed, match=re.escape(message)):
             g.unit_cube(g.Tolerances(**{field: bad}))
 
 
 def _clipped_first_hit(m, theta, P):
-    """``first_hit`` by the clipped segment distance in place of the
+    """``_first_hit`` by the clipped segment distance in place of the
     neighbour planes, the reference for orbits: every hit measures its
     distance to each edge of its face."""
     neg_angle, plane = -g.ANGLE, P.tol.plane
@@ -751,7 +780,7 @@ def _clipped_first_hit(m, theta, P):
             if 0.0 < t < tf:
                 tf, f = t, k
     if f < 0:
-        raise g.NoAdvance("ray does not reach the boundary")
+        return None
     qx, qy, qz = q = mx + tf * tx, my + tf * ty, mz + tf * tz
     edges = []
     for e in np.flatnonzero((P.edge_faces == f).any(axis=1)).tolist():
@@ -774,17 +803,17 @@ def _clipped_first_hit(m, theta, P):
             if r2 < r2v:
                 r2v, vertex = r2, v
         if r2v <= plane * plane:
-            return g.Hit(g.HitKind.VERTEX, q, tf, face=f, vertex=vertex, edge_distance=0.0)
+            return _Hit(_HitKind.VERTEX, q, tf, face=f, vertex=vertex, edge_distance=0.0)
     edist = math.sqrt(best)
     if edist <= plane:
-        return g.Hit(g.HitKind.EDGE, q, tf, face=f, edge=edge, edge_distance=edist)
-    return g.Hit(g.HitKind.FACE, q, tf, f, None, None, edist)
+        return _Hit(_HitKind.EDGE, q, tf, face=f, edge=edge, edge_distance=edist)
+    return _Hit(_HitKind.FACE, q, tf, f, None, None, edist)
 
 
 def _reference_orbit(x, n_max, P, first_hit):
     """``billiard.orbit`` over whole hits, the reference for its cast-kernel
     loop: the same loop with every cast made by ``first_hit``, a kernel
-    shaped like :func:`geometry.first_hit`."""
+    shaped like :func:`_first_hit`."""
     tol, rows = P.tol, P.rows
     m, (tx, ty, tz) = tuple(x.m.tolist()), x.theta.tolist()
     faces, ms, thetas = [x.face], [*m], [tx, ty, tz]
@@ -792,14 +821,11 @@ def _reference_orbit(x, n_max, P, first_hit):
 
     dist, edge = P.nearest_edge(x.face, x.m)
     if dist <= tol.plane:
-        hit = g.Hit(g.HitKind.EDGE, m, 0.0, face=x.face, edge=edge, edge_distance=dist)
+        hit = _Hit(_HitKind.EDGE, m, 0.0, face=x.face, edge=edge, edge_distance=dist)
     cos_n = float(bl._start_cos(x.theta, P.normals[x.face]))
     while not dist <= tol.plane:
-        try:
-            hit = first_hit(m, (tx, ty, tz), P) if cos_n > g.ANGLE else None
-        except g.NoAdvance:
-            hit = None
-        if hit is None or hit.kind is not g.HitKind.FACE or len(faces) == n_max:
+        hit = first_hit(m, (tx, ty, tz), P) if cos_n > g.ANGLE else None
+        if hit is None or hit.kind is not _HitKind.FACE or len(faces) == n_max:
             break
         nx, ny, nz, _, _ = rows[hit.face]
         k = 2.0 * (tx * nx + ty * ny + tz * nz)
@@ -813,10 +839,17 @@ def _reference_orbit(x, n_max, P, first_hit):
             flagged.append(len(faces) - 1)
         if len(faces) == n_max:
             break
-    ended = hit is None or hit.kind is not g.HitKind.FACE
+    K, end = bl.SingularityKind, None
+    if hit is None:
+        end = bl.SingularityEvent(K.TANGENT_IN_FACE, len(faces) - 1, np.array(m),
+                                  face=faces[-1])
+    elif hit.kind is not _HitKind.FACE:
+        end = bl.SingularityEvent(K.VERTEX_HIT if hit.kind is _HitKind.VERTEX else K.EDGE_HIT,
+                                  len(faces) - 1, np.array(hit.point), edge=hit.edge,
+                                  vertex=hit.vertex, face=hit.face)
     return bl.OrbitRecord(np.array(faces), np.array(ms).reshape(-1, 3),
                           np.array(thetas).reshape(-1, 3), [P.labels[f] for f in faces],
-                          bl._event(hit, faces, m) if ended else None, flagged)
+                          end, flagged)
 
 
 def _orbit_bits(rec):
@@ -834,7 +867,7 @@ def test_orbits_are_the_clipped_distance_stepping_bitwise(name):
     # under the default tolerances and under coarse ones that end orbits on
     # edges and flag bounces near them.  orbit steps by the cast kernel, so
     # the reference is the loop over whole hits, run with the clipped
-    # distance and with first_hit
+    # distance and with _first_hit
     rng = np.random.default_rng(32 + sorted(SOLIDS).index(name))
     ended = flagged = 0
     for P in (SOLIDS[name](), SOLIDS[name](tol=g.Tolerances(plane=1e-3, sing=1e-2))):
@@ -850,7 +883,7 @@ def test_orbits_are_the_clipped_distance_stepping_bitwise(name):
                 starts.append((bl.phase_point(P, x, t, face=f), 20))
         for x, n in starts:
             rec = bl.orbit(x, n, P)
-            for first_hit in (_clipped_first_hit, bl.first_hit):
+            for first_hit in (_clipped_first_hit, _first_hit):
                 assert _orbit_bits(rec) == _orbit_bits(_reference_orbit(x, n, P, first_hit))
             ended += not rec.completed
             flagged += len(rec.near_singular_steps)

@@ -417,7 +417,8 @@ def test_contains_refuses_non_finite_matrices(cube):
 
 def test_contains_refuses_other_shapes(cube):
     closure = uf.generate_group(cube, bound=100)
-    for bad in (np.eye(3).ravel(), np.eye(3)[:, :, None], np.eye(2), np.eye(3)[None]):
+    for bad in (np.eye(3).ravel(), np.eye(3)[:, :, None], np.eye(2), np.eye(3)[None],
+                [["a"] * 3] * 3):
         with pytest.raises(PreconditionFailed, match="3x3"):
             closure.contains(bad)
     assert closure.contains(np.eye(3).tolist()) is True
